@@ -202,6 +202,22 @@ double Percentile(std::vector<uint64_t>& v, double p) {
   return static_cast<double>(v[idx]);
 }
 
+/// An in-memory DB holding `data`, inserted in order (oid i is data[i]).
+std::unique_ptr<DB> BuildDB(const std::vector<Rect>& data,
+                            size_t pool_pages) {
+  DBOptions opt;
+  opt.page_size = kBenchPageSize;
+  opt.cache_pages = pool_pages;
+  opt.index.data = DecomposeOptions::SizeBound(8);
+  auto db = DB::Open("", opt).value();
+  for (const Rect& r : data) (void)db->Insert(r).value();
+  if (!db->Checkpoint().ok()) {
+    std::fprintf(stderr, "checkpoint failed\n");
+    std::exit(1);
+  }
+  return db;
+}
+
 struct ReaderResult {
   std::vector<uint64_t> window_us, point_us, knn_us;
   uint64_t queries = 0;
@@ -212,16 +228,14 @@ struct ReaderResult {
 /// Returns total reader qps; fills the latency table row.
 void RunPhase(const Workload& w, size_t readers, Table* table,
               uint64_t* total_mismatches) {
-  Env env = MakeEnv(kBenchPageSize, 8192);
-  const SpatialIndexOptions opt{.data = DecomposeOptions::SizeBound(8)};
-  auto index = BuildZIndex(&env, w.initial, opt).value();
-  const uint64_t base = index->write_epoch();
+  auto db = BuildDB(w.initial, 8192);
+  const uint64_t base = db->write_epoch();
 
   ServerOptions sopt;
   sopt.workers = 6;
   sopt.queue_capacity = 256;
   sopt.idle_timeout_ms = 0;
-  Server server(index.get(), sopt);
+  Server server(db.get(), sopt);
   if (!server.Start().ok()) {
     std::fprintf(stderr, "server start failed\n");
     std::exit(1);
@@ -327,19 +341,17 @@ void RunPhase(const Workload& w, size_t readers, Table* table,
 /// shed request must still get its typed reply, and retried requests
 /// must eventually succeed.
 void RunSaturation(size_t clients) {
-  Env env = MakeEnv(kBenchPageSize, 16);
-  const SpatialIndexOptions opt{.data = DecomposeOptions::SizeBound(8)};
   DataGenOptions dg;
   dg.seed = kSeed + 9;
-  auto index = BuildZIndex(&env, GenerateData(400, dg), opt).value();
-  env.pager->set_simulated_read_latency_us(200);
+  auto db = BuildDB(GenerateData(400, dg), 16);
+  db->set_simulated_read_latency_us(200);
 
   ServerOptions sopt;
   sopt.workers = 1;
   sopt.queue_capacity = 2;
   sopt.idle_timeout_ms = 0;
   sopt.exec_threads = 0;  // keep the one worker honestly slow
-  Server server(index.get(), sopt);
+  Server server(db.get(), sopt);
   if (!server.Start().ok()) {
     std::fprintf(stderr, "server start failed\n");
     std::exit(1);
@@ -475,18 +487,16 @@ void RunConnectionHorde(size_t total, size_t procs) {
   }
 
   // --- parent: only now does the process go multithreaded.
-  Env env = MakeEnv(kBenchPageSize, 4096);
-  const SpatialIndexOptions opt{.data = DecomposeOptions::SizeBound(8)};
   DataGenOptions dg;
   dg.seed = kSeed + 77;
-  auto index = BuildZIndex(&env, GenerateData(1000, dg), opt).value();
+  auto db = BuildDB(GenerateData(1000, dg), 4096);
 
   ServerOptions sopt;
   sopt.net_threads = 2;
   sopt.workers = 4;
   sopt.idle_timeout_ms = 0;  // the horde is deliberately idle
   sopt.listen_backlog = 1024;
-  Server server(index.get(), sopt);
+  Server server(db.get(), sopt);
   if (!server.Start().ok()) {
     std::fprintf(stderr, "server start failed\n");
     std::exit(1);

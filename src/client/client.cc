@@ -23,14 +23,6 @@ Result<Client> Client::Connect(const std::string& endpoint,
   return Client(std::move(ch), endpoint, std::move(options));
 }
 
-Result<Client> Client::ConnectTcp(const std::string& host, uint16_t port) {
-  return Connect("tcp://" + host + ":" + std::to_string(port));
-}
-
-Result<Client> Client::ConnectUnix(const std::string& path) {
-  return Connect("unix://" + path);
-}
-
 void Client::Close() {
   primary_.sock.Close();
   for (auto& ch : followers_) {

@@ -98,12 +98,6 @@ class Client {
   [[nodiscard]] static Result<Client> Connect(const std::string& endpoint,
                                               ClientOptions options = {});
 
-  /// Deprecated: use Connect("tcp://host:port"). Thin compatibility
-  /// wrapper over Connect(); new call sites should pass a URI.
-  [[nodiscard]] static Result<Client> ConnectTcp(const std::string& host, uint16_t port);
-  /// Deprecated: use Connect("unix://path").
-  [[nodiscard]] static Result<Client> ConnectUnix(const std::string& path);
-
   Client(Client&&) = default;
   Client& operator=(Client&&) = default;
 

@@ -30,7 +30,7 @@ void SortByDistance(std::vector<std::pair<ObjectId, double>>* best) {
 
 Result<std::vector<std::pair<ObjectId, double>>>
 SpatialIndex::NearestNeighbors(const Point& p, size_t k, QueryStats* stats,
-                               uint32_t* rounds) {
+                               uint32_t* rounds, uint64_t* epoch) {
   if (snapshots_enabled()) {
     // Pinned path: all expanding rounds run at one pinned epoch, which
     // gives the same single-state guarantee the latch provides below —
@@ -39,13 +39,17 @@ SpatialIndex::NearestNeighbors(const Point& p, size_t k, QueryStats* stats,
     for (int attempt = 0;; ++attempt) {
       const EpochPin pin = PinEpoch();
       auto r = NearestNeighborsAt(pin, p, k, stats, rounds);
-      if (r.ok() || !r.status().IsAborted() || attempt >= 2) return r;
+      if (r.ok() || !r.status().IsAborted() || attempt >= 2) {
+        if (epoch != nullptr) *epoch = pin.epoch();
+        return r;
+      }
     }
   }
   // One reader section for ALL expanding rounds: a writer can never
   // interleave between rounds, so the returned neighbor set reflects a
   // single index state.
   SharedSection lock(this);
+  if (epoch != nullptr) *epoch = write_epoch();
   return NearestNeighborsLocked(p, k, stats, rounds);
 }
 

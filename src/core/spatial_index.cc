@@ -490,21 +490,36 @@ Result<std::vector<ObjectId>> SpatialIndex::RefineWindowCandidates(
 // valid — and retries. Without snapshots they take the shared latch as
 // before.
 
+namespace {
+
+/// Stores the answered epoch into an optional out-parameter.
+void ReportEpoch(uint64_t* out, uint64_t epoch) {
+  if (out != nullptr) *out = epoch;
+}
+
+}  // namespace
+
 /// Expands to the snapshot-pinned fast path of a public query: pin,
-/// delegate to the *At variant, retry on a rolled-back epoch.
-#define ZDB_SNAPSHOT_QUERY(AtCall)                                     \
+/// delegate to the *At variant, retry on a rolled-back epoch, report
+/// the answered epoch through `epoch_out`.
+#define ZDB_SNAPSHOT_QUERY(AtCall, epoch_out)                          \
   if (snapshots_enabled()) {                                           \
     for (int attempt = 0;; ++attempt) {                                \
       const EpochPin pin = PinEpoch();                                 \
       auto r = AtCall;                                                 \
-      if (r.ok() || !r.status().IsAborted() || attempt >= 2) return r; \
+      if (r.ok() || !r.status().IsAborted() || attempt >= 2) {         \
+        ReportEpoch(epoch_out, pin.epoch());                           \
+        return r;                                                      \
+      }                                                                \
     }                                                                  \
   }
 
 Result<std::vector<ObjectId>> SpatialIndex::WindowQuery(const Rect& window,
-                                                        QueryStats* stats) {
-  ZDB_SNAPSHOT_QUERY(WindowQueryAt(pin, window, stats));
+                                                        QueryStats* stats,
+                                                        uint64_t* epoch) {
+  ZDB_SNAPSHOT_QUERY(WindowQueryAt(pin, window, stats), epoch);
   SharedSection lock(this);
+  ReportEpoch(epoch, write_epoch());
   return WindowQueryLocked(window, stats);
 }
 
@@ -531,9 +546,11 @@ Result<std::vector<ObjectId>> SpatialIndex::WindowQueryLocked(
 }
 
 Result<std::vector<ObjectId>> SpatialIndex::PointQuery(const Point& p,
-                                                       QueryStats* stats) {
-  ZDB_SNAPSHOT_QUERY(PointQueryAt(pin, p, stats));
+                                                       QueryStats* stats,
+                                                       uint64_t* epoch) {
+  ZDB_SNAPSHOT_QUERY(PointQueryAt(pin, p, stats), epoch);
   SharedSection lock(this);
+  ReportEpoch(epoch, write_epoch());
   return PointQueryLocked(p, stats);
 }
 
@@ -566,7 +583,7 @@ Result<std::vector<ObjectId>> SpatialIndex::PointQueryLocked(
 
 Result<std::vector<ObjectId>> SpatialIndex::ContainmentQuery(
     const Rect& window, QueryStats* stats) {
-  ZDB_SNAPSHOT_QUERY(ContainmentQueryAt(pin, window, stats));
+  ZDB_SNAPSHOT_QUERY(ContainmentQueryAt(pin, window, stats), nullptr);
   SharedSection lock(this);
   return ContainmentQueryLocked(window, stats);
 }
@@ -599,7 +616,7 @@ Result<std::vector<ObjectId>> SpatialIndex::ContainmentQueryLocked(
 
 Result<std::vector<ObjectId>> SpatialIndex::EnclosureQuery(
     const Rect& window, QueryStats* stats) {
-  ZDB_SNAPSHOT_QUERY(EnclosureQueryAt(pin, window, stats));
+  ZDB_SNAPSHOT_QUERY(EnclosureQueryAt(pin, window, stats), nullptr);
   SharedSection lock(this);
   return EnclosureQueryLocked(window, stats);
 }

@@ -447,14 +447,21 @@ class SpatialIndex {
   EpochManager* epochs() const { return epoch_mgr_.get(); }
 
   // ------------------------------------------------------------- queries
+  //
+  // `epoch` (optional, on WindowQuery/PointQuery/NearestNeighbors)
+  // receives the write epoch whose committed state the answer reflects:
+  // the pinned epoch with snapshots enabled, write_epoch() read under
+  // the shared latch otherwise.
 
   /// All live objects whose MBR intersects `window`.
   Result<std::vector<ObjectId>> WindowQuery(const Rect& window,
-                                            QueryStats* stats = nullptr);
+                                            QueryStats* stats = nullptr,
+                                            uint64_t* epoch = nullptr);
 
   /// All live objects whose MBR contains `p`.
   Result<std::vector<ObjectId>> PointQuery(const Point& p,
-                                           QueryStats* stats = nullptr);
+                                           QueryStats* stats = nullptr,
+                                           uint64_t* epoch = nullptr);
 
   /// All live objects whose MBR is fully inside `window` ("containment").
   Result<std::vector<ObjectId>> ContainmentQuery(const Rect& window,
@@ -471,7 +478,7 @@ class SpatialIndex {
   /// the number of expansions.
   Result<std::vector<std::pair<ObjectId, double>>> NearestNeighbors(
       const Point& p, size_t k, QueryStats* stats = nullptr,
-      uint32_t* rounds = nullptr);
+      uint32_t* rounds = nullptr, uint64_t* epoch = nullptr);
 
   // ------------------------------------------------- parallel query hooks
   //

@@ -12,22 +12,15 @@
 namespace zdb {
 
 QueryExecutor::QueryExecutor(SpatialIndex* index, size_t threads)
-    : index_(index), indexes_{index} {
-  assert(threads >= 1);
-  if (threads < 1) threads = 1;
-  stats_.workers.resize(threads);
-  workers_.reserve(threads);
-  for (size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
-  }
-}
+    : QueryExecutor({index},
+                    shard::ShardRouting(1, index->options().world,
+                                        index->options().grid_bits),
+                    threads) {}
 
 QueryExecutor::QueryExecutor(std::vector<SpatialIndex*> indexes,
                              shard::ShardRouting routing, size_t threads)
-    : index_(indexes.empty() ? nullptr : indexes[0]),
-      indexes_(std::move(indexes)),
-      routing_(std::make_unique<shard::ShardRouting>(std::move(routing))) {
-  assert(!indexes_.empty() && indexes_.size() == routing_->shards());
+    : indexes_(std::move(indexes)), routing_(std::move(routing)) {
+  assert(!indexes_.empty() && indexes_.size() == routing_.shards());
   assert(threads >= 1);
   if (threads < 1) threads = 1;
   stats_.workers.resize(threads);
@@ -126,10 +119,7 @@ Result<std::vector<std::vector<ObjectId>>> QueryExecutor::WindowBatch(
   ZDB_RETURN_IF_ERROR(
       RunJob(windows.size(), [&](size_t i, size_t w) -> Status {
         QueryStats qs;
-        auto r = sharded()
-                     ? shard::ScatterWindow(indexes_, *routing_, windows[i],
-                                            &qs)
-                     : index_->WindowQuery(windows[i], &qs);
+        auto r = shard::ScatterWindow(indexes_, routing_, windows[i], &qs);
         if (!r.ok()) return r.status();
         out[i] = std::move(r).value();
         stats_.workers[w].query.Add(qs);
@@ -144,9 +134,7 @@ Result<std::vector<std::vector<ObjectId>>> QueryExecutor::PointBatch(
   ZDB_RETURN_IF_ERROR(
       RunJob(points.size(), [&](size_t i, size_t w) -> Status {
         QueryStats qs;
-        auto r = sharded()
-                     ? shard::ScatterPoint(indexes_, *routing_, points[i], &qs)
-                     : index_->PointQuery(points[i], &qs);
+        auto r = shard::ScatterPoint(indexes_, routing_, points[i], &qs);
         if (!r.ok()) return r.status();
         out[i] = std::move(r).value();
         stats_.workers[w].query.Add(qs);
@@ -161,9 +149,8 @@ QueryExecutor::NearestBatch(const std::vector<Point>& points, size_t k) {
   ZDB_RETURN_IF_ERROR(
       RunJob(points.size(), [&](size_t i, size_t w) -> Status {
         QueryStats qs;
-        auto r = sharded() ? shard::ScatterNearest(indexes_, *routing_,
-                                                   points[i], k, &qs)
-                           : index_->NearestNeighbors(points[i], k, &qs);
+        auto r =
+            shard::ScatterNearest(indexes_, routing_, points[i], k, &qs);
         if (!r.ok()) return r.status();
         out[i] = std::move(r).value();
         stats_.workers[w].query.Add(qs);
@@ -174,135 +161,27 @@ QueryExecutor::NearestBatch(const std::vector<Point>& points, size_t k) {
 
 Result<std::vector<ObjectId>> QueryExecutor::ParallelWindowQuery(
     const Rect& window, QueryStats* stats) {
-  if (sharded()) return ShardedParallelWindow(window, stats);
-  if (index_->snapshots_enabled()) {
-    // Latch-free path: pin ONE epoch for the whole plan/slice/refine
-    // pipeline so every hook call observes the same committed state —
-    // the snapshot equivalent of the single reader section below. A
-    // group-commit rollback can invalidate the pinned epoch mid-flight
-    // (Aborted); re-pin at the re-published epoch and retry.
-    for (int attempt = 0;; ++attempt) {
-      const EpochPin pin = index_->PinEpoch();
-      auto r = ParallelWindowBody(window, stats, &pin);
-      if (r.ok() || !r.status().IsAborted() || attempt >= 2) return r;
-    }
-  }
-  // One reader section spanning plan, slices and refinement: the hooks
-  // themselves do not latch (a per-call latch could admit a writer
-  // between the plan and its slices), so the driver pins the index state
-  // here. The workers only run the unlatched hooks — they never acquire
-  // the latch themselves, which keeps a waiting writer from wedging the
-  // job between the driver's shared hold and a worker's fresh acquire.
-  auto section = index_->ReaderSection();
-  return ParallelWindowBody(window, stats, nullptr);
-}
-
-Result<std::vector<ObjectId>> QueryExecutor::ParallelWindowBody(
-    const Rect& window, QueryStats* stats, const EpochPin* pin) {
-  // With a pin, every participating thread installs its own snapshot
-  // view: the TLS view is per-thread, so the driver's scope (for
-  // PlanWindow) does not cover the workers — each job lambda opens one
-  // before touching the index. Without a pin the caller already holds
-  // the shared latch and the scopes collapse to nothing.
-  std::unique_ptr<SpatialIndex::SnapshotReadScope> driver_scope;
-  if (pin != nullptr) {
-    ZDB_ASSIGN_OR_RETURN(driver_scope, index_->OpenSnapshot(*pin));
-  }
-  WindowPlan plan;
-  ZDB_ASSIGN_OR_RETURN(plan, index_->PlanWindow(window));
-  const size_t items = plan.work_items();
-
-  // Slice the work list: a few slices per worker for load balance, but
-  // never more slices than items (each slice pays one CandidateSink).
-  const size_t slices =
-      std::max<size_t>(1, std::min(items, threads() * 4));
-  std::vector<std::vector<ObjectId>> parts(slices);
-  std::vector<QueryStats> part_stats(slices);
-  ZDB_RETURN_IF_ERROR(RunJob(slices, [&](size_t i, size_t w) -> Status {
-    std::unique_ptr<SpatialIndex::SnapshotReadScope> scope;
-    if (pin != nullptr) {
-      ZDB_ASSIGN_OR_RETURN(scope, index_->OpenSnapshot(*pin));
-    }
-    const size_t lo = items * i / slices;
-    const size_t hi = items * (i + 1) / slices;
-    auto r = index_->ExecuteWindowPlanSlice(plan, lo, hi, &part_stats[i]);
-    if (!r.ok()) return r.status();
-    parts[i] = std::move(r).value();
-    stats_.workers[w].query.Add(part_stats[i]);
-    return Status::OK();
-  }));
-
-  // Merge with global dedup: each slice deduplicated locally, but an
-  // object's redundant entries can land in different slices.
-  std::unordered_set<ObjectId> seen;
-  std::vector<ObjectId> candidates;
-  for (const auto& part : parts) {
-    for (ObjectId oid : part) {
-      if (seen.insert(oid).second) candidates.push_back(oid);
-    }
-  }
-  std::sort(candidates.begin(), candidates.end());
-
-  // Parallel refinement over contiguous chunks; candidates are sorted, so
-  // concatenating the chunk results in order keeps the output sorted.
-  const size_t chunks =
-      std::max<size_t>(1, std::min(candidates.size(), threads()));
-  std::vector<std::vector<ObjectId>> refined(chunks);
-  std::vector<QueryStats> refine_stats(chunks);
-  ZDB_RETURN_IF_ERROR(RunJob(chunks, [&](size_t i, size_t w) -> Status {
-    std::unique_ptr<SpatialIndex::SnapshotReadScope> scope;
-    if (pin != nullptr) {
-      ZDB_ASSIGN_OR_RETURN(scope, index_->OpenSnapshot(*pin));
-    }
-    const size_t lo = candidates.size() * i / chunks;
-    const size_t hi = candidates.size() * (i + 1) / chunks;
-    std::vector<ObjectId> chunk(candidates.begin() + lo,
-                                candidates.begin() + hi);
-    stats_.workers[w].refinements += chunk.size();
-    auto r = index_->RefineWindowCandidates(window, std::move(chunk),
-                                            &refine_stats[i]);
-    if (!r.ok()) return r.status();
-    refined[i] = std::move(r).value();
-    stats_.workers[w].query.Add(refine_stats[i]);
-    return Status::OK();
-  }));
-
-  std::vector<ObjectId> results;
-  for (auto& chunk : refined) {
-    results.insert(results.end(), chunk.begin(), chunk.end());
-  }
-  if (stats != nullptr) {
-    for (const auto& qs : part_stats) stats->Add(qs);
-    for (const auto& qs : refine_stats) stats->Add(qs);
-    stats->unique_candidates = candidates.size();
-    stats->results = results.size();
-  }
-  return results;
-}
-
-Result<std::vector<ObjectId>> QueryExecutor::ShardedParallelWindow(
-    const Rect& window, QueryStats* stats) {
   // Scatter set: only the shards whose prefix regions the window
   // overlaps participate; non-overlapping shards are never touched.
   std::vector<uint32_t> shards;
-  uint64_t mask = routing_->MaskForRect(window);
+  uint64_t mask = routing_.MaskForRect(window);
   while (mask != 0) {
     shards.push_back(static_cast<uint32_t>(__builtin_ctzll(mask)));
     mask &= mask - 1;
   }
-  const bool snapshots = index_->snapshots_enabled();
+  const bool snapshots = indexes_[0]->snapshots_enabled();
   for (int attempt = 0;; ++attempt) {
     // A group-commit rollback on any participating shard invalidates
     // that shard's pinned epoch mid-flight (Aborted); re-pin everything
-    // and retry, like the single-shard path.
-    auto r = ShardedParallelWindowBody(window, stats, shards, snapshots);
+    // and retry.
+    auto r = ParallelWindowBody(window, stats, shards, snapshots);
     if (r.ok() || !snapshots || !r.status().IsAborted() || attempt >= 2) {
       return r;
     }
   }
 }
 
-Result<std::vector<ObjectId>> QueryExecutor::ShardedParallelWindowBody(
+Result<std::vector<ObjectId>> QueryExecutor::ParallelWindowBody(
     const Rect& window, QueryStats* stats,
     const std::vector<uint32_t>& shards, bool snapshots) {
   const size_t ns = shards.size();
@@ -312,7 +191,10 @@ Result<std::vector<ObjectId>> QueryExecutor::ShardedParallelWindowBody(
   // pinned state — per-shard consistency, not one cross-shard state
   // (the scatter-gather contract, see shard/scatter.h). Latches are
   // reader-shared and writers take one shard at a time, so holding
-  // several shard latches cannot deadlock the router fan-out.
+  // several shard latches cannot deadlock the router fan-out. Workers
+  // run only the unlatched hooks and never take a latch themselves, so
+  // a waiting writer cannot wedge the job between the calling thread's
+  // shared hold and a worker's fresh acquire.
   EpochPinSet pins(ns);
   std::vector<ReaderLatch> sections;
   std::vector<WindowPlan> plans(ns);
@@ -371,12 +253,15 @@ Result<std::vector<ObjectId>> QueryExecutor::ShardedParallelWindowBody(
     }
   }
 
-  // Refinement: again one flattened job over per-shard candidate chunks.
+  // Refinement: again one flattened job over per-shard candidate chunks,
+  // each shard's candidates in oid order (object-store locality) and the
+  // shards sharing the workers evenly.
   std::vector<ShardSlice> rwork;
   for (size_t i = 0; i < ns; ++i) {
+    std::sort(cand[i].begin(), cand[i].end());
     const size_t n = cand[i].size();
-    const size_t chunks = std::max<size_t>(
-        1, std::min(n, std::max<size_t>(1, threads() / ns + 1)));
+    const size_t chunks =
+        std::max<size_t>(1, std::min(n, (threads() + ns - 1) / ns));
     for (size_t j = 0; j < chunks; ++j) {
       rwork.push_back({i, n * j / chunks, n * (j + 1) / chunks});
     }
@@ -403,12 +288,13 @@ Result<std::vector<ObjectId>> QueryExecutor::ShardedParallelWindowBody(
 
   // Each oid was refined exactly once, so a plain sort yields the same
   // sorted-unique answer SpatialIndex::WindowQuery (and the router's
-  // scatter path) returns.
+  // scatter path) returns. One shard's chunks are contiguous ranges of
+  // its sorted candidates: concatenated in order, they are sorted.
   std::vector<ObjectId> results;
   for (auto& chunk : refined) {
     results.insert(results.end(), chunk.begin(), chunk.end());
   }
-  std::sort(results.begin(), results.end());
+  if (ns > 1) std::sort(results.begin(), results.end());
   if (stats != nullptr) {
     for (const auto& qs : part_stats) stats->Add(qs);
     for (const auto& qs : refine_stats) stats->Add(qs);
@@ -424,6 +310,7 @@ Result<std::vector<MixedRoundResult>> QueryExecutor::MixedWorkload(
     return Status::InvalidArgument(
         "mixed workload requires a single-shard executor");
   }
+  SpatialIndex* index = indexes_[0];
   std::vector<MixedRoundResult> out(rounds.size());
   for (size_t r = 0; r < rounds.size(); ++r) {
     out[r].window_results.resize(rounds[r].windows.size());
@@ -443,7 +330,7 @@ Result<std::vector<MixedRoundResult>> QueryExecutor::MixedWorkload(
     SetThreadIoStats(&stats_.writer.io);
     for (size_t r = 0; r < rounds.size(); ++r) {
       if (rounds[r].writes.empty()) continue;
-      auto res = index_->ApplyBatch(rounds[r].writes);
+      auto res = index->ApplyBatch(rounds[r].writes);
       if (!res.ok()) {
         writer_status = res.status();
         break;
@@ -465,9 +352,9 @@ Result<std::vector<MixedRoundResult>> QueryExecutor::MixedWorkload(
       query_status =
           RunJob(round.windows.size(), [&](size_t i, size_t w) -> Status {
             QueryStats qs;
-            res.window_epochs[i].first = index_->write_epoch();
-            auto q = index_->WindowQuery(round.windows[i], &qs);
-            res.window_epochs[i].second = index_->write_epoch();
+            res.window_epochs[i].first = index->write_epoch();
+            auto q = index->WindowQuery(round.windows[i], &qs);
+            res.window_epochs[i].second = index->write_epoch();
             if (!q.ok()) return q.status();
             res.window_results[i] = std::move(q).value();
             stats_.workers[w].query.Add(qs);
@@ -479,9 +366,9 @@ Result<std::vector<MixedRoundResult>> QueryExecutor::MixedWorkload(
       query_status =
           RunJob(round.points.size(), [&](size_t i, size_t w) -> Status {
             QueryStats qs;
-            res.point_epochs[i].first = index_->write_epoch();
-            auto q = index_->PointQuery(round.points[i], &qs);
-            res.point_epochs[i].second = index_->write_epoch();
+            res.point_epochs[i].first = index->write_epoch();
+            auto q = index->PointQuery(round.points[i], &qs);
+            res.point_epochs[i].second = index->write_epoch();
             if (!q.ok()) return q.status();
             res.point_results[i] = std::move(q).value();
             stats_.workers[w].query.Add(qs);
@@ -493,10 +380,10 @@ Result<std::vector<MixedRoundResult>> QueryExecutor::MixedWorkload(
       query_status = RunJob(
           round.knn_points.size(), [&](size_t i, size_t w) -> Status {
             QueryStats qs;
-            res.knn_epochs[i].first = index_->write_epoch();
-            auto q = index_->NearestNeighbors(round.knn_points[i],
-                                              round.knn_k, &qs);
-            res.knn_epochs[i].second = index_->write_epoch();
+            res.knn_epochs[i].first = index->write_epoch();
+            auto q = index->NearestNeighbors(round.knn_points[i],
+                                             round.knn_k, &qs);
+            res.knn_epochs[i].second = index->write_epoch();
             if (!q.ok()) return q.status();
             res.knn_results[i] = std::move(q).value();
             stats_.workers[w].query.Add(qs);

@@ -26,9 +26,9 @@
 // Snapshot migration boundary: when the index has snapshot reads
 // enabled (SpatialIndex::EnableSnapshots), the executor stops latching.
 // Batch queries delegate to the public index queries, which auto-pin
-// per query; ParallelWindowQuery pins ONE epoch up front and every
-// worker installs its own SnapshotReadScope under that shared pin, so
-// all plan hooks (PlanWindow/ExecuteWindowPlanSlice/
+// per query; ParallelWindowQuery pins ONE epoch per shard up front and
+// every worker installs its own SnapshotReadScope under that shared
+// pin, so all of a shard's plan hooks (PlanWindow/ExecuteWindowPlanSlice/
 // RefineWindowCandidates) observe the same committed epoch — the
 // latch-era contract "one ReaderSection across all hook calls" maps to
 // "one EpochPin across all hook calls, one scope per worker thread".
@@ -44,10 +44,12 @@
 // aggregate is read only after the batch completes (completion is a
 // synchronizing event, so no locks are needed on the counters).
 //
-// Sharded mode: the multi-index constructor drives the N shard engines
-// of a sharded zdb::DB (DB::NewExecutor wires it). Batch queries
-// scatter-gather each query across its overlapping shards (queries
-// parallelize across the pool as before); ParallelWindowQuery
+// Shards: the executor always drives a set of shard engines through a
+// shard::ShardRouting — the multi-index constructor takes the N shard
+// engines of a zdb::DB (DB::NewExecutor wires it), and the single-index
+// constructor builds a one-shard routing, so both run the same code.
+// Batch queries scatter-gather each query across its overlapping shards
+// (queries parallelize across the pool). ParallelWindowQuery
 // parallelizes ACROSS shards before slicing WITHIN them — the
 // overlapping shards' plans are built under one pin (or reader latch)
 // per shard, every (shard, slice) work item goes into a single pool
@@ -147,12 +149,13 @@ struct MixedRoundResult {
 /// stats()/ResetStats() must only be called while no batch is running.
 class QueryExecutor {
  public:
+  /// Drives one index (a one-shard routing over its world and grid).
   /// `threads` >= 1 worker threads are started immediately.
   QueryExecutor(SpatialIndex* index, size_t threads);
 
-  /// Sharded mode: drives `indexes` (one per shard engine, borrowed)
-  /// with scatter-gather routing through `routing`. `indexes.size()`
-  /// must equal `routing.shards()`.
+  /// Drives `indexes` (one per shard engine, borrowed) with
+  /// scatter-gather routing through `routing`. `indexes.size()` must
+  /// equal `routing.shards()`.
   QueryExecutor(std::vector<SpatialIndex*> indexes,
                 shard::ShardRouting routing, size_t threads);
 
@@ -162,7 +165,6 @@ class QueryExecutor {
   QueryExecutor& operator=(const QueryExecutor&) = delete;
 
   size_t threads() const { return workers_.size(); }
-  SpatialIndex* index() const { return index_; }
 
   /// True when this executor scatter-gathers over several shard engines.
   bool sharded() const { return indexes_.size() > 1; }
@@ -221,21 +223,11 @@ class QueryExecutor {
     Status first_error GUARDED_BY(mu);
   };
 
-  /// Shared plan/slice/refine pipeline of ParallelWindowQuery. With
-  /// `pin` non-null the driver and every worker install per-thread
-  /// snapshot views under that pin; with null the caller must hold the
-  /// index's shared latch for the duration.
-  Result<std::vector<ObjectId>> ParallelWindowBody(const Rect& window,
-                                                   QueryStats* stats,
-                                                   const EpochPin* pin);
-
-  /// Sharded ParallelWindowQuery: pins (or latches) every overlapping
-  /// shard, then runs all shards' slice and refinement work items
-  /// through the shared pool. Retries the whole query on a group-commit
-  /// rollback (Aborted) like the single-shard path.
-  Result<std::vector<ObjectId>> ShardedParallelWindow(const Rect& window,
-                                                      QueryStats* stats);
-  Result<std::vector<ObjectId>> ShardedParallelWindowBody(
+  /// ParallelWindowQuery's plan/slice/refine pipeline over the
+  /// overlapping `shards`: pins (with `snapshots`) or latches each one,
+  /// then runs all shards' slice and refinement work items through the
+  /// shared pool.
+  Result<std::vector<ObjectId>> ParallelWindowBody(
       const Rect& window, QueryStats* stats,
       const std::vector<uint32_t>& shards, bool snapshots);
 
@@ -244,10 +236,8 @@ class QueryExecutor {
   void WorkerLoop(size_t worker_idx);
   void ProcessJob(Job* job, size_t worker_idx);
 
-  SpatialIndex* index_;                 ///< shard 0 (the index of a
-                                        ///< single-shard executor)
   std::vector<SpatialIndex*> indexes_;  ///< all shards, borrowed
-  std::unique_ptr<shard::ShardRouting> routing_;  ///< null if unsharded
+  shard::ShardRouting routing_;
   /// Per-worker slots: each worker owns stats_.workers[i] (raceless by
   /// ownership, not by lock — see the header comment).
   ExecStats stats_;

@@ -88,11 +88,8 @@ Status ServerOptions::Validate() const {
   return Status::OK();
 }
 
-Server::Server(SpatialIndex* index, ServerOptions options)
-    : index_(index), options_(std::move(options)) {}
-
 Server::Server(DB* db, ServerOptions options)
-    : index_(db->index()), db_(db), options_(std::move(options)) {}
+    : db_(db), options_(std::move(options)) {}
 
 Server::~Server() { Stop(); }
 
@@ -101,10 +98,6 @@ Status Server::Start() {
     return Status::AlreadyExists("server already started");
   }
   ZDB_RETURN_IF_ERROR(options_.Validate());
-  if (options_.role != ServerRole::kStandalone && db_ == nullptr) {
-    return Status::InvalidArgument(
-        "replication roles require the DB-serving constructor");
-  }
 
   if (options_.tcp) {
     ZDB_ASSIGN_OR_RETURN(
@@ -120,12 +113,7 @@ Status Server::Start() {
     ZDB_RETURN_IF_ERROR(SetNonBlocking(unix_listener_));
   }
   if (options_.exec_threads > 0 && options_.parallel_window_area >= 0) {
-    // Under the DB constructor the DB wires the executor (a sharded DB
-    // hands back a scatter-gather executor over its shard engines).
-    exec_ = db_ != nullptr
-                ? db_->NewExecutor(options_.exec_threads)
-                : std::make_unique<QueryExecutor>(index_,
-                                                  options_.exec_threads);
+    exec_ = db_->NewExecutor(options_.exec_threads);
   }
 
   // Replication roles, wired before serving begins so no committed
@@ -849,38 +837,19 @@ std::string Server::ExecuteRequest(const Frame& frame, bool* is_error) {
       if (!within_bound(max_lag)) return stale_rejected();
       const bool parallel = exec_ != nullptr && w.valid() &&
                             w.area() >= options_.parallel_window_area;
-      if (db_ != nullptr && db_->sharded()) {
-        // Sharded: scatter-gather through the facade (each shard engine
-        // pins its own epoch internally); the router epochs bracket the
-        // states the query may have seen.
-        const uint64_t e0 = db_->write_epoch();
-        auto r = parallel ? exec_->ParallelWindowQuery(w) : db_->Window(w);
-        const uint64_t e1 = db_->write_epoch();
-        if (!r.ok()) return engine_error(r.status());
-        return EncodeIdListReply(e0, e1, r.value());
+      EpochRange epochs;
+      Result<std::vector<ObjectId>> r = std::vector<ObjectId>{};
+      if (parallel) {
+        // The executor pins each shard internally; the DB epochs read
+        // around it bracket whichever states it saw.
+        epochs.first = db_->write_epoch();
+        r = exec_->ParallelWindowQuery(w);
+        epochs.last = db_->write_epoch();
+      } else {
+        r = db_->Window(w, nullptr, &epochs);
       }
-      if (!parallel && index_->snapshots_enabled()) {
-        // Snapshot path: pin once so the reply can name the exact
-        // committed epoch the answer reflects (e0 == e1 == the pin).
-        // A group rollback can invalidate the pin mid-query; re-pin at
-        // the re-published epoch and retry.
-        for (int attempt = 0;; ++attempt) {
-          const EpochPin pin = index_->PinEpoch();
-          auto r = index_->WindowQueryAt(pin, w);
-          if (!r.ok() && r.status().IsAborted() && attempt < 2) continue;
-          if (!r.ok()) return engine_error(r.status());
-          return EncodeIdListReply(pin.epoch(), pin.epoch(), r.value());
-        }
-      }
-      // Parallel queries pin internally (or latch, with snapshots off);
-      // the observed epochs bracket whichever state the query saw.
-      const uint64_t e0 = index_->write_epoch();
-      Result<std::vector<ObjectId>> r = parallel
-                                            ? exec_->ParallelWindowQuery(w)
-                                            : index_->WindowQuery(w);
-      const uint64_t e1 = index_->write_epoch();
       if (!r.ok()) return engine_error(r.status());
-      return EncodeIdListReply(e0, e1, r.value());
+      return EncodeIdListReply(epochs.first, epochs.last, r.value());
     }
 
     case Opcode::kPoint: {
@@ -891,27 +860,10 @@ std::string Server::ExecuteRequest(const Frame& frame, bool* is_error) {
         return malformed();
       }
       if (!within_bound(max_lag)) return stale_rejected();
-      if (db_ != nullptr && db_->sharded()) {
-        const uint64_t e0 = db_->write_epoch();
-        auto r = db_->Point(p);
-        const uint64_t e1 = db_->write_epoch();
-        if (!r.ok()) return engine_error(r.status());
-        return EncodeIdListReply(e0, e1, r.value());
-      }
-      if (index_->snapshots_enabled()) {
-        for (int attempt = 0;; ++attempt) {
-          const EpochPin pin = index_->PinEpoch();
-          auto r = index_->PointQueryAt(pin, p);
-          if (!r.ok() && r.status().IsAborted() && attempt < 2) continue;
-          if (!r.ok()) return engine_error(r.status());
-          return EncodeIdListReply(pin.epoch(), pin.epoch(), r.value());
-        }
-      }
-      const uint64_t e0 = index_->write_epoch();
-      auto r = index_->PointQuery(p);
-      const uint64_t e1 = index_->write_epoch();
+      EpochRange epochs;
+      auto r = db_->Point(p, nullptr, &epochs);
       if (!r.ok()) return engine_error(r.status());
-      return EncodeIdListReply(e0, e1, r.value());
+      return EncodeIdListReply(epochs.first, epochs.last, r.value());
     }
 
     case Opcode::kKnn: {
@@ -923,27 +875,10 @@ std::string Server::ExecuteRequest(const Frame& frame, bool* is_error) {
         return malformed();
       }
       if (!within_bound(max_lag)) return stale_rejected();
-      if (db_ != nullptr && db_->sharded()) {
-        const uint64_t e0 = db_->write_epoch();
-        auto r = db_->Nearest(p, k);
-        const uint64_t e1 = db_->write_epoch();
-        if (!r.ok()) return engine_error(r.status());
-        return EncodeKnnReply(e0, e1, r.value());
-      }
-      if (index_->snapshots_enabled()) {
-        for (int attempt = 0;; ++attempt) {
-          const EpochPin pin = index_->PinEpoch();
-          auto r = index_->NearestNeighborsAt(pin, p, k);
-          if (!r.ok() && r.status().IsAborted() && attempt < 2) continue;
-          if (!r.ok()) return engine_error(r.status());
-          return EncodeKnnReply(pin.epoch(), pin.epoch(), r.value());
-        }
-      }
-      const uint64_t e0 = index_->write_epoch();
-      auto r = index_->NearestNeighbors(p, k);
-      const uint64_t e1 = index_->write_epoch();
+      EpochRange epochs;
+      auto r = db_->Nearest(p, k, nullptr, &epochs);
       if (!r.ok()) return engine_error(r.status());
-      return EncodeKnnReply(e0, e1, r.value());
+      return EncodeKnnReply(epochs.first, epochs.last, r.value());
     }
 
     case Opcode::kApply: {
@@ -971,17 +906,10 @@ std::string Server::ExecuteRequest(const Frame& frame, bool* is_error) {
       // commits synchronously off-pipeline); kPublished acks as soon as
       // readers can see the batch. Sharded batches split by routing
       // prefix inside the router and overlap their per-shard fsyncs.
-      // Writes always go through the DB facade when one exists: that is
-      // where the replication commit sink hooks in, so bypassing it to
-      // the raw index would commit without shipping.
-      if (db_ != nullptr) {
-        auto r = db_->Apply(batch, durability);
-        if (!r.ok()) return engine_error(r.status());
-        return EncodeApplyReply(db_->write_epoch(), r.value());
-      }
-      auto r = index_->ApplyBatch(batch, durability);
+      // The DB facade is also where the replication commit sink hooks in.
+      auto r = db_->Apply(batch, durability);
       if (!r.ok()) return engine_error(r.status());
-      return EncodeApplyReply(index_->write_epoch(), r.value());
+      return EncodeApplyReply(db_->write_epoch(), r.value());
     }
 
     case Opcode::kStats:
@@ -1151,61 +1079,50 @@ std::string Server::StatsJson() const {
   w.EndObject();
   w.EndObject();  // server
 
+  // One layout for every DB: deduped aggregates up front, the
+  // per-shard breakdown in "shards" (one entry per shard engine, in
+  // shard order) and I/O summed over the shards' pagers.
+  const DBStats ds = db_->Stats();
   w.Key("engine").BeginObject();
-  if (db_ != nullptr && db_->sharded()) {
-    // Sharded: deduped aggregate up front, per-shard breakdown in the
-    // "shards" array (one entry per shard engine, in shard order).
-    w.Field("objects", db_->object_count());
-    w.Field("write_epoch", db_->write_epoch());
-    w.Field("shard_count", static_cast<uint64_t>(db_->shards()));
-    IoStats io_total;
-    w.Key("shards").BeginArray();
-    const std::vector<shard::ShardCounters> per_shard = db_->ShardStats();
-    for (size_t s = 0; s < per_shard.size(); ++s) {
-      const shard::ShardCounters& c = per_shard[s];
-      w.BeginObject();
-      w.Field("shard", static_cast<uint64_t>(s));
-      w.Field("objects", c.objects);
-      w.Field("index_entries", c.index_entries);
-      w.Field("write_epoch", c.write_epoch);
-      w.Field("durable_epoch", c.durable_epoch);
-      w.Field("journal_commits", c.journal_commits);
-      w.Field("batches", c.batches);
-      w.Field("pages", static_cast<uint64_t>(c.pages));
-      w.Field("pins_taken", c.pins_taken);
-      w.Field("page_versions", c.page_versions);
-      w.EndObject();
-      const IoStats& eio =
-          db_->router()->engine(static_cast<uint32_t>(s))->pager()->io_stats();
-      io_total.page_reads += eio.page_reads.load(std::memory_order_relaxed);
-      io_total.page_writes += eio.page_writes.load(std::memory_order_relaxed);
-      io_total.pool_hits += eio.pool_hits.load(std::memory_order_relaxed);
-      io_total.pool_misses += eio.pool_misses.load(std::memory_order_relaxed);
-      io_total.pool_evictions +=
-          eio.pool_evictions.load(std::memory_order_relaxed);
-    }
-    w.EndArray();
-    AppendJson(&w, "io", io_total);
+  w.Field("objects", ds.objects);
+  w.Field("write_epoch", ds.write_epoch);
+  w.Field("shard_count", static_cast<uint64_t>(ds.shards));
+  w.Key("snapshots").BeginObject();
+  w.Field("pinned", ds.pinned_epochs);
+  w.Field("pins_taken", ds.pins_taken);
+  w.Field("gc_cycles", ds.gc_cycles);
+  w.Field("page_versions", ds.page_versions);
+  w.Field("version_bytes", ds.version_bytes);
+  w.Field("versions_reclaimed", ds.versions_reclaimed);
+  w.EndObject();
+  IoStats io_total;
+  w.Key("shards").BeginArray();
+  const std::vector<shard::ShardCounters> per_shard = db_->ShardStats();
+  for (size_t s = 0; s < per_shard.size(); ++s) {
+    const shard::ShardCounters& c = per_shard[s];
+    w.BeginObject();
+    w.Field("shard", static_cast<uint64_t>(s));
+    w.Field("objects", c.objects);
+    w.Field("index_entries", c.index_entries);
+    w.Field("write_epoch", c.write_epoch);
+    w.Field("durable_epoch", c.durable_epoch);
+    w.Field("journal_commits", c.journal_commits);
+    w.Field("batches", c.batches);
+    w.Field("pages", static_cast<uint64_t>(c.pages));
+    w.Field("pins_taken", c.pins_taken);
+    w.Field("page_versions", c.page_versions);
     w.EndObject();
-
-    w.EndObject();
-    return w.str();
+    const IoStats& eio =
+        db_->router()->engine(static_cast<uint32_t>(s))->pager()->io_stats();
+    io_total.page_reads += eio.page_reads.load(std::memory_order_relaxed);
+    io_total.page_writes += eio.page_writes.load(std::memory_order_relaxed);
+    io_total.pool_hits += eio.pool_hits.load(std::memory_order_relaxed);
+    io_total.pool_misses += eio.pool_misses.load(std::memory_order_relaxed);
+    io_total.pool_evictions +=
+        eio.pool_evictions.load(std::memory_order_relaxed);
   }
-  w.Field("objects", index_->object_count());
-  w.Field("write_epoch", index_->write_epoch());
-  if (index_->snapshots_enabled()) {
-    const EpochStats es = index_->epoch_stats();
-    const PageVersionStats vs = index_->version_stats();
-    w.Key("snapshots").BeginObject();
-    w.Field("pinned", es.pinned);
-    w.Field("pins_taken", es.pins_taken);
-    w.Field("gc_cycles", es.gc_cycles);
-    w.Field("page_versions", vs.live);
-    w.Field("version_bytes", vs.bytes);
-    w.Field("versions_reclaimed", vs.reclaimed);
-    w.EndObject();
-  }
-  AppendJson(&w, "io", index_->pool()->pager()->io_stats());
+  w.EndArray();
+  AppendJson(&w, "io", io_total);
   w.EndObject();
 
   w.EndObject();

@@ -1,7 +1,7 @@
 // Copyright (c) zdb authors. Licensed under the MIT license.
 //
-// Event-driven network server exposing one SpatialIndex over the zdb
-// wire protocol (net/wire.h), on TCP and/or a unix-domain socket.
+// Event-driven network server exposing one zdb::DB over the zdb wire
+// protocol (net/wire.h), on TCP and/or a unix-domain socket.
 //
 // Threading model (one epoll loop per net thread, tarantool-iproto
 // style; NOT thread-per-connection):
@@ -19,9 +19,12 @@
 //     replies and typed rejections (BUSY, SHUTTING_DOWN) written
 //     inline, decoded requests pushed into the bounded admission queue.
 //   * a fixed worker pool pops requests from the queue and executes
-//     them against the engine — queries through the SpatialIndex's
-//     latched read path (large windows through the QueryExecutor's
-//     intra-query parallel mode), mutations through ApplyBatch. The
+//     them against the DB — each WINDOW/POINT/KNN is one DB query that
+//     also reports the epoch range its answer reflects (one pinned
+//     epoch on a single-shard DB, the write_epoch() bracket of the
+//     scatter on a sharded one); windows of at least
+//     parallel_window_area run through the DB's QueryExecutor instead,
+//     bracketed by write_epoch(). Mutations go through DB::Apply. The
 //     reply is appended to the connection's write buffer and the
 //     owning net thread is woken through its eventfd to flush it.
 //   * writes are buffered per connection: the net thread flushes with
@@ -54,6 +57,11 @@
 // sets a flag the daemon observes via WaitForShutdownRequest(); the
 // daemon then calls Stop().
 //
+// STATS reports one `engine` layout for every DB: the aggregate
+// counters (objects, write_epoch, shard_count, snapshots), a `shards`
+// array with one entry per shard engine (one for a single-shard DB) and
+// I/O summed over the shards' pagers.
+//
 // Deadlock note: the executor's worker pool only ever runs the
 // unlatched plan hooks (via ParallelWindowQuery); latched queries
 // execute on the server workers' own threads. Queueing latched work
@@ -82,7 +90,6 @@
 #include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "core/spatial_index.h"
 #include "exec/executor.h"
 #include "net/epoll.h"
 #include "net/socket.h"
@@ -188,15 +195,10 @@ struct ServerCounters {
 
 class Server {
  public:
-  /// The index must outlive the server. Call Start() to begin serving.
-  Server(SpatialIndex* index, ServerOptions options);
-
-  /// Serves a whole zdb::DB — the way to expose a sharded DB: queries
-  /// and mutations scatter-gather through the DB facade (per-shard
-  /// epoch pinning happens inside each shard engine) and STATS reports
-  /// the per-shard counter breakdown. A single-shard DB behind this
-  /// constructor serves byte-identically to the index constructor
-  /// above. The DB must outlive the server.
+  /// Serves `db`, sharded or not: queries and mutations go through the
+  /// DB facade (a sharded DB scatter-gathers, each shard engine pinning
+  /// its own epoch). The DB must outlive the server. Call Start() to
+  /// begin serving.
   Server(DB* db, ServerOptions options);
 
   ~Server();
@@ -351,8 +353,7 @@ class Server {
   /// (the log shipper's push path). Any thread.
   void PushFrame(const ConnPtr& conn, std::string frame);
 
-  SpatialIndex* index_;      ///< shard 0 under the DB constructor
-  DB* db_ = nullptr;         ///< set by the DB constructor only
+  DB* db_;
   ServerOptions options_;
   std::unique_ptr<QueryExecutor> exec_;
   uint16_t port_ = 0;

@@ -37,15 +37,20 @@ std::vector<ObjectId> MergeIdLists(std::vector<std::vector<ObjectId>> lists) {
   return merged;
 }
 
-Result<std::vector<ObjectId>> ScatterWindow(
+namespace {
+
+/// The window-shaped scatter: runs `query(index, stats)` on every shard
+/// whose prefix region `window` overlaps and gathers the id lists.
+template <typename Query>
+Result<std::vector<ObjectId>> ScatterRect(
     const std::vector<SpatialIndex*>& indexes, const ShardRouting& routing,
-    const Rect& window, QueryStats* stats) {
+    const Rect& window, QueryStats* stats, Query query) {
   std::vector<std::vector<ObjectId>> lists;
   ZDB_RETURN_IF_ERROR(
       ForEachShard(routing.MaskForRect(window), [&](uint32_t s) -> Status {
         QueryStats local;
         std::vector<ObjectId> ids;
-        ZDB_ASSIGN_OR_RETURN(ids, indexes[s]->WindowQuery(window, &local));
+        ZDB_ASSIGN_OR_RETURN(ids, query(indexes[s], &local));
         if (stats != nullptr) stats->Add(local);
         lists.push_back(std::move(ids));
         return Status::OK();
@@ -59,6 +64,17 @@ Result<std::vector<ObjectId>> ScatterWindow(
   return merged;
 }
 
+}  // namespace
+
+Result<std::vector<ObjectId>> ScatterWindow(
+    const std::vector<SpatialIndex*>& indexes, const ShardRouting& routing,
+    const Rect& window, QueryStats* stats) {
+  return ScatterRect(indexes, routing, window, stats,
+                     [&](SpatialIndex* ix, QueryStats* qs) {
+                       return ix->WindowQuery(window, qs);
+                     });
+}
+
 Result<std::vector<ObjectId>> ScatterPoint(
     const std::vector<SpatialIndex*>& indexes, const ShardRouting& routing,
     const Point& p, QueryStats* stats) {
@@ -70,33 +86,10 @@ Result<std::vector<ObjectId>> ScatterPoint(
 Result<std::vector<ObjectId>> ScatterContainment(
     const std::vector<SpatialIndex*>& indexes, const ShardRouting& routing,
     const Rect& window, QueryStats* stats) {
-  std::vector<std::vector<ObjectId>> lists;
-  ZDB_RETURN_IF_ERROR(
-      ForEachShard(routing.MaskForRect(window), [&](uint32_t s) -> Status {
-        QueryStats local;
-        std::vector<ObjectId> ids;
-        ZDB_ASSIGN_OR_RETURN(ids,
-                             indexes[s]->ContainmentQuery(window, &local));
-        if (stats != nullptr) stats->Add(local);
-        lists.push_back(std::move(ids));
-        return Status::OK();
-      }));
-  auto merged = MergeIdLists(std::move(lists));
-  if (stats != nullptr && routing.shards() > 1) {
-    stats->results = merged.size();
-  }
-  return merged;
-}
-
-Result<std::vector<ObjectId>> ScatterEnclosure(
-    const std::vector<SpatialIndex*>& indexes, const ShardRouting& routing,
-    const Rect& window, QueryStats* stats) {
-  // An object enclosing the window covers the window's whole grid rect,
-  // so it is replicated into every shard the window overlaps — any one
-  // of them has the complete answer.
-  const uint64_t mask = routing.MaskForRect(window);
-  const uint32_t s = static_cast<uint32_t>(__builtin_ctzll(mask));
-  return indexes[s]->EnclosureQuery(window, stats);
+  return ScatterRect(indexes, routing, window, stats,
+                     [&](SpatialIndex* ix, QueryStats* qs) {
+                       return ix->ContainmentQuery(window, qs);
+                     });
 }
 
 Result<std::vector<std::pair<ObjectId, double>>> ScatterNearest(

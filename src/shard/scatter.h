@@ -11,9 +11,6 @@
 //     shard with the same global oid);
 //   * point queries route to exactly one shard (a grid cell has one
 //     owner and any object containing the point is replicated there);
-//   * enclosure needs only one overlapping shard (an object enclosing
-//     the window covers the window's whole grid rect, so every
-//     overlapping shard holds it);
 //   * kNN runs a best-first frontier over the shards ordered by mindist
 //     to their prefix regions — shards provably farther than the k-th
 //     candidate are never opened.
@@ -44,10 +41,6 @@ Result<std::vector<ObjectId>> ScatterPoint(
     const Point& p, QueryStats* stats = nullptr);
 
 Result<std::vector<ObjectId>> ScatterContainment(
-    const std::vector<SpatialIndex*>& indexes, const ShardRouting& routing,
-    const Rect& window, QueryStats* stats = nullptr);
-
-Result<std::vector<ObjectId>> ScatterEnclosure(
     const std::vector<SpatialIndex*>& indexes, const ShardRouting& routing,
     const Rect& window, QueryStats* stats = nullptr);
 

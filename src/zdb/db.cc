@@ -16,6 +16,23 @@ bool IsMemoryPath(const std::string& path) {
   return path.empty() || path == ":memory:";
 }
 
+/// Runs `query(pinned)` and fills the optional `epochs`. A single engine
+/// reports the epoch it pinned through `pinned`; the router has no
+/// global pin, so a sharded DB brackets the call with write_epoch().
+template <typename Query>
+auto WithEpochs(const DB& db, EpochRange* epochs, Query query) {
+  if (epochs == nullptr) return query(nullptr);
+  if (!db.sharded()) {
+    auto r = query(&epochs->first);
+    epochs->last = epochs->first;
+    return r;
+  }
+  epochs->first = db.write_epoch();
+  auto r = query(nullptr);
+  epochs->last = db.write_epoch();
+  return r;
+}
+
 }  // namespace
 
 struct DB::Impl {
@@ -121,14 +138,20 @@ Result<std::unique_ptr<DB>> DB::Open(const std::string& path,
 // --------------------------------------------------------------- queries
 
 Result<std::vector<ObjectId>> DB::Window(const Rect& window,
-                                         QueryStats* stats) {
-  if (impl_->sharded) return impl_->router->Window(window, stats);
-  return index()->WindowQuery(window, stats);
+                                         QueryStats* stats,
+                                         EpochRange* epochs) {
+  return WithEpochs(*this, epochs, [&](uint64_t* pinned) {
+    if (impl_->sharded) return impl_->router->Window(window, stats);
+    return index()->WindowQuery(window, stats, pinned);
+  });
 }
 
-Result<std::vector<ObjectId>> DB::Point(const zdb::Point& p, QueryStats* stats) {
-  if (impl_->sharded) return impl_->router->Point(p, stats);
-  return index()->PointQuery(p, stats);
+Result<std::vector<ObjectId>> DB::Point(const zdb::Point& p, QueryStats* stats,
+                                        EpochRange* epochs) {
+  return WithEpochs(*this, epochs, [&](uint64_t* pinned) {
+    if (impl_->sharded) return impl_->router->Point(p, stats);
+    return index()->PointQuery(p, stats, pinned);
+  });
 }
 
 Result<std::vector<ObjectId>> DB::Containment(const Rect& window,
@@ -138,9 +161,11 @@ Result<std::vector<ObjectId>> DB::Containment(const Rect& window,
 }
 
 Result<std::vector<std::pair<ObjectId, double>>> DB::Nearest(
-    const zdb::Point& p, size_t k, QueryStats* stats) {
-  if (impl_->sharded) return impl_->router->Nearest(p, k, stats);
-  return index()->NearestNeighbors(p, k, stats);
+    const zdb::Point& p, size_t k, QueryStats* stats, EpochRange* epochs) {
+  return WithEpochs(*this, epochs, [&](uint64_t* pinned) {
+    if (impl_->sharded) return impl_->router->Nearest(p, k, stats);
+    return index()->NearestNeighbors(p, k, stats, nullptr, pinned);
+  });
 }
 
 // --------------------------------------------------------------- updates
@@ -293,6 +318,7 @@ DBStats DB::Stats() const {
       const EpochStats es = index->epoch_stats();
       s.pinned_epochs += es.pinned;
       s.pins_taken += es.pins_taken;
+      s.gc_cycles += es.gc_cycles;
       const PageVersionStats vs = index->version_stats();
       s.page_versions += vs.live;
       s.version_bytes += vs.bytes;
@@ -350,11 +376,8 @@ Status DB::ClearCache() {
 }
 
 std::unique_ptr<QueryExecutor> DB::NewExecutor(size_t threads) {
-  if (impl_->sharded) {
-    return std::make_unique<QueryExecutor>(impl_->router->indexes(),
-                                           impl_->router->routing(), threads);
-  }
-  return std::make_unique<QueryExecutor>(index(), threads);
+  return std::make_unique<QueryExecutor>(impl_->router->indexes(),
+                                         impl_->router->routing(), threads);
 }
 
 SpatialIndex* DB::index() { return impl_->router->index(0); }

@@ -127,6 +127,18 @@ struct DBStats {
   uint64_t version_bytes = 0;   ///< bytes held by those versions
   uint64_t versions_saved = 0;  ///< before-images ever saved
   uint64_t versions_reclaimed = 0;  ///< versions reclaimed by epoch GC
+  uint64_t gc_cycles = 0;       ///< epoch-GC reclamation passes run
+};
+
+/// The write epochs a query answer reflects. A single-shard DB answers
+/// from one pinned epoch: first == last, and the answer is exactly that
+/// epoch's committed state. A sharded DB has no global pin: the range is
+/// write_epoch() read before and after the scatter, and each shard
+/// answers from its own state, which may already hold the batch then in
+/// flight (epoch last + 1) — see DESIGN.md "Sharded partitions".
+struct EpochRange {
+  uint64_t first = 0;
+  uint64_t last = 0;
 };
 
 class DB {
@@ -148,14 +160,19 @@ class DB {
   DB& operator=(const DB&) = delete;
 
   // ------------------------------------------------------------- queries
+  //
+  // `epochs` (optional, on Window/Point/Nearest) receives the range of
+  // write epochs the answer reflects (see EpochRange).
 
   /// All live objects whose MBR intersects `window`.
-  [[nodiscard]] Result<std::vector<ObjectId>> Window(const Rect& window,
-                                       QueryStats* stats = nullptr);
+  [[nodiscard]] Result<std::vector<ObjectId>> Window(
+      const Rect& window, QueryStats* stats = nullptr,
+      EpochRange* epochs = nullptr);
 
   /// All live objects containing `p` (exact geometry).
-  [[nodiscard]] Result<std::vector<ObjectId>> Point(const zdb::Point& p,
-                                      QueryStats* stats = nullptr);
+  [[nodiscard]] Result<std::vector<ObjectId>> Point(
+      const zdb::Point& p, QueryStats* stats = nullptr,
+      EpochRange* epochs = nullptr);
 
   /// All live objects fully inside `window`.
   [[nodiscard]] Result<std::vector<ObjectId>> Containment(const Rect& window,
@@ -163,7 +180,8 @@ class DB {
 
   /// The k nearest objects to `p`, closest first.
   [[nodiscard]] Result<std::vector<std::pair<ObjectId, double>>> Nearest(
-      const zdb::Point& p, size_t k, QueryStats* stats = nullptr);
+      const zdb::Point& p, size_t k, QueryStats* stats = nullptr,
+      EpochRange* epochs = nullptr);
 
   // ------------------------------------------------------------- updates
 
@@ -250,10 +268,10 @@ class DB {
   /// pages would be lost — checkpoint first.
   [[nodiscard]] Status ClearCache();
 
-  /// A query executor driving this DB over `threads` workers. For a
-  /// sharded DB the executor scatter-gathers across the shard engines
-  /// (parallelizing across shards before slicing within them). The
-  /// executor must not outlive the DB.
+  /// A query executor driving this DB's shard engines over `threads`
+  /// workers: it scatter-gathers across the shards (parallelizing across
+  /// shards before slicing within them). The executor must not outlive
+  /// the DB.
   std::unique_ptr<QueryExecutor> NewExecutor(size_t threads);
 
   /// Shard 0's index — the escape hatch for engine-level wiring and

@@ -3,8 +3,9 @@
 // Server integration tests over real loopback sockets: request/reply
 // basics, concurrent mixed traffic cross-checked against a brute-force
 // oracle at write-epoch granularity (the remote twin of
-// stress_mixed_test), graceful shutdown, BUSY backpressure, idle
-// timeouts, and hostile bytes arriving over the wire.
+// stress_mixed_test) over 1-shard and 4-shard DBs, the STATS layout,
+// graceful shutdown, BUSY backpressure, idle timeouts, and hostile
+// bytes arriving over the wire.
 
 #include <gtest/gtest.h>
 
@@ -17,20 +18,20 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <unistd.h>
 #include <vector>
 
 #include "client/client.h"
-#include "core/spatial_index.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "server/server.h"
-#include "storage/pager.h"
 #include "workload/datagen.h"
 #include "workload/querygen.h"
 #include "workload/seed.h"
+#include "zdb/db.h"
 
 namespace zdb {
 namespace net {
@@ -112,34 +113,173 @@ bool MatchesKnnInRange(const std::vector<OracleState>& states,
   return false;
 }
 
-/// In-memory index + server with test-friendly defaults.
+/// Closes a sharded reply's epoch bracket. Each shard answers from its
+/// own pinned state, and the router bumps write_epoch() only after the
+/// batch in flight has published on every shard — so shards may already
+/// show epoch e1 + 1 (DESIGN.md "Sharded partitions").
+uint64_t ShardedLast(const std::vector<OracleState>& states, uint64_t e1) {
+  return std::min<uint64_t>(e1 + 1, states.size() - 1);
+}
+
+/// True if a sharded reply `got` is a per-shard mix of the states
+/// [e0, e1]: sorted and unique, every id satisfies `pred` in one of
+/// those states, and every object satisfying `pred` in all of them is
+/// present.
+template <typename Pred>
+bool IdsWithinStateMix(const std::vector<OracleState>& states, uint64_t e0,
+                       uint64_t e1, const std::vector<ObjectId>& got,
+                       Pred pred) {
+  if (e0 > e1 || e1 >= states.size()) return false;
+  if (!std::is_sorted(got.begin(), got.end()) ||
+      std::adjacent_find(got.begin(), got.end()) != got.end()) {
+    return false;
+  }
+  auto live_in_all = [&](ObjectId oid) {
+    for (uint64_t k = e0; k <= e1; ++k) {
+      if (states[k].count(oid) == 0) return false;
+    }
+    return true;
+  };
+  for (ObjectId oid : got) {
+    bool matched = false;
+    for (uint64_t k = e0; k <= e1 && !matched; ++k) {
+      auto it = states[k].find(oid);
+      matched = it != states[k].end() && pred(it->second);
+    }
+    if (!matched) return false;
+  }
+  for (const auto& [oid, rect] : states[e0]) {
+    if (pred(rect) && live_in_all(oid) &&
+        !std::binary_search(got.begin(), got.end(), oid)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The kNN counterpart: every hit carries its exact distance in one of
+/// the states [e0, e1], hits ascend by distance, and no object live in
+/// all of them is closer than the worst hit without being returned.
+bool KnnWithinStateMix(const std::vector<OracleState>& states,
+                       const Point& p, size_t k,
+                       const std::vector<std::pair<ObjectId, double>>& got,
+                       uint64_t e0, uint64_t e1) {
+  constexpr double kEps = 1e-9;
+  if (e0 > e1 || e1 >= states.size() || got.size() > k) return false;
+  std::vector<ObjectId> returned;
+  double prev = -1.0;
+  for (const auto& [oid, dist] : got) {
+    bool matched = false;
+    for (uint64_t s = e0; s <= e1 && !matched; ++s) {
+      auto it = states[s].find(oid);
+      matched = it != states[s].end() &&
+                std::abs(it->second.DistanceTo(p) - dist) <= kEps;
+    }
+    if (!matched || dist + kEps < prev) return false;
+    prev = dist;
+    returned.push_back(oid);
+  }
+  std::sort(returned.begin(), returned.end());
+  if (std::adjacent_find(returned.begin(), returned.end()) !=
+      returned.end()) {
+    return false;
+  }
+  size_t stable = 0;
+  for (const auto& [oid, rect] : states[e0]) {
+    bool live_in_all = true;
+    for (uint64_t s = e0 + 1; s <= e1 && live_in_all; ++s) {
+      live_in_all = states[s].count(oid) != 0;
+    }
+    if (!live_in_all) continue;
+    ++stable;
+    if (!got.empty() &&
+        !std::binary_search(returned.begin(), returned.end(), oid) &&
+        rect.DistanceTo(p) + kEps < got.back().second) {
+      return false;
+    }
+  }
+  return got.size() >= std::min(k, stable);
+}
+
+/// Key paths inside the STATS reply's "engine" object ("io.page_reads",
+/// "shards.objects", ...), each once however many shards report it.
+std::set<std::string> EngineKeys(const std::string& json) {
+  std::set<std::string> keys;
+  const std::string marker = "\"engine\":";
+  size_t i = json.find(marker);
+  if (i == std::string::npos) return keys;
+  i += marker.size();
+  std::vector<std::string> open;  // the key that opened each container
+  std::string pending;            // the key awaiting its value
+  for (; i < json.size(); ++i) {
+    const char c = json[i];
+    if (c == '"') {
+      const size_t end = json.find('"', i + 1);
+      const std::string str = json.substr(i + 1, end - i - 1);
+      i = end;
+      if (i + 1 < json.size() && json[i + 1] == ':') {
+        std::string path;
+        for (size_t d = 1; d < open.size(); ++d) {
+          if (!open[d].empty()) path += open[d] + ".";
+        }
+        keys.insert(path + str);
+        pending = str;
+      }
+    } else if (c == '{' || c == '[') {
+      open.push_back(pending);
+      pending.clear();
+    } else if (c == '}' || c == ']') {
+      open.pop_back();
+      if (open.empty()) break;
+    } else if (c == ',') {
+      pending.clear();
+    }
+  }
+  return keys;
+}
+
+/// The DB layouts the server's query path runs over: one shard with
+/// snapshot reads (the default), one shard on the latched read path
+/// (DBOptions::snapshot_reads = false), and four shards.
+struct DbLayout {
+  uint32_t shards;
+  bool snapshot_reads;
+  const char* name;
+};
+constexpr DbLayout kLayouts[] = {{1, true, "1 shard, snapshot reads"},
+                                 {1, false, "1 shard, latched reads"},
+                                 {4, true, "4 shards"}};
+
+/// In-memory DB of `layout` + a server with test-friendly defaults.
 struct TestServer {
-  std::unique_ptr<Pager> pager;
-  std::unique_ptr<BufferPool> pool;
-  std::unique_ptr<SpatialIndex> index;
+  std::unique_ptr<DB> db;
   std::unique_ptr<Server> server;
 
-  explicit TestServer(ServerOptions opt = {}, size_t pool_pages = 256) {
-    pager = Pager::OpenInMemory(512);
-    pool = std::make_unique<BufferPool>(pager.get(), pool_pages);
-    SpatialIndexOptions iopt;
-    iopt.data = DecomposeOptions::SizeBound(8);
-    index = SpatialIndex::Create(pool.get(), iopt).value();
+  explicit TestServer(ServerOptions opt = {}, size_t pool_pages = 256,
+                      DbLayout layout = kLayouts[0]) {
+    DBOptions dopt;
+    dopt.page_size = 512;
+    dopt.cache_pages = pool_pages;
+    dopt.index.data = DecomposeOptions::SizeBound(8);
+    dopt.shards = layout.shards;
+    dopt.snapshot_reads = layout.snapshot_reads;
+    db = DB::Open("", dopt).value();
     opt.idle_timeout_ms = opt.idle_timeout_ms == 30000 ? 0 : opt.idle_timeout_ms;
-    server = std::make_unique<Server>(index.get(), opt);
+    server = std::make_unique<Server>(db.get(), opt);
     const Status s = server->Start();
     EXPECT_TRUE(s.ok()) << s.ToString();
   }
 
   Client Connect() {
-    auto c = Client::ConnectTcp("127.0.0.1", server->port());
+    auto c = Client::Connect("tcp://127.0.0.1:" +
+                             std::to_string(server->port()));
     EXPECT_TRUE(c.ok()) << c.status().ToString();
     return std::move(c).value();
   }
 };
 
-TEST(NetServer, BasicRequestReplyCycle) {
-  TestServer ts;
+void RequestReplyCycle(DbLayout layout) {
+  TestServer ts({}, 256, layout);
   Client client = ts.Connect();
 
   EXPECT_TRUE(client.Ping().ok());
@@ -181,6 +321,42 @@ TEST(NetServer, BasicRequestReplyCycle) {
   EXPECT_NE(stats.value().find("\"write_epoch\":2"), std::string::npos);
 }
 
+TEST(NetServer, BasicRequestReplyCycle) {
+  for (const DbLayout& layout : kLayouts) {
+    SCOPED_TRACE(layout.name);
+    RequestReplyCycle(layout);
+  }
+}
+
+// STATS has one engine layout: 1-shard servers (snapshot or latched
+// reads) and a 4-shard server report the same key set (aggregates,
+// snapshots, per-shard array, summed io).
+TEST(NetServer, StatsEngineKeysMatchAcrossShardCounts) {
+  std::vector<std::set<std::string>> keys;
+  for (const DbLayout& layout : kLayouts) {
+    SCOPED_TRACE(layout.name);
+    TestServer ts({}, 256, layout);
+    Client client = ts.Connect();
+    WriteBatch batch;
+    batch.Insert(Rect{0.1, 0.1, 0.9, 0.9});
+    ASSERT_TRUE(client.Apply(batch).ok());
+    auto stats = client.Stats();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    keys.push_back(EngineKeys(stats.value()));
+    EXPECT_NE(stats.value().find("\"shard_count\":" +
+                                 std::to_string(layout.shards)),
+              std::string::npos);
+  }
+  for (const char* key : {"objects", "write_epoch", "shard_count",
+                          "snapshots.pins_taken", "shards.index_entries",
+                          "io.page_reads"}) {
+    EXPECT_EQ(keys[0].count(key), 1u) << key;
+  }
+  for (size_t i = 1; i < keys.size(); ++i) {
+    EXPECT_EQ(keys[0], keys[i]) << kLayouts[i].name;
+  }
+}
+
 TEST(NetServer, UnixSocketRoundTrip) {
   const std::string path =
       "/tmp/zdb_net_test_" + std::to_string(::getpid()) + ".sock";
@@ -189,7 +365,7 @@ TEST(NetServer, UnixSocketRoundTrip) {
   opt.unix_path = path;
   TestServer ts(opt);
 
-  auto c = Client::ConnectUnix(path);
+  auto c = Client::Connect("unix://" + path);
   ASSERT_TRUE(c.ok()) << c.status().ToString();
   Client client = std::move(c).value();
   EXPECT_TRUE(client.Ping().ok());
@@ -205,14 +381,20 @@ TEST(NetServer, UnixSocketRoundTrip) {
 }
 
 // The remote twin of stress_mixed_test: one writer client steps the
-// index through deterministic batches while reader clients hammer
-// window/point/kNN queries over their own connections. Every reply's
-// epoch bracket [e0, e1] must contain one batch boundary whose
-// brute-force oracle answer matches exactly — a partially visible batch
-// matches none and fails.
-TEST(NetServer, ConcurrentMixedTrafficMatchesOracle) {
-  const uint64_t seed = SeedFromEnv(kSeedEnv, kDefaultSeed);
-  SCOPED_TRACE(SeedReplayHint(kSeedEnv, seed));
+// DB through deterministic batches while reader clients hammer
+// window/point/kNN queries over their own connections.
+//
+// On one shard every reply's epoch bracket [e0, e1] must contain one
+// batch boundary whose brute-force oracle answer matches exactly — a
+// partially visible batch matches none and fails — and every query
+// below the parallel-window threshold names the one epoch it answered
+// (e0 == e1): the pinned epoch with snapshot reads, the epoch read
+// under the shared latch without. On several shards each shard answers
+// from its own pinned state, so a reply must be a per-shard mix of the
+// bracket's states (see ShardedLast); the final quiescent state must
+// match exactly.
+void ConcurrentMixedTraffic(DbLayout layout, uint64_t seed) {
+  const uint32_t shards = layout.shards;
 
   constexpr size_t kInitial = 200;
   constexpr size_t kBatches = 10;
@@ -280,12 +462,11 @@ TEST(NetServer, ConcurrentMixedTrafficMatchesOracle) {
   ServerOptions opt;
   opt.workers = 6;
   opt.queue_capacity = 256;  // roomy: this test measures correctness
-  TestServer ts(opt);
+  TestServer ts(opt, 256, layout);
   for (size_t i = 0; i < initial.size(); ++i) {
-    ASSERT_EQ(ts.index->Insert(initial[i]).value(),
-              static_cast<ObjectId>(i));
+    ASSERT_EQ(ts.db->Insert(initial[i]).value(), static_cast<ObjectId>(i));
   }
-  const uint64_t base = ts.index->write_epoch();
+  const uint64_t base = ts.db->write_epoch();
 
   std::atomic<bool> writer_done{false};
   std::atomic<int> failures{0};
@@ -296,6 +477,16 @@ TEST(NetServer, ConcurrentMixedTrafficMatchesOracle) {
       ++failures;
       ADD_FAILURE() << what << " " << q
                     << ": reply matches no epoch state";
+    }
+  };
+  // A single-shard query below the parallel threshold answers from one
+  // epoch and must say so.
+  auto check_pinned = [&](uint64_t e0, uint64_t e1, const char* what,
+                          size_t q) {
+    if (shards == 1 && e0 != e1) {
+      ++failures;
+      ADD_FAILURE() << what << " " << q << ": 1-shard reply names epochs "
+                    << e0 << ".." << e1;
     }
   };
 
@@ -321,31 +512,55 @@ TEST(NetServer, ConcurrentMixedTrafficMatchesOracle) {
         for (size_t q = 0; q < windows.size(); ++q) {
           auto reply = client.Window(windows[q]);
           ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-          check(MatchesWindowInRange(states, windows[q], reply->ids,
-                                     reply->epoch_before - base,
-                                     reply->epoch_after - base),
+          const uint64_t e0 = reply->epoch_before - base;
+          const uint64_t e1 = reply->epoch_after - base;
+          check(shards == 1
+                    ? MatchesWindowInRange(states, windows[q], reply->ids,
+                                           e0, e1)
+                    : IdsWithinStateMix(states, e0, ShardedLast(states, e1),
+                                        reply->ids,
+                                        [&](const Rect& rect) {
+                                          return rect.Intersects(windows[q]);
+                                        }),
                 "window", q);
+          if (windows[q].area() < opt.parallel_window_area) {
+            check_pinned(e0, e1, "window", q);
+          }
           ++reads_done;
         }
         if (r % 2 == 0) {
           for (size_t q = 0; q < points.size(); ++q) {
             auto reply = client.Point(points[q]);
             ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-            check(MatchesPointInRange(states, points[q], reply->ids,
-                                      reply->epoch_before - base,
-                                      reply->epoch_after - base),
+            const uint64_t e0 = reply->epoch_before - base;
+            const uint64_t e1 = reply->epoch_after - base;
+            check(shards == 1
+                      ? MatchesPointInRange(states, points[q], reply->ids,
+                                            e0, e1)
+                      : IdsWithinStateMix(states, e0,
+                                          ShardedLast(states, e1),
+                                          reply->ids,
+                                          [&](const Rect& rect) {
+                                            return rect.Contains(points[q]);
+                                          }),
                   "point", q);
+            check_pinned(e0, e1, "point", q);
             ++reads_done;
           }
         } else {
           for (size_t q = 0; q < knn_points.size(); ++q) {
             auto reply = client.Nearest(knn_points[q], kKnnK);
             ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-            check(MatchesKnnInRange(states, knn_points[q], kKnnK,
-                                    reply->hits,
-                                    reply->epoch_before - base,
-                                    reply->epoch_after - base),
+            const uint64_t e0 = reply->epoch_before - base;
+            const uint64_t e1 = reply->epoch_after - base;
+            check(shards == 1
+                      ? MatchesKnnInRange(states, knn_points[q], kKnnK,
+                                          reply->hits, e0, e1)
+                      : KnnWithinStateMix(states, knn_points[q], kKnnK,
+                                          reply->hits, e0,
+                                          ShardedLast(states, e1)),
                   "knn", q);
+            check_pinned(e0, e1, "knn", q);
             ++reads_done;
           }
         }
@@ -359,11 +574,20 @@ TEST(NetServer, ConcurrentMixedTrafficMatchesOracle) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GE(reads_done.load(), 4u * (windows.size() + 1));
 
-  // The final index state must match the last oracle state exactly.
+  // The final state must match the last oracle state exactly.
   Client client = ts.Connect();
   auto all = client.Window(Rect{0.0, 0.0, 1.0, 1.0});
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->ids, ExpectedWindow(states.back(), Rect{0, 0, 1, 1}));
+}
+
+TEST(NetServer, ConcurrentMixedTrafficMatchesOracle) {
+  const uint64_t seed = SeedFromEnv(kSeedEnv, kDefaultSeed);
+  SCOPED_TRACE(SeedReplayHint(kSeedEnv, seed));
+  for (const DbLayout& layout : kLayouts) {
+    SCOPED_TRACE(layout.name);
+    ConcurrentMixedTraffic(layout, seed);
+  }
 }
 
 // Graceful shutdown: a request in flight when Stop() begins completes
@@ -378,11 +602,11 @@ TEST(NetServer, GracefulShutdownDrainsInFlight) {
     DataGenOptions dg;
     dg.seed = 7;
     for (const Rect& r : GenerateData(500, dg)) batch.Insert(r);
-    ASSERT_TRUE(ts.index->ApplyBatch(batch).ok());
+    ASSERT_TRUE(ts.db->Apply(batch).ok());
   }
   // Cache misses now stall: a full-square window takes long enough for
   // Stop() to land while it is executing.
-  ts.pager->set_simulated_read_latency_us(2000);
+  ts.db->set_simulated_read_latency_us(2000);
 
   Client slow = ts.Connect();
   Client late = ts.Connect();
@@ -414,7 +638,7 @@ TEST(NetServer, GracefulShutdownDrainsInFlight) {
 
   // New connections are refused once the listener is down. (Connect may
   // also succeed-then-EOF on some kernels; accept no served requests.)
-  auto refused = Client::ConnectTcp("127.0.0.1", port);
+  auto refused = Client::Connect("tcp://127.0.0.1:" + std::to_string(port));
   if (refused.ok()) {
     EXPECT_FALSE(refused.value().Ping().ok());
   }
@@ -433,9 +657,9 @@ TEST(NetServer, BusyBackpressureUnderSaturation) {
     DataGenOptions dg;
     dg.seed = 11;
     for (const Rect& r : GenerateData(400, dg)) batch.Insert(r);
-    ASSERT_TRUE(ts.index->ApplyBatch(batch).ok());
+    ASSERT_TRUE(ts.db->Apply(batch).ok());
   }
-  ts.pager->set_simulated_read_latency_us(1000);
+  ts.db->set_simulated_read_latency_us(1000);
 
   auto sock = TcpConnect("127.0.0.1", ts.server->port());
   ASSERT_TRUE(sock.ok());

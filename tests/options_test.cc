@@ -105,7 +105,8 @@ TEST(OptionsValidate, ServerStartSurfacesTheTypedStatus) {
   // typed way without binding a socket or spawning a thread.
   net::ServerOptions opt;
   opt.workers = 0;
-  net::Server server(static_cast<SpatialIndex*>(nullptr), opt);
+  auto db = DB::Open("").value();
+  net::Server server(db.get(), opt);
   const Status s = server.Start();
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
