@@ -1,13 +1,14 @@
 // Copyright (c) zdb authors. Licensed under the MIT license.
 //
 // A3: google-benchmark microbenchmarks of the computational primitives —
-// Morton coding, element algebra, BIGMIN, decomposition, and B+-tree
-// operations. These establish that the experiment results above are
-// I/O-shaped, not CPU-shaped.
+// Morton coding, element algebra, BIGMIN, decomposition, B+-tree
+// operations and buffer-pool page fetches. These establish that the
+// experiment results above are I/O-shaped, not CPU-shaped.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <vector>
 
 #include "bench_util/runner.h"
 #include "btree/btree.h"
@@ -15,6 +16,7 @@
 #include "decompose/decompose.h"
 #include "decompose/region.h"
 #include "geom/clip.h"
+#include "storage/snapshot.h"
 #include "transform/morton4.h"
 #include "zorder/bigmin.h"
 #include "zorder/morton.h"
@@ -151,6 +153,50 @@ void BM_BTreeGet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BTreeGet);
+
+/// A pool holding 64 cached pages, as a warm query finds it.
+std::vector<PageId> CachePages(BufferPool* pool) {
+  std::vector<PageId> ids;
+  for (int i = 0; i < 64; ++i) ids.push_back(pool->New().value().id());
+  return ids;
+}
+
+// The latched read path's page fetch: a pool hit pins and unpins.
+void BM_PoolFetchHit(benchmark::State& state) {
+  Env env = MakeEnv(4096, 256);
+  const std::vector<PageId> ids = CachePages(env.pool.get());
+  size_t i = 0;
+  for (auto _ : state) {
+    PageRef ref = env.pool->Fetch(ids[i++ % ids.size()]).value();
+    benchmark::DoNotOptimize(ref.data());
+  }
+}
+BENCHMARK(BM_PoolFetchHit);
+
+// A pinned reader's page fetch under an installed SnapshotView. With
+// chain_hit=0 no writer has touched the pages, so the live frame is
+// current; with chain_hit=1 an armed writer has mutated every page, so
+// the fetch resolves to the version-chain image.
+void BM_SnapshotFetch(benchmark::State& state) {
+  Env env = MakeEnv(4096, 256);
+  BufferPool* pool = env.pool.get();
+  const std::vector<PageId> ids = CachePages(pool);
+  if (state.range(0) != 0) {
+    pool->ArmVersioning(2);
+    for (PageId id : ids) pool->Fetch(id).value().mutable_data()[0] ^= 1;
+  }
+  SnapshotView view;
+  view.epoch = 1;
+  view.versions = pool->versions();
+  view.pool = pool;
+  SnapshotScope scope(view);
+  size_t i = 0;
+  for (auto _ : state) {
+    PageRef ref = pool->Fetch(ids[i++ % ids.size()]).value();
+    benchmark::DoNotOptimize(ref.data());
+  }
+}
+BENCHMARK(BM_SnapshotFetch)->ArgName("chain_hit")->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace zdb

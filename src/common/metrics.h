@@ -87,7 +87,11 @@ struct IoStats {
 /// fields: only the owning thread writes them, and the aggregator reads
 /// them only after joining/quiescing the worker — raceless by ownership.
 struct ThreadIoStats {
-  uint64_t pages_pinned = 0;  ///< successful Fetch/New pins by this thread
+  /// Pages handed to this thread by successful Fetch/New calls: pinned
+  /// frames and unpinned snapshot refs alike. Each Fetch also counts one
+  /// pool hit or miss, so a thread that only reads has pages_pinned ==
+  /// pool_hits + pool_misses.
+  uint64_t pages_pinned = 0;
   uint64_t pool_hits = 0;     ///< this thread's pool hits
   uint64_t pool_misses = 0;   ///< this thread's pool misses
 

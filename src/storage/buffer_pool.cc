@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstring>
 #include <string>
+#include <utility>
 
 namespace zdb {
 
@@ -35,32 +36,31 @@ PageRef& PageRef::operator=(PageRef&& other) noexcept {
     snap_ = std::move(other.snap_);
     snap_id_ = other.snap_id_;
     other.pool_ = nullptr;
-    other.snap_.reset();
   }
   return *this;
 }
 
 PageId PageRef::id() const {
   assert(valid());
-  if (snap_ != nullptr) return snap_id_;
+  if (snap_) return snap_id_;
   return pool_->shards_[shard_].frames[frame_].id;
 }
 
 const char* PageRef::data() const {
   assert(valid());
-  if (snap_ != nullptr) return snap_->data();
-  return pool_->shards_[shard_].frames[frame_].data.data();
+  if (snap_) return snap_.data();
+  return pool_->shards_[shard_].frames[frame_].buf.data();
 }
 
 char* PageRef::mutable_data() {
   assert(valid());
-  if (snap_ != nullptr) {
+  if (snap_) {
     internal::LockAssertFail("mutable_data() on a snapshot-backed page");
   }
   pool_->PrepareWrite(shard_, frame_);
   BufferPool::Frame& f = pool_->shards_[shard_].frames[frame_];
   f.dirty.store(true, std::memory_order_relaxed);
-  return f.data.data();
+  return f.buf.mutable_data();
 }
 
 void PageRef::Release() {
@@ -68,7 +68,7 @@ void PageRef::Release() {
     pool_->Unpin(shard_, frame_);
     pool_ = nullptr;
   }
-  snap_.reset();
+  snap_ = PageBuffer();
 }
 
 BufferPool::BufferPool(Pager* pager, size_t capacity)
@@ -85,7 +85,7 @@ BufferPool::BufferPool(Pager* pager, size_t capacity)
         capacity / shards_.size() + (s < capacity % shards_.size() ? 1 : 0);
     Shard& sh = shards_[s];
     sh.frames = std::vector<Frame>(n);
-    for (auto& f : sh.frames) f.data.resize(pager_->page_size());
+    for (auto& f : sh.frames) f.buf = PageBuffer(pager_->page_size());
     sh.free_frames.reserve(n);
     for (size_t i = n; i > 0; --i) {
       sh.free_frames.push_back(static_cast<uint32_t>(i - 1));
@@ -110,7 +110,7 @@ void BufferPool::Unpin(uint32_t shard, uint32_t frame) {
 Status BufferPool::WriteBack(Shard& s, Frame* f) {
   (void)s;  // capability token: proves the frame's shard lock is held
   if (!f->dirty.load(std::memory_order_relaxed)) return Status::OK();
-  ZDB_RETURN_IF_ERROR(pager_->WritePage(f->id, f->data.data()));
+  ZDB_RETURN_IF_ERROR(pager_->WritePage(f->id, f->buf.data()));
   f->dirty.store(false, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -142,36 +142,99 @@ Result<uint32_t> BufferPool::AcquireFrame(Shard& s) {
   return victim;
 }
 
+Result<uint32_t> BufferPool::LoadFrame(Shard& s, PageId id) {
+  uint32_t idx;
+  ZDB_ASSIGN_OR_RETURN(idx, AcquireFrame(s));
+  Frame& f = s.frames[idx];
+  Status st = pager_->ReadPage(id, ReusableBytes(s, f));
+  if (!st.ok()) {
+    s.free_frames.push_back(idx);
+    return st;
+  }
+  f.id = id;
+  f.dirty.store(false, std::memory_order_relaxed);
+  // Freshly loaded bytes may be the pre-batch image (or a mid-batch
+  // re-load after eviction): force the next mutation through the save
+  // path and let keep-first dedup sort out which case it was.
+  f.save_stamp.store(0, std::memory_order_relaxed);
+  s.table[id] = idx;
+  Touch(s, idx);
+  return idx;
+}
+
+char* BufferPool::ReusableBytes(Shard& s, Frame& f) {
+  (void)s;  // capability token: proves the frame's shard lock is held
+  // A snapshot reader or a version chain may still hold the old bytes;
+  // they are immutable, so the frame moves on to a buffer of its own.
+  if (!f.buf || f.buf.shared()) f.buf = PageBuffer(pager_->page_size());
+  return f.buf.mutable_data();
+}
+
 void BufferPool::PrepareWrite(uint32_t shard, uint32_t frame) {
   // Only the single armed mutator (exclusive index latch) reaches here
   // with a nonzero stamp, so the stamp comparison cannot race another
-  // writer; the frame's bytes are stable under the mutator's own pin.
+  // writer; the frame stays mapped under the mutator's own pin.
   const uint64_t stamp = save_stamp_.load(std::memory_order_acquire);
   if (stamp == 0) return;
-  Frame& f = shards_[shard].frames[frame];
+  Shard& s = shards_[shard];
+  Frame& f = s.frames[frame];
   if (f.save_stamp.load(std::memory_order_relaxed) == stamp) return;
-  versions_.SaveBeforeImage(f.id, stamp - 1, f.data.data());
+  // The shard lock keeps snapshot readers from taking a new reference
+  // while the share test and the save run (lock order: pool shard, then
+  // chain shard, as in Delete).
+  MutexLock lock(s.mu);
+  PageBuffer image(f.buf.data(), pager_->page_size());
+  // A reader holds the current bytes: they become the chain image and
+  // the frame mutates the copy.
+  if (f.buf.shared()) std::swap(image, f.buf);
+  versions_.SaveBeforeImage(f.id, stamp - 1, std::move(image));
   f.save_stamp.store(stamp, std::memory_order_relaxed);
+}
+
+void BufferPool::CountHit(ThreadIoStats* tls) {
+  ++pager_->mutable_io_stats()->pool_hits;
+  if (tls != nullptr) {
+    ++tls->pool_hits;
+    ++tls->pages_pinned;
+  }
 }
 
 Result<PageRef> BufferPool::SnapshotFetch(const SnapshotView& view,
                                           PageId id) {
-  if (PageVersions::Buffer b = versions_.Lookup(id, view.epoch)) {
-    ++pager_->mutable_io_stats()->pool_hits;
-    ThreadIoStats* tls = GetThreadIoStats();
-    if (tls != nullptr) ++tls->pool_hits;
-    return PageRef(std::move(b), id);
+  const uint32_t sidx = static_cast<uint32_t>(id) & shard_mask_;
+  Shard& s = shards_[sidx];
+  ThreadIoStats* tls = GetThreadIoStats();
+  PageBuffer live;
+  {
+    MutexLock lock(s.mu);
+    auto it = s.table.find(id);
+    if (it == s.table.end()) {
+      // Check the chain before loading, still under the shard lock: a
+      // page this batch freed has only its chain image, and no writer
+      // can load and save the page in between.
+      if (PageBuffer image = versions_.Lookup(id, view.epoch)) {
+        CountHit(tls);
+        return PageRef(std::move(image), id);
+      }
+      ++pager_->mutable_io_stats()->pool_misses;
+      if (tls != nullptr) ++tls->pool_misses;
+      uint32_t idx;
+      ZDB_ASSIGN_OR_RETURN(idx, LoadFrame(s, id));
+      if (tls != nullptr) ++tls->pages_pinned;
+      return PageRef(s.frames[idx].buf, id);
+    }
+    CountHit(tls);
+    live = s.frames[it->second].buf;
+    Touch(s, it->second);
   }
-  // No image covers the pinned epoch: the live frame is current for it.
-  // Pin it through the normal path (the pin is transient — released
-  // before returning, so reload/discard barriers never wait on a
-  // snapshot ref), then copy the bytes under the chain shard mutex to
-  // order the copy against a concurrent first-mutation save.
-  PageRef live;
-  ZDB_ASSIGN_OR_RETURN(live, FetchLive(id));
-  PageVersions::Buffer b = versions_.ReadAtEpoch(id, view.epoch, live.data());
-  live.Release();
-  return PageRef(std::move(b), id);
+  // The live reference is held before the chain is checked: a writer
+  // whose first mutation comes later sees the buffer shared and leaves
+  // its bytes alone; one that came earlier has already saved the chain
+  // image found here.
+  if (PageBuffer image = versions_.Lookup(id, view.epoch)) {
+    return PageRef(std::move(image), id);
+  }
+  return PageRef(std::move(live), id);
 }
 
 Result<PageRef> BufferPool::Fetch(PageId id) {
@@ -188,11 +251,7 @@ Result<PageRef> BufferPool::FetchLive(PageId id) {
   ThreadIoStats* tls = GetThreadIoStats();
   auto it = s.table.find(id);
   if (it != s.table.end()) {
-    ++pager_->mutable_io_stats()->pool_hits;
-    if (tls != nullptr) {
-      ++tls->pool_hits;
-      ++tls->pages_pinned;
-    }
+    CountHit(tls);
     Frame& f = s.frames[it->second];
     f.pins.fetch_add(1, std::memory_order_relaxed);
     Touch(s, it->second);
@@ -201,22 +260,8 @@ Result<PageRef> BufferPool::FetchLive(PageId id) {
   ++pager_->mutable_io_stats()->pool_misses;
   if (tls != nullptr) ++tls->pool_misses;
   uint32_t idx;
-  ZDB_ASSIGN_OR_RETURN(idx, AcquireFrame(s));
-  Frame& f = s.frames[idx];
-  Status st = pager_->ReadPage(id, f.data.data());
-  if (!st.ok()) {
-    s.free_frames.push_back(idx);
-    return st;
-  }
-  f.id = id;
-  f.pins.store(1, std::memory_order_relaxed);
-  f.dirty.store(false, std::memory_order_relaxed);
-  // Freshly loaded bytes may be the pre-batch image (or a mid-batch
-  // re-load after eviction): force the next mutation through the save
-  // path and let keep-first dedup sort out which case it was.
-  f.save_stamp.store(0, std::memory_order_relaxed);
-  s.table[id] = idx;
-  Touch(s, idx);
+  ZDB_ASSIGN_OR_RETURN(idx, LoadFrame(s, id));
+  s.frames[idx].pins.store(1, std::memory_order_relaxed);
   if (tls != nullptr) ++tls->pages_pinned;
   return PageRef(this, sidx, idx);
 }
@@ -238,7 +283,7 @@ Result<PageRef> BufferPool::New() {
     idx = r.value();
   }
   Frame& f = s.frames[idx];
-  std::memset(f.data.data(), 0, f.data.size());
+  std::memset(ReusableBytes(s, f), 0, pager_->page_size());
   f.id = id;
   f.pins.store(1, std::memory_order_relaxed);
   f.dirty.store(true, std::memory_order_relaxed);
@@ -265,12 +310,14 @@ Status BufferPool::Delete(PageId id) {
         return Status::InvalidArgument("deleting a pinned page");
       }
       // A pinned reader may still need this page at an older epoch:
-      // preserve its pre-batch image before the id is recycled. If this
-      // batch already mutated the page, the true pre-batch bytes are in
-      // the chain and keep-first makes this a no-op.
+      // preserve its pre-batch image before the id is recycled. The
+      // chain adopts the frame's buffer (the frame's next use allocates
+      // a fresh one). If this batch already mutated the page, the true
+      // pre-batch bytes are in the chain and keep-first makes this a
+      // no-op.
       if (stamp != 0 && f.save_stamp.load(std::memory_order_relaxed) !=
                             stamp) {
-        versions_.SaveBeforeImage(id, stamp - 1, f.data.data());
+        versions_.SaveBeforeImage(id, stamp - 1, std::move(f.buf));
       }
       // Contents are garbage now; never write back.
       f.dirty.store(false, std::memory_order_relaxed);
@@ -281,9 +328,9 @@ Status BufferPool::Delete(PageId id) {
       // Uncached: the disk image is the pre-batch image unless this
       // batch mutated the page and it was evicted — in which case the
       // chain already holds the true one and keep-first skips the save.
-      std::vector<char> buf(pager_->page_size());
-      ZDB_RETURN_IF_ERROR(pager_->ReadPage(id, buf.data()));
-      versions_.SaveBeforeImage(id, stamp - 1, buf.data());
+      PageBuffer image(pager_->page_size());
+      ZDB_RETURN_IF_ERROR(pager_->ReadPage(id, image.mutable_data()));
+      versions_.SaveBeforeImage(id, stamp - 1, std::move(image));
     }
   }
   return pager_->Free(id);

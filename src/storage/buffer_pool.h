@@ -12,10 +12,14 @@
 // different shards never contend. Pin counts are atomics released without
 // a lock; eviction only considers frames whose pin count is zero *while
 // holding the shard lock*, and new pins are only created under that same
-// lock, so eviction can never race a pin. Small pools (< 32 frames) use a
-// single shard, preserving the exact global-LRU semantics the cold-cache
-// experiments rely on. FlushAll/Clear lock all shards and are intended to
-// be called from one thread with no concurrent mutators.
+// lock, so eviction can never race a pin. Snapshot fetches (Fetch under
+// an installed SnapshotView) take no pin at all: they share the frame's
+// ref-counted page buffer, and every path that overwrites a frame gives
+// it a fresh buffer first if anyone still holds the old one. Small pools
+// (< 32 frames) use a single shard, preserving the exact global-LRU
+// semantics the cold-cache experiments rely on. FlushAll/Clear lock all
+// shards and are intended to be called from one thread with no
+// concurrent mutators.
 
 #ifndef ZDB_STORAGE_BUFFER_POOL_H_
 #define ZDB_STORAGE_BUFFER_POOL_H_
@@ -39,11 +43,13 @@ class BufferPool;
 /// evicted and its data pointer stays valid. Move-only. A PageRef may be
 /// released from any thread.
 ///
-/// A PageRef can also be backed by an immutable snapshot buffer instead
-/// of a pool frame (returned by Fetch under an installed SnapshotView).
-/// Such a ref holds no pin — it shares ownership of a version-chain
-/// buffer — and aborts on mutable_data(): snapshot pages are read-only
-/// by construction.
+/// A PageRef returned by Fetch under an installed SnapshotView is instead
+/// backed by a shared PageBuffer: a version-chain image, or the live
+/// frame's own buffer when that is current for the view's epoch. Such a
+/// ref holds no pin (so it never blocks eviction, Delete or Discard), its
+/// bytes are immutable for its whole lifetime (the writer copies a page
+/// before mutating a buffer a reader shares, and a reused frame gets a
+/// fresh buffer), and mutable_data() aborts.
 class PageRef {
  public:
   PageRef() = default;
@@ -54,7 +60,7 @@ class PageRef {
   PageRef(const PageRef&) = delete;
   PageRef& operator=(const PageRef&) = delete;
 
-  bool valid() const { return pool_ != nullptr || snap_ != nullptr; }
+  bool valid() const { return pool_ != nullptr || static_cast<bool>(snap_); }
   PageId id() const;
 
   /// Read-only view of the page bytes.
@@ -72,13 +78,13 @@ class PageRef {
   friend class BufferPool;
   PageRef(BufferPool* pool, uint32_t shard, uint32_t frame)
       : pool_(pool), shard_(shard), frame_(frame) {}
-  PageRef(PageVersions::Buffer snap, PageId id)
+  PageRef(PageBuffer snap, PageId id)
       : snap_(std::move(snap)), snap_id_(id) {}
 
   BufferPool* pool_ = nullptr;
   uint32_t shard_ = 0;
   uint32_t frame_ = 0;
-  PageVersions::Buffer snap_;
+  PageBuffer snap_;
   PageId snap_id_ = kInvalidPageId;
 };
 
@@ -159,16 +165,20 @@ class BufferPool {
  private:
   friend class PageRef;
 
-  /// Frame fields are deliberately NOT GUARDED_BY(shard mu): id/data are
+  /// Frame fields are deliberately NOT GUARDED_BY(shard mu): id/buf are
   /// read by pinned PageRefs without the shard lock (the pin count — not
   /// the mutex — is what keeps them stable), and pins/dirty are atomics.
-  /// id and last_used are only *mutated* under the shard lock.
+  /// id, buf and last_used are only *mutated* under the shard lock; the
+  /// buf handle is replaced by the pinning writer's first-mutation save
+  /// when a snapshot reader shares it, and by every reuse of the frame
+  /// (load, New) when anyone still holds it. Snapshot readers copy the
+  /// handle under the shard lock, never the bytes.
   /// save_stamp marks the versioning batch whose before-image save this
   /// frame already performed (0 = none since load); it is written under
   /// the shard lock on load and by the single armed mutator otherwise.
   struct Frame {
     PageId id = kInvalidPageId;
-    std::vector<char> data;
+    PageBuffer buf;
     std::atomic<uint32_t> pins{0};
     std::atomic<bool> dirty{false};
     uint64_t last_used = 0;
@@ -196,6 +206,15 @@ class BufferPool {
   /// page if needed.
   Result<uint32_t> AcquireFrame(Shard& s) REQUIRES(s.mu);
 
+  /// Reads page `id` from the pager into a fresh unpinned frame of `s`
+  /// and maps it. Counts nothing; the caller sets pins before unlocking.
+  Result<uint32_t> LoadFrame(Shard& s, PageId id) REQUIRES(s.mu);
+
+  /// The bytes of frame `f` (of shard `s`), ready to be overwritten:
+  /// first gives the frame a fresh buffer if anyone else holds its
+  /// current one.
+  char* ReusableBytes(Shard& s, Frame& f) REQUIRES(s.mu);
+
   /// Writes frame `f` (which must belong to shard `s`) back to the pager
   /// if dirty. The shard reference is the capability token.
   Status WriteBack(Shard& s, Frame* f) REQUIRES(s.mu);
@@ -203,15 +222,22 @@ class BufferPool {
   /// Shared body of FlushAll/FlushForCommit.
   Status FlushInternal(bool include_pinned);
 
+  /// Charges one pool hit (and one fetched page) to the pager and to
+  /// the calling thread's `tls` shadow, if any.
+  void CountHit(ThreadIoStats* tls);
+
   /// The non-redirecting Fetch body (live frames only).
   Result<PageRef> FetchLive(PageId id);
 
-  /// Resolves `id` at the view's pinned epoch: chain entry if one
-  /// covers the epoch, otherwise a copy of the live frame taken under
-  /// the chain shard mutex. The returned ref holds no pin.
+  /// Resolves `id` at the view's pinned epoch: the chain entry if one
+  /// covers the epoch, otherwise the live frame's buffer, shared. Takes
+  /// one pool-shard and one chain-shard lock; the returned ref holds no
+  /// pin. See storage/snapshot.h for the protocol.
   Result<PageRef> SnapshotFetch(const SnapshotView& view, PageId id);
 
-  /// First-mutation hook behind PageRef::mutable_data().
+  /// First-mutation hook behind PageRef::mutable_data(): once per
+  /// armed batch, saves the frame's bytes as the page's before-image,
+  /// handing the chain the buffer itself if a snapshot reader shares it.
   void PrepareWrite(uint32_t shard, uint32_t frame);
 
   Pager* pager_;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 namespace zdb {
 
@@ -14,52 +15,46 @@ thread_local const SnapshotView* t_view_top = nullptr;
 
 }  // namespace
 
+PageBuffer::PageBuffer(uint32_t size)
+    : rep_(new (::operator new(kHeader + size)) Rep) {
+  std::memset(mutable_data(), 0, size);
+}
+
+PageBuffer::PageBuffer(const char* data, uint32_t size)
+    : rep_(new (::operator new(kHeader + size)) Rep) {
+  std::memcpy(mutable_data(), data, size);
+}
+
+void PageBuffer::Free(Rep* rep) {
+  rep->~Rep();
+  ::operator delete(rep);
+}
+
 void PageVersions::SaveBeforeImage(PageId page, uint64_t as_of,
-                                   const char* data) {
+                                   PageBuffer image) {
   Shard& s = shard_for(page);
   MutexLock lock(s.mu);
   std::vector<Entry>& chain = s.chains[page];
   // Epochs are monotonic, so an entry for this as_of — if any — is the
   // last one. Keep-first: it already holds the true pre-batch bytes.
   if (!chain.empty() && chain.back().as_of >= as_of) return;
-  auto buf = std::make_shared<std::vector<char>>(data, data + page_size_);
-  chain.push_back(Entry{as_of, std::move(buf)});
+  chain.push_back(Entry{as_of, std::move(image)});
   live_.fetch_add(1, std::memory_order_relaxed);
   bytes_.fetch_add(page_size_, std::memory_order_relaxed);
   saved_.fetch_add(1, std::memory_order_relaxed);
 }
 
-PageVersions::Buffer PageVersions::Lookup(PageId page, uint64_t epoch) const {
+PageBuffer PageVersions::Lookup(PageId page, uint64_t epoch) const {
   const Shard& s = shard_for(page);
   MutexLock lock(s.mu);
   auto it = s.chains.find(page);
-  if (it == s.chains.end()) return nullptr;
+  if (it == s.chains.end()) return PageBuffer();
   const std::vector<Entry>& chain = it->second;
   auto e = std::lower_bound(
       chain.begin(), chain.end(), epoch,
       [](const Entry& entry, uint64_t ep) { return entry.as_of < ep; });
-  if (e == chain.end()) return nullptr;
+  if (e == chain.end()) return PageBuffer();
   return e->data;
-}
-
-PageVersions::Buffer PageVersions::ReadAtEpoch(PageId page, uint64_t epoch,
-                                               const char* live_data) {
-  Shard& s = shard_for(page);
-  MutexLock lock(s.mu);
-  auto it = s.chains.find(page);
-  if (it != s.chains.end()) {
-    const std::vector<Entry>& chain = it->second;
-    auto e = std::lower_bound(
-        chain.begin(), chain.end(), epoch,
-        [](const Entry& entry, uint64_t ep) { return entry.as_of < ep; });
-    if (e != chain.end()) return e->data;
-  }
-  // No image covers `epoch`: the live frame is current for it. The copy
-  // runs under the shard mutex, so a concurrent writer's first-mutation
-  // SaveBeforeImage (same mutex) cannot interleave with it — and the
-  // writer only stores into the frame *after* that save completes.
-  return std::make_shared<std::vector<char>>(live_data,
-                                             live_data + page_size_);
 }
 
 void PageVersions::ReclaimBefore(uint64_t min_epoch) {

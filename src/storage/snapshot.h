@@ -10,13 +10,31 @@
 // bytes to its version chain, tagged `as_of = E-1` ("content at the end
 // of epoch E-1"). A reader pinned at epoch P resolves a page by taking
 // the first chain entry with `as_of >= P` (the oldest image still valid
-// at P); if there is none, the live frame is current for P and its
-// bytes are copied out under the chain shard mutex — the same mutex the
-// writer's first-mutation save takes — so the copy is ordered either
-// entirely before the save (clean pre-batch bytes) or after it (the
-// reader then hits the chain instead). Later mutations of the same page
-// in the same batch skip the save, but by then the chain entry exists
-// and pinned readers never touch the live frame again.
+// at P); if there is none, the live frame is current for P.
+//
+// Page bytes live in ref-counted PageBuffers, so nothing is copied to
+// hand a page to a reader. The protocol (BufferPool::SnapshotFetch and
+// BufferPool::PrepareWrite) rests on two rules:
+//
+//   * A reader first takes a reference to the live frame's buffer under
+//     the pool-shard mutex and only then checks the chain (under the
+//     chain-shard mutex). If the chain has an image for its epoch it
+//     returns that; otherwise it returns the shared live buffer. It
+//     holds no pin and copies nothing.
+//   * The writer's first mutation of a page in a batch takes the
+//     pool-shard mutex, then the chain-shard mutex. If no reader shares
+//     the frame's buffer, it copies the bytes into the chain and goes on
+//     mutating the buffer in place; if one does, the chain adopts that
+//     buffer and the frame gets a private copy.
+//
+// So a buffer some reader holds is never written again: a reader that
+// took its reference before the writer's first mutation is seen by the
+// writer's share test, and one that took it after finds the chain
+// entry the writer saved before releasing the pool-shard mutex. Later
+// mutations of the same page in the same batch skip the save, and by
+// then pinned readers resolve the page from its chain entry. Every
+// other path that overwrites a frame (a load after a miss, New, reuse
+// after eviction, Delete or Discard) replaces a shared buffer first.
 //
 // Chains are append-only per page (epochs are monotonic), so entries
 // stay sorted by as_of without re-sorting. ReclaimBefore(M) drops every
@@ -29,9 +47,11 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -50,33 +70,88 @@ struct PageVersionStats {
   uint64_t reclaimed = 0;
 };
 
+/// A page-sized byte buffer with an intrusive atomic reference count,
+/// shared by a buffer-pool frame, the version chains and snapshot-backed
+/// PageRefs. Copying a handle shares the bytes; the last handle frees
+/// them. Bytes are written only by a holder that owns the buffer alone
+/// (or, within one write batch, by the writer after its first-mutation
+/// save; see the file comment), so readers need no lock.
+class PageBuffer {
+ public:
+  PageBuffer() = default;
+  /// A zero-filled buffer of `size` bytes.
+  explicit PageBuffer(uint32_t size);
+  /// A private copy of the `size` bytes at `data`.
+  PageBuffer(const char* data, uint32_t size);
+
+  PageBuffer(const PageBuffer& other) noexcept : rep_(other.rep_) { Ref(); }
+  PageBuffer(PageBuffer&& other) noexcept
+      : rep_(std::exchange(other.rep_, nullptr)) {}
+  PageBuffer& operator=(PageBuffer other) noexcept {
+    std::swap(rep_, other.rep_);
+    return *this;
+  }
+  ~PageBuffer() { Unref(); }
+
+  explicit operator bool() const { return rep_ != nullptr; }
+  const char* data() const { return BytesOf(rep_); }
+  char* mutable_data() { return BytesOf(rep_); }
+
+  /// True when another handle holds these bytes too. The count is read
+  /// with acquire ordering, so a false answer synchronises with every
+  /// other holder's release: their reads of the bytes happen before the
+  /// caller's writes. Callers make the answer stable by excluding new
+  /// handles (the pool-shard mutex guards every frame-buffer copy).
+  bool shared() const {
+    return rep_->refs.load(std::memory_order_acquire) > 1;
+  }
+
+ private:
+  struct Rep {
+    std::atomic<uint32_t> refs{1};
+  };
+  /// The bytes follow the count, kept at malloc alignment.
+  static constexpr size_t kHeader = alignof(std::max_align_t);
+  static_assert(sizeof(Rep) <= kHeader);
+
+  static char* BytesOf(Rep* rep) {
+    return reinterpret_cast<char*>(rep) + kHeader;
+  }
+  void Ref() {
+    if (rep_ != nullptr) rep_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  /// acq_rel: the last holder frees the bytes only after every other
+  /// holder's reads of them.
+  void Unref() {
+    if (rep_ != nullptr &&
+        rep_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      Free(rep_);
+    }
+  }
+  static void Free(Rep* rep);
+
+  Rep* rep_ = nullptr;
+};
+
 /// Sharded PageId -> before-image chain table. One instance per
-/// BufferPool. Thread-safe; see the file comment for the copy protocol.
+/// BufferPool. Thread-safe; see the file comment for the protocol.
 class PageVersions {
  public:
-  using Buffer = std::shared_ptr<const std::vector<char>>;
-
   explicit PageVersions(uint32_t page_size) : page_size_(page_size) {}
   PageVersions(const PageVersions&) = delete;
   PageVersions& operator=(const PageVersions&) = delete;
 
-  /// Appends the pre-batch image of `page` (exactly page_size bytes)
-  /// tagged `as_of`, unless an entry for that as_of already exists —
-  /// keep-first: only the batch's *first* save holds the true pre-batch
-  /// bytes, and re-saves (checkpoint + batch sharing a stamp, a freed
-  /// page re-deleted) must not overwrite it.
-  void SaveBeforeImage(PageId page, uint64_t as_of, const char* data);
+  /// Appends the pre-batch image of `page` tagged `as_of`, unless an
+  /// entry for that as_of already exists — keep-first: only the batch's
+  /// *first* save holds the true pre-batch bytes, and re-saves
+  /// (checkpoint + batch sharing a stamp, a freed page re-deleted) must
+  /// not overwrite it. The chain adopts `image` (page_size bytes);
+  /// no one may write its bytes again.
+  void SaveBeforeImage(PageId page, uint64_t as_of, PageBuffer image);
 
-  /// First chain entry with as_of >= epoch, or nullptr if the live
+  /// First chain entry with as_of >= epoch, or a null buffer if the live
   /// frame is current for `epoch`.
-  Buffer Lookup(PageId page, uint64_t epoch) const;
-
-  /// The pinned-reader resolution step for a chain miss: re-checks the
-  /// chain and, still on a miss, copies `live_data` under the shard
-  /// mutex (ordering the copy against a concurrent first-mutation
-  /// save). `live_data` must stay valid across the call — the caller
-  /// holds a buffer-pool pin on the frame.
-  Buffer ReadAtEpoch(PageId page, uint64_t epoch, const char* live_data);
+  PageBuffer Lookup(PageId page, uint64_t epoch) const;
 
   /// Drops every entry with as_of < min_epoch. Called by the GC thread
   /// once no pin at or below those epochs can exist.
@@ -91,7 +166,7 @@ class PageVersions {
  private:
   struct Entry {
     uint64_t as_of;
-    Buffer data;
+    PageBuffer data;
   };
   struct Shard {
     mutable Mutex mu;

@@ -30,11 +30,14 @@
 #include <thread>
 #include <vector>
 
+#include "common/coding.h"
 #include "core/epoch.h"
 #include "core/spatial_index.h"
 #include "exec/executor.h"
 #include "oracle_util.h"
+#include "storage/buffer_pool.h"
 #include "storage/pager.h"
+#include "storage/snapshot.h"
 #include "workload/datagen.h"
 #include "workload/seed.h"
 #include "zdb/db.h"
@@ -174,7 +177,10 @@ TEST(SnapshotStress, AutoPinnedQueriesMatchOracleUnderChurn) {
 
   std::thread writer([&] {
     for (const WriteBatch& batch : w.batches) {
-      if (!index->ApplyBatch(batch).ok()) {
+      const auto applied = index->ApplyBatch(batch);
+      if (!applied.ok()) {
+        ADD_FAILURE() << "writer: ApplyBatch failed: "
+                      << applied.status().ToString();
         ++failures;
         break;
       }
@@ -277,7 +283,10 @@ TEST(SnapshotStress, PinnedReadersRereadIdenticallyUnderWriterChurn) {
 
   std::thread writer([&] {
     for (const WriteBatch& batch : w.batches) {
-      if (!index->ApplyBatch(batch).ok()) {
+      const auto applied = index->ApplyBatch(batch);
+      if (!applied.ok()) {
+        ADD_FAILURE() << "writer: ApplyBatch failed: "
+                      << applied.status().ToString();
         ++failures;
         break;
       }
@@ -333,6 +342,87 @@ TEST(SnapshotStress, ParkedPinNeverBlocksWriterProgress) {
   // And the live path sees the final state, not the pinned one.
   auto all = index->WindowQuery(Rect{0, 0, 1, 1}).value();
   EXPECT_EQ(all, ExpectedWindow(w.states.back(), Rect{0, 0, 1, 1}));
+}
+
+// Regression for writer batches failing with "deleting a pinned page":
+// a snapshot fetch used to pin the live frame for a moment, and
+// BufferPool::Delete (a B+-tree node free) refuses a pinned frame. A
+// snapshot fetch now shares the frame's buffer and pins nothing. Here
+// readers fetch a small page set at the latest published epoch while
+// the armed writer, once per simulated batch, deletes every page and
+// reallocates it (the pager's free list hands the same id back),
+// stamping the batch's epoch into it. Every Delete must succeed, and
+// every read must see the stamp of the reader's own epoch.
+TEST(SnapshotStress, SnapshotFetchNeverBlocksDelete) {
+  constexpr size_t kPages = 8;
+  constexpr uint64_t kBatches = 300;
+  constexpr size_t kReaders = 4;
+
+  auto pager = Pager::OpenInMemory(512);
+  BufferPool pool(pager.get(), 64);  // holds the whole set: no eviction
+  uint64_t epoch = 1;
+  std::vector<PageId> ids;
+  for (size_t i = 0; i < kPages; ++i) {
+    PageRef ref = pool.New().value();
+    EncodeFixed64(ref.mutable_data(), epoch);
+    ids.push_back(ref.id());
+  }
+
+  std::atomic<uint64_t> published{epoch};
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> failures{0};
+
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      while (!writer_done.load(std::memory_order_acquire)) {
+        SnapshotView view;
+        view.epoch = published.load(std::memory_order_acquire);
+        view.versions = pool.versions();
+        view.pool = &pool;
+        SnapshotScope scope(view);
+        for (size_t i = 0; i < kPages; ++i) {
+          auto ref = pool.Fetch(ids[(t + i) % kPages]);
+          if (!ref.ok() ||
+              DecodeFixed64(ref.value().data()) != view.epoch) {
+            ++failures;
+          }
+        }
+      }
+    });
+  }
+
+  std::thread writer([&] {
+    for (uint64_t b = 0; b < kBatches; ++b) {
+      const uint64_t next = epoch + 1;
+      pool.ArmVersioning(next);
+      for (PageId id : ids) {
+        const Status st = pool.Delete(id);
+        if (!st.ok()) {
+          ADD_FAILURE() << "Delete(" << id << ") in batch " << b
+                        << " failed: " << st.ToString();
+          ++failures;
+          return;
+        }
+        auto ref = pool.New();
+        if (!ref.ok() || ref.value().id() != id) {
+          ADD_FAILURE() << "New() after Delete(" << id << ") in batch " << b
+                        << " did not reuse the id";
+          ++failures;
+          return;
+        }
+        EncodeFixed64(ref.value().mutable_data(), next);
+      }
+      epoch = next;
+      published.store(next, std::memory_order_release);
+    }
+  });
+
+  writer.join();
+  writer_done.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(epoch, 1 + kBatches);
 }
 
 // --------------------------------------------------------- reclamation
@@ -533,7 +623,10 @@ TEST(SnapshotStress, PlanHooksCannotObserveTornEpoch) {
 
   std::thread writer([&] {
     for (const WriteBatch& batch : w.batches) {
-      if (!index->ApplyBatch(batch).ok()) {
+      const auto applied = index->ApplyBatch(batch);
+      if (!applied.ok()) {
+        ADD_FAILURE() << "writer: ApplyBatch failed: "
+                      << applied.status().ToString();
         ++failures;
         break;
       }

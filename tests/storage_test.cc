@@ -4,10 +4,12 @@
 
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "storage/buffer_pool.h"
 #include "storage/file.h"
 #include "storage/pager.h"
+#include "storage/snapshot.h"
 
 namespace zdb {
 namespace {
@@ -263,6 +265,138 @@ TEST(BufferPool, MoveSemanticsOfPageRef) {
   EXPECT_EQ(b.id(), id);
   b.Release();
   EXPECT_FALSE(b.valid());
+}
+
+// ------------------------------------------- snapshot-backed page refs
+
+constexpr uint32_t kSmallPage = 256;
+
+/// Fetches `id` as a pinned reader at `epoch` would: through a
+/// SnapshotView, so the ref shares a page buffer and holds no pin.
+PageRef SnapshotRef(BufferPool* pool, PageId id, uint64_t epoch) {
+  SnapshotView view;
+  view.epoch = epoch;
+  view.versions = pool->versions();
+  view.pool = pool;
+  SnapshotScope scope(view);
+  return pool->Fetch(id).value();
+}
+
+std::string Bytes(const PageRef& ref) {
+  return std::string(ref.data(), kSmallPage);
+}
+
+/// A new page filled with `c`, released (cached, dirty, unpinned).
+PageId NewFilled(BufferPool* pool, char c) {
+  PageRef ref = pool->New().value();
+  std::memset(ref.mutable_data(), c, kSmallPage);
+  return ref.id();
+}
+
+// The writer's first mutation of a page in a batch, and every later
+// one, leave a snapshot ref's bytes alone: a shared buffer moves into
+// the version chain and the frame mutates a copy. An unshared buffer is
+// copied into the chain and mutated in place.
+TEST(BufferPool, SnapshotRefSurvivesWriterMutations) {
+  auto pager = Pager::OpenInMemory(kSmallPage);
+  BufferPool pool(pager.get(), 8);
+  const PageId shared = NewFilled(&pool, 'a');
+  const PageId unshared = NewFilled(&pool, 'u');
+  pool.ArmVersioning(2);  // the batch that will publish epoch 2
+
+  PageRef snap = SnapshotRef(&pool, shared, 1);
+  const char* bytes = snap.data();
+  const std::string before = Bytes(snap);
+  EXPECT_EQ(before, std::string(kSmallPage, 'a'));
+  EXPECT_EQ(pool.pinned_pages(), 0u);
+  {
+    PageRef live = pool.Fetch(shared).value();
+    std::memset(live.mutable_data(), 'b', kSmallPage);  // first mutation
+    EXPECT_EQ(snap.data(), bytes);
+    EXPECT_EQ(Bytes(snap), before);
+    std::memset(live.mutable_data(), 'c', kSmallPage);  // later mutation
+    EXPECT_EQ(Bytes(snap), before);
+    EXPECT_EQ(Bytes(live), std::string(kSmallPage, 'c'));
+    PageRef other = pool.Fetch(unshared).value();
+    std::memset(other.mutable_data(), 'v', kSmallPage);
+    std::memset(other.mutable_data(), 'w', kSmallPage);
+  }
+  EXPECT_EQ(snap.data(), bytes);
+  EXPECT_EQ(Bytes(snap), before);
+  // Epoch 1 resolves to the saved images, epoch 2 to the live bytes.
+  EXPECT_EQ(Bytes(SnapshotRef(&pool, shared, 1)), before);
+  EXPECT_EQ(Bytes(SnapshotRef(&pool, shared, 2)),
+            std::string(kSmallPage, 'c'));
+  EXPECT_EQ(Bytes(SnapshotRef(&pool, unshared, 1)),
+            std::string(kSmallPage, 'u'));
+  EXPECT_EQ(Bytes(SnapshotRef(&pool, unshared, 2)),
+            std::string(kSmallPage, 'w'));
+}
+
+// Evicting the page a snapshot ref came from, reusing its frame for
+// other pages and reloading and mutating the page leave the ref alone.
+TEST(BufferPool, SnapshotRefSurvivesEvictionAndReload) {
+  auto pager = Pager::OpenInMemory(kSmallPage);
+  BufferPool pool(pager.get(), 2);  // one shard: exact LRU
+  ASSERT_EQ(pool.shard_count(), 1u);
+  const PageId p = NewFilled(&pool, 'p');
+  const PageId q = NewFilled(&pool, 'q');
+  const PageId r = NewFilled(&pool, 'r');  // evicts p, writing it back
+
+  PageRef snap = SnapshotRef(&pool, p, 1);  // pool miss: loads p
+  const std::string before = Bytes(snap);
+  EXPECT_EQ(before, std::string(kSmallPage, 'p'));
+  const uint64_t evictions = pager->io_stats().pool_evictions;
+  (void)pool.Fetch(q).value();
+  (void)pool.Fetch(r).value();  // p is least recently used: evicted
+  EXPECT_GT(pager->io_stats().pool_evictions, evictions);
+  EXPECT_EQ(Bytes(snap), before);
+  {
+    PageRef live = pool.Fetch(p).value();  // reload into a reused frame
+    std::memset(live.mutable_data(), 'x', kSmallPage);
+  }
+  (void)pool.Fetch(q).value();
+  EXPECT_EQ(Bytes(snap), before);
+  EXPECT_EQ(Bytes(pool.Fetch(p).value()), std::string(kSmallPage, 'x'));
+}
+
+// A snapshot ref pins nothing, so Delete succeeds under it; the New
+// that reuses the freed frame zero-fills a fresh buffer, not the ref's.
+TEST(BufferPool, SnapshotRefSurvivesDeleteAndFrameReuse) {
+  auto pager = Pager::OpenInMemory(kSmallPage);
+  BufferPool pool(pager.get(), 4);
+  const PageId p = NewFilled(&pool, 'd');
+  PageRef snap = SnapshotRef(&pool, p, 1);
+  const std::string before = Bytes(snap);
+
+  ASSERT_TRUE(pool.Delete(p).ok());
+  EXPECT_EQ(Bytes(snap), before);
+  PageRef fresh = pool.New().value();
+  ASSERT_EQ(fresh.id(), p);  // same id, same (free-listed) frame
+  EXPECT_EQ(Bytes(fresh), std::string(kSmallPage, '\0'));
+  std::memset(fresh.mutable_data(), 'n', kSmallPage);
+  EXPECT_EQ(Bytes(snap), before);
+}
+
+// Discard drops every frame without waiting on snapshot refs; reloading
+// the page from disk into a reused frame leaves the ref's bytes alone.
+TEST(BufferPool, SnapshotRefSurvivesDiscard) {
+  auto pager = Pager::OpenInMemory(kSmallPage);
+  BufferPool pool(pager.get(), 4);
+  const PageId p = NewFilled(&pool, 'o');
+  ASSERT_TRUE(pool.FlushAll().ok());
+  {
+    PageRef live = pool.Fetch(p).value();
+    std::memset(live.mutable_data(), 'm', kSmallPage);  // dirty, unflushed
+  }
+  PageRef snap = SnapshotRef(&pool, p, 1);
+  const std::string before = Bytes(snap);
+  EXPECT_EQ(before, std::string(kSmallPage, 'm'));
+
+  ASSERT_TRUE(pool.Discard().ok());
+  EXPECT_EQ(Bytes(snap), before);
+  EXPECT_EQ(Bytes(pool.Fetch(p).value()), std::string(kSmallPage, 'o'));
+  EXPECT_EQ(Bytes(snap), before);
 }
 
 }  // namespace
