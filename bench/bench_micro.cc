@@ -2,17 +2,19 @@
 //
 // A3: google-benchmark microbenchmarks of the computational primitives —
 // Morton coding, element algebra, BIGMIN, decomposition, B+-tree
-// operations and buffer-pool page fetches. These establish that the
-// experiment results above are I/O-shaped, not CPU-shaped.
+// operations, buffer-pool page fetches and epoch pins. These establish
+// that the experiment results above are I/O-shaped, not CPU-shaped.
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cmath>
 #include <vector>
 
 #include "bench_util/runner.h"
 #include "btree/btree.h"
 #include "common/random.h"
+#include "core/epoch.h"
 #include "decompose/decompose.h"
 #include "decompose/region.h"
 #include "geom/clip.h"
@@ -173,30 +175,71 @@ void BM_PoolFetchHit(benchmark::State& state) {
 }
 BENCHMARK(BM_PoolFetchHit);
 
+/// Warm pools for BM_SnapshotFetch, one per chain_hit setting, shared
+/// by every thread of a run (built once, on first use).
+struct FetchFixture {
+  explicit FetchFixture(bool chain_hit)
+      : env(MakeEnv(4096, 256)), ids(CachePages(env.pool.get())) {
+    if (chain_hit) {
+      env.pool->ArmVersioning(2);
+      for (PageId id : ids) {
+        env.pool->Fetch(id).value().mutable_data()[0] ^= 1;
+      }
+    }
+  }
+  Env env;
+  std::vector<PageId> ids;
+};
+
+FetchFixture& SharedFetchFixture(bool chain_hit) {
+  static FetchFixture live(false);
+  static FetchFixture chained(true);
+  return chain_hit ? chained : live;
+}
+
 // A pinned reader's page fetch under an installed SnapshotView. With
 // chain_hit=0 no writer has touched the pages, so the live frame is
-// current; with chain_hit=1 an armed writer has mutated every page, so
-// the fetch resolves to the version-chain image.
+// current and the chain is skipped; with chain_hit=1 an armed writer
+// has mutated every page, so the fetch resolves to the version-chain
+// image. The threaded runs fetch the same 64 pages from one pool.
 void BM_SnapshotFetch(benchmark::State& state) {
-  Env env = MakeEnv(4096, 256);
-  BufferPool* pool = env.pool.get();
-  const std::vector<PageId> ids = CachePages(pool);
-  if (state.range(0) != 0) {
-    pool->ArmVersioning(2);
-    for (PageId id : ids) pool->Fetch(id).value().mutable_data()[0] ^= 1;
-  }
+  FetchFixture& fx = SharedFetchFixture(state.range(0) != 0);
+  BufferPool* pool = fx.env.pool.get();
   SnapshotView view;
   view.epoch = 1;
   view.versions = pool->versions();
   view.pool = pool;
   SnapshotScope scope(view);
-  size_t i = 0;
+  size_t i = static_cast<size_t>(state.thread_index()) * 7;
   for (auto _ : state) {
-    PageRef ref = pool->Fetch(ids[i++ % ids.size()]).value();
+    PageRef ref = pool->Fetch(fx.ids[i++ % fx.ids.size()]).value();
     benchmark::DoNotOptimize(ref.data());
   }
 }
-BENCHMARK(BM_SnapshotFetch)->ArgName("chain_hit")->Arg(0)->Arg(1);
+BENCHMARK(BM_SnapshotFetch)
+    ->ArgName("chain_hit")
+    ->Arg(0)
+    ->Arg(1)
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime();
+
+// Pin and unpin one epoch, as every query does: with per-thread pin
+// slots the threaded runs should cost per pin what one thread does.
+void BM_EpochPinUnpin(benchmark::State& state) {
+  static std::atomic<uint64_t> epoch{1};
+  static PageVersions versions(4096);
+  static EpochManager* mgr = [] {
+    auto* m = new EpochManager(&epoch, &versions);  // never destroyed
+    m->RecordMeta(1, SnapshotMeta{});
+    return m;
+  }();
+  for (auto _ : state) {
+    EpochPin pin = mgr->Pin();
+    benchmark::DoNotOptimize(pin.epoch());
+  }
+}
+BENCHMARK(BM_EpochPinUnpin)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
 
 }  // namespace
 }  // namespace zdb

@@ -300,12 +300,41 @@ Status BTree::SplitInternal(Node* node, const Slice& key, PageId child,
 
 // ---------------------------------------------------------------- lookup
 
+void BTree::CaptureUpperPages(PageBuffer* root_page,
+                              std::vector<PageBuffer>* children) const {
+  *root_page = pool_->ResidentBuffer(root_);
+  children->clear();
+  if (!*root_page || height_ < 2) return;
+  const Node root(PageRef::Borrowed(*root_page, root_),
+                  pool_->pager()->page_size());
+  children->reserve(root.count() + 1u);
+  for (uint16_t i = 0; i <= root.count(); ++i) {
+    children->push_back(pool_->ResidentBuffer(root.Child(i)));
+  }
+}
+
+Result<PageRef> BTree::ReadPage(const SnapshotMeta* snap, uint32_t depth,
+                                uint16_t child, PageId page) const {
+  if (snap != nullptr) {
+    const PageBuffer* held = nullptr;
+    if (depth == 0) {
+      held = &snap->btree_root_page;
+    } else if (depth == 1 && child < snap->btree_root_children.size()) {
+      held = &snap->btree_root_children[child];
+    }
+    if (held != nullptr && *held) return pool_->FetchHeld(page, *held);
+  }
+  return pool_->Fetch(page);
+}
+
 Result<std::string> BTree::Get(const Slice& key) {
   const uint32_t page_size = pool_->pager()->page_size();
-  PageId page = ReadRoot();
-  for (;;) {
+  const SnapshotMeta* snap = ReadMeta();
+  PageId page = snap != nullptr ? snap->btree_root : root_;
+  uint16_t child = 0;
+  for (uint32_t depth = 0;; ++depth) {
     PageRef ref;
-    ZDB_ASSIGN_OR_RETURN(ref, pool_->Fetch(page));
+    ZDB_ASSIGN_OR_RETURN(ref, ReadPage(snap, depth, child, page));
     Node node(std::move(ref), page_size);
     if (node.is_leaf()) {
       uint16_t idx = node.LowerBound(key);
@@ -314,16 +343,19 @@ Result<std::string> BTree::Get(const Slice& key) {
       }
       return Status::NotFound();
     }
-    page = node.Child(node.UpperBound(key));
+    child = node.UpperBound(key);
+    page = node.Child(child);
   }
 }
 
 Result<Cursor> BTree::Seek(const Slice& key) {
   const uint32_t page_size = pool_->pager()->page_size();
-  PageId page = ReadRoot();
-  for (;;) {
+  const SnapshotMeta* snap = ReadMeta();
+  PageId page = snap != nullptr ? snap->btree_root : root_;
+  uint16_t child = 0;
+  for (uint32_t depth = 0;; ++depth) {
     PageRef ref;
-    ZDB_ASSIGN_OR_RETURN(ref, pool_->Fetch(page));
+    ZDB_ASSIGN_OR_RETURN(ref, ReadPage(snap, depth, child, page));
     Node node(std::move(ref), page_size);
     if (node.is_leaf()) {
       const uint16_t idx = node.LowerBound(key);
@@ -331,7 +363,8 @@ Result<Cursor> BTree::Seek(const Slice& key) {
       ZDB_RETURN_IF_ERROR(cur.PositionAt(std::move(node), idx));
       return cur;
     }
-    page = node.Child(node.UpperBound(key));
+    child = node.UpperBound(key);
+    page = node.Child(child);
   }
 }
 

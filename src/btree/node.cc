@@ -166,9 +166,9 @@ size_t Node::InternalCellSize(size_t klen) {
 }
 
 size_t Node::UsedBytes() const {
-  size_t used = 2 * count();  // slots
-  for (uint16_t i = 0; i < count(); ++i) used += CellSize(i);
-  return used;
+  // Header, slots, live cells, garbage and the gap between slots and
+  // cells tile the page, so the live payload is what FreeBytes leaves.
+  return (page_size_ - kHeaderSize) - FreeBytes();
 }
 
 size_t Node::FreeBytes() const {

@@ -31,9 +31,10 @@
 namespace zdb {
 
 /// Counters for page-level I/O. Pager increments reads/writes; BufferPool
-/// increments hits/misses/evictions. "Accesses" in benches means
-/// reads + writes (i.e. buffer-pool misses that reached the pager).
-/// Increments are relaxed atomics: safe under concurrent queries.
+/// increments misses/evictions and counts hits per thread through
+/// Pager::CountPoolHit (Pager::io_stats() fills in their sum).
+/// "Accesses" in benches means reads + writes (i.e. buffer-pool misses
+/// that reached the pager). Safe under concurrent queries.
 struct IoStats {
   std::atomic<uint64_t> page_reads{0};     ///< pages fetched from the file
   std::atomic<uint64_t> page_writes{0};    ///< pages written back to the file

@@ -12,7 +12,9 @@ EpochPin& EpochPin::operator=(EpochPin&& other) noexcept {
   if (this != &other) {
     if (mgr_ != nullptr) Release();
     mgr_ = other.mgr_;
+    slot_ = other.slot_;
     epoch_ = other.epoch_;
+    record_ = other.record_;
     owner_ = other.owner_;
     other.mgr_ = nullptr;
   }
@@ -31,7 +33,7 @@ void EpochPin::Release() {
     internal::LockAssertFail(
         "EpochPin released on a thread other than the pinning one");
   }
-  mgr_->Unpin(epoch_);
+  mgr_->Unpin(slot_, epoch_);
   mgr_ = nullptr;
 }
 
@@ -41,73 +43,151 @@ EpochManager::EpochManager(const std::atomic<uint64_t>* epoch,
 
 EpochManager::~EpochManager() {
   StopGc();
-  MutexLock lock(pin_mu_);
-  if (!pins_.empty()) {
+  bool outstanding = false;
+  slots_.ForEach([&outstanding](const EpochSlot& s) {
+    if (s.pinned.load(std::memory_order_acquire) != 0) outstanding = true;
+  });
+  if (outstanding) {
     internal::LockAssertFail("EpochPin outlives its EpochManager");
   }
 }
 
 EpochPin EpochManager::Pin() {
-  MutexLock lock(pin_mu_);
-  // Reading the epoch under pin_mu_ orders this pin against the GC
-  // cycle's floor computation: once the GC (under the same mutex) has
-  // read epoch E, every later pin sees an epoch >= E and can never need
-  // the entries the GC reclaims below it. The acquire load pairs with
-  // the writer's release publish, so the pinned state is fully visible.
-  const uint64_t e = epoch_->load(std::memory_order_acquire);
-  pins_.insert(e);
-  if (e < min_pinned_) min_pinned_ = e;
-  ++pins_taken_;
-  return EpochPin(this, e);
+  EpochSlot& slot = slots_.Local();
+  uint64_t e = epoch_->load(std::memory_order_acquire);
+  if (slot.held.empty()) {
+    // Announce, then validate (the file comment has the argument).
+    for (;;) {
+      slot.announced.store(e, std::memory_order_seq_cst);
+      const uint64_t now = epoch_->load(std::memory_order_seq_cst);
+      if (now == e) break;
+      e = now;
+    }
+  }
+  slot.held.push_back(e);
+  slot.pinned.store(static_cast<uint32_t>(slot.held.size()),
+                    std::memory_order_relaxed);
+  slot.taken.store(slot.taken.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
+  // RecordMeta(e) happened before the epoch reached e, and records at
+  // or above the floor (<= e) are never freed: the walk is safe.
+  const EpochRecord* rec = latest_.load(std::memory_order_acquire);
+  while (rec != nullptr && rec->epoch > e) {
+    rec = rec->prev.load(std::memory_order_acquire);
+  }
+  if (rec != nullptr && rec->epoch != e) rec = nullptr;
+  return EpochPin(this, &slot, e, rec);
 }
 
-void EpochManager::Unpin(uint64_t epoch) {
-  bool advanced = false;
-  {
-    MutexLock lock(pin_mu_);
-    auto it = pins_.find(epoch);
-    if (it == pins_.end()) {
-      internal::LockAssertFail("EpochPin release for an unknown epoch");
-    }
-    pins_.erase(it);
-    const uint64_t new_min = pins_.empty() ? UINT64_MAX : *pins_.begin();
-    advanced = new_min != min_pinned_;
-    min_pinned_ = new_min;
+void EpochManager::Unpin(EpochSlot* slot, uint64_t epoch) {
+  std::vector<uint64_t>& held = slot->held;
+  auto it = std::find(held.begin(), held.end(), epoch);
+  if (it == held.end()) {
+    internal::LockAssertFail("EpochPin release for an unknown epoch");
   }
-  // Lock-free nudge; the GC loop's periodic wakeup is the backstop for
-  // a notification that races its wait.
-  if (advanced) gc_cv_.NotifyOne();
+  *it = held.back();
+  held.pop_back();
+  // Release order: the GC frees what this pin protected only after it
+  // reads the new value, so this thread's reads happen before the free.
+  const uint64_t low =
+      held.empty() ? EpochSlot::kIdle
+                   : *std::min_element(held.begin(), held.end());
+  if (low != slot->announced.load(std::memory_order_relaxed)) {
+    slot->announced.store(low, std::memory_order_release);
+  }
+  slot->pinned.store(static_cast<uint32_t>(held.size()),
+                     std::memory_order_release);
 }
 
 void EpochManager::RecordMeta(uint64_t epoch, SnapshotMeta meta) {
+  auto rec = std::make_unique<EpochRecord>();
+  rec->epoch = epoch;
+  rec->meta = std::move(meta);
   MutexLock lock(gc_mu_);
-  metas_[epoch] = std::make_shared<const SnapshotMeta>(std::move(meta));
+  rec->prev.store(latest_.load(std::memory_order_relaxed),
+                  std::memory_order_relaxed);
+  latest_.store(rec.get(), std::memory_order_release);
+  records_[epoch] = std::move(rec);
 }
 
 void EpochManager::InvalidateRange(uint64_t lo, uint64_t hi, Status cause) {
   if (hi <= lo) return;
   MutexLock lock(gc_mu_);
-  // The rolled-back metas must not serve new pins (the live state they
+  // The rolled-back epochs must not serve queries (the live state they
   // described was reloaded away).
-  metas_.erase(metas_.upper_bound(lo), metas_.upper_bound(hi));
-  aborted_.push_back(AbortedRange{lo, hi, std::move(cause)});
+  for (auto it = records_.upper_bound(lo);
+       it != records_.end() && it->first <= hi; ++it) {
+    EpochRecord& r = *it->second;
+    if (r.rolled_back.load(std::memory_order_relaxed)) continue;
+    r.cause = cause;
+    r.rolled_back.store(true, std::memory_order_release);
+  }
 }
 
-Result<std::shared_ptr<const SnapshotMeta>> EpochManager::MetaAt(
-    uint64_t epoch) const {
-  MutexLock lock(gc_mu_);
-  for (const AbortedRange& r : aborted_) {
-    if (epoch > r.lo && epoch <= r.hi) {
-      return Status::Aborted("snapshot epoch " + std::to_string(epoch) +
-                             " was rolled back: " + r.cause.ToString());
+Result<const SnapshotMeta*> EpochManager::MetaAt(const EpochPin& pin) const {
+  if (pin.mgr_ != this) {
+    return Status::InvalidArgument("pin does not belong to this index");
+  }
+  const EpochRecord* rec = pin.record_;
+  if (rec == nullptr) {
+    return Status::Internal("no snapshot meta recorded for epoch " +
+                            std::to_string(pin.epoch()));
+  }
+  if (rec->rolled_back.load(std::memory_order_acquire)) {
+    return Status::Aborted("snapshot epoch " + std::to_string(rec->epoch) +
+                           " was rolled back: " + rec->cause.ToString());
+  }
+  return &rec->meta;
+}
+
+void EpochManager::EnterRead() {
+  EpochSlot& slot = slots_.Local();
+  const uint32_t n = slot.reads.load(std::memory_order_relaxed);
+  if (n > 0) {  // nested: the outer read already holds off the reload
+    slot.reads.store(n + 1, std::memory_order_relaxed);
+    return;
+  }
+  for (;;) {
+    // Announce, then test the barrier; BeginQuiesce does the mirror
+    // image, so one of the two always sees the other (all seq_cst).
+    slot.reads.store(1, std::memory_order_seq_cst);
+    if (!quiescing_.load(std::memory_order_seq_cst)) return;
+    slot.reads.store(0, std::memory_order_release);
+    MutexLock lock(quiesce_mu_);
+    while (quiescing_.load(std::memory_order_relaxed)) {
+      quiesce_cv_.Wait(quiesce_mu_);
     }
   }
-  auto it = metas_.find(epoch);
-  if (it == metas_.end()) {
-    return Status::Internal("no snapshot meta recorded for epoch " +
-                            std::to_string(epoch));
+}
+
+void EpochManager::LeaveRead() {
+  EpochSlot& slot = slots_.Local();
+  // Release: the reload that sees 0 happens after this read's accesses.
+  slot.reads.store(slot.reads.load(std::memory_order_relaxed) - 1,
+                   std::memory_order_release);
+}
+
+void EpochManager::BeginQuiesce() {
+  {
+    MutexLock lock(quiesce_mu_);
+    quiescing_.store(true, std::memory_order_seq_cst);
   }
-  return it->second;
+  for (;;) {
+    bool busy = false;
+    slots_.ForEach([&busy](const EpochSlot& s) {
+      if (s.reads.load(std::memory_order_seq_cst) != 0) busy = true;
+    });
+    if (!busy) return;
+    // Reads in flight are short (one query); a reload is the rare
+    // failure path, so polling keeps the read side free of wakeups.
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+}
+
+void EpochManager::EndQuiesce() {
+  MutexLock lock(quiesce_mu_);
+  quiescing_.store(false, std::memory_order_seq_cst);
+  quiesce_cv_.NotifyAll();
 }
 
 void EpochManager::StartGc() {
@@ -132,23 +212,33 @@ void EpochManager::StopGc() {
   gc_running_ = false;
 }
 
+uint64_t EpochManager::MinAnnounced() const {
+  uint64_t low = EpochSlot::kIdle;
+  slots_.ForEach([&low](const EpochSlot& s) {
+    low = std::min(low, s.announced.load(std::memory_order_seq_cst));
+  });
+  return low;
+}
+
 void EpochManager::RunGcCycle() {
   uint64_t floor;
   {
-    MutexLock lock(pin_mu_);
-    floor = std::min(min_pinned_, epoch_->load(std::memory_order_acquire));
+    FloorScan scan(this);
+    floor = std::min(scan.epoch(), MinAnnounced());
   }
   // Entries with as_of < floor can only be resolved by pins below the
-  // floor — none exist, and Pin() (see above) can never create one.
+  // floor — none exist, and Pin()'s validation can never create one.
   versions_->ReclaimBefore(floor);
   MutexLock lock(gc_mu_);
-  metas_.erase(metas_.begin(), metas_.lower_bound(floor));
-  aborted_.erase(std::remove_if(aborted_.begin(), aborted_.end(),
-                                [floor](const AbortedRange& r) {
-                                  return r.hi < floor;
-                                }),
-                 aborted_.end());
+  auto keep = records_.lower_bound(floor);
+  // The newest record stays whatever the floor: latest_ points at it.
+  if (keep == records_.end() && keep != records_.begin()) --keep;
+  if (keep != records_.begin()) {
+    keep->second->prev.store(nullptr, std::memory_order_relaxed);
+    records_.erase(records_.begin(), keep);
+  }
   ++gc_cycles_;
+  gc_floor_ = floor;
 }
 
 void EpochManager::GcLoop() {
@@ -156,9 +246,8 @@ void EpochManager::GcLoop() {
     {
       MutexLock lock(gc_mu_);
       if (gc_stop_) return;
-      // Periodic wakeup: reclamation floor movement is signalled by
-      // Unpin, but writers advancing the epoch with no pins around
-      // would otherwise accumulate chains until the next unpin.
+      // Periodic wakeup is the only trigger: unpinning notifies no one,
+      // so a reclaimable version waits at most this long.
       (void)gc_cv_.WaitFor(gc_mu_, std::chrono::milliseconds(10));
       if (gc_stop_) return;
     }
@@ -168,14 +257,18 @@ void EpochManager::GcLoop() {
 
 EpochStats EpochManager::stats() const {
   EpochStats st;
+  slots_.ForEach([&st](const EpochSlot& s) {
+    st.pinned += s.pinned.load(std::memory_order_relaxed);
+    st.pins_taken += s.taken.load(std::memory_order_relaxed);
+  });
   {
-    MutexLock lock(pin_mu_);
-    st.pinned = pins_.size();
-    st.min_pinned = pins_.empty() ? 0 : *pins_.begin();
-    st.pins_taken = pins_taken_;
+    FloorScan scan(this);
+    const uint64_t low = MinAnnounced();
+    st.min_pinned = low == EpochSlot::kIdle ? 0 : low;
   }
   MutexLock lock(gc_mu_);
   st.gc_cycles = gc_cycles_;
+  st.gc_floor = gc_floor_;
   return st;
 }
 

@@ -192,14 +192,16 @@ Result<PageId> SpatialIndex::CheckpointLocked() {
 
 Status SpatialIndex::ReloadLocked() {
   // Quiesce snapshot readers first: they hold no latch, but a pinned
-  // read may be mid-flight with a transient buffer-pool pin (which
-  // would fail the Discard below) or mid-dereference of the handles
-  // this reload reseats. The barrier waits those out and blocks new
-  // snapshot scopes until the reload finishes; the caller's exclusive
-  // latch keeps latched readers out as before.
-  BeginSnapshotQuiesce();
+  // read may be mid-flight, loading frames the Discard below drops or
+  // dereferencing the handles this reload reseats. The barrier waits
+  // those out and blocks new snapshot scopes until the reload
+  // finishes; the caller's exclusive latch keeps latched readers out as
+  // before. (EnableSnapshots takes commit_mu_, which the caller holds,
+  // so the manager cannot appear mid-reload.)
+  if (epoch_mgr_ == nullptr) return ReloadUnquiescedLocked();
+  epoch_mgr_->BeginQuiesce();
   Status st = ReloadUnquiescedLocked();
-  EndSnapshotQuiesce();
+  epoch_mgr_->EndQuiesce();
   return st;
 }
 

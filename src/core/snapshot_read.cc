@@ -39,6 +39,7 @@ SnapshotMeta SpatialIndex::CaptureMetaLocked() const {
   SnapshotMeta m;
   m.btree_root = btree_->root();
   m.btree_height = btree_->height();
+  btree_->CaptureUpperPages(&m.btree_root_page, &m.btree_root_children);
   m.obj_next_oid = store_->size();
   m.obj_pages = store_->pages();
   m.poly_pages = polys_->pages();
@@ -47,8 +48,8 @@ SnapshotMeta SpatialIndex::CaptureMetaLocked() const {
   return m;
 }
 
-SnapshotView SpatialIndex::MakeView(
-    uint64_t epoch, std::shared_ptr<const SnapshotMeta> meta) const {
+SnapshotView SpatialIndex::MakeView(uint64_t epoch,
+                                    const SnapshotMeta* meta) const {
   SnapshotView v;
   v.epoch = epoch;
   v.versions = pool_->versions();
@@ -57,103 +58,80 @@ SnapshotView SpatialIndex::MakeView(
   v.btree = btree_.get();
   v.objects = store_.get();
   v.polygons = polys_.get();
-  v.meta = std::move(meta);
+  v.meta = meta;
   return v;
-}
-
-Result<std::shared_ptr<const SnapshotMeta>> SpatialIndex::PinnedMeta(
-    const EpochPin& pin) const {
-  if (!snapshots_enabled()) {
-    return Status::InvalidArgument("snapshots not enabled on this index");
-  }
-  return epoch_mgr_->MetaAt(pin.epoch());
-}
-
-// ------------------------------------------------ reload quiesce barrier
-
-void SpatialIndex::EnterSnapshotRead() const {
-  MutexLock lock(snap_mu_);
-  while (snap_barrier_) snap_cv_.Wait(snap_mu_);
-  ++snap_active_;
-}
-
-void SpatialIndex::LeaveSnapshotRead() const {
-  MutexLock lock(snap_mu_);
-  if (--snap_active_ == 0 && snap_barrier_) snap_cv_.NotifyAll();
-}
-
-void SpatialIndex::BeginSnapshotQuiesce() {
-  MutexLock lock(snap_mu_);
-  snap_barrier_ = true;
-  while (snap_active_ != 0) snap_cv_.Wait(snap_mu_);
-}
-
-void SpatialIndex::EndSnapshotQuiesce() {
-  MutexLock lock(snap_mu_);
-  snap_barrier_ = false;
-  snap_cv_.NotifyAll();
 }
 
 // -------------------------------------------------- SnapshotReadScope
 
-SpatialIndex::SnapshotReadScope::SnapshotReadScope(
-    const SpatialIndex* ix, uint64_t epoch,
-    std::shared_ptr<const SnapshotMeta> meta)
-    : ix_(ix), epoch_(epoch) {
-  ix_->EnterSnapshotRead();
+SpatialIndex::SnapshotReadScope::SnapshotReadScope(const SpatialIndex* ix,
+                                                   const EpochPin& pin)
+    : ix_(ix), epoch_(pin.epoch()) {
+  if (!ix_->snapshots_enabled()) {
+    status_ = Status::InvalidArgument("snapshots not enabled on this index");
+    return;
+  }
+  ix_->epoch_mgr_->EnterRead();
+  entered_ = true;
+  // Checked after entering: a rollback marks its epochs before raising
+  // the reload barrier, so a read that waited the reload out sees the
+  // mark here.
+  Result<const SnapshotMeta*> meta = ix_->epoch_mgr_->MetaAt(pin);
+  if (!meta.ok()) {
+    status_ = meta.status();
+    return;
+  }
   // The component handles (btree_/store_/polys_) are only reseated by
-  // ReloadLocked, which waits behind the barrier this thread is now
-  // counted under — reading them without the latch is race-free.
-  scope_.emplace(ix_->MakeView(epoch_, std::move(meta)));
+  // ReloadLocked, which waits for this thread's read to leave — reading
+  // them without the latch is race-free.
+  scope_.emplace(ix_->MakeView(epoch_, meta.value()));
 }
 
 SpatialIndex::SnapshotReadScope::~SnapshotReadScope() {
   scope_.reset();
-  ix_->LeaveSnapshotRead();
+  if (entered_) ix_->epoch_mgr_->LeaveRead();
 }
 
 Result<std::unique_ptr<SpatialIndex::SnapshotReadScope>>
 SpatialIndex::OpenSnapshot(const EpochPin& pin) const {
-  std::shared_ptr<const SnapshotMeta> meta;
-  ZDB_ASSIGN_OR_RETURN(meta, PinnedMeta(pin));
-  return std::unique_ptr<SnapshotReadScope>(
-      new SnapshotReadScope(this, pin.epoch(), std::move(meta)));
+  std::unique_ptr<SnapshotReadScope> scope(new SnapshotReadScope(this, pin));
+  ZDB_RETURN_IF_ERROR(scope->status());
+  return scope;
 }
 
 // ----------------------------------------------------- pinned queries
+//
+// Each opens its scope on the stack (no allocation) and fails with the
+// scope's status when the pinned epoch cannot be read.
 
 Result<std::vector<ObjectId>> SpatialIndex::WindowQueryAt(
     const EpochPin& pin, const Rect& window, QueryStats* stats) {
-  std::shared_ptr<const SnapshotMeta> meta;
-  ZDB_ASSIGN_OR_RETURN(meta, PinnedMeta(pin));
-  SnapshotReadScope scope(this, pin.epoch(), std::move(meta));
+  SnapshotReadScope scope(this, pin);
+  ZDB_RETURN_IF_ERROR(scope.status());
   SnapshotSection section(this);
   return WindowQueryLocked(window, stats);
 }
 
 Result<std::vector<ObjectId>> SpatialIndex::PointQueryAt(
     const EpochPin& pin, const Point& p, QueryStats* stats) {
-  std::shared_ptr<const SnapshotMeta> meta;
-  ZDB_ASSIGN_OR_RETURN(meta, PinnedMeta(pin));
-  SnapshotReadScope scope(this, pin.epoch(), std::move(meta));
+  SnapshotReadScope scope(this, pin);
+  ZDB_RETURN_IF_ERROR(scope.status());
   SnapshotSection section(this);
   return PointQueryLocked(p, stats);
 }
 
 Result<std::vector<ObjectId>> SpatialIndex::ContainmentQueryAt(
     const EpochPin& pin, const Rect& window, QueryStats* stats) {
-  std::shared_ptr<const SnapshotMeta> meta;
-  ZDB_ASSIGN_OR_RETURN(meta, PinnedMeta(pin));
-  SnapshotReadScope scope(this, pin.epoch(), std::move(meta));
+  SnapshotReadScope scope(this, pin);
+  ZDB_RETURN_IF_ERROR(scope.status());
   SnapshotSection section(this);
   return ContainmentQueryLocked(window, stats);
 }
 
 Result<std::vector<ObjectId>> SpatialIndex::EnclosureQueryAt(
     const EpochPin& pin, const Rect& window, QueryStats* stats) {
-  std::shared_ptr<const SnapshotMeta> meta;
-  ZDB_ASSIGN_OR_RETURN(meta, PinnedMeta(pin));
-  SnapshotReadScope scope(this, pin.epoch(), std::move(meta));
+  SnapshotReadScope scope(this, pin);
+  ZDB_RETURN_IF_ERROR(scope.status());
   SnapshotSection section(this);
   return EnclosureQueryLocked(window, stats);
 }
@@ -162,9 +140,8 @@ Result<std::vector<std::pair<ObjectId, double>>>
 SpatialIndex::NearestNeighborsAt(const EpochPin& pin, const Point& p,
                                  size_t k, QueryStats* stats,
                                  uint32_t* rounds) {
-  std::shared_ptr<const SnapshotMeta> meta;
-  ZDB_ASSIGN_OR_RETURN(meta, PinnedMeta(pin));
-  SnapshotReadScope scope(this, pin.epoch(), std::move(meta));
+  SnapshotReadScope scope(this, pin);
+  ZDB_RETURN_IF_ERROR(scope.status());
   SnapshotSection section(this);
   return NearestNeighborsLocked(p, k, stats, rounds);
 }

@@ -386,7 +386,7 @@ class SpatialIndex {
   /// OpenSnapshot(); destroy on the creating thread, strictly nested.
   /// Construction briefly blocks while a failed-batch reload is in
   /// progress (the quiesce barrier); it never blocks on writers
-  /// otherwise.
+  /// otherwise, and takes no lock.
   class SnapshotReadScope {
    public:
     ~SnapshotReadScope();
@@ -397,14 +397,20 @@ class SpatialIndex {
 
    private:
     friend class SpatialIndex;
-    SnapshotReadScope(const SpatialIndex* ix, uint64_t epoch,
-                      std::shared_ptr<const SnapshotMeta> meta);
+    /// Counts the read in flight, then resolves `pin`'s meta; installs
+    /// the view only if that succeeded (see status()).
+    SnapshotReadScope(const SpatialIndex* ix, const EpochPin& pin);
+
+    /// OK, or why the pinned epoch cannot be read (rolled back).
+    const Status& status() const { return status_; }
 
     const SpatialIndex* ix_;
     uint64_t epoch_;
-    /// Engaged for the scope's whole life; optional only because the
-    /// TLS installer must be constructed after the quiesce-barrier
-    /// wait in the constructor body.
+    Status status_;
+    bool entered_ = false;  ///< counted as a read in flight
+    /// Engaged when status_ is OK; optional because the TLS installer
+    /// must be constructed after the quiesce-barrier wait and the meta
+    /// check in the constructor body.
     std::optional<SnapshotScope> scope_;
   };
 
@@ -650,29 +656,7 @@ class SpatialIndex {
   /// Builds the thread-local redirection record for `epoch`: tags this
   /// index's pool/tree/stores so their read paths resolve through the
   /// version chains and `meta` instead of the live state.
-  SnapshotView MakeView(uint64_t epoch,
-                        std::shared_ptr<const SnapshotMeta> meta) const;
-
-  /// Resolves `pin`'s snapshot meta (InvalidArgument before
-  /// EnableSnapshots(), Aborted for a rolled-back epoch).
-  Result<std::shared_ptr<const SnapshotMeta>> PinnedMeta(
-      const EpochPin& pin) const;
-
-  /// Reader-count gate for the reload quiesce barrier. Snapshot reads
-  /// hold no latch, but a chain-miss page resolution takes a transient
-  /// buffer-pool pin — ReloadLocked (which discards the pool cache and
-  /// reseats the tree/store handles) must wait those out. Enter blocks
-  /// while the barrier is up; reads in progress finish first.
-  void EnterSnapshotRead() const EXCLUDES(snap_mu_);
-  void LeaveSnapshotRead() const EXCLUDES(snap_mu_);
-
-  /// Raises the barrier and waits until no snapshot read is active /
-  /// lowers it again. Bracket ReloadLocked's body; the caller holds
-  /// commit_mu_ + the exclusive latch, so no new epoch can be pinned
-  /// meanwhile and snapshot readers never take either lock (no
-  /// deadlock; lock order commit_mu_ -> latch_ -> snap_mu_).
-  void BeginSnapshotQuiesce() EXCLUDES(snap_mu_);
-  void EndSnapshotQuiesce() EXCLUDES(snap_mu_);
+  SnapshotView MakeView(uint64_t epoch, const SnapshotMeta* meta) const;
 
   /// Capability bridge for the pinned read path: claims the shared
   /// latch for the thread-safety analysis WITHOUT acquiring it, so the
@@ -877,15 +861,6 @@ class SpatialIndex {
   /// a reader seeing `true` also sees the pointer.
   std::unique_ptr<EpochManager> epoch_mgr_;
   std::atomic<bool> snapshots_on_{false};
-
-  /// Reload quiesce barrier (see BeginSnapshotQuiesce). snap_mu_ is a
-  /// leaf lock on the reader side; ReloadLocked takes it while holding
-  /// commit_mu_ + the exclusive latch, extending the lock order to
-  /// commit_mu_ -> latch_ -> snap_mu_.
-  mutable Mutex snap_mu_ ACQUIRED_AFTER(commit_mu_);
-  mutable CondVar snap_cv_;
-  mutable uint32_t snap_active_ GUARDED_BY(snap_mu_) = 0;
-  bool snap_barrier_ GUARDED_BY(snap_mu_) = false;
 
   /// Commit pipeline mutex: every mutator takes it *before* latch_
   /// (lock order: commit_mu_ → latch_ → gc_mu_), and the durability

@@ -71,19 +71,14 @@ void QueryExecutor::ProcessJob(Job* job, size_t worker_idx) {
   for (;;) {
     const size_t item = job->next.fetch_add(1, std::memory_order_relaxed);
     if (item >= job->count) return;
-    bool skip;
-    {
-      MutexLock jl(job->mu);
-      skip = job->failed;
-    }
-    if (!skip) {
+    if (!job->failed.load(std::memory_order_acquire)) {
       Status s = job->fn(item, worker_idx);
       ++stats_.workers[worker_idx].tasks;
       if (!s.ok()) {
         MutexLock jl(job->mu);
-        if (!job->failed) {
-          job->failed = true;
+        if (!job->failed.load(std::memory_order_relaxed)) {
           job->first_error = std::move(s);
+          job->failed.store(true, std::memory_order_release);
         }
       }
     }
@@ -110,7 +105,8 @@ Status QueryExecutor::RunJob(
   while (job->done.load(std::memory_order_acquire) != job->count) {
     job->cv.Wait(job->mu);
   }
-  return job->failed ? job->first_error : Status::OK();
+  return job->failed.load(std::memory_order_relaxed) ? job->first_error
+                                                     : Status::OK();
 }
 
 Result<std::vector<std::vector<ObjectId>>> QueryExecutor::WindowBatch(

@@ -219,7 +219,9 @@ class QueryExecutor {
     std::atomic<size_t> done{0};
     Mutex mu;
     CondVar cv;
-    bool failed GUARDED_BY(mu) = false;
+    /// Set (release, under mu) after first_error; workers test it
+    /// lock-free before each item, so the items share no lock.
+    std::atomic<bool> failed{false};
     Status first_error GUARDED_BY(mu);
   };
 

@@ -1112,7 +1112,7 @@ std::string Server::StatsJson() const {
     w.Field("pins_taken", c.pins_taken);
     w.Field("page_versions", c.page_versions);
     w.EndObject();
-    const IoStats& eio =
+    const IoStats eio =
         db_->router()->engine(static_cast<uint32_t>(s))->pager()->io_stats();
     io_total.page_reads += eio.page_reads.load(std::memory_order_relaxed);
     io_total.page_writes += eio.page_writes.load(std::memory_order_relaxed);

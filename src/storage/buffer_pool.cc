@@ -33,28 +33,30 @@ PageRef& PageRef::operator=(PageRef&& other) noexcept {
     pool_ = other.pool_;
     shard_ = other.shard_;
     frame_ = other.frame_;
+    bytes_ = other.bytes_;
     snap_ = std::move(other.snap_);
     snap_id_ = other.snap_id_;
     other.pool_ = nullptr;
+    other.bytes_ = nullptr;
   }
   return *this;
 }
 
 PageId PageRef::id() const {
   assert(valid());
-  if (snap_) return snap_id_;
+  if (bytes_ != nullptr) return snap_id_;
   return pool_->shards_[shard_].frames[frame_].id;
 }
 
 const char* PageRef::data() const {
   assert(valid());
-  if (snap_) return snap_.data();
+  if (bytes_ != nullptr) return bytes_;
   return pool_->shards_[shard_].frames[frame_].buf.data();
 }
 
 char* PageRef::mutable_data() {
   assert(valid());
-  if (snap_) {
+  if (bytes_ != nullptr) {
     internal::LockAssertFail("mutable_data() on a snapshot-backed page");
   }
   pool_->PrepareWrite(shard_, frame_);
@@ -68,6 +70,7 @@ void PageRef::Release() {
     pool_->Unpin(shard_, frame_);
     pool_ = nullptr;
   }
+  bytes_ = nullptr;
   snap_ = PageBuffer();
 }
 
@@ -192,7 +195,7 @@ void BufferPool::PrepareWrite(uint32_t shard, uint32_t frame) {
 }
 
 void BufferPool::CountHit(ThreadIoStats* tls) {
-  ++pager_->mutable_io_stats()->pool_hits;
+  pager_->CountPoolHit();
   if (tls != nullptr) {
     ++tls->pool_hits;
     ++tls->pages_pinned;
@@ -212,9 +215,11 @@ Result<PageRef> BufferPool::SnapshotFetch(const SnapshotView& view,
       // Check the chain before loading, still under the shard lock: a
       // page this batch freed has only its chain image, and no writer
       // can load and save the page in between.
-      if (PageBuffer image = versions_.Lookup(id, view.epoch)) {
-        CountHit(tls);
-        return PageRef(std::move(image), id);
+      if (versions_.MaySaveAtOrAfter(view.epoch)) {
+        if (PageBuffer image = versions_.Lookup(id, view.epoch)) {
+          CountHit(tls);
+          return PageRef(std::move(image), id);
+        }
       }
       ++pager_->mutable_io_stats()->pool_misses;
       if (tls != nullptr) ++tls->pool_misses;
@@ -230,11 +235,25 @@ Result<PageRef> BufferPool::SnapshotFetch(const SnapshotView& view,
   // The live reference is held before the chain is checked: a writer
   // whose first mutation comes later sees the buffer shared and leaves
   // its bytes alone; one that came earlier has already saved the chain
-  // image found here.
-  if (PageBuffer image = versions_.Lookup(id, view.epoch)) {
-    return PageRef(std::move(image), id);
+  // image found here, and raised the bound the skip test reads.
+  if (versions_.MaySaveAtOrAfter(view.epoch)) {
+    if (PageBuffer image = versions_.Lookup(id, view.epoch)) {
+      return PageRef(std::move(image), id);
+    }
   }
   return PageRef(std::move(live), id);
+}
+
+PageRef BufferPool::FetchHeld(PageId id, const PageBuffer& held) {
+  CountHit(GetThreadIoStats());
+  return PageRef::Borrowed(held, id);
+}
+
+PageBuffer BufferPool::ResidentBuffer(PageId id) {
+  Shard& s = shard_for(id);
+  MutexLock lock(s.mu);
+  auto it = s.table.find(id);
+  return it == s.table.end() ? PageBuffer() : s.frames[it->second].buf;
 }
 
 Result<PageRef> BufferPool::Fetch(PageId id) {

@@ -49,7 +49,9 @@ class BufferPool;
 /// ref holds no pin (so it never blocks eviction, Delete or Discard), its
 /// bytes are immutable for its whole lifetime (the writer copies a page
 /// before mutating a buffer a reader shares, and a reused frame gets a
-/// fresh buffer), and mutable_data() aborts.
+/// fresh buffer), and mutable_data() aborts. FetchHeld hands out a third
+/// kind: a ref that borrows bytes its caller keeps alive, holding
+/// neither a pin nor a reference.
 class PageRef {
  public:
   PageRef() = default;
@@ -60,7 +62,14 @@ class PageRef {
   PageRef(const PageRef&) = delete;
   PageRef& operator=(const PageRef&) = delete;
 
-  bool valid() const { return pool_ != nullptr || static_cast<bool>(snap_); }
+  /// A ref that borrows `buf`'s bytes as page `id`. The caller keeps
+  /// the buffer alive and unmodified for the ref's lifetime. Counts no
+  /// page access (BufferPool::FetchHeld is the counted form).
+  static PageRef Borrowed(const PageBuffer& buf, PageId id) {
+    return PageRef(buf.data(), id);
+  }
+
+  bool valid() const { return pool_ != nullptr || bytes_ != nullptr; }
   PageId id() const;
 
   /// Read-only view of the page bytes.
@@ -79,11 +88,16 @@ class PageRef {
   PageRef(BufferPool* pool, uint32_t shard, uint32_t frame)
       : pool_(pool), shard_(shard), frame_(frame) {}
   PageRef(PageBuffer snap, PageId id)
-      : snap_(std::move(snap)), snap_id_(id) {}
+      : bytes_(snap.data()), snap_(std::move(snap)), snap_id_(id) {}
+  PageRef(const char* borrowed, PageId id)
+      : bytes_(borrowed), snap_id_(id) {}
 
   BufferPool* pool_ = nullptr;
   uint32_t shard_ = 0;
   uint32_t frame_ = 0;
+  /// Snapshot-backed and borrowed refs: the page bytes (snap_ holds the
+  /// reference that keeps them alive, if this ref holds one).
+  const char* bytes_ = nullptr;
   PageBuffer snap_;
   PageId snap_id_ = kInvalidPageId;
 };
@@ -100,6 +114,17 @@ class BufferPool {
 
   /// Pins page `id`, reading it from the pager on a miss. Thread-safe.
   [[nodiscard]] Result<PageRef> Fetch(PageId id);
+
+  /// Counts a pool hit for page `id` and returns a ref that borrows
+  /// `held`, bytes of that page the caller keeps alive and unmodified
+  /// for the ref's lifetime (a pinned snapshot meta's upper B+-tree
+  /// pages). No lock, no reference count, no chain lookup.
+  PageRef FetchHeld(PageId id, const PageBuffer& held);
+
+  /// The buffer of page `id` if it is resident, else a null buffer.
+  /// Counts nothing and does not touch the LRU order. The writer uses
+  /// it to share upper B+-tree pages with a snapshot meta.
+  PageBuffer ResidentBuffer(PageId id);
 
   /// Allocates a fresh page, pinned and zero-filled (and dirty).
   /// Thread-safe.
@@ -185,8 +210,12 @@ class BufferPool {
     std::atomic<uint64_t> save_stamp{0};
   };
 
+  /// try_lock attempts before a shard lock sleeps: its holders only
+  /// look up, touch or swap a frame.
+  static constexpr int kShardLockSpins = 100;
+
   struct Shard {
-    mutable Mutex mu;
+    mutable Mutex mu{kShardLockSpins};
     std::vector<Frame> frames;  ///< fixed at construction; see Frame note
     std::vector<uint32_t> free_frames GUARDED_BY(mu);
     std::unordered_map<PageId, uint32_t> table GUARDED_BY(mu);
@@ -222,8 +251,9 @@ class BufferPool {
   /// Shared body of FlushAll/FlushForCommit.
   Status FlushInternal(bool include_pinned);
 
-  /// Charges one pool hit (and one fetched page) to the pager and to
-  /// the calling thread's `tls` shadow, if any.
+  /// Charges one pool hit (and one fetched page) to the pager's
+  /// per-thread hit count and to the calling thread's `tls` shadow, if
+  /// any.
   void CountHit(ThreadIoStats* tls);
 
   /// The non-redirecting Fetch body (live frames only).
@@ -231,8 +261,9 @@ class BufferPool {
 
   /// Resolves `id` at the view's pinned epoch: the chain entry if one
   /// covers the epoch, otherwise the live frame's buffer, shared. Takes
-  /// one pool-shard and one chain-shard lock; the returned ref holds no
-  /// pin. See storage/snapshot.h for the protocol.
+  /// one pool-shard lock, and one chain-shard lock unless no version at
+  /// or after the epoch can exist; the returned ref holds no pin. See
+  /// storage/snapshot.h for the protocol.
   Result<PageRef> SnapshotFetch(const SnapshotView& view, PageId id);
 
   /// First-mutation hook behind PageRef::mutable_data(): once per

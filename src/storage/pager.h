@@ -19,6 +19,7 @@
 
 #include "common/metrics.h"
 #include "common/mutex.h"
+#include "common/thread_slots.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
 #include "storage/file.h"
@@ -124,8 +125,19 @@ class Pager {
   /// Persists the header (page count, free list) and syncs the file.
   [[nodiscard]] Status Sync() EXCLUDES(mu_);
 
-  const IoStats& io_stats() const { return io_; }
+  /// A snapshot of the counters; pool_hits is summed over the
+  /// per-thread hit counts at the call.
+  IoStats io_stats() const {
+    IoStats s = io_;
+    s.pool_hits.store(pool_hits_.Sum(), std::memory_order_relaxed);
+    return s;
+  }
+  /// Misses, evictions, reads and writes. Hits go through CountPoolHit.
   IoStats* mutable_io_stats() { return &io_; }
+
+  /// Counts one buffer-pool hit on the calling thread's own counter, so
+  /// concurrent hits share no cache line.
+  void CountPoolHit() { pool_hits_.Add(); }
 
   /// Simulated device latency added to every ReadPage, in microseconds.
   /// The stall is taken *before* the internal mutex, so concurrent
@@ -174,6 +186,8 @@ class Pager {
   uint32_t live_pages_ GUARDED_BY(mu_) = 0;
   PageId freelist_head_ GUARDED_BY(mu_) = kInvalidPageId;
   IoStats io_;  ///< relaxed atomics; read concurrently without mu_
+                ///< (its pool_hits stays 0: hits live in pool_hits_)
+  ThreadCounter pool_hits_;
   std::atomic<uint32_t> sim_read_latency_us_{0};
 
   /// Atomic so in_batch() may be polled without the pager mutex (e.g.

@@ -32,6 +32,15 @@ void PageBuffer::Free(Rep* rep) {
 
 void PageVersions::SaveBeforeImage(PageId page, uint64_t as_of,
                                    PageBuffer image) {
+  // Published before the entry, so a reader that finds the bound low
+  // (after taking the pool-shard mutex this save runs under) can rely
+  // on there being no entry for its epoch.
+  uint64_t bound = as_of_bound_.load(std::memory_order_relaxed);
+  while (bound < as_of + 1 &&
+         !as_of_bound_.compare_exchange_weak(bound, as_of + 1,
+                                             std::memory_order_release,
+                                             std::memory_order_relaxed)) {
+  }
   Shard& s = shard_for(page);
   MutexLock lock(s.mu);
   std::vector<Entry>& chain = s.chains[page];

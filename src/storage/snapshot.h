@@ -36,11 +36,19 @@
 // other path that overwrites a frame (a load after a miss, New, reuse
 // after eviction, Delete or Discard) replaces a shared buffer first.
 //
+// A reader skips the chain (and its shard mutex) when no entry with
+// as_of at or above its epoch has ever been saved: the writer records
+// the newest as_of it saves before the save, under the pool-shard
+// mutex, and the reader tests it after taking its live reference under
+// that mutex. A writer whose save came first in that mutex's order
+// published the stamp before the reader's test; one that came later
+// found the reader's reference and left the bytes alone.
+//
 // Chains are append-only per page (epochs are monotonic), so entries
 // stay sorted by as_of without re-sorting. ReclaimBefore(M) drops every
 // entry with as_of < M: no pin below M exists or can be created (the
-// epoch manager computes M under its pin mutex), so nothing can look
-// those entries up again.
+// epoch manager's announce-then-validate pins, core/epoch.h), so
+// nothing can look those entries up again.
 
 #ifndef ZDB_STORAGE_SNAPSHOT_H_
 #define ZDB_STORAGE_SNAPSHOT_H_
@@ -50,7 +58,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -110,8 +117,10 @@ class PageBuffer {
   struct Rep {
     std::atomic<uint32_t> refs{1};
   };
-  /// The bytes follow the count, kept at malloc alignment.
-  static constexpr size_t kHeader = alignof(std::max_align_t);
+  /// The bytes start a cache line after the count: readers of a hot
+  /// page change the count on every fetch, and must not evict each
+  /// other's copy of the page header with it.
+  static constexpr size_t kHeader = 64;
   static_assert(sizeof(Rep) <= kHeader);
 
   static char* BytesOf(Rep* rep) {
@@ -146,12 +155,20 @@ class PageVersions {
   /// *first* save holds the true pre-batch bytes, and re-saves
   /// (checkpoint + batch sharing a stamp, a freed page re-deleted) must
   /// not overwrite it. The chain adopts `image` (page_size bytes);
-  /// no one may write its bytes again.
+  /// no one may write its bytes again. The caller holds the page's
+  /// pool-shard mutex (MaySaveAtOrAfter's ordering rests on it).
   void SaveBeforeImage(PageId page, uint64_t as_of, PageBuffer image);
 
   /// First chain entry with as_of >= epoch, or a null buffer if the live
   /// frame is current for `epoch`.
   PageBuffer Lookup(PageId page, uint64_t epoch) const;
+
+  /// False when no entry with as_of >= epoch has ever been saved, so
+  /// Lookup(page, epoch) would find nothing for any page. Ordered
+  /// against saves by the caller (see the file comment).
+  bool MaySaveAtOrAfter(uint64_t epoch) const {
+    return as_of_bound_.load(std::memory_order_acquire) > epoch;
+  }
 
   /// Drops every entry with as_of < min_epoch. Called by the GC thread
   /// once no pin at or below those epochs can exist.
@@ -179,6 +196,8 @@ class PageVersions {
 
   const uint32_t page_size_;
   std::array<Shard, kShards> shards_;
+  /// One past the highest as_of ever saved (0: nothing saved yet).
+  std::atomic<uint64_t> as_of_bound_{0};
   std::atomic<uint64_t> live_{0};
   std::atomic<uint64_t> bytes_{0};
   std::atomic<uint64_t> saved_{0};
@@ -187,11 +206,18 @@ class PageVersions {
 
 /// The non-page index state a pinned reader needs, captured by the
 /// writer under the exclusive latch at every publish. Everything here
-/// is a value copy — a reader holding the meta shares nothing mutable
-/// with later writers.
+/// is a value copy or a shared immutable page buffer — a reader holding
+/// the meta shares nothing mutable with later writers.
 struct SnapshotMeta {
   PageId btree_root = kInvalidPageId;
   uint32_t btree_height = 1;
+  /// The B+-tree's upper two levels at this epoch: the root page, and
+  /// (when the root is internal) child i of the root at index i. Taken
+  /// from the resident frames' buffers, which writers no longer mutate
+  /// once this meta shares them. A null buffer (page not resident at
+  /// capture) sends the read through the pool.
+  PageBuffer btree_root_page;
+  std::vector<PageBuffer> btree_root_children;
   uint32_t obj_next_oid = 0;
   std::vector<PageId> obj_pages;
   std::vector<PageId> poly_pages;
@@ -218,7 +244,8 @@ struct SnapshotView {
   const void* btree = nullptr;
   const void* objects = nullptr;
   const void* polygons = nullptr;
-  std::shared_ptr<const SnapshotMeta> meta;
+  /// The pinned epoch's meta; the pin keeps it alive.
+  const SnapshotMeta* meta = nullptr;
   const SnapshotView* prev = nullptr;
 
   static const SnapshotView* FindPool(const void* pool);

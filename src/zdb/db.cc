@@ -358,7 +358,7 @@ const IndexBuildStats& DB::build_stats() const {
   return impl_->router->index(0)->build_stats();
 }
 
-const IoStats& DB::io_stats() const {
+IoStats DB::io_stats() const {
   return impl_->router->engine(0)->pager()->io_stats();
 }
 

@@ -257,7 +257,7 @@ class DB {
 
   /// Cumulative page I/O counters of shard 0's pager (the only pager of
   /// a single-shard DB).
-  const IoStats& io_stats() const;
+  IoStats io_stats() const;
 
   /// Benchmarking aid: simulated per-page-read device latency on every
   /// shard (see Pager::set_simulated_read_latency_us).

@@ -219,6 +219,19 @@ TEST(NetSocket, WriteSomeWouldBlockThenResumes) {
   bool saw_would_block = false;
   std::vector<char> sink(64 * 1024);
   size_t received = 0;
+  // Fill first, reading nothing, so the kernel must refuse at some
+  // point however fast the peer would drain.
+  while (!saw_would_block && sent < blob.size()) {
+    size_t n = 0;
+    auto w =
+        WriteSome(pair.client, blob.data() + sent, blob.size() - sent, &n);
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    if (w.value() == IoEvent::kWouldBlock) {
+      saw_would_block = true;
+    } else {
+      sent += n;
+    }
+  }
   while (sent < blob.size() || received < blob.size()) {
     if (sent < blob.size()) {
       size_t n = 0;

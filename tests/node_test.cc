@@ -168,5 +168,51 @@ TEST_F(NodeTest, MaxCellSizeLeavesRoomForFour) {
   EXPECT_TRUE(leaf.LeafInsert(2, "c", big));
 }
 
+/// The live payload by walking every cell: slots plus serialized cells.
+size_t WalkUsedBytes(const Node& node) {
+  size_t used = 2u * node.count();
+  for (uint16_t i = 0; i < node.count(); ++i) {
+    used += node.is_leaf() ? Node::LeafCellSize(node.Key(i).size(),
+                                                node.Value(i).size())
+                           : Node::InternalCellSize(node.Key(i).size());
+  }
+  return used;
+}
+
+// UsedBytes is computed from the header (page minus header minus free
+// space); it must equal the cell walk after any sequence of inserts,
+// removes, value rewrites and compactions, on both node kinds.
+TEST_F(NodeTest, UsedBytesMatchesCellWalkUnderRandomChurn) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Random rng(seed);
+    for (Node::Type type : {Node::Type::kLeaf, Node::Type::kInternal}) {
+      Node node = MakeNode(type);
+      for (int step = 0; step < 300; ++step) {
+        const uint64_t op = rng.Uniform(10);
+        const uint16_t n = node.count();
+        if (op < 5) {
+          const std::string key(1 + rng.Uniform(24), 'k');
+          const uint16_t at = static_cast<uint16_t>(rng.Uniform(n + 1u));
+          if (node.is_leaf()) {
+            (void)node.LeafInsert(at, key, std::string(rng.Uniform(40), 'v'));
+          } else {
+            (void)node.InternalInsert(at, key,
+                                      static_cast<PageId>(rng.Uniform(999)));
+          }
+        } else if (op < 8 && n > 0) {
+          node.Remove(static_cast<uint16_t>(rng.Uniform(n)));
+        } else if (op < 9 && n > 0 && node.is_leaf()) {
+          (void)node.LeafSetValue(static_cast<uint16_t>(rng.Uniform(n)),
+                                  std::string(rng.Uniform(60), 'w'));
+        } else {
+          node.Compact();
+        }
+        ASSERT_EQ(node.UsedBytes(), WalkUsedBytes(node)) << "step " << step;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace zdb

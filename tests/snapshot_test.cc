@@ -469,7 +469,9 @@ TEST(SnapshotGc, ReleasedPinAllowsVersionReclamation) {
 }
 
 // The floor is min over ALL pins: releasing a newer pin while an older
-// one is parked must keep every chain the older pin can still resolve.
+// one is parked must keep every chain the older pin can still resolve —
+// also when the released pin sits between two held ones on the same
+// thread, so the thread's announced epoch must fall back to the oldest.
 TEST(SnapshotGc, FloorIsMinimumAcrossPins) {
   const uint64_t seed = SeedFromEnv(kSeedEnv, kDefaultSeed + 5);
   const Workload w = MakeWorkload(seed, SnapshotShape());
@@ -490,18 +492,21 @@ TEST(SnapshotGc, FloorIsMinimumAcrossPins) {
   for (size_t b = half; b < w.batches.size(); ++b) {
     ASSERT_TRUE(index->ApplyBatch(w.batches[b]).ok());
   }
+  EpochPin new_pin = index->PinEpoch();
 
   const EpochStats es = index->epoch_stats();
-  EXPECT_EQ(es.pinned, 2u);
+  EXPECT_EQ(es.pinned, 3u);
   EXPECT_EQ(es.min_pinned, base);
-  EXPECT_GE(es.pins_taken, 2u);
+  EXPECT_GE(es.pins_taken, 3u);
 
   // Dropping the NEWER pin must not free what the older pin needs.
   mid_pin.Release();
   index->epochs()->RunGcCycle();
+  EXPECT_LE(index->epoch_stats().gc_floor, old_pin.epoch());
   EXPECT_TRUE(CheckPinAgainstState(index.get(), old_pin, w, w.states[0]));
 
   old_pin.Release();
+  new_pin.Release();
   index->epochs()->RunGcCycle();
   EXPECT_EQ(index->version_stats().live, 0u);
 }
@@ -726,6 +731,205 @@ TEST(Snapshot, PinnedReadsStableAcrossGroupCommitBoundaries) {
   EXPECT_EQ(db->index()->WindowQueryAt(pin, Rect{0, 0, 1, 1}).value(),
             before);
   EXPECT_EQ(db->Window(Rect{0, 0, 1, 1}).value().size(), 16u);
+}
+
+// ------------------------------------------- pin slots and hit counts
+
+// Unpinning wakes nobody: the GC's 10 ms timer alone reclaims. Many
+// pin/unpin pairs therefore add no GC cycles beyond the timer's, yet a
+// released pin's versions still go within a bounded time.
+TEST(SnapshotGc, ReclaimsOnTimerWithoutUnpinWakeups) {
+  const uint64_t seed = SeedFromEnv(kSeedEnv, kDefaultSeed + 8);
+  const Workload w = MakeWorkload(seed, SnapshotShape());
+
+  auto pager = Pager::OpenInMemory(512);
+  BufferPool pool(pager.get(), 64);
+  auto index = BuildIndex(&pool, w);
+  ASSERT_TRUE(index->EnableSnapshots().ok());
+
+  // With no other pin held, each of these unpins raises the minimum
+  // pinned epoch (to "none"): a design that wakes the GC whenever the
+  // minimum moves would run about one cycle per pair.
+  const uint64_t cycles0 = index->epoch_stats().gc_cycles;
+  const auto t0 = std::chrono::steady_clock::now();
+  constexpr int kPairs = 200000;
+  std::thread churn([&] {
+    for (int i = 0; i < kPairs; ++i) {
+      const EpochPin pin = index->PinEpoch();
+      (void)pin.epoch();
+    }
+  });
+  churn.join();
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+  const uint64_t cycles = index->epoch_stats().gc_cycles - cycles0;
+  // One timer cycle per 10 ms, doubled, plus slack for scheduling.
+  EXPECT_LE(cycles, static_cast<uint64_t>(elapsed_ms / 10.0) * 2 + 5)
+      << kPairs << " pin/unpin pairs in " << elapsed_ms << " ms";
+
+  // Versions kept for a parked pin go within a bounded time of its
+  // release, with nothing but the timer to trigger the GC.
+  EpochPin parked = index->PinEpoch();
+  for (const WriteBatch& batch : w.batches) {
+    ASSERT_TRUE(index->ApplyBatch(batch).ok());
+  }
+  ASSERT_GT(index->version_stats().live, 0u);
+  parked.Release();
+  const auto released = std::chrono::steady_clock::now();
+  while (index->version_stats().live != 0 &&
+         std::chrono::steady_clock::now() - released <
+             std::chrono::seconds(2)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(index->version_stats().live, 0u);
+}
+
+// Many threads take nested pins and release them out of order while a
+// writer publishes every batch and the GC runs both on its timer and in
+// a tight loop. Every pinned answer must equal the oracle at its epoch,
+// and no reclamation floor may ever pass a pin that is still held.
+TEST(SnapshotStress, PinSlotsNestedOutOfOrderUnderChurn) {
+  const uint64_t seed = SeedFromEnv(kSeedEnv, kDefaultSeed + 9);
+  SCOPED_TRACE(SeedReplayHint(kSeedEnv, seed));
+  const Workload w = MakeWorkload(seed, SnapshotShape());
+
+  auto pager = Pager::OpenInMemory(512);
+  BufferPool pool(pager.get(), 64);
+  auto index = BuildIndex(&pool, w);
+  ASSERT_TRUE(index->EnableSnapshots().ok());
+  const uint64_t base = index->write_epoch();
+
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> failures{0};
+
+  // One query of the rotating set at `pin`, against its oracle state.
+  const auto check = [&](const EpochPin& pin, size_t i) {
+    const uint64_t k = pin.epoch() - base;
+    if (k >= w.states.size()) return false;
+    const OracleState& st = w.states[k];
+    const Rect& win = w.windows[i % w.windows.size()];
+    const Point& pt = w.points[i % w.points.size()];
+    auto wr = index->WindowQueryAt(pin, win);
+    auto pr = index->PointQueryAt(pin, pt);
+    return wr.ok() && pr.ok() && wr.value() == ExpectedWindow(st, win) &&
+           pr.value() == ExpectedPoint(st, pt);
+  };
+  // The latest floor must not pass any pin this thread still holds.
+  const auto floor_ok = [&](const EpochPin& pin) {
+    return index->epoch_stats().gc_floor <= pin.epoch();
+  };
+
+  constexpr size_t kReaders = 4;
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      size_t rounds = 0;
+      while (!writer_done.load(std::memory_order_acquire) || rounds < 2) {
+        EpochPin outer = index->PinEpoch();
+        if (!check(outer, t + rounds)) ++failures;
+        EpochPin inner = index->PinEpoch();
+        if (inner.epoch() < outer.epoch()) ++failures;
+        EpochPin innermost = index->PinEpoch();
+        // Out of order: the middle pin goes first, then the outermost.
+        inner.Release();
+        if (!check(outer, t + rounds + 1) || !floor_ok(outer)) ++failures;
+        outer.Release();
+        if (!check(innermost, t + rounds + 2) || !floor_ok(innermost)) {
+          ++failures;
+        }
+        innermost.Release();
+        ++rounds;
+      }
+    });
+  }
+  std::thread gc([&] {
+    while (!writer_done.load(std::memory_order_acquire)) {
+      index->epochs()->RunGcCycle();
+      std::this_thread::yield();
+    }
+  });
+  std::thread writer([&] {
+    for (const WriteBatch& batch : w.batches) {
+      if (!index->ApplyBatch(batch).ok()) {
+        ++failures;
+        break;
+      }
+    }
+    writer_done.store(true, std::memory_order_release);
+  });
+
+  writer.join();
+  gc.join();
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(failures.load(), 0);
+  const EpochStats es = index->epoch_stats();
+  EXPECT_EQ(es.pinned, 0u);
+  EXPECT_GE(es.pins_taken, kReaders * 3 * 2);
+}
+
+// The meta of a pinned epoch holds the B+-tree's upper two levels. A
+// root split after the pin (the tree grows a level and the old root
+// becomes a child) must not change what the pin reads.
+TEST(Snapshot, RootSplitAfterPinKeepsPinnedAnswer) {
+  auto pager = Pager::OpenInMemory(512);
+  BufferPool pool(pager.get(), 256);
+  SpatialIndexOptions opt;
+  opt.data = DecomposeOptions::SizeBound(8);
+  auto index = SpatialIndex::Create(&pool, opt).value();
+  OracleState st;
+  DataGenOptions dg;
+  dg.seed = 77;
+  const std::vector<Rect> data = GenerateData(400, dg);
+  for (size_t i = 0; i < 40; ++i) {
+    ASSERT_EQ(index->Insert(data[i]).value(), static_cast<ObjectId>(i));
+    st[static_cast<ObjectId>(i)] = data[i];
+  }
+  ASSERT_TRUE(index->EnableSnapshots().ok());
+
+  const EpochPin pin = index->PinEpoch();
+  const uint32_t height = index->btree()->height();
+  ASSERT_GE(height, 2u) << "the pinned meta should hold root and children";
+  const Rect everything{0, 0, 1, 1};
+  const Rect corner{0.1, 0.1, 0.45, 0.4};
+  const auto all_before = index->WindowQueryAt(pin, everything).value();
+  ASSERT_EQ(all_before, ExpectedWindow(st, everything));
+
+  for (size_t i = 40; i < data.size(); ++i) {
+    ASSERT_TRUE(index->Insert(data[i]).ok());
+  }
+  ASSERT_GT(index->btree()->height(), height) << "the root must have split";
+
+  EXPECT_EQ(index->WindowQueryAt(pin, everything).value(), all_before);
+  EXPECT_EQ(index->WindowQueryAt(pin, corner).value(),
+            ExpectedWindow(st, corner));
+  EXPECT_EQ(index->WindowQuery(everything).value().size(), data.size());
+}
+
+// Pool hits are counted per thread and summed when the stats are read:
+// K threads making M hits each add exactly K*M.
+TEST(SnapshotCounters, PoolHitsSumExactlyAcrossThreads) {
+  auto pager = Pager::OpenInMemory(512);
+  BufferPool pool(pager.get(), 64);
+  std::vector<PageId> ids;
+  for (int i = 0; i < 16; ++i) ids.push_back(pool.New().value().id());
+
+  constexpr size_t kThreads = 4;
+  constexpr size_t kHits = 5000;
+  const IoStats before = pager->io_stats();
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < kHits; ++i) {
+        PageRef ref = pool.Fetch(ids[(t + i) % ids.size()]).value();
+        (void)ref.data();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const IoStats d = pager->io_stats().Since(before);
+  EXPECT_EQ(d.pool_hits.load(), kThreads * kHits);
+  EXPECT_EQ(d.pool_misses.load(), 0u);
 }
 
 }  // namespace

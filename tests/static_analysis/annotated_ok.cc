@@ -2,6 +2,8 @@
 // compile warning-clean, proving the suite's flags reject the violations
 // and not the annotation vocabulary itself.
 
+#include <cstdint>
+
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 
@@ -65,7 +67,38 @@ struct Disciplined {
   }
 };
 
+// min_pinned_epoch_bypass.cc, done right: the slot scan runs inside the
+// scoped FloorScan, which loads the epoch first.
+class CAPABILITY("pin-slot scan") SlotScan {};
+
+struct OrderedFloor {
+  uint64_t epoch = 9;
+  uint64_t announced = 3;
+  SlotScan scan;
+
+  class SCOPED_CAPABILITY FloorScan {
+   public:
+    explicit FloorScan(OrderedFloor* f) ACQUIRE_SHARED(f->scan)
+        : epoch_(f->epoch) {}
+    ~FloorScan() RELEASE() {}
+    uint64_t epoch() const { return epoch_; }
+
+   private:
+    const uint64_t epoch_;
+  };
+
+  uint64_t MinAnnounced() const REQUIRES_SHARED(scan) { return announced; }
+
+  uint64_t ReclamationFloor() {
+    FloorScan fs(this);
+    const uint64_t low = MinAnnounced();
+    return low < fs.epoch() ? low : fs.epoch();
+  }
+};
+
 int main() {
+  OrderedFloor f;
+  (void)f.ReclamationFloor();
   Disciplined d;
   d.Bump();
   d.Insert();

@@ -20,10 +20,11 @@
 //   lock-order       lock acquisitions, propagated across translation
 //                    units through the call graph, must conform to the
 //                    declared partial order (commit_mu_ -> latch_ ->
-//                    {gc_mu_, snap_mu_}, pin_mu_ -> gc_mu_, router_mu_
-//                    -> epoch_mu_) — catching inversions the per-member
-//                    ACQUIRED_AFTER annotations cannot see because the
-//                    two acquisitions live in different TUs.
+//                    {gc_mu_, the epoch manager's gc_mu_ and
+//                    quiesce_mu_}, router_mu_ -> epoch_mu_) — catching
+//                    inversions the per-member ACQUIRED_AFTER
+//                    annotations cannot see because the two
+//                    acquisitions live in different TUs.
 //
 // The tool is deliberately self-contained: it lexes the project sources
 // itself (comments/strings/preprocessor scrubbed, token stream with line
