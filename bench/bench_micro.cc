@@ -175,11 +175,19 @@ void BM_PoolFetchHit(benchmark::State& state) {
 }
 BENCHMARK(BM_PoolFetchHit);
 
+/// Pages in BM_SnapshotFetch's pool: 64 MiB of 4 KiB pages, far larger
+/// than L2, so a fetch of a random page pays the cache misses the served
+/// read path pays.
+constexpr size_t kFetchPages = 16384;
+
 /// Warm pools for BM_SnapshotFetch, one per chain_hit setting, shared
-/// by every thread of a run (built once, on first use).
+/// by every thread of a run (built once, on first use). Every page is
+/// resident.
 struct FetchFixture {
-  explicit FetchFixture(bool chain_hit)
-      : env(MakeEnv(4096, 256)), ids(CachePages(env.pool.get())) {
+  explicit FetchFixture(bool chain_hit) : env(MakeEnv(4096, kFetchPages)) {
+    for (size_t i = 0; i < kFetchPages; ++i) {
+      ids.push_back(env.pool->New().value().id());
+    }
     if (chain_hit) {
       env.pool->ArmVersioning(2);
       for (PageId id : ids) {
@@ -197,11 +205,12 @@ FetchFixture& SharedFetchFixture(bool chain_hit) {
   return chain_hit ? chained : live;
 }
 
-// A pinned reader's page fetch under an installed SnapshotView. With
-// chain_hit=0 no writer has touched the pages, so the live frame is
-// current and the chain is skipped; with chain_hit=1 an armed writer
-// has mutated every page, so the fetch resolves to the version-chain
-// image. The threaded runs fetch the same 64 pages from one pool.
+// A pinned reader's page fetch under an installed SnapshotView, of a
+// random page of a 16k-page resident pool. With chain_hit=0 no writer
+// has touched the pages, so the live frame is current and the chain is
+// skipped; with chain_hit=1 an armed writer has mutated every page, so
+// the fetch resolves to the version-chain image. The threaded runs
+// fetch from one pool.
 void BM_SnapshotFetch(benchmark::State& state) {
   FetchFixture& fx = SharedFetchFixture(state.range(0) != 0);
   BufferPool* pool = fx.env.pool.get();
@@ -210,10 +219,12 @@ void BM_SnapshotFetch(benchmark::State& state) {
   view.versions = pool->versions();
   view.pool = pool;
   SnapshotScope scope(view);
-  size_t i = static_cast<size_t>(state.thread_index()) * 7;
+  // A per-thread LCG: cheaper than the fetch it picks a page for.
+  uint64_t x = 0x9E3779B97F4A7C15ull * (state.thread_index() + 1);
   for (auto _ : state) {
-    PageRef ref = pool->Fetch(fx.ids[i++ % fx.ids.size()]).value();
-    benchmark::DoNotOptimize(ref.data());
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    PageRef ref = pool->Fetch(fx.ids[(x >> 33) % fx.ids.size()]).value();
+    benchmark::DoNotOptimize(ref.data()[0]);
   }
 }
 BENCHMARK(BM_SnapshotFetch)
@@ -221,6 +232,7 @@ BENCHMARK(BM_SnapshotFetch)
     ->Arg(0)
     ->Arg(1)
     ->Threads(1)
+    ->Threads(2)
     ->Threads(4)
     ->UseRealTime();
 

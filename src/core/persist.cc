@@ -140,6 +140,18 @@ Result<PageId> SpatialIndex::Checkpoint() {
 }
 
 Result<PageId> SpatialIndex::CheckpointLocked() {
+  // The checkpoint's pages (the B+-tree meta page, the directory chains
+  // and the master page) are never read through a snapshot, so its
+  // writes save no before-images: those would outlive every pin until
+  // the next publish, and lift the chain bound above the current epoch
+  // so that every snapshot fetch took the chain mutex meanwhile.
+  struct Unversioned {
+    BufferPool* pool;
+    uint64_t stamp;
+    ~Unversioned() { pool->ArmVersioning(stamp); }
+  } unversioned{pool_, pool_->versioning_stamp()};
+  pool_->ArmVersioning(0);
+
   ZDB_RETURN_IF_ERROR(btree_->Flush());
 
   // Rewrite the directory chains (free previous versions first).

@@ -756,8 +756,8 @@ class SpatialIndex {
       ix_->LatchExclusive();
       // Arm copy-on-write for this batch: first mutation of any page
       // saves its pre-batch image tagged with the current (pre-bump)
-      // epoch. The stamp is re-armed per section; the keep-first rule
-      // in PageVersions makes a checkpoint sharing the stamp harmless.
+      // epoch. The stamp is re-armed per section; a checkpoint inside
+      // the section disarms it for its own writes (CheckpointLocked).
       if (ix_->snapshots_on_.load(std::memory_order_relaxed)) {
         ix_->pool_->ArmVersioning(ix_->write_epoch() + 1);
       }

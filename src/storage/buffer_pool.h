@@ -7,31 +7,42 @@
 // experimental setups).
 //
 // Concurrency: the pool is safe for concurrent Fetch/New/Delete and for
-// concurrent PageRef release. The page table is sharded by page id; each
-// shard has its own mutex, frames, free list and LRU clock, so readers on
-// different shards never contend. Pin counts are atomics released without
-// a lock; eviction only considers frames whose pin count is zero *while
-// holding the shard lock*, and new pins are only created under that same
-// lock, so eviction can never race a pin. Snapshot fetches (Fetch under
-// an installed SnapshotView) take no pin at all: they share the frame's
-// ref-counted page buffer, and every path that overwrites a frame gives
-// it a fresh buffer first if anyone still holds the old one. Small pools
-// (< 32 frames) use a single shard, preserving the exact global-LRU
-// semantics the cold-cache experiments rely on. FlushAll/Clear lock all
-// shards and are intended to be called from one thread with no
-// concurrent mutators.
+// concurrent PageRef release. Frames are split into shards by page id;
+// each shard has its own mutex, frames, free list and LRU clock. One
+// atomic open-addressing page table maps page id to frame, a region per
+// shard, written only under that shard's mutex. Pinned fetches
+// (FetchLive, New) and every miss take the shard mutex. Pin counts are
+// atomics released without a lock; eviction only considers frames whose
+// pin count is zero *while holding the shard lock*, and new pins are
+// only created under that same lock, so eviction can never race a pin.
+//
+// Snapshot fetches (Fetch under an installed SnapshotView) of a resident
+// page take no lock, change no reference count and write no shared
+// cache line: they probe the page table, announce the frame's buffer in
+// a per-thread hazard slot and re-check the frame (storage/snapshot.h
+// has the protocol). Their LRU stamp is approximate: a hit raises the
+// frame's stamp to the shard clock only when it is behind it, and the
+// clock advances on loads, New and pinned hits, so an all-resident pool
+// takes no write on a snapshot hit. Pinned hits keep the exact LRU that
+// the single-shard experiment pools rely on.
+//
+// Small pools (< 32 frames) use a single shard, preserving the exact
+// global-LRU semantics the cold-cache experiments rely on.
+// FlushAll/Clear lock all shards and are intended to be called from one
+// thread with no concurrent mutators.
 
 #ifndef ZDB_STORAGE_BUFFER_POOL_H_
 #define ZDB_STORAGE_BUFFER_POOL_H_
 
 #include <atomic>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
+#include "common/thread_slots.h"
 #include "storage/pager.h"
 #include "storage/snapshot.h"
 
@@ -40,18 +51,23 @@ namespace zdb {
 class BufferPool;
 
 /// RAII pin on a cached page. While a PageRef is alive the frame cannot be
-/// evicted and its data pointer stays valid. Move-only. A PageRef may be
-/// released from any thread.
+/// evicted and its data pointer stays valid. Move-only. A pinned PageRef
+/// may be released from any thread.
 ///
-/// A PageRef returned by Fetch under an installed SnapshotView is instead
-/// backed by a shared PageBuffer: a version-chain image, or the live
-/// frame's own buffer when that is current for the view's epoch. Such a
-/// ref holds no pin (so it never blocks eviction, Delete or Discard), its
-/// bytes are immutable for its whole lifetime (the writer copies a page
-/// before mutating a buffer a reader shares, and a reused frame gets a
-/// fresh buffer), and mutable_data() aborts. FetchHeld hands out a third
-/// kind: a ref that borrows bytes its caller keeps alive, holding
-/// neither a pin nor a reference.
+/// A PageRef returned by Fetch under an installed SnapshotView holds no
+/// pin (so it never blocks eviction, Delete or Discard) and its bytes
+/// are immutable for its whole lifetime; mutable_data() aborts. It is
+/// one of:
+///   * a hazard ref on the live frame's buffer: one of the fetching
+///     thread's hazard slots names the buffer, so the pool neither
+///     reuses nor frees it. Thread-affine: releasing (or destroying) it
+///     on another thread aborts.
+///   * a borrowed version-chain image, kept alive by the reader's epoch
+///     pin.
+///   * a counted ref on the live buffer, when all the thread's hazard
+///     slots are in use.
+/// FetchHeld and Borrowed hand out borrowed refs on bytes the caller
+/// keeps alive.
 class PageRef {
  public:
   PageRef() = default;
@@ -76,30 +92,38 @@ class PageRef {
   const char* data() const;
 
   /// Mutable view; automatically marks the page dirty and, when the
-  /// pool's versioning is armed, saves the page's pre-batch image into
-  /// the version chains first (copy-on-write for pinned readers).
+  /// pool's versioning is armed, first hands the page's pre-batch
+  /// buffer to the version chains and moves the frame to a copy.
   char* mutable_data();
 
-  /// Drops the pin early (also done by the destructor).
+  /// Drops the pin, hazard or reference early (also done by the
+  /// destructor).
   void Release();
 
  private:
   friend class BufferPool;
   PageRef(BufferPool* pool, uint32_t shard, uint32_t frame)
       : pool_(pool), shard_(shard), frame_(frame) {}
-  PageRef(PageBuffer snap, PageId id)
-      : bytes_(snap.data()), snap_(std::move(snap)), snap_id_(id) {}
+  PageRef(PageBuffer counted, PageId id)
+      : bytes_(counted.data()), counted_(std::move(counted)), snap_id_(id) {}
   PageRef(const char* borrowed, PageId id)
       : bytes_(borrowed), snap_id_(id) {}
+  PageRef(std::atomic<const char*>* hazard, const char* bytes, PageId id)
+      : bytes_(bytes),
+        snap_id_(id),
+        hazard_(hazard),
+        hazard_owner_(ThisThreadIndex()) {}
 
   BufferPool* pool_ = nullptr;
   uint32_t shard_ = 0;
   uint32_t frame_ = 0;
-  /// Snapshot-backed and borrowed refs: the page bytes (snap_ holds the
-  /// reference that keeps them alive, if this ref holds one).
+  /// Snapshot-backed and borrowed refs: the page bytes.
   const char* bytes_ = nullptr;
-  PageBuffer snap_;
+  PageBuffer counted_;  ///< counted refs: keeps bytes_ alive
   PageId snap_id_ = kInvalidPageId;
+  /// Hazard refs: the slot announcing bytes_, and the thread owning it.
+  std::atomic<const char*>* hazard_ = nullptr;
+  uint32_t hazard_owner_ = 0;
 };
 
 /// Fixed-capacity page cache with sharded LRU replacement and pin counts.
@@ -169,12 +193,16 @@ class BufferPool {
 
   /// Arms copy-on-write before-images for the write batch that will
   /// publish epoch `stamp` (stamp = current epoch + 1): until re-armed,
-  /// the first mutation of each page saves its current bytes tagged
-  /// `stamp - 1`. Called by the index writer section under the
-  /// exclusive latch; 0 (the initial value) means versioning is off and
-  /// mutable_data() saves nothing.
+  /// the first mutation of each page hands its current buffer to the
+  /// chains tagged `stamp - 1`. Called by the index writer section under
+  /// the exclusive latch; 0 (the initial value) disarms versioning, and
+  /// mutable_data() then writes in place and saves nothing.
   void ArmVersioning(uint64_t stamp) {
     save_stamp_.store(stamp, std::memory_order_release);
+  }
+  /// The stamp last armed (0: disarmed).
+  uint64_t versioning_stamp() const {
+    return save_stamp_.load(std::memory_order_acquire);
   }
 
   /// Number of table shards (1 for small pools).
@@ -187,49 +215,102 @@ class BufferPool {
   /// diagnostics use (e.g. verifying no pins remain before Checkpoint).
   size_t pinned_pages() const;
 
+  /// Buffers taken out of frames that the latest scan of the hazard
+  /// slots kept back because a slot named them. Never more than
+  /// hazard_slots(), however long any reader holds its epoch pin.
+  size_t held_back_buffers() const;
+
+  /// Hazard slots allocated so far, over every thread that has fetched
+  /// from this pool.
+  size_t hazard_slots() const;
+
  private:
   friend class PageRef;
 
-  /// Frame fields are deliberately NOT GUARDED_BY(shard mu): id/buf are
-  /// read by pinned PageRefs without the shard lock (the pin count — not
-  /// the mutex — is what keeps them stable), and pins/dirty are atomics.
-  /// id, buf and last_used are only *mutated* under the shard lock; the
-  /// buf handle is replaced by the pinning writer's first-mutation save
-  /// when a snapshot reader shares it, and by every reuse of the frame
-  /// (load, New) when anyone still holds it. Snapshot readers copy the
-  /// handle under the shard lock, never the bytes.
-  /// save_stamp marks the versioning batch whose before-image save this
-  /// frame already performed (0 = none since load); it is written under
-  /// the shard lock on load and by the single armed mutator otherwise.
-  struct Frame {
-    PageId id = kInvalidPageId;
+  /// Frame fields are deliberately NOT GUARDED_BY(shard mu). id, buf,
+  /// bytes and last_used are *mutated* under the shard lock (the
+  /// pinning writer's first-mutation swap takes it too), id and bytes
+  /// only through Republish. `seq`, `id` and `bytes` form a seqlock that
+  /// lock-free snapshot readers read (storage/snapshot.h); pinned
+  /// PageRefs read id/buf without the lock (the pin count, not the
+  /// mutex, keeps them stable), and pins/dirty are atomics. A free frame
+  /// has no buffer. save_stamp marks the versioning batch whose
+  /// before-image save this frame already performed (0 = none since
+  /// load); it is written under the shard lock on load and by the
+  /// single armed mutator otherwise.
+  struct alignas(kCacheLineSize) Frame {
+    std::atomic<uint64_t> seq{0};  ///< odd while id/bytes change
+    std::atomic<PageId> id{kInvalidPageId};
+    std::atomic<const char*> bytes{nullptr};  ///< buf.data(), published
     PageBuffer buf;
     std::atomic<uint32_t> pins{0};
     std::atomic<bool> dirty{false};
-    uint64_t last_used = 0;
+    std::atomic<uint64_t> last_used{0};
     std::atomic<uint64_t> save_stamp{0};
   };
 
   /// try_lock attempts before a shard lock sleeps: its holders only
-  /// look up, touch or swap a frame.
+  /// look up, load or swap a frame.
   static constexpr int kShardLockSpins = 100;
 
+  /// Shard s owns frames_[frame_base, frame_base + frame_count) and the
+  /// page-table region index_[index_base, index_base + index_mask_ + 1).
   struct Shard {
-    mutable Mutex mu{kShardLockSpins};
-    std::vector<Frame> frames;  ///< fixed at construction; see Frame note
+    /// The LRU clock. Written under mu; read by lock-free hits, so it
+    /// sits on its own cache line.
+    alignas(kCacheLineSize) std::atomic<uint64_t> tick{0};
+    alignas(kCacheLineSize) mutable Mutex mu{kShardLockSpins};
+    uint32_t frame_base = 0;
+    uint32_t frame_count = 0;
+    uint32_t index_base = 0;
     std::vector<uint32_t> free_frames GUARDED_BY(mu);
-    std::unordered_map<PageId, uint32_t> table GUARDED_BY(mu);
-    uint64_t tick GUARDED_BY(mu) = 0;
   };
+
+  /// Hazard slots per thread: the snapshot refs one thread can hold at
+  /// once without falling back to a counted ref.
+  static constexpr int kHazardsPerThread = 8;
+  struct alignas(kCacheLineSize) HazardSlot {
+    std::atomic<const char*> hazard[kHazardsPerThread] = {};
+  };
+
+  /// Retired buffers scanned against the hazard slots at once, and the
+  /// most recycled buffers kept for reuse.
+  static constexpr size_t kRetireBatch = 32;
+  static constexpr size_t kMaxSpare = 2 * kRetireBatch;
 
   Shard& shard_for(PageId id) {
     return shards_[static_cast<size_t>(id) & shard_mask_];
   }
 
-  void Unpin(uint32_t shard, uint32_t frame);
-  static void Touch(Shard& s, uint32_t frame) REQUIRES(s.mu) {
-    s.frames[frame].last_used = ++s.tick;
-  }
+  void Unpin(uint32_t frame);
+
+  // ----- page table (lock-free reads; writes REQUIRES the shard mutex)
+
+  /// Home slot of `id` within its shard's region.
+  uint32_t IndexHome(PageId id) const;
+  /// The frame mapped to `id`, or -1. Lock-free: without the shard
+  /// mutex the answer is a hint (a concurrent move may hide an entry,
+  /// and a stale one is caught by the caller's re-check).
+  int64_t IndexFind(const Shard& s, PageId id) const;
+  void IndexInsert(Shard& s, PageId id, uint32_t frame) REQUIRES(s.mu);
+  void IndexErase(Shard& s, PageId id) REQUIRES(s.mu);
+  void IndexClear(Shard& s) REQUIRES(s.mu);
+
+  // ----- frame buffers
+
+  /// Publishes page `id` in buffer `fresh` as the frame's content,
+  /// under the frame's seqlock, and retires the frame's old buffer.
+  /// (kInvalidPageId, null) empties the frame.
+  void Republish(Shard& s, Frame& f, PageId id, PageBuffer fresh)
+      REQUIRES(s.mu);
+  /// A buffer for a frame to fill: a recycled one, or a new one.
+  PageBuffer SpareBuffer() EXCLUDES(recycle_mu_);
+  /// Hands an unpublished buffer to the recycler: it is reused or
+  /// dropped once no hazard slot names it.
+  void Retire(PageBuffer buf) EXCLUDES(recycle_mu_);
+  /// Moves every retired buffer no hazard slot names to the spare list
+  /// (or drops it).
+  void ScanRetired() REQUIRES(recycle_mu_);
 
   /// Finds a frame to (re)use within the shard, evicting the LRU unpinned
   /// page if needed.
@@ -238,11 +319,6 @@ class BufferPool {
   /// Reads page `id` from the pager into a fresh unpinned frame of `s`
   /// and maps it. Counts nothing; the caller sets pins before unlocking.
   Result<uint32_t> LoadFrame(Shard& s, PageId id) REQUIRES(s.mu);
-
-  /// The bytes of frame `f` (of shard `s`), ready to be overwritten:
-  /// first gives the frame a fresh buffer if anyone else holds its
-  /// current one.
-  char* ReusableBytes(Shard& s, Frame& f) REQUIRES(s.mu);
 
   /// Writes frame `f` (which must belong to shard `s`) back to the pager
   /// if dirty. The shard reference is the capability token.
@@ -256,27 +332,52 @@ class BufferPool {
   /// any.
   void CountHit(ThreadIoStats* tls);
 
+  /// Exact LRU touch (pinned hits, loads, New): advances the clock.
+  static void Touch(Shard& s, Frame& f) REQUIRES(s.mu);
+  /// Approximate LRU touch (snapshot hits, no lock): raises the frame's
+  /// stamp to the clock only when it is behind, so a hot page in a pool
+  /// with no loads takes no write.
+  static void StampIfStale(const Shard& s, Frame& f);
+
+  /// A free hazard slot of the calling thread, or nullptr when all are
+  /// in use.
+  std::atomic<const char*>* FreeHazard();
+
   /// The non-redirecting Fetch body (live frames only).
   Result<PageRef> FetchLive(PageId id);
 
   /// Resolves `id` at the view's pinned epoch: the chain entry if one
-  /// covers the epoch, otherwise the live frame's buffer, shared. Takes
-  /// one pool-shard lock, and one chain-shard lock unless no version at
-  /// or after the epoch can exist; the returned ref holds no pin. See
-  /// storage/snapshot.h for the protocol.
+  /// covers the epoch, otherwise the live frame's buffer under a hazard.
+  /// A resident page takes no lock; a miss takes the shard mutex and
+  /// loads it. See storage/snapshot.h for the protocol.
   Result<PageRef> SnapshotFetch(const SnapshotView& view, PageId id);
 
+  /// A snapshot ref on frame `f`'s buffer, taken under the shard mutex
+  /// (so the buffer cannot be unpublished meanwhile): a hazard ref when
+  /// the thread has a free slot, else a counted one.
+  PageRef LiveRefLocked(Shard& s, Frame& f, PageId id) REQUIRES(s.mu);
+
   /// First-mutation hook behind PageRef::mutable_data(): once per
-  /// armed batch, saves the frame's bytes as the page's before-image,
-  /// handing the chain the buffer itself if a snapshot reader shares it.
+  /// armed batch, hands the frame's buffer to the chains as the page's
+  /// before-image and moves the frame to a copy.
   void PrepareWrite(uint32_t shard, uint32_t frame);
 
   Pager* pager_;
   size_t capacity_;
   size_t shard_mask_;            ///< shard count - 1 (power of two)
+  uint32_t index_mask_;          ///< per-shard page-table region size - 1
   std::vector<Shard> shards_;
+  std::unique_ptr<Frame[]> frames_;
+  std::unique_ptr<std::atomic<uint64_t>[]> index_;
   PageVersions versions_;
   std::atomic<uint64_t> save_stamp_{0};
+
+  ThreadSlots<HazardSlot> hazards_;
+  /// Recycler: leaf lock, taken under a shard mutex.
+  mutable Mutex recycle_mu_;
+  std::vector<PageBuffer> retired_ GUARDED_BY(recycle_mu_);
+  std::vector<PageBuffer> spare_ GUARDED_BY(recycle_mu_);
+  size_t held_back_ GUARDED_BY(recycle_mu_) = 0;
 };
 
 }  // namespace zdb

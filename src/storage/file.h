@@ -13,13 +13,17 @@
 #include <string>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 
 namespace zdb {
 
 /// Random-access file of bytes. Reads of unwritten ranges return zeros so
-/// the pager can treat the file as a sparse array of pages.
+/// the pager can treat the file as a sparse array of pages. Reads may run
+/// concurrently with each other and with one Write or Sync (of other
+/// byte ranges); Write, Truncate and Sync are serialized by the caller.
 class File {
  public:
   virtual ~File() = default;
@@ -40,26 +44,37 @@ class File {
   virtual Status Sync() = 0;
 };
 
-/// Heap-backed file for tests and logical-I/O benchmarking.
+/// Heap-backed file for tests and logical-I/O benchmarking. A write that
+/// grows the file reallocates its bytes, so reads share `mu_` and
+/// writes take it exclusively.
 class MemFile : public File {
  public:
   Status Read(uint64_t offset, size_t n, char* buf) const override;
   Status Write(uint64_t offset, const char* data, size_t n) override;
-  uint64_t Size() const override { return data_.size(); }
+  uint64_t Size() const override {
+    ReaderLock lock(mu_);
+    return data_.size();
+  }
   Status Truncate(uint64_t size) override {
+    WriterLock lock(mu_);
     data_.resize(size);
     return Status::OK();
   }
   Status Sync() override { return Status::OK(); }
 
   /// Deep copy for crash-simulation tests.
-  std::vector<char> Snapshot() const { return data_; }
+  std::vector<char> Snapshot() const {
+    ReaderLock lock(mu_);
+    return data_;
+  }
   void RestoreSnapshot(std::vector<char> snapshot) {
+    WriterLock lock(mu_);
     data_ = std::move(snapshot);
   }
 
  private:
-  std::vector<char> data_;
+  mutable SharedMutex mu_;
+  std::vector<char> data_ GUARDED_BY(mu_);
 };
 
 /// pread/pwrite-backed file.

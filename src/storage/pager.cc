@@ -111,13 +111,16 @@ Status Pager::ReplayJournal() {
 Status Pager::AbortBatch() {
   MutexLock lock(mu_);
   if (!in_batch_) return Status::InvalidArgument("no active batch");
+  // Reads wait out the restore: none may see a half-replayed file or
+  // pass its bounds check against the page count being rolled back.
+  WriterLock exclusive(file_mu_);
   // Until every step below succeeds the batch stays active and the
   // journal stays intact, so a failed abort still recovers on reopen.
   ZDB_RETURN_IF_ERROR(ReplayJournal());
   // Restore the allocation state snapshotted at BeginBatch and persist
   // it: the replayed page-0 image may predate header changes that were
   // never synced, so the snapshot is authoritative.
-  page_count_ = batch_page_count_;
+  page_count_.store(batch_page_count_, std::memory_order_release);
   freelist_head_ = batch_freelist_head_;
   live_pages_ = batch_live_pages_;
   ZDB_RETURN_IF_ERROR(StoreHeader());
@@ -141,12 +144,12 @@ Status Pager::BeginBatch() {
   ZDB_RETURN_IF_ERROR(journal_->Truncate(0));
   char header[kJournalHeaderSize] = {0};
   EncodeFixed32(header + kJournalMagicOff, kJournalMagic);
-  EncodeFixed32(header + kJournalPageCountOff, page_count_);
+  EncodeFixed32(header + kJournalPageCountOff, page_count());
   EncodeFixed32(header + kJournalEntriesOff, 0);
   ZDB_RETURN_IF_ERROR(journal_->Write(0, header, kJournalHeaderSize));
   ZDB_RETURN_IF_ERROR(journal_->Sync());
   in_batch_ = true;
-  batch_page_count_ = page_count_;
+  batch_page_count_ = page_count();
   batch_freelist_head_ = freelist_head_;
   batch_live_pages_ = live_pages_;
   journal_entries_ = 0;
@@ -212,7 +215,8 @@ Status Pager::LoadHeader() {
     return Status::InvalidArgument("page size mismatch: file has " +
                                    std::to_string(stored));
   }
-  page_count_ = DecodeFixed32(buf.data() + kHeaderPageCountOff);
+  page_count_.store(DecodeFixed32(buf.data() + kHeaderPageCountOff),
+                    std::memory_order_release);
   freelist_head_ = DecodeFixed32(buf.data() + kHeaderFreelistOff);
   live_pages_ = DecodeFixed32(buf.data() + kHeaderLivePagesOff);
   return Status::OK();
@@ -222,7 +226,7 @@ Status Pager::StoreHeader() {
   std::vector<char> buf(page_size_, 0);
   EncodeFixed32(buf.data() + kHeaderMagicOff, kMagic);
   EncodeFixed32(buf.data() + kHeaderPageSizeOff, page_size_);
-  EncodeFixed32(buf.data() + kHeaderPageCountOff, page_count_);
+  EncodeFixed32(buf.data() + kHeaderPageCountOff, page_count());
   EncodeFixed32(buf.data() + kHeaderFreelistOff, freelist_head_);
   EncodeFixed32(buf.data() + kHeaderLivePagesOff, live_pages_);
   return file_->Write(0, buf.data(), page_size_);
@@ -239,15 +243,16 @@ Result<PageId> Pager::Allocate() {
     ++live_pages_;
     return id;
   }
-  if (page_count_ == UINT32_MAX) return Status::NoSpace("page ids exhausted");
-  const PageId id = page_count_++;
+  const PageId id = page_count();
+  if (id == UINT32_MAX) return Status::NoSpace("page ids exhausted");
+  page_count_.store(id + 1, std::memory_order_release);
   ++live_pages_;
   return id;
 }
 
 Status Pager::Free(PageId id) {
   MutexLock lock(mu_);
-  if (id == kInvalidPageId || id >= page_count_) {
+  if (id == kInvalidPageId || id >= page_count()) {
     return Status::InvalidArgument("free of invalid page " +
                                    std::to_string(id));
   }
@@ -262,15 +267,15 @@ Status Pager::Free(PageId id) {
 Status Pager::ReadPage(PageId id, char* buf) {
   const uint32_t latency = sim_read_latency_us_.load(std::memory_order_relaxed);
   if (latency != 0) {
-    // Outside mu_: concurrent misses overlap their device stalls.
+    // Before the lock: concurrent misses overlap their device stalls.
     std::this_thread::sleep_for(std::chrono::microseconds(latency));
   }
-  MutexLock lock(mu_);
+  ReaderLock shared(file_mu_);
   return ReadPageInternal(id, buf);
 }
 
 Status Pager::ReadPageInternal(PageId id, char* buf) {
-  if (id == kInvalidPageId || id >= page_count_) {
+  if (id == kInvalidPageId || id >= page_count()) {
     return Status::InvalidArgument("read of invalid page " +
                                    std::to_string(id));
   }
@@ -284,7 +289,7 @@ Status Pager::WritePage(PageId id, const char* buf) {
 }
 
 Status Pager::WritePageInternal(PageId id, const char* buf) {
-  if (id == kInvalidPageId || id >= page_count_) {
+  if (id == kInvalidPageId || id >= page_count()) {
     return Status::InvalidArgument("write of invalid page " +
                                    std::to_string(id));
   }

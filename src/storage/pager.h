@@ -28,9 +28,12 @@
 namespace zdb {
 
 /// Allocates, reads and writes fixed-size pages within a File.
-/// Thread-safe: page transfers, allocation and the free list are guarded
-/// by one internal mutex (misses are rare once the buffer pool is warm,
-/// so the serialization is off the hot path). The I/O counters are
+/// Thread-safe: writes, allocation, the free list and batch control are
+/// guarded by one internal mutex, which CommitBatch and BeginBatch hold
+/// across their syncs. ReadPage does not take it: a buffer-pool miss
+/// never waits out a group commit's fsync or another miss. Reads take
+/// `file_mu_` shared; only AbortBatch's restore and truncate take it
+/// exclusively. The I/O counters are
 /// relaxed atomics and may be read concurrently.
 class Pager {
  public:
@@ -97,10 +100,8 @@ class Pager {
   uint32_t page_size() const { return page_size_; }
 
   /// Total pages ever allocated (including freed ones and the header).
-  /// Takes mu_: the counter is a plain field mutated by Allocate().
-  uint32_t page_count() const EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return page_count_;
+  uint32_t page_count() const {
+    return page_count_.load(std::memory_order_acquire);
   }
 
   /// Pages currently allocated to callers (excludes header and free list).
@@ -117,7 +118,8 @@ class Pager {
   [[nodiscard]] Status Free(PageId id) EXCLUDES(mu_);
 
   /// Reads page `id` into `buf` (page_size bytes). Counts one page read.
-  [[nodiscard]] Status ReadPage(PageId id, char* buf) EXCLUDES(mu_);
+  /// Takes no pager mutex (see the class comment).
+  [[nodiscard]] Status ReadPage(PageId id, char* buf) EXCLUDES(file_mu_);
 
   /// Writes page `id` from `buf`. Counts one page write.
   [[nodiscard]] Status WritePage(PageId id, const char* buf) EXCLUDES(mu_);
@@ -155,9 +157,10 @@ class Pager {
   Pager(std::unique_ptr<File> file, uint32_t page_size)
       : file_(std::move(file)), page_size_(page_size) {}
 
-  /// Unlocked bodies shared by the public entry points (which hold mu_)
-  /// and by internal callers that already do.
-  Status ReadPageInternal(PageId id, char* buf) REQUIRES(mu_);
+  /// Unlocked bodies shared by the public entry points and by internal
+  /// callers that hold mu_. A read needs file_mu_ shared or mu_ (which
+  /// excludes AbortBatch); a write needs mu_.
+  Status ReadPageInternal(PageId id, char* buf);
   Status WritePageInternal(PageId id, const char* buf) REQUIRES(mu_);
 
   Status LoadHeader() REQUIRES(mu_);
@@ -177,12 +180,18 @@ class Pager {
   Status ReplayJournal() REQUIRES(mu_);
 
   mutable Mutex mu_;
-  /// file_/journal_ are set once during Open and only dereferenced under
-  /// mu_ afterwards; the pointers themselves never change post-open.
-  std::unique_ptr<File> file_ PT_GUARDED_BY(mu_);
+  /// Shared by page reads, exclusive for AbortBatch's restore (lock
+  /// order: mu_, then file_mu_).
+  mutable SharedMutex file_mu_ ACQUIRED_AFTER(mu_);
+  /// file_/journal_ are set once during Open; the pointers never change
+  /// post-open. The journal is only dereferenced under mu_; the file is
+  /// read under file_mu_ shared and otherwise used under mu_ (a File
+  /// serves reads concurrently with one writer).
+  std::unique_ptr<File> file_;
   std::unique_ptr<File> journal_ PT_GUARDED_BY(mu_);
   uint32_t page_size_;
-  uint32_t page_count_ GUARDED_BY(mu_) = 1;  // page 0 is the header
+  /// Written under mu_, read without it (ReadPage's bounds check).
+  std::atomic<uint32_t> page_count_{1};  // page 0 is the header
   uint32_t live_pages_ GUARDED_BY(mu_) = 0;
   PageId freelist_head_ GUARDED_BY(mu_) = kInvalidPageId;
   IoStats io_;  ///< relaxed atomics; read concurrently without mu_

@@ -30,11 +30,11 @@ void PageBuffer::Free(Rep* rep) {
   ::operator delete(rep);
 }
 
-void PageVersions::SaveBeforeImage(PageId page, uint64_t as_of,
-                                   PageBuffer image) {
-  // Published before the entry, so a reader that finds the bound low
-  // (after taking the pool-shard mutex this save runs under) can rely
-  // on there being no entry for its epoch.
+PageBuffer PageVersions::SaveBeforeImage(PageId page, uint64_t as_of,
+                                         PageBuffer image) {
+  // Raised before the entry is added, and both before the frame
+  // publishes the page's next buffer: a reader that took that buffer
+  // sees the bound (see the file comment).
   uint64_t bound = as_of_bound_.load(std::memory_order_relaxed);
   while (bound < as_of + 1 &&
          !as_of_bound_.compare_exchange_weak(bound, as_of + 1,
@@ -46,24 +46,25 @@ void PageVersions::SaveBeforeImage(PageId page, uint64_t as_of,
   std::vector<Entry>& chain = s.chains[page];
   // Epochs are monotonic, so an entry for this as_of — if any — is the
   // last one. Keep-first: it already holds the true pre-batch bytes.
-  if (!chain.empty() && chain.back().as_of >= as_of) return;
+  if (!chain.empty() && chain.back().as_of >= as_of) return image;
   chain.push_back(Entry{as_of, std::move(image)});
   live_.fetch_add(1, std::memory_order_relaxed);
   bytes_.fetch_add(page_size_, std::memory_order_relaxed);
   saved_.fetch_add(1, std::memory_order_relaxed);
+  return PageBuffer();
 }
 
-PageBuffer PageVersions::Lookup(PageId page, uint64_t epoch) const {
+const char* PageVersions::Lookup(PageId page, uint64_t epoch) const {
   const Shard& s = shard_for(page);
   MutexLock lock(s.mu);
   auto it = s.chains.find(page);
-  if (it == s.chains.end()) return PageBuffer();
+  if (it == s.chains.end()) return nullptr;
   const std::vector<Entry>& chain = it->second;
   auto e = std::lower_bound(
       chain.begin(), chain.end(), epoch,
       [](const Entry& entry, uint64_t ep) { return entry.as_of < ep; });
-  if (e == chain.end()) return PageBuffer();
-  return e->data;
+  if (e == chain.end()) return nullptr;
+  return e->data.data();
 }
 
 void PageVersions::ReclaimBefore(uint64_t min_epoch) {

@@ -12,37 +12,52 @@
 // the first chain entry with `as_of >= P` (the oldest image still valid
 // at P); if there is none, the live frame is current for P.
 //
-// Page bytes live in ref-counted PageBuffers, so nothing is copied to
-// hand a page to a reader. The protocol (BufferPool::SnapshotFetch and
-// BufferPool::PrepareWrite) rests on two rules:
+// Page bytes live in PageBuffers, so nothing is copied to hand a page
+// to a reader. A reader holds no lock, no pin and no reference count on
+// the live page it reads; the protocol (BufferPool::SnapshotFetch and
+// BufferPool::PrepareWrite) rests on three rules:
 //
-//   * A reader first takes a reference to the live frame's buffer under
-//     the pool-shard mutex and only then checks the chain (under the
-//     chain-shard mutex). If the chain has an image for its epoch it
-//     returns that; otherwise it returns the shared live buffer. It
-//     holds no pin and copies nothing.
-//   * The writer's first mutation of a page in a batch takes the
-//     pool-shard mutex, then the chain-shard mutex. If no reader shares
-//     the frame's buffer, it copies the bytes into the chain and goes on
-//     mutating the buffer in place; if one does, the chain adopts that
-//     buffer and the frame gets a private copy.
-//
-// So a buffer some reader holds is never written again: a reader that
-// took its reference before the writer's first mutation is seen by the
-// writer's share test, and one that took it after finds the chain
-// entry the writer saved before releasing the pool-shard mutex. Later
-// mutations of the same page in the same batch skip the save, and by
-// then pinned readers resolve the page from its chain entry. Every
-// other path that overwrites a frame (a load after a miss, New, reuse
-// after eviction, Delete or Discard) replaces a shared buffer first.
+//   * Hazards. A frame publishes its page id and buffer under a
+//     sequence count (a seqlock: odd while the writer changes them). A
+//     reader reads the count, the page id and the buffer, announces the
+//     buffer in one of its thread's hazard slots (seq_cst), and re-reads
+//     the count (seq_cst): unchanged and even means the buffer was that
+//     page's live bytes at that moment. Every path that takes a buffer
+//     out of a frame first makes the count odd (seq_cst) and later hands
+//     the buffer to the pool's retired list; a retired buffer is reused
+//     or freed only once a scan of every hazard slot (seq_cst loads)
+//     finds no slot naming it. The two seq_cst pairs are Dekker's:
+//     either the scan sees the announce, or the reader's re-read sees
+//     the count move and retries.
+//   * Always swap. The writer's first mutation of a page in a batch
+//     hands the frame's buffer to the version chain (tagged as below)
+//     and mutates a copy, published only after the save. So a buffer a
+//     reader may hold is never written again: later mutations in the
+//     batch land on the copy, and a reader that finds the copy also
+//     finds the chain entry (the save happens before the copy's
+//     publication). The chain keeps the buffer until the GC reclaims
+//     the entry, which waits for every pin at or below its as_of, and
+//     any reader that took that buffer from the frame is pinned at or
+//     below it. A chain that already has an entry for the batch
+//     (keep-first) gives the buffer back and it is retired.
+//   * Read the chain after the live buffer. If the chain has an image
+//     for the reader's epoch it returns that (borrowed: the reader's
+//     pin keeps the entry), otherwise the live buffer.
 //
 // A reader skips the chain (and its shard mutex) when no entry with
-// as_of at or above its epoch has ever been saved: the writer records
-// the newest as_of it saves before the save, under the pool-shard
-// mutex, and the reader tests it after taking its live reference under
-// that mutex. A writer whose save came first in that mutex's order
-// published the stamp before the reader's test; one that came later
-// found the reader's reference and left the bytes alone.
+// as_of at or above its epoch has ever been saved: the writer raises
+// that bound before its save, and the save comes before the copy's
+// publication. A reader that took the old buffer before the swap may
+// miss the bound, and then returns the pre-batch bytes, which are
+// exactly its epoch's; one that took the copy sees the bound.
+//
+// Held-back buffers are bounded: a scan keeps only retired buffers some
+// slot names, at most one per slot, however long a reader's epoch pin
+// lasts. Pages written while versioning is disarmed (checkpoint
+// metadata: the B+-tree meta page, directory chains, the master page)
+// are mutated in place; no snapshot read reaches them, which debug
+// builds check (PrepareWrite aborts on a disarmed write to a buffer a
+// snapshot read was handed).
 //
 // Chains are append-only per page (epochs are monotonic), so entries
 // stay sorted by as_of without re-sorting. ReclaimBefore(M) drops every
@@ -78,11 +93,10 @@ struct PageVersionStats {
 };
 
 /// A page-sized byte buffer with an intrusive atomic reference count,
-/// shared by a buffer-pool frame, the version chains and snapshot-backed
-/// PageRefs. Copying a handle shares the bytes; the last handle frees
-/// them. Bytes are written only by a holder that owns the buffer alone
-/// (or, within one write batch, by the writer after its first-mutation
-/// save; see the file comment), so readers need no lock.
+/// shared by a buffer-pool frame, the version chains and snapshot metas.
+/// Copying a handle shares the bytes; the last handle frees them. Bytes
+/// are written only by a holder no reader can have seen them through
+/// (see the file comment), so readers need no lock.
 class PageBuffer {
  public:
   PageBuffer() = default;
@@ -108,24 +122,46 @@ class PageBuffer {
   /// with acquire ordering, so a false answer synchronises with every
   /// other holder's release: their reads of the bytes happen before the
   /// caller's writes. Callers make the answer stable by excluding new
-  /// handles (the pool-shard mutex guards every frame-buffer copy).
+  /// handles.
   bool shared() const {
     return rep_->refs.load(std::memory_order_acquire) > 1;
   }
 
+#ifndef NDEBUG
+  /// Debug builds: marks the buffer at `bytes` as handed to a snapshot
+  /// reader, and reads that mark back (BufferPool::PrepareWrite checks
+  /// it). A buffer the pool recycles gets the mark cleared.
+  static void NoteSnapshotRead(const char* bytes) {
+    RepOf(bytes)->snapshot_read.store(true, std::memory_order_relaxed);
+  }
+  bool snapshot_read() const {
+    return rep_->snapshot_read.load(std::memory_order_relaxed);
+  }
+  void clear_snapshot_read() {
+    rep_->snapshot_read.store(false, std::memory_order_relaxed);
+  }
+#endif
+
  private:
   struct Rep {
     std::atomic<uint32_t> refs{1};
+#ifndef NDEBUG
+    std::atomic<bool> snapshot_read{false};
+#endif
   };
-  /// The bytes start a cache line after the count: readers of a hot
-  /// page change the count on every fetch, and must not evict each
-  /// other's copy of the page header with it.
+  /// The bytes start a cache line after the header, so they keep the
+  /// page's own cache-line alignment.
   static constexpr size_t kHeader = 64;
   static_assert(sizeof(Rep) <= kHeader);
 
   static char* BytesOf(Rep* rep) {
     return reinterpret_cast<char*>(rep) + kHeader;
   }
+#ifndef NDEBUG
+  static Rep* RepOf(const char* bytes) {
+    return reinterpret_cast<Rep*>(const_cast<char*>(bytes) - kHeader);
+  }
+#endif
   void Ref() {
     if (rep_ != nullptr) rep_->refs.fetch_add(1, std::memory_order_relaxed);
   }
@@ -152,20 +188,24 @@ class PageVersions {
 
   /// Appends the pre-batch image of `page` tagged `as_of`, unless an
   /// entry for that as_of already exists — keep-first: only the batch's
-  /// *first* save holds the true pre-batch bytes, and re-saves
-  /// (checkpoint + batch sharing a stamp, a freed page re-deleted) must
-  /// not overwrite it. The chain adopts `image` (page_size bytes);
-  /// no one may write its bytes again. The caller holds the page's
-  /// pool-shard mutex (MaySaveAtOrAfter's ordering rests on it).
-  void SaveBeforeImage(PageId page, uint64_t as_of, PageBuffer image);
+  /// *first* save holds the true pre-batch bytes, and a re-save (a page
+  /// reloaded after eviction, a freed page re-deleted) must not
+  /// overwrite it. The chain adopts `image` (page_size bytes) and no one
+  /// may write its bytes again; a rejected image is handed back. The
+  /// caller holds the page's pool-shard mutex.
+  [[nodiscard]] PageBuffer SaveBeforeImage(PageId page, uint64_t as_of,
+                                           PageBuffer image);
 
-  /// First chain entry with as_of >= epoch, or a null buffer if the live
-  /// frame is current for `epoch`.
-  PageBuffer Lookup(PageId page, uint64_t epoch) const;
+  /// The bytes of the first chain entry with as_of >= epoch, or nullptr
+  /// if the live frame is current for `epoch`. The bytes stay valid
+  /// while a pin at or below `epoch` is held (ReclaimBefore waits for
+  /// it).
+  const char* Lookup(PageId page, uint64_t epoch) const;
 
   /// False when no entry with as_of >= epoch has ever been saved, so
   /// Lookup(page, epoch) would find nothing for any page. Ordered
-  /// against saves by the caller (see the file comment).
+  /// against saves by the publication of the frame's next buffer (see
+  /// the file comment).
   bool MaySaveAtOrAfter(uint64_t epoch) const {
     return as_of_bound_.load(std::memory_order_acquire) > epoch;
   }
@@ -213,9 +253,10 @@ struct SnapshotMeta {
   uint32_t btree_height = 1;
   /// The B+-tree's upper two levels at this epoch: the root page, and
   /// (when the root is internal) child i of the root at index i. Taken
-  /// from the resident frames' buffers, which writers no longer mutate
-  /// once this meta shares them. A null buffer (page not resident at
-  /// capture) sends the read through the pool.
+  /// from the resident frames' buffers, which no writer mutates once
+  /// published (a batch's first mutation moves the buffer to the
+  /// chain). A null buffer (page not resident at capture) sends the
+  /// read through the pool.
   PageBuffer btree_root_page;
   std::vector<PageBuffer> btree_root_children;
   uint32_t obj_next_oid = 0;

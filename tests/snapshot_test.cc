@@ -27,10 +27,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <thread>
 #include <vector>
 
 #include "common/coding.h"
+#include "common/mutex.h"
+#include "common/random.h"
 #include "core/epoch.h"
 #include "core/spatial_index.h"
 #include "exec/executor.h"
@@ -930,6 +933,233 @@ TEST(SnapshotCounters, PoolHitsSumExactlyAcrossThreads) {
   const IoStats d = pager->io_stats().Since(before);
   EXPECT_EQ(d.pool_hits.load(), kThreads * kHits);
   EXPECT_EQ(d.pool_misses.load(), 0u);
+}
+
+// --------------------------------------- lock-free hits, hazard slots
+
+/// Page content for the hazard tests: the page's id and the epoch whose
+/// batch wrote it.
+void StampPage(char* p, PageId id, uint64_t epoch) {
+  EncodeFixed32(p, id);
+  EncodeFixed64(p + 4, epoch);
+}
+
+/// A view of `pool` at `epoch`, as a pinned reader installs it.
+SnapshotView PoolView(BufferPool* pool, uint64_t epoch) {
+  SnapshotView v;
+  v.epoch = epoch;
+  v.versions = pool->versions();
+  v.pool = pool;
+  return v;
+}
+
+// Readers snapshot-fetch random pages of a 4-frame pool (so nearly every
+// fetch races an eviction) while a writer runs versioned batches that
+// rewrite, Delete and New pages and the GC reclaims on its timer. Each
+// page carries the epoch that wrote it: a reader pinned at E must see,
+// for every page live at E, exactly E's stamp.
+TEST(BufferPoolHazard, ReadersSeeTheirEpochUnderChurnAndGc) {
+  const uint64_t seed = SeedFromEnv(kSeedEnv, kDefaultSeed + 11);
+  SCOPED_TRACE(SeedReplayHint(kSeedEnv, seed));
+  auto pager = Pager::OpenInMemory(kMinPageSize);
+  BufferPool pool(pager.get(), 4);
+  std::atomic<uint64_t> epoch{1};
+  EpochManager mgr(&epoch, pool.versions());
+
+  // Live pages and their stamps per published epoch; the writer adds
+  // epoch E's entry before publishing E.
+  using PageState = std::vector<std::pair<PageId, uint64_t>>;
+  Mutex states_mu;
+  std::map<uint64_t, PageState> states;
+  PageState live;
+  for (int i = 0; i < 12; ++i) {
+    PageRef ref = pool.New().value();
+    StampPage(ref.mutable_data(), ref.id(), 1);
+    live.emplace_back(ref.id(), 1);
+  }
+  {
+    MutexLock lock(states_mu);
+    states[1] = live;
+  }
+  mgr.StartGc();
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> checked{0};
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      Random rng(seed + static_cast<uint64_t>(t));
+      while (!stop.load(std::memory_order_relaxed)) {
+        const EpochPin pin = mgr.Pin();
+        PageState st;
+        {
+          MutexLock lock(states_mu);
+          st = states.at(pin.epoch());
+        }
+        SnapshotScope scope(PoolView(&pool, pin.epoch()));
+        for (int i = 0; i < 20; ++i) {
+          const auto& [id, stamp] = st[rng.Uniform(st.size())];
+          const PageRef ref = pool.Fetch(id).value();
+          if (DecodeFixed32(ref.data()) != id ||
+              DecodeFixed64(ref.data() + 4) != stamp) {
+            wrong.fetch_add(1);
+          }
+          checked.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+
+  Random rng(seed);
+  for (int b = 0; b < 150; ++b) {
+    const uint64_t next = epoch.load() + 1;
+    pool.ArmVersioning(next);
+    for (int k = 0; k < 3; ++k) {
+      auto& [id, stamp] = live[rng.Uniform(live.size())];
+      PageRef ref = pool.Fetch(id).value();
+      StampPage(ref.mutable_data(), id, next);
+      stamp = next;
+    }
+    // Free one page and allocate another (often reusing the freed id).
+    const size_t victim = rng.Uniform(live.size());
+    ASSERT_TRUE(pool.Delete(live[victim].first).ok());
+    PageRef fresh = pool.New().value();
+    StampPage(fresh.mutable_data(), fresh.id(), next);
+    live[victim] = {fresh.id(), next};
+    fresh.Release();
+    {
+      MutexLock lock(states_mu);
+      states[next] = live;
+    }
+    epoch.store(next);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  stop.store(true);
+  for (auto& th : readers) th.join();
+  mgr.StopGc();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(checked.load(), 0u);
+}
+
+// One thread parks an epoch pin and a hazard ref while another evicts
+// the pool's capacity 100 times over. Buffers the scans hold back never
+// outnumber the hazard slots, however long the pin lasts, and the
+// parked ref's bytes stay intact.
+TEST(BufferPoolHazard, HeldBackBuffersNeverExceedHazardSlots) {
+  auto pager = Pager::OpenInMemory(kMinPageSize);
+  constexpr size_t kCapacity = 64;
+  BufferPool pool(pager.get(), kCapacity);
+  std::atomic<uint64_t> epoch{1};
+  EpochManager mgr(&epoch, pool.versions());
+  std::vector<PageId> ids;
+  for (size_t i = 0; i < 4 * kCapacity; ++i) {
+    PageRef ref = pool.New().value();
+    StampPage(ref.mutable_data(), ref.id(), 1);
+    ids.push_back(ref.id());
+  }
+
+  std::atomic<bool> parked{false};
+  std::atomic<bool> done{false};
+  std::thread holder([&] {
+    const EpochPin pin = mgr.Pin();
+    SnapshotScope scope(PoolView(&pool, pin.epoch()));
+    const PageRef ref = pool.Fetch(ids[0]).value();
+    parked.store(true);
+    while (!done.load()) std::this_thread::yield();
+    EXPECT_EQ(DecodeFixed32(ref.data()), ids[0]);
+    EXPECT_EQ(DecodeFixed64(ref.data() + 4), 1u);
+  });
+  while (!parked.load()) std::this_thread::yield();
+
+  SnapshotScope scope(PoolView(&pool, 1));
+  size_t max_held = 0;
+  for (size_t i = 0; i < 100 * kCapacity; ++i) {
+    const PageRef ref = pool.Fetch(ids[i % ids.size()]).value();
+    ASSERT_EQ(DecodeFixed32(ref.data()), ids[i % ids.size()]);
+    const size_t held = pool.held_back_buffers();
+    ASSERT_LE(held, pool.hazard_slots());
+    max_held = std::max(max_held, held);
+  }
+  done.store(true);
+  holder.join();
+  EXPECT_GE(max_held, 1u) << "the parked ref's buffer was never held back";
+}
+
+// Pinned and snapshot refs are different kinds of ref: a hazard ref is
+// thread-affine, because its slot belongs to the fetching thread.
+TEST(BufferPoolDeathTest, HazardRefReleasedOnAnotherThreadAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto pager = Pager::OpenInMemory(kMinPageSize);
+  BufferPool pool(pager.get(), 8);
+  const PageId id = pool.New().value().id();
+  EXPECT_DEATH(
+      {
+        PageRef ref;
+        {
+          SnapshotScope scope(PoolView(&pool, 1));
+          ref = pool.Fetch(id).value();
+        }
+        std::thread other([&] { ref.Release(); });
+        other.join();
+      },
+      "other than the fetching");
+}
+
+// Disarmed writes (checkpoint metadata) go in place, which is sound only
+// for pages no snapshot read reaches: debug builds abort on a disarmed
+// write to a buffer a snapshot read was handed. Release builds compile
+// the check out, so the test runs where it exists.
+TEST(BufferPoolDeathTest, UnversionedWriteToSnapshotReadPageAbortsInDebug) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the unversioned-write check is debug-only";
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto pager = Pager::OpenInMemory(kMinPageSize);
+  BufferPool pool(pager.get(), 8);
+  const PageId read = pool.New().value().id();
+  const PageId unread = pool.New().value().id();
+  {
+    SnapshotScope scope(PoolView(&pool, 1));
+    (void)pool.Fetch(read).value();
+  }
+  // A page no snapshot read was handed takes disarmed writes.
+  pool.Fetch(unread).value().mutable_data()[0] = 'u';
+  EXPECT_DEATH(pool.Fetch(read).value().mutable_data()[0] = 'x',
+               "unversioned write");
+  // Armed, the first write moves the frame to a fresh copy, which no
+  // reader has seen.
+  pool.ArmVersioning(2);
+  pool.Fetch(read).value().mutable_data()[0] = 'y';
+  pool.ArmVersioning(0);
+  pool.Fetch(read).value().mutable_data()[0] = 'z';
+#endif
+}
+
+// A group commit, and an explicit checkpoint, leave no chain entry at
+// the current epoch: with no pin held the GC empties the chains within a
+// timer period or so, and a reader pinned at the current epoch skips the
+// chain (and its mutex) altogether.
+TEST(SnapshotGc, GroupCommitLeavesNoVersionsAtCurrentEpoch) {
+  DBOptions opt;
+  opt.memory_journal = true;
+  auto db = DB::Open("", opt).value();
+  ASSERT_TRUE(db->index()->group_commit_active());
+  WriteBatch batch;
+  for (int i = 0; i < 32; ++i) {
+    batch.Insert(Rect{0.03 * i, 0.02 * i, 0.03 * i + 0.01, 0.02 * i + 0.01});
+  }
+  ASSERT_TRUE(db->Apply(batch, Durability::kDurable).ok());
+  ASSERT_TRUE(db->Checkpoint().ok());
+
+  const auto start = std::chrono::steady_clock::now();
+  while (db->index()->version_stats().live != 0 &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(2)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(db->index()->version_stats().live, 0u);
+  const EpochPin pin = db->index()->PinEpoch();
+  EXPECT_FALSE(db->index()->pool()->versions()->MaySaveAtOrAfter(pin.epoch()));
 }
 
 }  // namespace

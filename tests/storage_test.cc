@@ -4,7 +4,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <string>
+#include <thread>
 
 #include "storage/buffer_pool.h"
 #include "storage/file.h"
@@ -151,6 +153,45 @@ TEST(Pager, ReopenRejectsWrongPageSize) {
   EXPECT_FALSE(Pager::Open(std::move(file), 1024).ok());
 }
 
+/// A MemFile whose Sync blocks until release() is called, reporting
+/// that it was entered.
+class BlockingSyncFile : public MemFile {
+ public:
+  Status Sync() override {
+    entered_.set_value();
+    release_.get_future().wait();
+    return Status::OK();
+  }
+  std::future<void> entered() { return entered_.get_future(); }
+  void release() { release_.set_value(); }
+
+ private:
+  std::promise<void> entered_;
+  std::promise<void> release_;
+};
+
+// A pool miss reads without the pager mutex, so it completes while
+// another thread's CommitBatch holds that mutex across its sync.
+TEST(Pager, ReadCompletesWhileCommitSyncs) {
+  auto file = std::make_unique<BlockingSyncFile>();
+  BlockingSyncFile* blocking = file.get();
+  auto pager =
+      Pager::Open(std::move(file), std::make_unique<MemFile>(), 512).value();
+  const PageId id = pager->Allocate().value();
+  std::vector<char> page(512, 'r');
+  ASSERT_TRUE(pager->WritePage(id, page.data()).ok());
+  ASSERT_TRUE(pager->BeginBatch().ok());
+
+  std::future<void> entered = blocking->entered();
+  std::thread committer([&] { EXPECT_TRUE(pager->CommitBatch().ok()); });
+  entered.wait();  // CommitBatch now holds the pager mutex inside Sync
+  std::vector<char> got(512);
+  EXPECT_TRUE(pager->ReadPage(id, got.data()).ok());
+  EXPECT_EQ(got, page);
+  blocking->release();
+  committer.join();
+}
+
 // ------------------------------------------------------------ buffer pool
 
 TEST(BufferPool, HitAndMissAccounting) {
@@ -197,6 +238,33 @@ TEST(BufferPool, EvictsLeastRecentlyUsed) {
   const IoStats before_b = pager->io_stats();
   (void)pool.Fetch(b).value();  // evicted -> miss
   EXPECT_EQ(pager->io_stats().Since(before_b).pool_misses, 1u);
+}
+
+// Snapshot hits stamp a frame only when its LRU stamp is behind the
+// shard clock, which advances on loads: a page kept hot by snapshot hits
+// alone survives a scan of many cold pages through a small pool.
+TEST(BufferPool, SnapshotHitsKeepAPageHotThroughAColdScan) {
+  auto pager = Pager::OpenInMemory(512);
+  BufferPool pool(pager.get(), 8);
+  const PageId hot = pool.New().value().id();
+  std::vector<PageId> cold;
+  for (int i = 0; i < 100; ++i) cold.push_back(pool.New().value().id());
+  ASSERT_TRUE(pool.FlushAll().ok());
+
+  SnapshotView view;
+  view.epoch = 1;
+  view.versions = pool.versions();
+  view.pool = &pool;
+  SnapshotScope scope(view);
+  (void)pool.Fetch(hot).value();
+  const IoStats before = pager->io_stats();
+  for (PageId id : cold) {
+    (void)pool.Fetch(id).value();
+    (void)pool.Fetch(hot).value();
+  }
+  const IoStats d = pager->io_stats().Since(before);
+  EXPECT_EQ(d.pool_misses.load(), cold.size()) << "the hot page was evicted";
+  EXPECT_EQ(d.pool_hits.load(), cold.size());
 }
 
 TEST(BufferPool, PinnedPagesAreNotEvicted) {

@@ -106,6 +106,8 @@ bool LoadConfig(const std::string& path, Config* cfg, std::string* err) {
       cfg->lock_order.push_back({ab[0], ab[1]});
     } else if (section == "order_allow") {
       cfg->order_allow.insert(line);
+    } else if (section == "requires_held") {
+      cfg->requires_held.insert(line);
     } else if (section == "receiver_types") {
       const auto kv = SplitOn(line, "=");
       if (kv.size() != 2) return bad("want 'member_ = ClassName'");

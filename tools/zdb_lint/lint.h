@@ -25,6 +25,10 @@
 //                    inversions the per-member ACQUIRED_AFTER
 //                    annotations cannot see because the two
 //                    acquisitions live in different TUs.
+//   requires-held    every call of a function listed in
+//                    [requires_held] holds the locks its REQUIRES
+//                    annotation names (the buffer pool's page-table
+//                    writers), on every toolchain, not just Clang.
 //
 // The tool is deliberately self-contained: it lexes the project sources
 // itself (comments/strings/preprocessor scrubbed, token stream with line
@@ -174,6 +178,8 @@ struct Config {
   std::vector<std::pair<std::string, std::string>> lock_order;
   /// Functions the order check skips entirely (with a written reason).
   std::set<std::string> order_allow;
+  /// Functions whose every call must hold their REQUIRES locks.
+  std::set<std::string> requires_held;
   /// Member-name -> class hints for receiver resolution (pager_ -> Pager).
   std::map<std::string, std::string> receiver_types;
 };
@@ -238,6 +244,9 @@ std::vector<Diagnostic> CheckDecodeHygiene(const Model& model,
 std::vector<Diagnostic> CheckLockOrder(const Model& model,
                                        const CallGraph& graph,
                                        const Config& cfg);
+std::vector<Diagnostic> CheckRequiresHeld(const Model& model,
+                                          const CallGraph& graph,
+                                          const Config& cfg);
 
 }  // namespace lint
 }  // namespace zdb

@@ -36,7 +36,8 @@ struct Options {
 };
 
 const std::set<std::string> kAllChecks = {"io-under-latch", "epoch-pin",
-                                          "decode-hygiene", "lock-order"};
+                                          "decode-hygiene", "lock-order",
+                                          "requires-held"};
 
 bool ParseArgs(int argc, char** argv, Options* opt) {
   for (int i = 1; i < argc; ++i) {
@@ -63,7 +64,7 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
                 << "usage: zdb_lint --root=DIR [--config=FILE] "
                    "[--check=NAME]... [--compile-commands=FILE]\n"
                 << "checks: io-under-latch epoch-pin decode-hygiene "
-                   "lock-order\n";
+                   "lock-order requires-held\n";
       return false;
     }
   }
@@ -180,6 +181,7 @@ int Run(const Options& opt) {
   if (want("epoch-pin")) append(CheckEpochPins(model, cfg));
   if (want("decode-hygiene")) append(CheckDecodeHygiene(model, cfg));
   if (want("lock-order")) append(CheckLockOrder(model, graph, cfg));
+  if (want("requires-held")) append(CheckRequiresHeld(model, graph, cfg));
 
   std::sort(diags.begin(), diags.end(),
             [](const Diagnostic& a, const Diagnostic& b) {

@@ -300,6 +300,10 @@ class Parser {
     while (j < end) {
       const std::string& s = t_[j].text;
       if (s == ";") return HandleMemberDecl(i, j, classes), j + 1;
+      if (s == "=" && j > i && t_[j - 1].text == "operator") {
+        ++j;  // "operator=": the name of the function, not an initializer
+        continue;
+      }
       if (s == "=") {  // variable with initializer / "= default"
         size_t k = j;
         while (k < end && !Is(k, ";")) {
