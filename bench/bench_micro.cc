@@ -2,7 +2,8 @@
 //
 // A3: google-benchmark microbenchmarks of the computational primitives —
 // Morton coding, element algebra, BIGMIN, decomposition, B+-tree
-// operations, buffer-pool page fetches and epoch pins. These establish
+// operations, buffer-pool page fetches, epoch pins and the wire codec
+// of the served path. These establish
 // that the experiment results above are I/O-shaped, not CPU-shaped.
 
 #include <benchmark/benchmark.h>
@@ -18,6 +19,7 @@
 #include "decompose/decompose.h"
 #include "decompose/region.h"
 #include "geom/clip.h"
+#include "net/wire.h"
 #include "storage/snapshot.h"
 #include "transform/morton4.h"
 #include "zorder/bigmin.h"
@@ -252,6 +254,56 @@ void BM_EpochPinUnpin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EpochPinUnpin)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
+
+// The reply codec a served window pays per answer: encode a 1k-id
+// reply into its payload, then split off the status byte and decode the
+// id list, as the client does.
+void BM_WireIdListReply(benchmark::State& state) {
+  std::vector<ObjectId> ids(1000);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = static_cast<ObjectId>(i * 7);
+  }
+  std::vector<ObjectId> decoded;
+  for (auto _ : state) {
+    const std::string payload = net::EncodeIdListReply(3, 4, ids);
+    std::string_view body;
+    std::string message;
+    uint64_t e0 = 0, e1 = 0;
+    const bool ok = net::ParseReplyStatus(payload, &body, &message) ==
+                        net::WireError::kOk &&
+                    net::DecodeIdListReplyBody(body, &e0, &e1, &decoded);
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(decoded.data());
+  }
+  state.SetItemsProcessed(state.iterations() * ids.size());
+}
+BENCHMARK(BM_WireIdListReply);
+
+// One WINDOW request round trip through the codec: the client's payload
+// (four doubles and the staleness bound) framed, reassembled and decoded
+// as the server does.
+void BM_WireWindowRequest(benchmark::State& state) {
+  const Rect w{0.125, 0.25, 0.5, 0.75};
+  uint64_t request_id = 0;
+  for (auto _ : state) {
+    const std::string frame = net::BuildFrame(
+        net::Opcode::kWindow, 0, ++request_id, net::EncodeWindowRequest(w));
+    net::FrameAssembler assembler;
+    assembler.Feed(frame.data(), frame.size());
+    net::Frame out;
+    net::WireError err;
+    net::FrameHeader err_header;
+    Rect decoded;
+    uint64_t max_lag = 0;
+    const bool ok =
+        assembler.Poll(&out, &err, &err_header) ==
+            net::FrameAssembler::Next::kFrame &&
+        net::DecodeWindowRequest(out.payload, &decoded, &max_lag);
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(decoded);
+  }
+}
+BENCHMARK(BM_WireWindowRequest);
 
 }  // namespace
 }  // namespace zdb

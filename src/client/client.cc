@@ -32,14 +32,13 @@ void Client::Close() {
 
 Result<std::string> Client::RoundTripOn(Channel& ch, Opcode op,
                                         std::string_view payload,
-                                        uint16_t version,
                                         WireError* wire_err) {
   if (wire_err != nullptr) *wire_err = WireError::kOk;
   if (!ch.sock.valid()) {
     return Status::Unavailable("client connection is closed");
   }
   const uint64_t id = ch.next_request_id++;
-  const std::string frame = BuildFrame(op, 0, id, payload, version);
+  const std::string frame = BuildFrame(op, 0, id, payload);
   ZDB_RETURN_IF_ERROR(WriteFully(ch.sock, frame.data(), frame.size()));
 
   char buf[16 * 1024];
@@ -100,13 +99,10 @@ Result<std::string> Client::RoundTripOn(Channel& ch, Opcode op,
 }
 
 Result<std::string> Client::LeaderRoundTrip(Opcode op,
-                                            std::string_view payload,
-                                            uint16_t version,
-                                            WireError* wire_err) {
+                                            std::string_view payload) {
   for (int attempt = 0;; ++attempt) {
     WireError err = WireError::kOk;
-    auto r = RoundTripOn(primary_, op, payload, version, &err);
-    if (wire_err != nullptr) *wire_err = err;
+    auto r = RoundTripOn(primary_, op, payload, &err);
     if (r.ok() || err != WireError::kNotLeader || attempt > 0) return r;
     // NOT_LEADER carries the real leader's URI in the message: move the
     // primary channel there and retry once. A fresh Channel resets the
@@ -134,17 +130,14 @@ Client::Channel* Client::FollowerChannel(size_t idx) {
   return slot.get();
 }
 
-Result<std::string> Client::QueryRoundTrip(
-    Opcode op, const std::function<std::string(uint64_t)>& encode) {
-  const bool bounded =
-      options_.read_preference == ReadPreference::kBoundedStaleness;
-  const uint64_t bound = bounded ? options_.max_lag_epochs
-                                 : kNoStalenessBound;
-  // A bound rides as the wire-v3 trailer; without one the payload is
-  // byte-identical to v1, so the frame says v1 and any server takes it.
-  const std::string payload = encode(bound);
-  const uint16_t version = bounded ? uint16_t{3} : kMinWireVersion;
+uint64_t Client::StalenessBound() const {
+  return options_.read_preference == ReadPreference::kBoundedStaleness
+             ? options_.max_lag_epochs
+             : kNoStalenessBound;
+}
 
+Result<std::string> Client::QueryRoundTrip(Opcode op,
+                                           std::string_view payload) {
   if (options_.read_preference != ReadPreference::kLeader &&
       !followers_.empty()) {
     for (size_t i = 0; i < followers_.size(); ++i) {
@@ -152,7 +145,7 @@ Result<std::string> Client::QueryRoundTrip(
       Channel* ch = FollowerChannel(idx);
       if (ch == nullptr) continue;  // unreachable; try the next
       WireError err = WireError::kOk;
-      auto r = RoundTripOn(*ch, op, payload, version, &err);
+      auto r = RoundTripOn(*ch, op, payload, &err);
       if (r.ok()) {
         rr_ = (idx + 1) % followers_.size();
         return r;
@@ -168,15 +161,14 @@ Result<std::string> Client::QueryRoundTrip(
       followers_[idx].reset();
     }
   }
-  return LeaderRoundTrip(op, payload, version);
+  return LeaderRoundTrip(op, payload);
 }
 
 Result<QueryReply> Client::Window(const Rect& w) {
   std::string body;
   ZDB_ASSIGN_OR_RETURN(
-      body, QueryRoundTrip(Opcode::kWindow, [&](uint64_t max_lag) {
-        return EncodeWindowRequest(w, max_lag);
-      }));
+      body, QueryRoundTrip(Opcode::kWindow,
+                           EncodeWindowRequest(w, StalenessBound())));
   QueryReply out;
   if (!DecodeIdListReplyBody(body, &out.epoch_before, &out.epoch_after,
                              &out.ids)) {
@@ -188,9 +180,8 @@ Result<QueryReply> Client::Window(const Rect& w) {
 Result<QueryReply> Client::Point(const zdb::Point& p) {
   std::string body;
   ZDB_ASSIGN_OR_RETURN(
-      body, QueryRoundTrip(Opcode::kPoint, [&](uint64_t max_lag) {
-        return EncodePointRequest(p, max_lag);
-      }));
+      body, QueryRoundTrip(Opcode::kPoint,
+                           EncodePointRequest(p, StalenessBound())));
   QueryReply out;
   if (!DecodeIdListReplyBody(body, &out.epoch_before, &out.epoch_after,
                              &out.ids)) {
@@ -202,9 +193,8 @@ Result<QueryReply> Client::Point(const zdb::Point& p) {
 Result<KnnReplyData> Client::Nearest(const zdb::Point& p, uint32_t k) {
   std::string body;
   ZDB_ASSIGN_OR_RETURN(
-      body, QueryRoundTrip(Opcode::kKnn, [&](uint64_t max_lag) {
-        return EncodeKnnRequest(p, k, max_lag);
-      }));
+      body, QueryRoundTrip(Opcode::kKnn,
+                           EncodeKnnRequest(p, k, StalenessBound())));
   KnnReplyData out;
   if (!DecodeKnnReplyBody(body, &out.epoch_before, &out.epoch_after,
                           &out.hits)) {
@@ -215,25 +205,12 @@ Result<KnnReplyData> Client::Nearest(const zdb::Point& p, uint32_t k) {
 
 Result<ApplyReplyData> Client::Apply(const WriteBatch& batch,
                                      Durability durability) {
-  // kDurable encodes as pure wire v1; only the explicit kPublished flag
-  // needs a v2 frame (and a v2 server).
-  const bool flagged = durability != Durability::kDurable;
-  const uint16_t version = flagged ? uint16_t{2} : kMinWireVersion;
-  WireError wire_err = WireError::kOk;
-  auto r = LeaderRoundTrip(Opcode::kApply,
-                           EncodeApplyRequest(batch, durability), version,
-                           &wire_err);
-  if (!r.ok()) {
-    if (flagged && (wire_err == WireError::kBadVersion ||
-                    wire_err == WireError::kMalformed)) {
-      return Status::InvalidArgument(
-          "server does not support the APPLY durability flag (wire v1); "
-          "upgrade the server or use Durability::kDurable");
-    }
-    return r.status();
-  }
+  std::string body;
+  ZDB_ASSIGN_OR_RETURN(
+      body,
+      LeaderRoundTrip(Opcode::kApply, EncodeApplyRequest(batch, durability)));
   ApplyReplyData out;
-  if (!DecodeApplyReplyBody(r.value(), &out.epoch_after, &out.inserted)) {
+  if (!DecodeApplyReplyBody(body, &out.epoch_after, &out.inserted)) {
     return Status::IOError("malformed APPLY reply body");
   }
   return out;

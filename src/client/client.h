@@ -16,7 +16,7 @@
 //                      is skipped; with none reachable the leader
 //                      serves the read.
 //   kBoundedStaleness  like kFollower, but every query carries
-//                      max_lag_epochs (wire v3). A follower lagging
+//                      max_lag_epochs as its bound. A follower lagging
 //                      past the bound answers STALE_READ and the
 //                      client transparently retries on the leader,
 //                      which is never stale.
@@ -39,7 +39,6 @@
 #define ZDB_CLIENT_CLIENT_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -63,7 +62,7 @@ enum class ReadPreference : uint8_t {
 struct ClientOptions {
   ReadPreference read_preference = ReadPreference::kLeader;
   /// kBoundedStaleness only: the maximum replication lag, in epochs,
-  /// a query tolerates. Rides in the request (wire v3); a follower
+  /// a query tolerates. Rides in the request's bound; a follower
   /// that cannot honor it rejects and the leader serves the read.
   uint64_t max_lag_epochs = 0;
   /// Follower endpoint URIs for read routing. Connected lazily, on
@@ -105,11 +104,9 @@ class Client {
   [[nodiscard]] Result<QueryReply> Point(const zdb::Point& p);
   [[nodiscard]] Result<KnnReplyData> Nearest(const zdb::Point& p, uint32_t k);
   /// Applies `batch` atomically on the server. kDurable (default) acks
-  /// after the batch is fsynced — encoded exactly as wire v1, so it
-  /// works against servers of any version. kPublished acks as soon as
-  /// readers can see the batch (wire v2); a pre-v2 server rejects that
-  /// flag and the call fails with a clear InvalidArgument. Against a
-  /// follower the write is redirected to the leader (one retry).
+  /// after the batch is fsynced; kPublished acks as soon as readers can
+  /// see the batch (see zdb::Durability). Against a follower the write
+  /// is redirected to the leader (one retry).
   [[nodiscard]] Result<ApplyReplyData> Apply(const WriteBatch& batch,
                                Durability durability = Durability::kDurable);
   [[nodiscard]] Result<std::string> Stats();
@@ -140,26 +137,24 @@ class Client {
 
   /// Sends one request frame on `ch` and blocks for the matching reply
   /// payload (validating magic/version/request id, surfacing typed
-  /// errors as the Status codes documented above). `version` marks the
-  /// request frame; plain requests send kMinWireVersion so any server
-  /// accepts them. If `wire_err` is non-null it receives the reply's
-  /// raw wire code (kOk when no reply arrived at all).
+  /// errors as the Status codes documented above). If `wire_err` is
+  /// non-null it receives the reply's raw wire code (kOk when no reply
+  /// arrived at all).
   [[nodiscard]] Result<std::string> RoundTripOn(Channel& ch, Opcode op,
                                   std::string_view payload,
-                                  uint16_t version = kMinWireVersion,
                                   WireError* wire_err = nullptr);
 
   /// Round-trips on the primary channel, transparently following one
   /// NOT_LEADER redirect (the rejection message is the leader's URI).
   [[nodiscard]] Result<std::string> LeaderRoundTrip(Opcode op,
-                                      std::string_view payload,
-                                      uint16_t version = kMinWireVersion,
-                                      WireError* wire_err = nullptr);
+                                      std::string_view payload);
 
-  /// Routes one query per the read preference; `encode` builds the
-  /// payload for a given staleness bound.
-  [[nodiscard]] Result<std::string> QueryRoundTrip(
-      Opcode op, const std::function<std::string(uint64_t)>& encode);
+  /// Routes one query payload per the read preference.
+  [[nodiscard]] Result<std::string> QueryRoundTrip(Opcode op,
+                                                   std::string_view payload);
+
+  /// The staleness bound the read preference puts on every query.
+  uint64_t StalenessBound() const;
 
   /// The follower channel at `idx`, connecting lazily; nullptr when
   /// the follower is unreachable right now.

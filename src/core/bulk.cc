@@ -15,6 +15,7 @@ namespace zdb {
 Status SpatialIndex::BulkLoad(const std::vector<Rect>& data, double fill,
                               const std::vector<ObjectId>* oids) {
   MutexLock commit(commit_mu_);
+  ZDB_RETURN_IF_ERROR(WritableLocked());
   WriterSection lock(this);
   if (btree_->size() != 0 || store_->size() != 0) {
     return Status::InvalidArgument("bulk load into non-empty index");
@@ -22,17 +23,14 @@ Status SpatialIndex::BulkLoad(const std::vector<Rect>& data, double fill,
   if (oids != nullptr && oids->size() != data.size()) {
     return Status::InvalidArgument("bulk load oids/data size mismatch");
   }
+  // A failure after the first store append may have left a partial load
+  // in memory; PublishOrRollbackLocked then recovers at the last durable
+  // group boundary.
   bool mutated = false;
-  Status st = BulkLoadLocked(data, fill, oids, &mutated);
-  if (st.ok()) {
-    PublishWrite();
-    NotifyPublished();
-  } else if (gc_active_ && mutated) {
-    // A failure after the first store append may have left a partial
-    // load in memory; recover at the last durable group boundary.
-    return RollbackGroupLocked(st);
-  }
-  return st;
+  const Status st = BulkLoadLocked(data, fill, oids, &mutated);
+  ZDB_RETURN_IF_ERROR(PublishOrRollbackLocked(st, mutated));
+  lock.Unlock();
+  return CommitInlineLocked();
 }
 
 Status SpatialIndex::BulkLoadLocked(const std::vector<Rect>& data,

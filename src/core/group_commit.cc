@@ -1,14 +1,16 @@
 // Copyright (c) zdb authors. Licensed under the MIT license.
 //
-// The off-latch group-commit durability pipeline (see the "group commit"
-// section of spatial_index.h). Mutators publish in-memory state and the
-// write epoch under the exclusive latch with no I/O inside; this file
-// owns the dedicated thread that makes published state durable —
-// checkpoint, buffer-pool flush, journal commit — coalescing every batch
-// published since the last group into one fsync and completing waiters
-// in epoch order through the gc_durable_ watermark.
+// The journaled commit path (see the "group commit" section of
+// spatial_index.h). Mutators publish in-memory state and the write epoch
+// under the exclusive latch with no durability I/O inside; this file
+// owns what makes published state durable — checkpoint, buffer-pool
+// flush, journal commit — and completes waiters in epoch order through
+// the gc_durable_ watermark. It runs in one of two places: a dedicated
+// thread that coalesces every batch published since the last group into
+// one fsync (the default), or, with the pipeline off, the writer itself,
+// right after its publish, as a group of one (CommitInlineLocked).
 //
-// Journal discipline: while the pipeline runs, the pager batch is
+// Journal discipline: while the path is armed, the pager batch is
 // permanently armed — CommitBatch is immediately followed by BeginBatch
 // under the same commit_mu_ hold, so every page overwritten after a
 // group boundary (including buffer-pool evictions mid-apply) has its
@@ -23,7 +25,7 @@
 namespace zdb {
 
 void SpatialIndex::NotifyPublished() {
-  if (!gc_active_.load(std::memory_order_relaxed)) return;
+  if (!commit_path_armed()) return;
   MutexLock gl(gc_mu_);
   gc_published_ = write_epoch();
   gc_cv_.NotifyOne();
@@ -71,14 +73,43 @@ Status SpatialIndex::WaitDurable(uint64_t epoch, uint64_t timeout_ms) {
     if (epoch > f.lo && epoch <= f.hi) return f.status;
   }
   if (gc_durable_ >= epoch) return Status::OK();
-  return Status::Unavailable(
-      "group commit stopped before epoch became durable");
+  if (gc_dead_) {
+    return Status::Unavailable(
+        "commit path stopped before epoch " + std::to_string(epoch) +
+        " became durable");
+  }
+  return Status::OK();  // never armed (or cleanly stopped): caller-owned
 }
 
-Status SpatialIndex::StartGroupCommit() {
+Status SpatialIndex::WritableLocked() const {
+  if (commit_path() == CommitPath::kBroken) {
+    return Status::Unavailable(
+        "commit path stopped after a journal failure; reopen to recover "
+        "the last durable group");
+  }
+  return Status::OK();
+}
+
+Status SpatialIndex::PublishOrRollbackLocked(const Status& st,
+                                             bool mutated) {
+  if (st.ok()) {
+    PublishWrite();
+    NotifyPublished();
+    return st;
+  }
+  if (mutated && commit_path_armed()) return RollbackGroupLocked(st);
+  return st;
+}
+
+Status SpatialIndex::CommitInlineLocked() {
+  if (commit_path() != CommitPath::kInline) return Status::OK();
+  return CommitGroupLocked();
+}
+
+Status SpatialIndex::StartGroupCommit(bool pipeline) {
   MutexLock commit(commit_mu_);
-  if (gc_active_.load(std::memory_order_relaxed)) {
-    return Status::InvalidArgument("group commit already running");
+  if (commit_path() != CommitPath::kOff) {
+    return Status::InvalidArgument("commit path already armed");
   }
   Pager* pager = pool_->pager();
   if (!pager->journaled()) {
@@ -124,8 +155,12 @@ Status SpatialIndex::StartGroupCommit() {
     gc_failed_.clear();
     gc_running_ = true;
   }
-  gc_active_.store(true, std::memory_order_release);
-  gc_thread_ = std::thread(&SpatialIndex::GroupCommitLoop, this);
+  if (pipeline) {
+    commit_path_.store(CommitPath::kPipeline, std::memory_order_release);
+    gc_thread_ = std::thread(&SpatialIndex::GroupCommitLoop, this);
+  } else {
+    commit_path_.store(CommitPath::kInline, std::memory_order_release);
+  }
   return Status::OK();
 }
 
@@ -139,34 +174,34 @@ Status SpatialIndex::StopGroupCommit() {
   if (gc_thread_.joinable()) gc_thread_.join();
 
   MutexLock commit(commit_mu_);
+  if (!commit_path_armed()) return Status::OK();
+  // The loop drained before exiting, but a writer may have published
+  // between its last group and this point — commit so Stop() leaves
+  // everything durable, then retire the armed batch.
   Status st = Status::OK();
-  Pager* pager = pool_->pager();
-  if (gc_active_.load(std::memory_order_relaxed) && pager->in_batch()) {
-    // The loop drained before exiting, but a writer may have published
-    // between its last group and this point — commit synchronously so
-    // Stop() leaves everything durable, then retire the armed batch.
-    bool pending;
-    {
-      MutexLock gl(gc_mu_);
-      pending = gc_published_ > gc_durable_;
-    }
-    if (pending) {
-      WriterSection lock(this);
-      st = CheckpointLocked().status();
-      if (st.ok()) st = pool_->FlushAll();
-    }
-    if (st.ok()) st = pager->CommitBatch();
-  }
-  gc_active_.store(false, std::memory_order_release);
+  bool pending;
   {
     MutexLock gl(gc_mu_);
-    gc_running_ = false;
-    if (st.ok()) gc_durable_ = gc_published_;
-    gc_done_cv_.NotifyAll();
+    pending = gc_published_ > gc_durable_;
   }
-  // On failure the batch stays armed and the intact journal rolls the
-  // undurable tail back on the next open — the crash contract, applied
-  // to a failed shutdown.
+  if (pending) {
+    WriterSection lock(this);
+    st = CheckpointLocked().status();
+    if (st.ok()) st = pool_->FlushAll();
+  }
+  if (st.ok()) st = pool_->pager()->CommitBatch();
+  if (!st.ok()) {
+    // The batch stays armed and the intact journal rolls the undurable
+    // tail back on the next open — the crash contract, applied to a
+    // failed shutdown.
+    BreakCommitPathLocked();
+    return st;
+  }
+  commit_path_.store(CommitPath::kOff, std::memory_order_release);
+  MutexLock gl(gc_mu_);
+  gc_running_ = false;
+  gc_durable_ = gc_published_;
+  gc_done_cv_.NotifyAll();
   return st;
 }
 
@@ -194,7 +229,11 @@ void SpatialIndex::GroupCommitLoop() {
 
 Status SpatialIndex::CommitGroup() {
   MutexLock commit(commit_mu_);
-  if (!gc_active_.load(std::memory_order_relaxed)) return Status::OK();
+  if (commit_path() != CommitPath::kPipeline) return Status::OK();
+  return CommitGroupLocked();
+}
+
+Status SpatialIndex::CommitGroupLocked() {
   Pager* pager = pool_->pager();
 
   // Checkpoint under a brief exclusive latch: it only rewrites metadata
@@ -228,19 +267,12 @@ Status SpatialIndex::CommitGroup() {
     gc_done_cv_.NotifyAll();
   }
 
-  // Re-arm the journal for the next group. Failing here is not a state
-  // error (everything is durable) but the pipeline cannot continue
-  // without an armed journal: disable it and fall back to the legacy
-  // synchronous path for future mutations.
-  st = pager->BeginBatch();
-  if (!st.ok()) {
-    gc_active_.store(false, std::memory_order_release);
-    MutexLock gl(gc_mu_);
-    gc_dead_ = true;
-    gc_cv_.NotifyAll();
-    gc_done_cv_.NotifyAll();
-  }
-  return st;
+  // Re-arm the journal for the next group. The group above is durable
+  // whatever happens here, but without an armed journal no later write
+  // can be made crash-atomic: a failure stops the path instead of
+  // letting writes through unjournaled.
+  if (!pager->BeginBatch().ok()) BreakCommitPathLocked();
+  return Status::OK();
 }
 
 Status SpatialIndex::RollbackGroupLocked(const Status& cause) {
@@ -269,30 +301,40 @@ Status SpatialIndex::RollbackGroupLocked(const Status& cause) {
   // epoch-bracketed readers observe the transition. The rolled-back
   // epochs (last durable, last published] fail their waiters with the
   // cause; the new epoch *is* the durable state re-published.
+  //
+  // If the rollback itself failed, disk and memory may disagree: the
+  // waiters learn that (Corruption, naming the cause), the path stops,
+  // and the armed journal (if the abort is what failed) still recovers
+  // the file on the next open.
+  const Status result =
+      undo.ok() ? cause
+                : Status::Corruption("group rollback failed (" +
+                                     cause.ToString() +
+                                     "): " + undo.ToString());
   PublishWrite();
   {
     MutexLock gl(gc_mu_);
     if (gc_published_ > gc_durable_) {
-      gc_failed_.push_back({gc_durable_, gc_published_, cause});
+      gc_failed_.push_back({gc_durable_, gc_published_, result});
     }
-    gc_published_ = gc_durable_ = write_epoch();
-    if (!undo.ok()) gc_dead_ = true;
-    gc_cv_.NotifyAll();
+    gc_published_ = write_epoch();
+    if (undo.ok()) gc_durable_ = gc_published_;
     gc_done_cv_.NotifyAll();
   }
-  if (!undo.ok()) {
-    // Disk and memory may disagree; the armed journal (if the abort is
-    // what failed) still recovers the file on the next open.
-    gc_active_.store(false, std::memory_order_release);
-    return Status::Corruption("group rollback failed (" + cause.ToString() +
-                              "): " + undo.ToString());
-  }
-  return cause;
+  if (!undo.ok()) BreakCommitPathLocked();
+  return result;
+}
+
+void SpatialIndex::BreakCommitPathLocked() {
+  commit_path_.store(CommitPath::kBroken, std::memory_order_release);
+  MutexLock gl(gc_mu_);
+  gc_dead_ = true;
+  gc_cv_.NotifyAll();
+  gc_done_cv_.NotifyAll();
 }
 
 SpatialIndex::~SpatialIndex() {
-  if (gc_thread_.joinable() ||
-      gc_active_.load(std::memory_order_relaxed)) {
+  if (gc_thread_.joinable() || commit_path_armed()) {
     (void)StopGroupCommit();
   }
 }

@@ -135,6 +135,7 @@ Result<PageId> SpatialIndex::Checkpoint() {
   // writer section even though the logical contents do not change (and
   // takes commit_mu_ first to serialize with the group-commit thread).
   MutexLock commit(commit_mu_);
+  ZDB_RETURN_IF_ERROR(WritableLocked());
   WriterSection lock(this);
   return CheckpointLocked();
 }

@@ -116,14 +116,14 @@ Result<std::unique_ptr<SpatialIndex>> SpatialIndex::Create(
 // latch is held for the whole multi-key operation, so an object's
 // z-element set is published to readers all-or-nothing. Every mutator
 // takes commit_mu_ first (lock order commit_mu_ → latch_), which is
-// what serializes the write path against the group-commit thread's
-// off-latch durability work.
+// what serializes the write path against the commit path's off-latch
+// durability work. Each one ends the same way: publish under the
+// latch, drop it, and (inline groups of one) commit before returning.
 //
-// Single-op mutators in group-commit mode: a mid-operation I/O failure
-// may have partially mutated the in-memory state, so — exactly like a
-// failed ApplyBatch — the whole armed group is rolled back to the last
-// durable boundary. Predictable rejections (invalid MBR, unknown oid)
-// happen before any mutation and roll nothing back.
+// A mid-operation I/O failure may have partially mutated the in-memory
+// state, so — on an armed commit path — the whole armed group is rolled
+// back to the last durable boundary. Predictable rejections (invalid
+// MBR, unknown oid) happen before any mutation and roll nothing back.
 
 namespace {
 /// True for failures detected before any page was mutated.
@@ -134,146 +134,66 @@ bool PrevalidatedFailure(const Status& s) {
 
 Result<ObjectId> SpatialIndex::Insert(const Rect& mbr, uint32_t payload) {
   MutexLock commit(commit_mu_);
+  ZDB_RETURN_IF_ERROR(WritableLocked());
   WriterSection lock(this);
   auto r = InsertLocked(mbr, payload);
-  if (r.ok()) {
-    PublishWrite();
-    NotifyPublished();
-  } else if (gc_active_ && !PrevalidatedFailure(r.status())) {
-    ZDB_RETURN_IF_ERROR(RollbackGroupLocked(r.status()));
-  }
+  ZDB_RETURN_IF_ERROR(PublishOrRollbackLocked(
+      r.status(), !PrevalidatedFailure(r.status())));
+  lock.Unlock();
+  ZDB_RETURN_IF_ERROR(CommitInlineLocked());
   return r;
 }
 
 Result<ObjectId> SpatialIndex::InsertPolygon(const Polygon& poly,
                                              ObjectId preassigned) {
   MutexLock commit(commit_mu_);
+  ZDB_RETURN_IF_ERROR(WritableLocked());
   WriterSection lock(this);
   auto r = InsertPolygonLocked(poly, preassigned);
-  if (r.ok()) {
-    PublishWrite();
-    NotifyPublished();
-  } else if (gc_active_ && !PrevalidatedFailure(r.status())) {
-    ZDB_RETURN_IF_ERROR(RollbackGroupLocked(r.status()));
-  }
+  ZDB_RETURN_IF_ERROR(PublishOrRollbackLocked(
+      r.status(), !PrevalidatedFailure(r.status())));
+  lock.Unlock();
+  ZDB_RETURN_IF_ERROR(CommitInlineLocked());
   return r;
 }
 
 Status SpatialIndex::Erase(ObjectId oid) {
   MutexLock commit(commit_mu_);
+  ZDB_RETURN_IF_ERROR(WritableLocked());
   WriterSection lock(this);
-  Status s = EraseLocked(oid);
-  if (s.ok()) {
-    PublishWrite();
-    NotifyPublished();
-  } else if (gc_active_ && !PrevalidatedFailure(s)) {
-    return RollbackGroupLocked(s);
-  }
-  return s;
+  const Status s = EraseLocked(oid);
+  ZDB_RETURN_IF_ERROR(PublishOrRollbackLocked(s, !PrevalidatedFailure(s)));
+  lock.Unlock();
+  return CommitInlineLocked();
 }
 
 Result<std::vector<ObjectId>> SpatialIndex::ApplyBatch(
     const WriteBatch& batch, Durability durability) {
   MutexLock commit(commit_mu_);
+  ZDB_RETURN_IF_ERROR(WritableLocked());
   WriterSection lock(this);
   // Predictable failures (invalid MBRs, unknown/dead/duplicate erases)
   // reject the whole batch before any op is applied, so they can never
-  // leave a partial application — with or without a journal.
+  // leave a partial application.
   ZDB_RETURN_IF_ERROR(ValidateBatchLocked(batch));
 
   std::vector<ObjectId> inserted;
   // A batch that validates empty is a no-op: nothing to apply, publish
-  // or make durable — in particular no entry checkpoint that would
-  // commit as its own batch, and no write-epoch bump.
+  // or make durable — in particular no commit and no write-epoch bump.
   if (batch.empty()) return inserted;
 
-  Pager* pager = pool_->pager();
-
-  if (gc_active_) {
-    // Group-commit path: apply + publish under the latch with no I/O
-    // (page mutations land in the buffer pool; the permanently armed
-    // pager batch journals before-images of any evicted page), then
-    // hand durability to the pipeline thread.
-    Status st = ApplyOpsLocked(batch, &inserted);
-    if (!st.ok()) {
-      // Partial in-memory application: the only exact recovery point is
-      // the last durable group boundary, so the whole group rolls back
-      // (failing the waiters of any earlier published-but-not-durable
-      // batches with this cause).
-      return RollbackGroupLocked(st);
-    }
-    PublishWrite();
-    const uint64_t epoch = write_epoch();
-    NotifyPublished();
-    lock.Unlock();
-    commit.Unlock();
-    if (durability == Durability::kDurable) {
-      ZDB_RETURN_IF_ERROR(WaitDurable(epoch));
-    }
-    return inserted;
+  // Apply + publish under the latch with no durability I/O (page
+  // mutations land in the buffer pool; the armed pager batch journals
+  // before-images of any evicted page), then commit off the latch.
+  ZDB_RETURN_IF_ERROR(
+      PublishOrRollbackLocked(ApplyOpsLocked(batch, &inserted), true));
+  const uint64_t epoch = write_epoch();
+  lock.Unlock();
+  ZDB_RETURN_IF_ERROR(CommitInlineLocked());
+  commit.Unlock();
+  if (durability == Durability::kDurable) {
+    ZDB_RETURN_IF_ERROR(WaitDurable(epoch));
   }
-
-  // Journal-back the batch when possible. If the caller already manages
-  // an outer pager batch, compose with it instead of nesting: validation
-  // caught the predictable failures, and a residual I/O failure is left
-  // to the caller's outer rollback (see header).
-  const bool journal = pager->journaled() && !pager->in_batch();
-  if (!journal) {
-    ZDB_RETURN_IF_ERROR(ApplyOpsLocked(batch, &inserted));
-    PublishWrite();
-    return inserted;
-  }
-
-  // Phase 1: make the pre-batch state durable, as its own journaled
-  // batch so a crash inside this checkpoint stays atomic. Phase 2's
-  // journal then snapshots exactly the logical pre-batch pages — the
-  // property that lets the failure path below restore the in-memory
-  // index precisely via AbortBatch + ReloadLocked.
-  const PageId master_before = master_page_;
-  ZDB_RETURN_IF_ERROR(pager->BeginBatch());
-  Status st = CheckpointLocked().status();
-  if (st.ok()) st = pool_->FlushAll();
-  if (st.ok()) st = pager->CommitBatch();
-  const bool checkpointed = st.ok();
-
-  // Phase 2: apply the ops and make the batch durable before it
-  // commits — meta + dirty pages to disk, then the journal reset. A
-  // crash anywhere before CommitBatch rolls the whole batch back on
-  // reopen.
-  if (st.ok()) st = pager->BeginBatch();
-  if (st.ok()) {
-    st = ApplyOpsLocked(batch, &inserted);
-    if (st.ok()) st = CheckpointLocked().status();
-    if (st.ok()) st = pool_->FlushAll();
-    if (st.ok()) st = pager->CommitBatch();
-  }
-
-  if (!st.ok()) {
-    // Roll disk AND memory back: restore the journaled before-images,
-    // drop the (partially mutated) cache and re-read the index state
-    // from the last durable checkpoint, so the failed batch leaves no
-    // trace and the next batch journals normally. If phase 1 itself
-    // failed, that checkpoint is the previous one — mutations that were
-    // never made durable are rolled back with the batch. If even the
-    // rollback fails, the batch stays open and the intact journal
-    // recovers the file on the next reopen.
-    const bool suspect = pager->in_batch() || !checkpointed;
-    if (suspect) {
-      Status undo =
-          pager->in_batch() ? pager->AbortBatch() : Status::OK();
-      if (undo.ok()) {
-        master_page_ = master_before;
-        undo = ReloadLocked();
-      }
-      if (!undo.ok()) {
-        return Status::Corruption("batch failed (" + st.ToString() +
-                                  ") and rollback failed too: " +
-                                  undo.ToString());
-      }
-    }
-    return st;
-  }
-  PublishWrite();
   return inserted;
 }
 

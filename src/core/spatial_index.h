@@ -24,8 +24,8 @@
 // Checkpoint) take it exclusively, so every mutation — in particular the
 // multi-key publication of one object's whole z-element set — becomes
 // visible to readers all-or-nothing. ApplyBatch() extends that guarantee
-// to a whole batch of mutations (and makes the batch crash-atomic when
-// the pager has a rollback journal). The parallel plan hooks
+// to a whole batch of mutations (and makes the batch crash-atomic on the
+// journaled commit path, StartGroupCommit()). The parallel plan hooks
 // (PlanWindow/ExecuteWindowPlanSlice/RefineWindowCandidates) do NOT
 // latch internally: a caller splitting one query across threads must
 // hold one ReaderSection() across all hook calls (exec/executor.h does).
@@ -102,11 +102,14 @@ struct WriteOp {
 
 /// When a batch is acknowledged to the caller (see
 /// SpatialIndex::ApplyBatch / zdb::DB::Apply / net::Client::Apply).
-/// kDurable waits for the group-commit pipeline to fsync the batch;
-/// kPublished returns as soon as readers can see it — the batch becomes
-/// durable asynchronously, and a crash before that rolls it back as a
-/// unit (never partially). Without group commit, kDurable is the classic
-/// synchronous journaled ApplyBatch and kPublished is identical to it.
+/// kDurable waits until the batch's group is committed to the journaled
+/// file; kPublished returns as soon as readers can see it. On the
+/// group-commit pipeline a kPublished batch becomes durable
+/// asynchronously, and a crash before that rolls it back as a unit
+/// (never partially). With group commit off, every batch is a group of
+/// one that commits before the call returns, so both values wait. An
+/// index without a journaled commit path ignores the value: its caller
+/// owns durability.
 enum class Durability : uint8_t {
   kDurable = 0,
   kPublished = 1,
@@ -114,8 +117,8 @@ enum class Durability : uint8_t {
 
 /// An ordered batch of inserts and erases applied atomically by
 /// SpatialIndex::ApplyBatch(): concurrent readers observe either none or
-/// all of its effects, and with a journaled pager a crash mid-batch rolls
-/// the whole batch back on reopen.
+/// all of its effects, and on a journaled commit path a crash before the
+/// batch's group commits rolls the whole batch back on reopen.
 struct WriteBatch {
   std::vector<WriteOp> ops;
 
@@ -245,77 +248,79 @@ class SpatialIndex {
   /// validates empty is a no-op: nothing is applied, checkpointed or
   /// published, and the write epoch is unchanged.
   ///
-  /// With the group-commit pipeline running (StartGroupCommit()), the
-  /// batch is applied and *published* under the exclusive latch with no
-  /// I/O inside — the durability work (checkpoint, flush, journal fsync)
-  /// runs on the dedicated group-commit thread, which coalesces
+  /// The batch is applied and *published* under the exclusive latch with
+  /// no durability I/O inside. On a journaled commit path
+  /// (StartGroupCommit()) the commit — checkpoint, flush, journal fsync —
+  /// then runs off the latch: on the pipeline thread, which coalesces
   /// consecutively published batches into one commit and completes
-  /// waiters in epoch order. `durability` selects when the call returns:
-  /// kDurable (the default) blocks until the batch's epoch is durable;
-  /// kPublished returns at publish time. Crash contract in this mode:
-  /// published-but-not-durable batches roll back as a unit on recovery,
-  /// never partially.
-  ///
-  /// Without group commit, `durability` is ignored and the batch is made
-  /// synchronously crash-atomic when the pager has a rollback journal
-  /// and no caller-managed batch is active: it runs inside
-  /// BeginBatch/CommitBatch with a checkpoint + flush before the commit,
-  /// so a crash mid-batch rolls back to the pre-batch index on reopen.
+  /// waiters in epoch order (`durability` picks whether the call waits),
+  /// or, with the pipeline off, inline on this thread as a group of one
+  /// before the call returns. Crash contract: published-but-not-durable
+  /// batches roll back as a unit on recovery, never partially. Without a
+  /// commit path the batch is only published and the caller owns
+  /// durability (e.g. a caller-managed pager batch, or Checkpoint() +
+  /// flush + sync).
   ///
   /// Failure semantics: the batch is validated up front (invalid MBRs,
   /// erases of unknown, dead or batch-duplicated oids), so predictable
   /// errors reject the whole batch with nothing applied — note this
   /// means an erase must reference an object that existed before the
-  /// batch. A residual mid-batch failure (I/O error) on the journaled
-  /// path aborts the pager batch and reloads the index from the last
-  /// durable checkpoint, so memory and disk both return to a batch
-  /// boundary (in group mode that boundary is the last durable group,
-  /// so earlier published-but-not-durable batches roll back with the
-  /// failed one and their durability waiters get the error). Without a
-  /// journal (none configured, or composing with a caller-managed
-  /// batch) such a failure can leave a partially applied batch in
-  /// memory — the caller's outer rollback (crash or reopen) is then the
-  /// recovery path.
+  /// batch. A residual failure (I/O error) while applying or committing
+  /// rolls the whole armed group back: the pager batch is aborted and
+  /// the index reloaded from the last durable group boundary, so memory
+  /// and disk agree again; earlier published-but-not-durable batches
+  /// roll back with it and their durability waiters get the error.
+  /// Without a commit path such a failure can leave a partially applied
+  /// batch in memory — the caller's outer rollback (crash or reopen) is
+  /// then the recovery path. After the commit path has stopped
+  /// (journal re-arm or rollback failure), every write fails with
+  /// Unavailable.
   Result<std::vector<ObjectId>> ApplyBatch(
       const WriteBatch& batch, Durability durability = Durability::kDurable);
 
   // ------------------------------------------------------- group commit
   //
-  // The off-latch durability pipeline: mutations publish in-memory state
-  // under the exclusive latch and hand checkpoint + flush + journal
-  // commit to a dedicated thread, so readers never wait out an fsync.
+  // The journaled commit path: mutations publish in-memory state under
+  // the exclusive latch, and the checkpoint + flush + journal commit
+  // runs with the latch released, so readers never wait out an fsync.
   // The pager batch (rollback journal) is kept permanently armed; its
   // before-images always describe the last durable group boundary, which
   // is what makes whole published-but-not-durable batches roll back as a
   // unit on crash.
 
-  /// Starts the group-commit pipeline. Requires a journaled pager with
-  /// no caller-managed batch active. The current state is made durable
+  /// Arms the journaled commit path. Requires a journaled pager with no
+  /// caller-managed batch active. The current state is made durable
   /// first (it becomes the initial group boundary), then the journal is
-  /// armed and the durability thread started. While the pipeline runs,
-  /// single-op mutations (Insert/InsertPolygon/Erase/BulkLoad) are
-  /// acknowledged at publish time and made durable asynchronously; use
-  /// ApplyBatch(…, kDurable) or WaitDurable() to block on durability.
-  Status StartGroupCommit();
+  /// armed. With `pipeline` (the default) a dedicated thread commits
+  /// groups: single-op mutations (Insert/InsertPolygon/Erase/BulkLoad)
+  /// are acknowledged at publish time and made durable asynchronously;
+  /// use ApplyBatch(…, kDurable) or WaitDurable() to block on
+  /// durability. Without it every mutation is a group of one that its
+  /// writer commits inline, still holding commit_mu_, before returning.
+  Status StartGroupCommit(bool pipeline = true);
 
   /// Drains pending durability work, commits the armed journal batch and
-  /// joins the durability thread. Safe to call when not running. Called
-  /// by the destructor.
+  /// joins the durability thread; the index is unarmed afterwards. Safe
+  /// to call when not running. Called by the destructor.
   Status StopGroupCommit();
 
-  /// True while the group-commit pipeline is running.
+  /// True while the group-commit pipeline thread is running (false for
+  /// inline groups of one).
   bool group_commit_active() const {
-    return gc_active_.load(std::memory_order_acquire);
+    return commit_path() == CommitPath::kPipeline;
   }
 
-  /// Highest write epoch whose effects are durable on disk (only
-  /// advanced by the group-commit pipeline; 0 before StartGroupCommit).
+  /// Highest write epoch whose effects are durable on disk (advanced by
+  /// the commit path; 0 before StartGroupCommit).
   uint64_t durable_epoch() const;
 
   /// Blocks until epoch `epoch` is durable (OK), rolled back (the
   /// rollback cause), or — with nonzero `timeout_ms` — the deadline
-  /// expires (TimedOut). Returns Unavailable if the pipeline stops
-  /// before the epoch becomes durable. Group-commit mode only.
+  /// expires (TimedOut). Returns Unavailable for an epoch the commit
+  /// path can no longer make durable: it stopped after a journal
+  /// failure, or a shutdown commit failed. An index that was never
+  /// armed has no durability of its own to wait for (its caller owns
+  /// it): OK at once.
   Status WaitDurable(uint64_t epoch, uint64_t timeout_ms = 0);
 
   /// Test hook: pauses/resumes the durability thread. While paused,
@@ -687,9 +692,43 @@ class SpatialIndex {
 
   // --------------------------------- group commit (core/group_commit.cc)
 
+  /// Where the journaled commit path stands. Changed under commit_mu_;
+  /// atomic so group_commit_active() is latch-free.
+  enum class CommitPath : uint8_t {
+    kOff,       ///< unarmed: apply + publish, the caller owns durability
+    kPipeline,  ///< armed; the group-commit thread commits groups
+    kInline,    ///< armed; each writer commits its own group of one
+    kBroken,    ///< armed path stopped on a journal failure: writes fail
+  };
+  CommitPath commit_path() const {
+    return commit_path_.load(std::memory_order_acquire);
+  }
+  bool commit_path_armed() const {
+    const CommitPath p = commit_path();
+    return p == CommitPath::kPipeline || p == CommitPath::kInline;
+  }
+
+  /// Unavailable once the commit path has stopped (kBroken): without an
+  /// armed journal no write could be made crash-atomic. Every mutator
+  /// checks it before touching a page.
+  Status WritableLocked() const REQUIRES(commit_mu_);
+
+  /// Ends a writer section's mutation. On success publishes the new
+  /// epoch and hands it to the commit path. On failure, when `mutated`
+  /// (pages may have changed) and the path is armed, rolls the armed
+  /// group back (RollbackGroupLocked); otherwise returns `st` as is.
+  Status PublishOrRollbackLocked(const Status& st, bool mutated)
+      REQUIRES(commit_mu_, latch_);
+
+  /// Inline groups of one: commits the group this writer just
+  /// published, with the latch released and commit_mu_ still held, so
+  /// the mutation returns durable (or rolled back, with the cause).
+  /// No-op unless the path is kInline.
+  Status CommitInlineLocked() REQUIRES(commit_mu_);
+
   /// Records the current write epoch as published and wakes the
   /// durability thread. Caller holds commit_mu_ (and has just
-  /// PublishWrite()d); no-op when the pipeline is off.
+  /// PublishWrite()d); no-op when the path is not armed.
   void NotifyPublished() REQUIRES(commit_mu_);
 
   /// Durability thread body: waits for published > durable, commits one
@@ -697,22 +736,33 @@ class SpatialIndex {
   void GroupCommitLoop();
 
   /// True once WaitDurable(epoch)'s outcome is decided (durable, rolled
-  /// back, or the pipeline stopped/died). Wait-loop predicate.
+  /// back, or the path stopped). Wait-loop predicate.
   bool DurabilitySettledLocked(uint64_t epoch) const REQUIRES(gc_mu_);
 
-  /// One group commit cycle: brief exclusive-latch checkpoint, then
-  /// flush + journal commit + re-arm off the latch. Takes commit_mu_.
+  /// The pipeline thread's cycle: CommitGroupLocked under commit_mu_,
+  /// unless the pipeline was stopped meanwhile.
   Status CommitGroup();
+
+  /// One group commit: brief exclusive-latch checkpoint, then flush +
+  /// journal commit + re-arm off the latch. Returns OK once the group
+  /// is durable (a failed re-arm then stops the path for later writes),
+  /// or the rollback's status if the commit failed.
+  Status CommitGroupLocked() REQUIRES(commit_mu_);
 
   /// Rolls the whole armed group back (disk via AbortBatch, memory via
   /// ReloadLocked from the last durable master), fails pending
   /// durability waiters with `cause`, and re-arms the journal. Caller
   /// holds commit_mu_ and the exclusive latch. Returns `cause` on a
   /// successful rollback, Corruption if the rollback itself failed
-  /// (group mode is then disabled; the intact journal still recovers
-  /// the file on the next open).
+  /// (the path then stops; the intact journal still recovers the file
+  /// on the next open).
   Status RollbackGroupLocked(const Status& cause)
       REQUIRES(commit_mu_, latch_);
+
+  /// Stops the commit path after a journal failure (kBroken): later
+  /// writes fail, waiters on undurable epochs get Unavailable, and the
+  /// pipeline thread exits.
+  void BreakCommitPathLocked() REQUIRES(commit_mu_);
 
   // Latch acquisition with writer preference. The portable
   // SharedMutex makes no fairness promise, and the common pthread
@@ -747,8 +797,8 @@ class SpatialIndex {
   };
 
   /// Checked scoped writer section (gate announcement + exclusive
-  /// latch). Unlock() releases early — ApplyBatch drops the latch before
-  /// blocking on durability.
+  /// latch). Unlock() releases early — mutators drop the latch before
+  /// committing or blocking on durability.
   class SCOPED_CAPABILITY WriterSection {
    public:
     explicit WriterSection(SpatialIndex* ix) ACQUIRE(ix->latch_)
@@ -869,9 +919,7 @@ class SpatialIndex {
   /// stall the query path; writers queue on it instead of on the
   /// reader-visible latch.
   Mutex commit_mu_;
-  /// Pipeline on/off. Written under commit_mu_; atomic so
-  /// group_commit_active() is latch-free.
-  std::atomic<bool> gc_active_{false};
+  std::atomic<CommitPath> commit_path_{CommitPath::kOff};
   /// Master page of the last *durable* group boundary — the rollback
   /// target.
   PageId gc_master_ GUARDED_BY(commit_mu_) = kInvalidPageId;
@@ -887,9 +935,9 @@ class SpatialIndex {
   CondVar gc_cv_;             ///< wakes the thread
   mutable CondVar gc_done_cv_;  ///< wakes waiters
   bool gc_stop_ GUARDED_BY(gc_mu_) = false;  ///< drain and exit
-  bool gc_dead_ GUARDED_BY(gc_mu_) = false;  ///< pipeline broke
+  bool gc_dead_ GUARDED_BY(gc_mu_) = false;  ///< commit path stopped
   bool gc_paused_ GUARDED_BY(gc_mu_) = false;   ///< test hook
-  bool gc_running_ GUARDED_BY(gc_mu_) = false;  ///< thread alive
+  bool gc_running_ GUARDED_BY(gc_mu_) = false;  ///< commit path armed
   uint64_t gc_published_ GUARDED_BY(gc_mu_) = 0;  ///< highest published
   uint64_t gc_durable_ GUARDED_BY(gc_mu_) = 0;    ///< durable watermark
   /// Epochs (lo, hi] rolled back by a failed group, with the cause;

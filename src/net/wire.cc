@@ -174,18 +174,15 @@ WireError DecodeFrameHeader(const char* src, FrameHeader* out) {
   out->flags = static_cast<uint8_t>(src[11]);
   out->request_id = DecodeFixed64(src + 12);
   if (magic != kMagic) return WireError::kBadMagic;
-  if (out->version < kMinWireVersion || out->version > kWireVersion) {
-    return WireError::kBadVersion;
-  }
+  if (out->version != kWireVersion) return WireError::kBadVersion;
   if (out->payload_len > kMaxPayload) return WireError::kFrameTooLarge;
   return WireError::kOk;
 }
 
 std::string BuildFrame(Opcode op, uint8_t flags, uint64_t request_id,
-                       std::string_view payload, uint16_t version) {
+                       std::string_view payload) {
   FrameHeader h;
   h.payload_len = static_cast<uint32_t>(payload.size());
-  h.version = version;
   h.opcode = static_cast<uint8_t>(op);
   h.flags = flags;
   h.request_id = request_id;
@@ -273,27 +270,6 @@ bool PayloadReader::GetLengthPrefixedString(std::string* v) {
 
 // ------------------------------------------------------ request payloads
 
-namespace {
-
-/// Appends the optional v3 staleness-bound trailer; kNoStalenessBound
-/// (the default) keeps the payload byte-identical to v1.
-void PutStalenessBound(std::string* dst, uint64_t max_lag) {
-  if (max_lag != kNoStalenessBound) PutU64(dst, max_lag);
-}
-
-/// Consumes the optional trailing bound when the caller asked for it
-/// (max_lag non-null); strict v1 parsing otherwise. Returns false only
-/// on a malformed trailer (wrong length is caught by the caller's
-/// AtEnd()).
-bool GetStalenessBound(PayloadReader* r, uint64_t* max_lag) {
-  if (max_lag == nullptr) return true;
-  *max_lag = kNoStalenessBound;
-  if (r->remaining() == 8) return r->GetU64(max_lag);
-  return true;
-}
-
-}  // namespace
-
 std::string EncodeWindowRequest(const Rect& w, uint64_t max_lag) {
   std::string out;
   out.reserve(40);
@@ -301,7 +277,7 @@ std::string EncodeWindowRequest(const Rect& w, uint64_t max_lag) {
   PutDouble(&out, w.ylo);
   PutDouble(&out, w.xhi);
   PutDouble(&out, w.yhi);
-  PutStalenessBound(&out, max_lag);
+  PutU64(&out, max_lag);
   return out;
 }
 
@@ -310,7 +286,7 @@ bool DecodeWindowRequest(std::string_view payload, Rect* w,
   PayloadReader r(payload);
   return r.GetDouble(&w->xlo) && r.GetDouble(&w->ylo) &&
          r.GetDouble(&w->xhi) && r.GetDouble(&w->yhi) &&
-         GetStalenessBound(&r, max_lag) && r.AtEnd();
+         r.GetU64(max_lag) && r.AtEnd();
 }
 
 std::string EncodePointRequest(const Point& p, uint64_t max_lag) {
@@ -318,15 +294,15 @@ std::string EncodePointRequest(const Point& p, uint64_t max_lag) {
   out.reserve(24);
   PutDouble(&out, p.x);
   PutDouble(&out, p.y);
-  PutStalenessBound(&out, max_lag);
+  PutU64(&out, max_lag);
   return out;
 }
 
 bool DecodePointRequest(std::string_view payload, Point* p,
                         uint64_t* max_lag) {
   PayloadReader r(payload);
-  return r.GetDouble(&p->x) && r.GetDouble(&p->y) &&
-         GetStalenessBound(&r, max_lag) && r.AtEnd();
+  return r.GetDouble(&p->x) && r.GetDouble(&p->y) && r.GetU64(max_lag) &&
+         r.AtEnd();
 }
 
 std::string EncodeKnnRequest(const Point& p, uint32_t k, uint64_t max_lag) {
@@ -335,7 +311,7 @@ std::string EncodeKnnRequest(const Point& p, uint32_t k, uint64_t max_lag) {
   PutDouble(&out, p.x);
   PutDouble(&out, p.y);
   PutU32(&out, k);
-  PutStalenessBound(&out, max_lag);
+  PutU64(&out, max_lag);
   return out;
 }
 
@@ -343,7 +319,7 @@ bool DecodeKnnRequest(std::string_view payload, Point* p, uint32_t* k,
                       uint64_t* max_lag) {
   PayloadReader r(payload);
   return r.GetDouble(&p->x) && r.GetDouble(&p->y) && r.GetU32(k) &&
-         GetStalenessBound(&r, max_lag) && r.AtEnd();
+         r.GetU64(max_lag) && r.AtEnd();
 }
 
 std::string EncodeApplyRequest(const WriteBatch& batch,
@@ -363,17 +339,12 @@ std::string EncodeApplyRequest(const WriteBatch& batch,
       PutU32(&out, op.oid);
     }
   }
-  // kDurable is the implicit default — omitting the byte keeps the
-  // payload byte-identical to wire v1.
-  if (durability != Durability::kDurable) {
-    out.push_back(static_cast<char>(durability));
-  }
+  out.push_back(static_cast<char>(durability));
   return out;
 }
 
 bool DecodeApplyRequest(std::string_view payload, WriteBatch* batch,
                         Durability* durability) {
-  if (durability != nullptr) *durability = Durability::kDurable;
   PayloadReader r(payload);
   uint32_t count;
   if (!r.GetU32(&count)) return false;
@@ -404,19 +375,14 @@ bool DecodeApplyRequest(std::string_view payload, WriteBatch* batch,
       return false;
     }
   }
-  // Optional v2 trailing durability byte. A caller not asking for it
-  // (durability == nullptr) parses strictly — the trailing byte fails
-  // AtEnd() exactly as it does on a pre-v2 server.
-  if (durability != nullptr && r.remaining() == 1) {
-    uint8_t flag;
-    if (!r.GetU8(&flag)) return false;
-    if (flag != static_cast<uint8_t>(Durability::kDurable) &&
-        flag != static_cast<uint8_t>(Durability::kPublished)) {
-      return false;
-    }
-    *durability = static_cast<Durability>(flag);
+  uint8_t flag;
+  if (!r.GetU8(&flag) || !r.AtEnd()) return false;
+  if (flag != static_cast<uint8_t>(Durability::kDurable) &&
+      flag != static_cast<uint8_t>(Durability::kPublished)) {
+    return false;
   }
-  return r.AtEnd();
+  *durability = static_cast<Durability>(flag);
+  return true;
 }
 
 // -------------------------------------------------------- reply payloads

@@ -45,23 +45,12 @@ namespace zdb {
 namespace net {
 
 constexpr uint32_t kMagic = 0x315A4442u;  // "BDZ1" on the wire
-/// Current protocol version. History:
-///   1 — initial protocol.
-///   2 — APPLY payload may carry a trailing durability byte (Durability);
-///       absent means kDurable, so v2 APPLY without the byte is
-///       byte-identical to v1.
-///   3 — replication: SUBSCRIBE / LOG_RECORD / LOG_ACK opcodes, the
-///       NOT_LEADER and STALE_READ error codes, and an optional trailing
-///       u64 staleness bound (max lag in epochs) on WINDOW/POINT/KNN
-///       request payloads; absent means unbounded, so v3 queries without
-///       the bound stay byte-identical to v1.
-/// Receivers accept any version in [kMinWireVersion, kWireVersion];
-/// senders mark a frame with the lowest version whose feature set it
-/// uses, so new clients interoperate with old servers until they
-/// actually exercise a new feature (which an old server then rejects
-/// with a typed kBadVersion reply).
-constexpr uint16_t kWireVersion = 3;
-constexpr uint16_t kMinWireVersion = 1;
+/// The protocol version. Both ends ship in this repository, so there is
+/// exactly one: a header carrying any other value is rejected with
+/// kBadVersion. Version 4 fixed one payload layout per opcode (the
+/// staleness bound on queries and the durability byte on APPLY are
+/// always present); versions 1–3 made them optional trailers.
+constexpr uint16_t kWireVersion = 4;
 /// Upper bound on payload_len; larger headers are rejected with
 /// kFrameTooLarge before any allocation happens.
 constexpr uint32_t kMaxPayload = 16u << 20;
@@ -77,7 +66,7 @@ enum class Opcode : uint8_t {
   kApply = 5,     ///< atomic insert/erase batch (ApplyBatch)
   kStats = 6,     ///< server + engine counters as JSON
   kShutdown = 7,  ///< request graceful server shutdown
-  /// Replication (wire v3). A follower SUBSCRIBEs on a leader carrying
+  /// Replication. A follower SUBSCRIBEs on a leader carrying
   /// its last applied epoch; the leader replies, then pushes LOG_RECORD
   /// frames (flags 0, request_id 0 — the one server-initiated frame in
   /// the protocol) on the same connection; the follower acknowledges
@@ -101,7 +90,7 @@ enum class WireError : uint8_t {
   kOk = 0,
   kMalformed = 1,      ///< payload failed bounds-checked decoding
   kUnknownOpcode = 2,  ///< opcode outside the known set
-  kBadVersion = 3,     ///< header version outside [kMin, kWireVersion]
+  kBadVersion = 3,     ///< header version is not kWireVersion
   kFrameTooLarge = 4,  ///< payload_len > kMaxPayload
   kBadMagic = 5,       ///< header magic mismatch (not a zdb peer)
   kBusy = 6,           ///< admission queue full — backpressure, retry
@@ -158,16 +147,13 @@ void EncodeFrameHeader(char* dst, const FrameHeader& header);
 /// Strict header decode from kHeaderSize bytes. On kOk, *out is filled.
 /// On kBadMagic/kBadVersion/kFrameTooLarge, *out still carries whatever
 /// fields were readable (opcode, request_id) so an error reply can echo
-/// them. Versions kMinWireVersion..kWireVersion are all accepted.
+/// them. Only kWireVersion is accepted.
 [[nodiscard]] WireError DecodeFrameHeader(const char* src, FrameHeader* out);
 
-/// A complete frame: header + payload, ready to write to a socket.
-/// `version` is the protocol revision the payload encoding requires;
-/// senders should pass kMinWireVersion unless the payload uses a newer
-/// feature (see kWireVersion history).
+/// A complete kWireVersion frame: header + payload, ready to write to a
+/// socket.
 std::string BuildFrame(Opcode op, uint8_t flags, uint64_t request_id,
-                       std::string_view payload,
-                       uint16_t version = kWireVersion);
+                       std::string_view payload);
 
 /// Incremental frame reassembly over an arbitrary chunking of the byte
 /// stream (a frame may arrive split across many reads, or many frames in
@@ -225,51 +211,40 @@ class PayloadReader {
 
 // ------------------------------------------------------ request payloads
 //
-// Query requests (WINDOW/POINT/KNN) may carry an optional trailing u64
-// staleness bound — the maximum replication lag, in epochs, the caller
-// tolerates from a follower (wire v3). kNoStalenessBound (the encode
-// default) omits the trailer, keeping the payload byte-identical to v1;
-// frames carrying the bound must be marked version 3. Decoders read the
-// trailer only when handed a non-null `max_lag` out-param (the strict
-// v1/v2 parse otherwise rejects the extra bytes as malformed, exactly
-// how a pre-v3 server responds to the bound).
+// One layout per opcode; every field is always present, and a payload
+// with missing or extra bytes is malformed. Query requests (WINDOW/
+// POINT/KNN) end with a u64 staleness bound — the maximum replication
+// lag, in epochs, the caller tolerates from a follower.
 
 /// "No staleness bound": any replica state answers the query.
 constexpr uint64_t kNoStalenessBound = ~uint64_t{0};
 
+/// WINDOW: 4 doubles (xlo, ylo, xhi, yhi) + u64 bound.
 std::string EncodeWindowRequest(const Rect& w,
                                 uint64_t max_lag = kNoStalenessBound);
 [[nodiscard]] bool DecodeWindowRequest(std::string_view payload, Rect* w,
-                                       uint64_t* max_lag = nullptr);
+                                       uint64_t* max_lag);
 
+/// POINT: 2 doubles + u64 bound.
 std::string EncodePointRequest(const Point& p,
                                uint64_t max_lag = kNoStalenessBound);
 [[nodiscard]] bool DecodePointRequest(std::string_view payload, Point* p,
-                                      uint64_t* max_lag = nullptr);
+                                      uint64_t* max_lag);
 
+/// KNN: 2 doubles + u32 k + u64 bound.
 std::string EncodeKnnRequest(const Point& p, uint32_t k,
                              uint64_t max_lag = kNoStalenessBound);
 [[nodiscard]] bool DecodeKnnRequest(std::string_view payload, Point* p,
-                                    uint32_t* k,
-                                    uint64_t* max_lag = nullptr);
+                                    uint32_t* k, uint64_t* max_lag);
 
-/// Batch of inserts (kind 0: mbr + payload word) and erases (kind 1:
-/// oid), applied atomically server-side via SpatialIndex::ApplyBatch.
-///
-/// Wire v2 appends an optional trailing durability byte: absent means
-/// Durability::kDurable (the v1 semantics — ack after fsync), so the
-/// default encoding stays byte-identical to v1 and works against old
-/// servers. kPublished adds the byte; frames carrying it must be marked
-/// version 2 (old servers reject them with kBadVersion).
+/// APPLY: u32 op count, then per op a kind byte — 0: insert (4 doubles
+/// MBR + u32 payload word), 1: erase (u32 oid) — then one Durability
+/// byte. Applied atomically server-side via zdb::DB::Apply.
 std::string EncodeApplyRequest(const WriteBatch& batch,
                                Durability durability = Durability::kDurable);
-/// Decodes the batch and the durability flag (absent byte -> kDurable).
-/// Passing durability == nullptr restores strict v1 parsing: a trailing
-/// byte is rejected as malformed — exactly how pre-v2 servers respond
-/// to the flag.
 [[nodiscard]] bool DecodeApplyRequest(std::string_view payload,
                                       WriteBatch* batch,
-                                      Durability* durability = nullptr);
+                                      Durability* durability);
 
 // -------------------------------------------------------- reply payloads
 //

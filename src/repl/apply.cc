@@ -133,7 +133,7 @@ void Applier::RunSession() {
   const uint64_t subscribe_id = 1;
   const std::string request = net::BuildFrame(
       Opcode::kSubscribe, /*flags=*/0, subscribe_id,
-      EncodeSubscribeRequest(applied_epoch()), /*version=*/3);
+      EncodeSubscribeRequest(applied_epoch()));
   if (!net::WriteFully(sock_, request.data(), request.size()).ok()) return;
 
   FrameAssembler assembler;
@@ -221,7 +221,7 @@ void Applier::RunSession() {
     // leader's in-flight window release).
     const std::string ack =
         net::BuildFrame(Opcode::kLogAck, /*flags=*/0, /*request_id=*/0,
-                        EncodeLogAck(applied_epoch()), /*version=*/3);
+                        EncodeLogAck(applied_epoch()));
     if (!net::WriteFully(sock_, ack.data(), ack.size()).ok()) return;
   }
 }

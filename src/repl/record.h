@@ -2,7 +2,7 @@
 //
 // Replication log records: the framing of one committed batch as it
 // travels from a leader's log shipper to a follower's applier, plus the
-// payload codecs of the three replication opcodes (net/wire.h v3).
+// payload codecs of the three replication opcodes (net/wire.h).
 //
 // Record layout (little-endian, via the net/wire payload primitives):
 //

@@ -193,8 +193,7 @@ void LogShipper::ShipLoop() {
               f.send,
               net::BuildFrame(net::Opcode::kLogRecord, /*flags=*/0,
                               /*request_id=*/0,
-                              EncodeLogRecordFrame(head_epoch_, rec.encoded),
-                              /*version=*/3));
+                              EncodeLogRecordFrame(head_epoch_, rec.encoded)));
           ++f.next_index;
           ++f.inflight;
           ++records_shipped_;

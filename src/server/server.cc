@@ -784,8 +784,7 @@ bool Server::HandleSubscribe(const Request& req) {
   // the cursor: the reply always precedes the first pushed record.
   PushFrame(conn,
             BuildFrame(Opcode::kSubscribe, kFlagReply, id,
-                       repl::EncodeSubscribeReply(head.value()),
-                       /*version=*/3));
+                       repl::EncodeSubscribeReply(head.value())));
   shipper_->Activate(conn->token);
   return false;
 }
@@ -805,11 +804,10 @@ std::string Server::ExecuteRequest(const Frame& frame, bool* is_error) {
     *is_error = true;
     return EncodeErrorReply(StatusCodeToWireError(s.code()), s.message());
   };
-  // Bounded-staleness admission (the v3 trailing bound on queries). A
+  // Bounded-staleness admission (every query carries a bound). A
   // leader or standalone node serves its own commits and is never
   // stale; only a follower can fall behind, and then the honest answer
   // is a typed rejection, not silently stale data.
-  const bool v3 = frame.header.version >= 3;
   auto within_bound = [&](uint64_t max_lag) {
     if (max_lag == kNoStalenessBound || applier_ == nullptr) return true;
     return repl::WithinStaleness(applier_->leader_epoch(),
@@ -829,9 +827,8 @@ std::string Server::ExecuteRequest(const Frame& frame, bool* is_error) {
 
     case Opcode::kWindow: {
       Rect w;
-      uint64_t max_lag = kNoStalenessBound;
-      if (!DecodeWindowRequest(frame.payload, &w,
-                               v3 ? &max_lag : nullptr)) {
+      uint64_t max_lag;
+      if (!DecodeWindowRequest(frame.payload, &w, &max_lag)) {
         return malformed();
       }
       if (!within_bound(max_lag)) return stale_rejected();
@@ -854,9 +851,8 @@ std::string Server::ExecuteRequest(const Frame& frame, bool* is_error) {
 
     case Opcode::kPoint: {
       Point p;
-      uint64_t max_lag = kNoStalenessBound;
-      if (!DecodePointRequest(frame.payload, &p,
-                              v3 ? &max_lag : nullptr)) {
+      uint64_t max_lag;
+      if (!DecodePointRequest(frame.payload, &p, &max_lag)) {
         return malformed();
       }
       if (!within_bound(max_lag)) return stale_rejected();
@@ -869,9 +865,8 @@ std::string Server::ExecuteRequest(const Frame& frame, bool* is_error) {
     case Opcode::kKnn: {
       Point p;
       uint32_t k;
-      uint64_t max_lag = kNoStalenessBound;
-      if (!DecodeKnnRequest(frame.payload, &p, &k,
-                            v3 ? &max_lag : nullptr)) {
+      uint64_t max_lag;
+      if (!DecodeKnnRequest(frame.payload, &p, &k, &max_lag)) {
         return malformed();
       }
       if (!within_bound(max_lag)) return stale_rejected();
@@ -892,21 +887,17 @@ std::string Server::ExecuteRequest(const Frame& frame, bool* is_error) {
         return EncodeErrorReply(WireError::kNotLeader,
                                 options_.leader_endpoint);
       }
-      // The trailing durability byte is a v2 feature: a v1 frame is
-      // parsed strictly (trailing byte -> malformed), matching what a
-      // pre-v2 server would do.
       WriteBatch batch;
-      Durability durability = Durability::kDurable;
-      const bool v2 = frame.header.version >= 2;
-      if (!DecodeApplyRequest(frame.payload, &batch,
-                              v2 ? &durability : nullptr)) {
+      Durability durability;
+      if (!DecodeApplyRequest(frame.payload, &batch, &durability)) {
         return malformed();
       }
-      // kDurable blocks this worker until the group-commit fsync (or
-      // commits synchronously off-pipeline); kPublished acks as soon as
-      // readers can see the batch. Sharded batches split by routing
-      // prefix inside the router and overlap their per-shard fsyncs.
-      // The DB facade is also where the replication commit sink hooks in.
+      // kDurable blocks this worker until the batch's group commits (on
+      // the pipeline thread, or inline as a group of one); kPublished
+      // acks as soon as readers can see the batch. Sharded batches split
+      // by routing prefix inside the router and overlap their per-shard
+      // fsyncs. The DB facade is also where the replication commit sink
+      // hooks in.
       auto r = db_->Apply(batch, durability);
       if (!r.ok()) return engine_error(r.status());
       return EncodeApplyReply(db_->write_epoch(), r.value());
@@ -940,11 +931,8 @@ std::string Server::ExecuteRequest(const Frame& frame, bool* is_error) {
 
 void Server::SendReply(const ConnPtr& conn, uint8_t opcode,
                        uint64_t request_id, std::string_view payload) {
-  // Replies are always v1-encodable, so they are marked with the lowest
-  // version — a v1 client talking to this server never sees a frame it
-  // must reject.
   PushFrame(conn, BuildFrame(static_cast<Opcode>(opcode), kFlagReply,
-                             request_id, payload, kMinWireVersion));
+                             request_id, payload));
 }
 
 void Server::PushFrame(const ConnPtr& conn, std::string frame) {

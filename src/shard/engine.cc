@@ -101,8 +101,8 @@ Result<std::unique_ptr<ShardEngine>> ShardEngine::Open(
     ZDB_ASSIGN_OR_RETURN(eng->index_, SpatialIndex::Open(pool, master));
   }
 
-  if (eng->journaled_ && options.group_commit) {
-    ZDB_RETURN_IF_ERROR(eng->index_->StartGroupCommit());
+  if (eng->journaled_) {
+    ZDB_RETURN_IF_ERROR(eng->index_->StartGroupCommit(options.group_commit));
   }
   if (options.snapshot_reads) {
     ZDB_RETURN_IF_ERROR(eng->index_->EnableSnapshots());
@@ -111,30 +111,14 @@ Result<std::unique_ptr<ShardEngine>> ShardEngine::Open(
 }
 
 Status ShardEngine::Checkpoint() {
-  if (index_->group_commit_active()) {
+  if (journaled_) {
     // Everything written is already published; durability is the
-    // pipeline's job — just wait it out.
+    // commit path's job — just wait it out.
     return index_->WaitDurable(index_->write_epoch());
-  }
-  Pager* pager = pager_.get();
-  if (journaled_ && !pager->in_batch()) {
-    ZDB_RETURN_IF_ERROR(pager->BeginBatch());
-    Status st = index_->Checkpoint().status();
-    if (st.ok()) st = pool_->FlushAll();
-    if (st.ok()) st = pager->CommitBatch();
-    if (!st.ok() && pager->in_batch()) {
-      Status undo = pager->AbortBatch();
-      if (!undo.ok()) {
-        return Status::Corruption("checkpoint failed (" + st.ToString() +
-                                  ") and rollback failed too: " +
-                                  undo.ToString());
-      }
-    }
-    return st;
   }
   ZDB_RETURN_IF_ERROR(index_->Checkpoint().status());
   ZDB_RETURN_IF_ERROR(pool_->FlushAll());
-  return pager->Sync();
+  return pager_->Sync();
 }
 
 }  // namespace shard

@@ -30,6 +30,8 @@ struct ShardEngineOptions {
   uint32_t page_size = kDefaultPageSize;
   size_t cache_pages = 256;
   bool memory_journal = false;
+  /// Journaled engines only: true runs the group-commit pipeline thread;
+  /// false commits every batch inline as a group of one.
   bool group_commit = true;
   bool snapshot_reads = true;
 };
@@ -56,8 +58,8 @@ class ShardEngine {
   bool journaled() const { return journaled_; }
 
   /// Makes everything written to this engine durable: waits out the
-  /// pipeline in group mode, or checkpoints + flushes + commits
-  /// synchronously otherwise.
+  /// journaled commit path, or checkpoints + flushes + syncs an
+  /// unjournaled engine.
   Status Checkpoint();
 
  private:

@@ -191,7 +191,6 @@ Status ShardRouter::WaitShardsDurable(uint64_t touched,
                                       const std::vector<uint64_t>& wait_epochs,
                                       uint64_t timeout_ms) {
   return ForEachShard(touched, [&](uint32_t s) -> Status {
-    if (!indexes_[s]->group_commit_active()) return Status::OK();
     return indexes_[s]->WaitDurable(wait_epochs[s], timeout_ms);
   });
 }
@@ -350,7 +349,7 @@ Status ShardRouter::WaitDurable(uint64_t epoch, uint64_t timeout_ms) {
     targets = shard_epochs_;
   }
   for (uint32_t s = 0; s < shards(); ++s) {
-    if (targets[s] == 0 || !indexes_[s]->group_commit_active()) continue;
+    if (targets[s] == 0) continue;
     ZDB_RETURN_IF_ERROR(indexes_[s]->WaitDurable(targets[s], timeout_ms));
   }
   return Status::OK();

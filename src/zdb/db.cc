@@ -250,8 +250,7 @@ Result<std::vector<ObjectId>> DB::Apply(const WriteBatch& batch,
       impl_->sink->OnCommit(publish_epoch, resolved);
     }
   }
-  if (durability == Durability::kDurable && !batch.empty() &&
-      index()->group_commit_active()) {
+  if (durability == Durability::kDurable && !batch.empty()) {
     ZDB_RETURN_IF_ERROR(WaitDurable(publish_epoch));
   }
   return r;
@@ -286,9 +285,6 @@ Result<std::vector<ObjectId>> DB::ApplyReplicated(const WriteBatch& batch) {
 Status DB::Checkpoint() { return impl_->router->Checkpoint(); }
 
 Status DB::WaitDurable(uint64_t epoch, uint64_t timeout_ms) {
-  if (!index()->group_commit_active()) {
-    return Status::InvalidArgument("group-commit pipeline not running");
-  }
   if (impl_->sharded) return impl_->router->WaitDurable(epoch, timeout_ms);
   return index()->WaitDurable(epoch, timeout_ms);
 }

@@ -21,7 +21,9 @@
 // `path + "-journal"` and runs the group-commit pipeline — mutations are
 // published to readers immediately and made durable by a dedicated
 // thread that coalesces batches into one fsync; Apply's Durability flag
-// chooses whether the call waits for that fsync. Crash contract:
+// chooses whether the call waits for that fsync. With
+// DBOptions::group_commit off, every batch is a group of one that its
+// writer commits before returning, on the same path. Crash contract:
 // published-but-not-durable batches roll back as a unit on the next
 // Open, never partially. An in-memory DB has no journal by default
 // (queries and batches behave as before); set
@@ -77,9 +79,11 @@ struct DBOptions {
   /// file. File-backed DBs always have a journal.
   bool memory_journal = false;
 
-  /// Run the group-commit durability pipeline when the DB is journaled
-  /// (see spatial_index.h). Disable to get the legacy synchronous
-  /// commit-per-batch path.
+  /// How a journaled DB commits (see spatial_index.h "group commit").
+  /// true: a pipeline thread coalesces published batches into one
+  /// journal commit, and readers never wait out the fsync. false: every
+  /// batch is a group of one that the writer commits, off the latch,
+  /// before its call returns — the same commit, without the thread.
   bool group_commit = true;
 
   /// Serve queries from epoch-pinned snapshots instead of the shared
@@ -114,7 +118,7 @@ struct DBStats {
   uint64_t index_entries = 0;  ///< z-elements stored in the B+-tree(s)
   double redundancy = 0.0;     ///< entries per object
   uint64_t write_epoch = 0;    ///< published writer sections / batches
-  uint64_t durable_epoch = 0;  ///< highest epoch fsynced (group mode)
+  uint64_t durable_epoch = 0;  ///< highest epoch fsynced (journaled)
   uint64_t journal_commits = 0;  ///< durable batch commits (coalesced)
   uint32_t pages = 0;          ///< pages allocated in the file(s)
   uint32_t page_size = 0;
@@ -226,16 +230,15 @@ class DB {
 
   // ---------------------------------------------------------- durability
 
-  /// Makes everything written so far durable: waits out the pipeline(s)
-  /// in group mode, or checkpoints + flushes + commits synchronously
-  /// otherwise. No-op-ish for an unjournaled in-memory DB (state is
+  /// Makes everything written so far durable: waits out the journaled
+  /// commit path(s). No-op-ish for an unjournaled in-memory DB (state is
   /// checkpointed so Stats()/reopen paths stay coherent).
   [[nodiscard]] Status Checkpoint();
 
-  /// Blocks until `epoch` is durable (group mode; see
-  /// SpatialIndex::WaitDurable). timeout_ms 0 waits indefinitely. On a
-  /// sharded DB this waits on every shard's durable epoch as of the
-  /// call (conservative for older epochs).
+  /// Blocks until `epoch` is durable (see SpatialIndex::WaitDurable;
+  /// OK at once on an unjournaled DB). timeout_ms 0 waits indefinitely.
+  /// On a sharded DB this waits on every shard's durable epoch as of
+  /// the call (conservative for older epochs).
   [[nodiscard]] Status WaitDurable(uint64_t epoch, uint64_t timeout_ms = 0);
 
   // ------------------------------------------------------------ plumbing

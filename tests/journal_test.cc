@@ -317,9 +317,11 @@ TEST(Journal, CrashMidBatchWithParallelReadersRollsBack) {
 }
 
 TEST(Journal, ApplyBatchIsCrashAtomic) {
-  // The promoted batch API: ApplyBatch commits its own journal batch, so
-  // a committed batch survives a crash and an uncommitted manual batch
-  // around further churn rolls back to the last ApplyBatch state.
+  // On the journaled commit path with the pipeline off, every batch is
+  // a group of one that commits before ApplyBatch returns, so a returned
+  // batch survives a crash. An index without a commit path leaves
+  // durability to its caller: its batch inside a caller-managed pager
+  // batch that never commits rolls back with it.
   CrashRig rig;
   PageId master;
   {
@@ -335,14 +337,18 @@ TEST(Journal, ApplyBatchIsCrashAtomic) {
     master = index->Checkpoint().value();
     ASSERT_TRUE(rig.pool->FlushAll().ok());
     ASSERT_TRUE(rig.pager->CommitBatch().ok());
+    ASSERT_TRUE(index->StartGroupCommit(/*pipeline=*/false).ok());
 
-    // ApplyBatch journals, checkpoints, flushes and commits on its own.
+    // Groups of one commit whatever the durability flag says.
     WriteBatch batch;
     for (ObjectId oid = 0; oid < 10; ++oid) batch.Erase(oid);
     batch.Insert(Rect{0.8, 0.8, 0.85, 0.85});
-    auto inserted = index->ApplyBatch(batch).value();
+    const uint64_t commits = rig.pager->commit_count();
+    auto inserted = index->ApplyBatch(batch, Durability::kPublished).value();
     ASSERT_EQ(inserted.size(), 1u);
     EXPECT_EQ(inserted[0], 50u);
+    EXPECT_EQ(rig.pager->commit_count(), commits + 1);
+    EXPECT_EQ(index->durable_epoch(), index->write_epoch());
   }
   rig.CrashAndReopen();
   {
@@ -353,8 +359,8 @@ TEST(Journal, ApplyBatchIsCrashAtomic) {
                   .size(),
               1u);
 
-    // A doomed batch AFTER a committed ApplyBatch: ApplyBatch composes
-    // with a caller-managed pager batch (it must not commit it), so the
+    // A doomed batch on an index with no commit path, inside a
+    // caller-managed pager batch: ApplyBatch only publishes it, so the
     // crash rolls back to the state of the last committed batch.
     ASSERT_TRUE(rig.pager->BeginBatch().ok());
     WriteBatch doomed;
@@ -453,55 +459,66 @@ TEST(Journal, AbortBatchRestoresPagerState) {
 
 TEST(Journal, FailedApplyBatchLeavesIndexIntactAndPagerUsable) {
   CrashRig rig;
-  SpatialIndexOptions opt;
-  opt.data = DecomposeOptions::SizeBound(4);
-  auto index = SpatialIndex::Create(rig.pool.get(), opt).value();
-  ASSERT_TRUE(rig.pager->BeginBatch().ok());
-  for (int i = 0; i < 60; ++i) {
-    const double x = 0.01 * i + 0.01;
-    ASSERT_TRUE(index->Insert(Rect{x, x, x + 0.005, x + 0.005}).ok());
+  PageId master;
+  {
+    SpatialIndexOptions opt;
+    opt.data = DecomposeOptions::SizeBound(4);
+    auto index = SpatialIndex::Create(rig.pool.get(), opt).value();
+    ASSERT_TRUE(rig.pager->BeginBatch().ok());
+    for (int i = 0; i < 60; ++i) {
+      const double x = 0.01 * i + 0.01;
+      ASSERT_TRUE(index->Insert(Rect{x, x, x + 0.005, x + 0.005}).ok());
+    }
+    master = index->Checkpoint().value();
+    ASSERT_TRUE(rig.pool->FlushAll().ok());
+    ASSERT_TRUE(rig.pager->CommitBatch().ok());
+    ASSERT_TRUE(index->StartGroupCommit(/*pipeline=*/false).ok());
+    const uint64_t epoch = index->write_epoch();
+    const uint64_t commits = rig.pager->commit_count();
+
+    // A batch that fails must apply nothing: not even the leading
+    // insert may become visible (all-or-nothing), nothing may commit,
+    // the journal must stay armed for the next group, and the epoch
+    // must not move.
+    WriteBatch doomed;
+    doomed.Insert(Rect{0.8, 0.8, 0.85, 0.85});
+    doomed.Erase(9999);  // no such object
+    EXPECT_TRUE(index->ApplyBatch(doomed).status().IsNotFound());
+    EXPECT_TRUE(rig.pager->in_batch());
+    EXPECT_EQ(rig.pager->commit_count(), commits);
+    EXPECT_EQ(index->write_epoch(), epoch);
+    EXPECT_EQ(index->object_count(), 60u);
+    EXPECT_TRUE(
+        index->WindowQuery(Rect{0.79, 0.79, 0.86, 0.86}).value().empty());
+
+    // Same for erases of dead or batch-duplicated oids and invalid MBRs.
+    ASSERT_TRUE(index->Erase(0).ok());  // a group of one: commits
+    const uint64_t commits_after_erase = rig.pager->commit_count();
+    EXPECT_EQ(commits_after_erase, commits + 1);
+    WriteBatch dead;
+    dead.Erase(0);
+    EXPECT_TRUE(index->ApplyBatch(dead).status().IsNotFound());
+    WriteBatch dup;
+    dup.Erase(1);
+    dup.Erase(1);
+    EXPECT_TRUE(index->ApplyBatch(dup).status().IsNotFound());
+    WriteBatch invalid;
+    invalid.Insert(Rect{0.5, 0.5, 0.4, 0.4});
+    EXPECT_TRUE(index->ApplyBatch(invalid).status().IsInvalidArgument());
+    EXPECT_TRUE(rig.pager->in_batch());
+    EXPECT_EQ(rig.pager->commit_count(), commits_after_erase);
+    EXPECT_EQ(index->object_count(), 59u);
+    auto probe = index->WindowQuery(Rect{0, 0, 1, 1}).value();
+    EXPECT_TRUE(std::find(probe.begin(), probe.end(), 1u) != probe.end());
+
+    // Later batches still journal and commit durably.
+    WriteBatch good;
+    good.Erase(1);
+    good.Insert(Rect{0.8, 0.8, 0.85, 0.85});
+    ASSERT_TRUE(index->ApplyBatch(good).ok());
+    EXPECT_EQ(index->object_count(), 59u);
+    EXPECT_EQ(index->durable_epoch(), index->write_epoch());
   }
-  const PageId master = index->Checkpoint().value();
-  ASSERT_TRUE(rig.pool->FlushAll().ok());
-  ASSERT_TRUE(rig.pager->CommitBatch().ok());
-  const uint64_t epoch = index->write_epoch();
-
-  // A batch that fails must apply nothing: not even the leading insert
-  // may become visible (all-or-nothing), the pager must not be stuck
-  // inside a batch, and the epoch must not move.
-  WriteBatch doomed;
-  doomed.Insert(Rect{0.8, 0.8, 0.85, 0.85});
-  doomed.Erase(9999);  // no such object
-  EXPECT_TRUE(index->ApplyBatch(doomed).status().IsNotFound());
-  EXPECT_FALSE(rig.pager->in_batch());
-  EXPECT_EQ(index->write_epoch(), epoch);
-  EXPECT_EQ(index->object_count(), 60u);
-  EXPECT_TRUE(
-      index->WindowQuery(Rect{0.79, 0.79, 0.86, 0.86}).value().empty());
-
-  // Same for erases of dead or batch-duplicated oids and invalid MBRs.
-  ASSERT_TRUE(index->Erase(0).ok());
-  WriteBatch dead;
-  dead.Erase(0);
-  EXPECT_TRUE(index->ApplyBatch(dead).status().IsNotFound());
-  WriteBatch dup;
-  dup.Erase(1);
-  dup.Erase(1);
-  EXPECT_TRUE(index->ApplyBatch(dup).status().IsNotFound());
-  WriteBatch invalid;
-  invalid.Insert(Rect{0.5, 0.5, 0.4, 0.4});
-  EXPECT_TRUE(index->ApplyBatch(invalid).status().IsInvalidArgument());
-  EXPECT_FALSE(rig.pager->in_batch());
-  EXPECT_EQ(index->object_count(), 59u);
-  auto probe = index->WindowQuery(Rect{0, 0, 1, 1}).value();
-  EXPECT_TRUE(std::find(probe.begin(), probe.end(), 1u) != probe.end());
-
-  // Later batches still journal and commit durably.
-  WriteBatch good;
-  good.Erase(1);
-  good.Insert(Rect{0.8, 0.8, 0.85, 0.85});
-  ASSERT_TRUE(index->ApplyBatch(good).ok());
-  EXPECT_EQ(index->object_count(), 59u);
 
   rig.CrashAndReopen();
   auto reopened = SpatialIndex::Open(rig.pool.get(), master).value();
@@ -513,136 +530,6 @@ TEST(Journal, FailedApplyBatchLeavesIndexIntactAndPagerUsable) {
   auto hits = reopened->WindowQuery(Rect{0, 0, 1, 1}).value();
   EXPECT_TRUE(std::find(hits.begin(), hits.end(), 0u) == hits.end());
   EXPECT_TRUE(std::find(hits.begin(), hits.end(), 1u) == hits.end());
-}
-
-/// Delegating file that fails all I/O after `budget` operations — a
-/// local copy of the failure_test rig, plus snapshots so crashes can be
-/// simulated on top of the injected failures.
-class FailingFile : public File {
- public:
-  explicit FailingFile(int64_t budget) : budget_(budget) {}
-
-  Status Read(uint64_t offset, size_t n, char* buf) const override {
-    if (Spend()) return Status::IOError("injected read failure");
-    return inner_.Read(offset, n, buf);
-  }
-  Status Write(uint64_t offset, const char* data, size_t n) override {
-    if (Spend()) return Status::IOError("injected write failure");
-    return inner_.Write(offset, data, n);
-  }
-  uint64_t Size() const override { return inner_.Size(); }
-  Status Truncate(uint64_t size) override {
-    if (Spend()) return Status::IOError("injected truncate failure");
-    return inner_.Truncate(size);
-  }
-  Status Sync() override {
-    if (Spend()) return Status::IOError("injected sync failure");
-    return inner_.Sync();
-  }
-
-  /// Re-arms or disables the failure countdown without touching data.
-  void set_budget(int64_t b) { budget_ = b; }
-
-  std::vector<char> Snapshot() const { return inner_.Snapshot(); }
-
- private:
-  bool Spend() const {
-    if (budget_ < 0) return false;  // disabled
-    if (budget_ == 0) return true;
-    --budget_;
-    return false;
-  }
-
-  MemFile inner_;
-  mutable int64_t budget_;
-};
-
-TEST(Journal, MidBatchIoFailureRollsBackMemoryAndDisk) {
-  // Sweep an I/O-failure point across ApplyBatch. Whatever the point —
-  // the entry checkpoint, the ops, the commit, even inside the abort
-  // itself — a failed batch must leave no trace: either the in-memory
-  // index still answers exactly as before the batch (runtime rollback),
-  // or the intact journal restores that state on reopen.
-  const Rect world{0, 0, 1, 1};
-  int failed = 0;
-  int succeeded = 0;
-  for (int64_t budget : {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512,
-                         1024, 2048, 4096}) {
-    auto db_file = std::make_unique<FailingFile>(-1);
-    FailingFile* db = db_file.get();
-    auto journal_file = std::make_unique<MemFile>();
-    MemFile* journal = journal_file.get();
-    auto pager =
-        Pager::Open(std::move(db_file), std::move(journal_file), 512)
-            .value();
-    BufferPool pool(pager.get(), 32);
-    SpatialIndexOptions opt;
-    opt.data = DecomposeOptions::SizeBound(4);
-    auto index = SpatialIndex::Create(&pool, opt).value();
-    ASSERT_TRUE(pager->BeginBatch().ok());
-    for (int i = 0; i < 40; ++i) {
-      const double x = 0.02 * i + 0.01;
-      ASSERT_TRUE(index->Insert(Rect{x, x, x + 0.008, x + 0.008}).ok());
-    }
-    const PageId master = index->Checkpoint().value();
-    ASSERT_TRUE(pool.FlushAll().ok());
-    ASSERT_TRUE(pager->CommitBatch().ok());
-
-    auto baseline = index->WindowQuery(world).value();
-    std::sort(baseline.begin(), baseline.end());
-
-    WriteBatch batch;
-    for (ObjectId oid = 0; oid < 10; ++oid) batch.Erase(oid);
-    batch.Insert(Rect{0.9, 0.9, 0.95, 0.95});
-
-    db->set_budget(budget);
-    auto r = index->ApplyBatch(batch);
-    db->set_budget(-1);
-
-    if (r.ok()) {
-      ++succeeded;
-      EXPECT_EQ(index->object_count(), 31u);
-      EXPECT_EQ(
-          index->WindowQuery(Rect{0.89, 0.89, 0.96, 0.96}).value().size(),
-          1u);
-      continue;
-    }
-    ++failed;
-    if (!pager->in_batch() && !r.status().IsCorruption()) {
-      // Runtime rollback succeeded: pre-batch answers, and a follow-up
-      // batch runs journaled as if the failure never happened.
-      EXPECT_EQ(index->object_count(), 40u) << "budget " << budget;
-      auto got = index->WindowQuery(world).value();
-      std::sort(got.begin(), got.end());
-      EXPECT_EQ(got, baseline) << "budget " << budget;
-      EXPECT_TRUE(index->WindowQuery(Rect{0.89, 0.89, 0.96, 0.96})
-                      .value()
-                      .empty());
-      ASSERT_TRUE(index->btree()->CheckInvariants().ok());
-      ASSERT_TRUE(index->ApplyBatch(batch).ok()) << "budget " << budget;
-      EXPECT_EQ(index->object_count(), 31u);
-    } else {
-      // The rollback itself hit the injected failure: the journal (or
-      // the already-restored file) must recover the pre-batch index on
-      // reopen — exactly the crash path.
-      auto db2 = std::make_unique<MemFile>();
-      db2->RestoreSnapshot(db->Snapshot());
-      auto journal2 = std::make_unique<MemFile>();
-      journal2->RestoreSnapshot(journal->Snapshot());
-      auto pager2 =
-          Pager::Open(std::move(db2), std::move(journal2), 512).value();
-      BufferPool pool2(pager2.get(), 32);
-      auto reopened = SpatialIndex::Open(&pool2, master).value();
-      ASSERT_TRUE(reopened->btree()->CheckInvariants().ok());
-      EXPECT_EQ(reopened->object_count(), 40u) << "budget " << budget;
-      auto got = reopened->WindowQuery(world).value();
-      std::sort(got.begin(), got.end());
-      EXPECT_EQ(got, baseline) << "budget " << budget;
-    }
-  }
-  // The sweep must exercise both outcomes.
-  EXPECT_GT(failed, 0);
-  EXPECT_GT(succeeded, 0);
 }
 
 TEST(Journal, BatchApiErrors) {

@@ -709,28 +709,30 @@ TEST(NetServer, BusyBackpressureUnderSaturation) {
             static_cast<uint64_t>(busy_replies));
 }
 
-// Payload-level garbage (malformed body, unknown opcode) draws a typed
-// error but keeps the connection usable; stream-level garbage (bad
-// magic) draws one error and then the connection closes.
-TEST(NetServer, MalformedPayloadKeepsConnectionUsable) {
-  TestServer ts;
-  auto sock = TcpConnect("127.0.0.1", ts.server->port());
-  ASSERT_TRUE(sock.ok());
+/// A raw connection for hand-built frames: RoundTrip sends one frame
+/// and returns the reply's wire status and request id ({kOk, 0} if the
+/// server closed instead of replying).
+class RawConnection {
+ public:
+  explicit RawConnection(uint16_t port) {
+    auto s = TcpConnect("127.0.0.1", port);
+    EXPECT_TRUE(s.ok());
+    if (s.ok()) sock_ = std::move(s.value());
+  }
 
-  FrameAssembler assembler;
-  char buf[4096];
-  auto round_trip = [&](const std::string& frame) -> std::pair<WireError, uint64_t> {
-    EXPECT_TRUE(WriteFully(sock.value(), frame.data(), frame.size()).ok());
+  std::pair<WireError, uint64_t> RoundTrip(const std::string& frame) {
+    EXPECT_TRUE(WriteFully(sock_, frame.data(), frame.size()).ok());
+    char buf[4096];
     for (;;) {
       Frame f;
       WireError err;
       FrameHeader eh;
-      const auto next = assembler.Poll(&f, &err, &eh);
+      const auto next = assembler_.Poll(&f, &err, &eh);
       if (next == FrameAssembler::Next::kNeedMore) {
-        auto n = ReadSome(sock.value(), buf, sizeof(buf));
+        auto n = ReadSome(sock_, buf, sizeof(buf));
         EXPECT_TRUE(n.ok());
         if (!n.ok() || n.value() == 0) return {WireError::kOk, 0};
-        assembler.Feed(buf, n.value());
+        assembler_.Feed(buf, n.value());
         continue;
       }
       EXPECT_EQ(next, FrameAssembler::Next::kFrame);
@@ -739,30 +741,79 @@ TEST(NetServer, MalformedPayloadKeepsConnectionUsable) {
       return {ParseReplyStatus(f.payload, &body, &message),
               f.header.request_id};
     }
-  };
+  }
+
+ private:
+  Socket sock_;
+  FrameAssembler assembler_;
+};
+
+// Payload-level garbage (malformed body, unknown opcode) draws a typed
+// error but keeps the connection usable; stream-level garbage (bad
+// magic) draws one error and then the connection closes.
+TEST(NetServer, MalformedPayloadKeepsConnectionUsable) {
+  TestServer ts;
+  RawConnection conn(ts.server->port());
 
   // Truncated WINDOW payload: three doubles instead of four.
   std::string short_payload = EncodeWindowRequest(Rect{0, 0, 1, 1});
   short_payload.resize(24);
   auto [err1, id1] =
-      round_trip(BuildFrame(Opcode::kWindow, 0, 42, short_payload));
+      conn.RoundTrip(BuildFrame(Opcode::kWindow, 0, 42, short_payload));
   EXPECT_EQ(err1, WireError::kMalformed);
   EXPECT_EQ(id1, 42u);
 
   // Unknown opcode 99: typed reply echoing the request id.
   auto [err2, id2] =
-      round_trip(BuildFrame(static_cast<Opcode>(99), 0, 43, {}));
+      conn.RoundTrip(BuildFrame(static_cast<Opcode>(99), 0, 43, {}));
   EXPECT_EQ(err2, WireError::kUnknownOpcode);
   EXPECT_EQ(id2, 43u);
 
   // A frame with the reply flag set is not a request.
-  auto [err3, id3] = round_trip(BuildFrame(Opcode::kPing, kFlagReply, 44, {}));
+  auto [err3, id3] =
+      conn.RoundTrip(BuildFrame(Opcode::kPing, kFlagReply, 44, {}));
   EXPECT_EQ(err3, WireError::kMalformed);
 
   // The connection survived all three: a valid request still works.
-  auto [err4, id4] = round_trip(BuildFrame(Opcode::kPing, 0, 45, {}));
+  auto [err4, id4] = conn.RoundTrip(BuildFrame(Opcode::kPing, 0, 45, {}));
   EXPECT_EQ(err4, WireError::kOk);
   EXPECT_EQ(id4, 45u);
+}
+
+// Each request opcode has one payload layout. The shorter forms older
+// protocol versions allowed — a query without its staleness bound, an
+// APPLY without its durability byte — are malformed requests: a typed
+// kMalformed reply, after which the same connection still serves.
+TEST(NetServer, RequestWithoutItsTrailerIsMalformed) {
+  TestServer ts;
+  RawConnection conn(ts.server->port());
+  WriteBatch batch;
+  batch.Insert(Rect{0.1, 0.1, 0.2, 0.2});
+  const struct {
+    Opcode op;
+    std::string payload;
+    size_t trailer;
+  } cases[] = {
+      {Opcode::kWindow, EncodeWindowRequest(Rect{0, 0, 1, 1}), 8},
+      {Opcode::kPoint, EncodePointRequest(Point{0.5, 0.5}), 8},
+      {Opcode::kKnn, EncodeKnnRequest(Point{0.5, 0.5}, 3), 8},
+      {Opcode::kApply, EncodeApplyRequest(batch), 1},
+  };
+  uint64_t id = 100;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(OpcodeName(c.op));
+    const std::string shorter =
+        c.payload.substr(0, c.payload.size() - c.trailer);
+    auto [err, rid] = conn.RoundTrip(BuildFrame(c.op, 0, ++id, shorter));
+    EXPECT_EQ(err, WireError::kMalformed);
+    EXPECT_EQ(rid, id);
+    auto [ping_err, ping_id] =
+        conn.RoundTrip(BuildFrame(Opcode::kPing, 0, ++id, {}));
+    EXPECT_EQ(ping_err, WireError::kOk);
+    EXPECT_EQ(ping_id, id);
+  }
+  // Nothing was applied by the malformed APPLY.
+  EXPECT_EQ(ts.db->object_count(), 0u);
 }
 
 TEST(NetServer, BadMagicClosesConnection) {

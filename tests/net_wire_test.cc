@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/coding.h"
 
 namespace zdb {
@@ -122,8 +125,10 @@ TEST(FrameAssembler, FrameSplitByteByByte) {
 
   Point p;
   uint32_t k;
-  ASSERT_TRUE(DecodeKnnRequest(out.payload, &p, &k));
+  uint64_t max_lag;
+  ASSERT_TRUE(DecodeKnnRequest(out.payload, &p, &k, &max_lag));
   EXPECT_EQ(k, 7u);
+  EXPECT_EQ(max_lag, kNoStalenessBound);
   EXPECT_DOUBLE_EQ(p.x, 0.5);
 }
 
@@ -196,20 +201,29 @@ TEST(FrameAssembler, OversizedLengthPoisons) {
 TEST(Requests, WindowRoundTrip) {
   const Rect w{0.125, 0.25, 0.5, 0.75};
   Rect out;
-  ASSERT_TRUE(DecodeWindowRequest(EncodeWindowRequest(w), &out));
+  uint64_t max_lag = 0;
+  ASSERT_TRUE(DecodeWindowRequest(EncodeWindowRequest(w), &out, &max_lag));
   EXPECT_DOUBLE_EQ(out.xlo, w.xlo);
   EXPECT_DOUBLE_EQ(out.yhi, w.yhi);
+  EXPECT_EQ(max_lag, kNoStalenessBound);
+  // The bound always rides in the same 8 bytes.
+  const std::string bounded = EncodeWindowRequest(w, 12);
+  EXPECT_EQ(bounded.size(), EncodeWindowRequest(w).size());
+  ASSERT_TRUE(DecodeWindowRequest(bounded, &out, &max_lag));
+  EXPECT_EQ(max_lag, 12u);
 }
 
 TEST(Requests, TruncatedWindowRejected) {
   const std::string enc = EncodeWindowRequest(Rect{0, 0, 1, 1});
   Rect out;
+  uint64_t max_lag;
   for (size_t n = 0; n < enc.size(); ++n) {
-    EXPECT_FALSE(DecodeWindowRequest(std::string_view(enc).substr(0, n), &out))
+    EXPECT_FALSE(DecodeWindowRequest(std::string_view(enc).substr(0, n), &out,
+                                     &max_lag))
         << "accepted a " << n << "-byte prefix";
   }
   // Trailing junk is just as malformed as missing bytes.
-  EXPECT_FALSE(DecodeWindowRequest(enc + "x", &out));
+  EXPECT_FALSE(DecodeWindowRequest(enc + "x", &out, &max_lag));
 }
 
 TEST(Requests, ApplyRoundTrip) {
@@ -219,7 +233,9 @@ TEST(Requests, ApplyRoundTrip) {
   batch.Insert(Rect{0.3, 0.3, 0.4, 0.4});
 
   WriteBatch out;
-  ASSERT_TRUE(DecodeApplyRequest(EncodeApplyRequest(batch), &out));
+  Durability d;
+  ASSERT_TRUE(DecodeApplyRequest(EncodeApplyRequest(batch), &out, &d));
+  EXPECT_EQ(d, Durability::kDurable);
   ASSERT_EQ(out.ops.size(), 3u);
   EXPECT_EQ(out.ops[0].kind, WriteOp::Kind::kInsert);
   EXPECT_EQ(out.ops[0].payload, 41u);
@@ -235,7 +251,8 @@ TEST(Requests, ApplyCountOverflowRejected) {
   std::string enc;
   PutFixed32(&enc, 0x40000000u);  // one billion ops, zero bytes of data
   WriteBatch out;
-  EXPECT_FALSE(DecodeApplyRequest(enc, &out));
+  Durability d;
+  EXPECT_FALSE(DecodeApplyRequest(enc, &out, &d));
   EXPECT_TRUE(out.ops.empty() || out.ops.capacity() < 1000u);
 }
 
@@ -244,7 +261,8 @@ TEST(Requests, ApplyBadOpKindRejected) {
   PutFixed32(&enc, 1);
   enc.push_back('\x02');  // kind 2 does not exist
   WriteBatch out;
-  EXPECT_FALSE(DecodeApplyRequest(enc, &out));
+  Durability d;
+  EXPECT_FALSE(DecodeApplyRequest(enc, &out, &d));
 }
 
 TEST(Replies, ErrorRoundTrip) {
@@ -363,20 +381,78 @@ TEST(Names, OpcodesAndErrors) {
   EXPECT_STREQ(WireErrorName(WireError::kTimedOut), "timed_out");
 }
 
-TEST(WireHeader, AcceptsEveryVersionInTheSupportedRange) {
-  // Receivers accept [kMinWireVersion, kWireVersion]; anything newer is
-  // kBadVersion (the typed reply an old server gives a flagged APPLY).
+TEST(WireHeader, OnlyTheCurrentVersionDecodes) {
+  // Both ends ship together, so there is one version: every other value
+  // — older, newer, zero — is kBadVersion.
   char buf[kHeaderSize];
   FrameHeader out;
-  for (uint16_t v = kMinWireVersion; v <= kWireVersion; ++v) {
-    EncodeFrameHeader(buf, FrameHeader{});
-    EncodeFixed16(buf + 8, v);
-    EXPECT_EQ(DecodeFrameHeader(buf, &out), WireError::kOk) << v;
-    EXPECT_EQ(out.version, v);
-  }
   EncodeFrameHeader(buf, FrameHeader{});
-  EncodeFixed16(buf + 8, 0);
-  EXPECT_EQ(DecodeFrameHeader(buf, &out), WireError::kBadVersion);
+  ASSERT_EQ(DecodeFrameHeader(buf, &out), WireError::kOk);
+  EXPECT_EQ(out.version, kWireVersion);
+  for (const uint16_t v :
+       {uint16_t{0}, uint16_t{1}, uint16_t{2}, uint16_t{3},
+        static_cast<uint16_t>(kWireVersion + 1), uint16_t{0xFFFF}}) {
+    if (v == kWireVersion) continue;
+    EncodeFixed16(buf + 8, v);
+    EXPECT_EQ(DecodeFrameHeader(buf, &out), WireError::kBadVersion) << v;
+  }
+}
+
+/// One row per request opcode: a valid payload and its strict decoder.
+struct RequestCase {
+  const char* name;
+  std::string payload;
+  bool (*decode)(std::string_view);
+};
+
+std::vector<RequestCase> RequestCases() {
+  WriteBatch batch;
+  batch.Insert(Rect{0.1, 0.1, 0.2, 0.2}, 9);
+  batch.Erase(3);
+  return {
+      {"window", EncodeWindowRequest(Rect{0, 0, 1, 1}, 5),
+       [](std::string_view p) {
+         Rect w;
+         uint64_t lag;
+         return DecodeWindowRequest(p, &w, &lag);
+       }},
+      {"point", EncodePointRequest(Point{0.5, 0.25}),
+       [](std::string_view p) {
+         Point pt;
+         uint64_t lag;
+         return DecodePointRequest(p, &pt, &lag);
+       }},
+      {"knn", EncodeKnnRequest(Point{0.5, 0.25}, 8, 2),
+       [](std::string_view p) {
+         Point pt;
+         uint32_t k;
+         uint64_t lag;
+         return DecodeKnnRequest(p, &pt, &k, &lag);
+       }},
+      {"apply", EncodeApplyRequest(batch, Durability::kPublished),
+       [](std::string_view p) {
+         WriteBatch b;
+         Durability d;
+         return DecodeApplyRequest(p, &b, &d);
+       }},
+  };
+}
+
+TEST(Requests, EveryRequestLayoutIsExact) {
+  // One payload layout per opcode: the full payload decodes, and every
+  // strict prefix, and the payload plus one byte, are malformed — there
+  // are no optional trailers left to make a shorter or longer form valid.
+  for (const RequestCase& c : RequestCases()) {
+    SCOPED_TRACE(c.name);
+    EXPECT_TRUE(c.decode(c.payload));
+    for (size_t n = 0; n < c.payload.size(); ++n) {
+      EXPECT_FALSE(c.decode(std::string_view(c.payload).substr(0, n)))
+          << "accepted a " << n << "-byte prefix";
+    }
+    for (const char extra : {'\0', '\x01', '\xff'}) {
+      EXPECT_FALSE(c.decode(c.payload + extra)) << "accepted one extra byte";
+    }
+  }
 }
 
 TEST(StatusMapping, EveryStatusCodeRoundTripsThroughTheWire) {
@@ -418,42 +494,25 @@ TEST(Requests, ApplyDurabilityFlagRoundTrip) {
   batch.Insert(Rect{0.1, 0.1, 0.2, 0.2}, 9);
   batch.Erase(3);
 
-  // kDurable (the default) is byte-identical to the v1 encoding: a
-  // flag-free frame decodes on any server.
-  EXPECT_EQ(EncodeApplyRequest(batch, Durability::kDurable),
-            EncodeApplyRequest(batch));
+  // Both values ride in the same trailing byte.
+  const std::string durable = EncodeApplyRequest(batch, Durability::kDurable);
+  const std::string published =
+      EncodeApplyRequest(batch, Durability::kPublished);
+  EXPECT_EQ(durable, EncodeApplyRequest(batch));
+  EXPECT_EQ(durable.size(), published.size());
   WriteBatch out;
   Durability d = Durability::kPublished;
-  ASSERT_TRUE(DecodeApplyRequest(EncodeApplyRequest(batch), &out, &d));
+  ASSERT_TRUE(DecodeApplyRequest(durable, &out, &d));
   EXPECT_EQ(d, Durability::kDurable);
-
-  // kPublished appends the trailing flag byte; a v2-aware decode
-  // recovers it along with the ops.
-  const std::string flagged =
-      EncodeApplyRequest(batch, Durability::kPublished);
-  EXPECT_EQ(flagged.size(), EncodeApplyRequest(batch).size() + 1);
   out = WriteBatch{};
-  d = Durability::kDurable;
-  ASSERT_TRUE(DecodeApplyRequest(flagged, &out, &d));
+  ASSERT_TRUE(DecodeApplyRequest(published, &out, &d));
   EXPECT_EQ(d, Durability::kPublished);
   ASSERT_EQ(out.ops.size(), 2u);
   EXPECT_EQ(out.ops[1].oid, 3u);
-}
 
-TEST(Requests, ApplyDurabilityFlagStrictV1Rejection) {
-  // A server parsing a v1 frame (durability == nullptr) must treat the
-  // trailing byte as the malformed payload it always was pre-v2.
-  WriteBatch batch;
-  batch.Insert(Rect{0.1, 0.1, 0.2, 0.2});
-  const std::string flagged =
-      EncodeApplyRequest(batch, Durability::kPublished);
-  WriteBatch out;
-  EXPECT_FALSE(DecodeApplyRequest(flagged, &out));
-
-  // An out-of-range flag byte is malformed even for a v2 decode.
-  std::string bad = EncodeApplyRequest(batch);
-  bad.push_back('\x02');
-  Durability d;
+  // An out-of-range flag byte is malformed.
+  std::string bad = durable;
+  bad.back() = '\x02';
   EXPECT_FALSE(DecodeApplyRequest(bad, &out, &d));
 }
 
