@@ -9,8 +9,9 @@
 //     first, then batches run back to back for a fixed interval (five
 //     0.2 s slices); the column is the median slice's throughput, so it
 //     measures steady state, not thread start-up. Two warm columns:
-//     a bare SpatialIndex (shared-latch reads), and a zdb::DB, whose
-//     queries take the epoch-pinned snapshot path that the server runs.
+//     a bare SpatialIndex built by inserts, and a bulk-loaded zdb::DB,
+//     the configuration the server runs; both read epoch-pinned
+//     snapshots.
 //     "csw/q" is voluntary context switches per query over the timed
 //     interval (getrusage, whole process): a read path that blocks on a
 //     lock or wakes another thread shows up here. Scaling in these
@@ -136,9 +137,9 @@ void RunDistribution(Distribution dist, size_t n) {
   auto warm_index = BuildZIndex(&warm_env, data, opt, &br).value();
   for (const auto& w : warm_windows) (void)warm_index->WindowQuery(w).value();
 
-  // The served configuration: an in-memory zdb::DB (snapshot reads on
-  // by default) over the same data, options and page size, bulk-loaded
-  // (so its tree is packed tighter than the inserted one), equally warm.
+  // The served configuration: an in-memory zdb::DB over the same data,
+  // options and page size, bulk-loaded (so its tree is packed tighter
+  // than the inserted one), equally warm.
   DBOptions db_opt;
   db_opt.index = opt;
   db_opt.page_size = kBenchPageSize;

@@ -21,6 +21,9 @@
 // Everything runs through the zdb::DB facade; the bench never touches
 // the storage layer directly.
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -52,6 +55,32 @@ constexpr size_t kBatchesPerWriter = 48;
 constexpr size_t kOpsPerBatch = 16;
 constexpr double kWindowSide = 0.05;
 constexpr auto kBaselineWindow = std::chrono::milliseconds(400);
+/// Readers run this long before their latencies count: the first
+/// queries of freshly started reader threads stall on thread start-up
+/// and the first touch of their memory.
+constexpr auto kReaderWarmup = std::chrono::milliseconds(100);
+
+/// Pins the calling thread to the `i`-th CPU this process may run on.
+/// Unpinned, the reader threads of a fresh process were seen sharing one
+/// CPU for a whole baseline window while the other CPUs idled (the
+/// kernel's load balancer did not spread them), so the first mode's
+/// read-only p99 measured a 4 ms scheduler tick rotation, about 16 ms,
+/// instead of the engine.
+void PinToCpu(size_t i) {
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  const int n = CPU_COUNT(&allowed);
+  if (n == 0) return;
+  size_t k = i % static_cast<size_t>(n);
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (!CPU_ISSET(c, &allowed) || k-- != 0) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(c, &one);
+    (void)pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+    return;
+  }
+}
 
 Rect RandomRect(Random* rng, double side) {
   const double x = rng->UniformDouble(0.0, 0.9);
@@ -66,28 +95,35 @@ double Percentile(std::vector<double>* lat, double p) {
   return (*lat)[i];
 }
 
-/// Reader pool: each thread runs window queries until `stop`, recording
-/// per-query latency in microseconds.
+/// Reader pool: each thread, pinned to its own CPU, runs window queries
+/// until `stop`, recording the latency in microseconds of every query
+/// that starts after the warm-up (kReaderWarmup).
 struct ReaderPool {
   explicit ReaderPool(DB* db) : db_(db) {}
 
   void Start() {
+    measure_from_ = std::chrono::steady_clock::now() + kReaderWarmup;
     stop_.store(false, std::memory_order_release);
     lat_.assign(ReaderCount(), {});
     for (size_t t = 0; t < ReaderCount(); ++t) {
       threads_.emplace_back([this, t] {
+        PinToCpu(t);
         Random rng(100 + t);
         while (!stop_.load(std::memory_order_acquire)) {
           const Rect w = RandomRect(&rng, kWindowSide);
           const auto t0 = std::chrono::steady_clock::now();
           if (!db_->Window(w).ok()) std::exit(1);
           const auto t1 = std::chrono::steady_clock::now();
+          if (t0 < measure_from_) continue;
           lat_[t].push_back(
               std::chrono::duration<double, std::micro>(t1 - t0).count());
         }
       });
     }
   }
+
+  /// Blocks until the readers' warm-up is over.
+  void WaitWarm() const { std::this_thread::sleep_until(measure_from_); }
 
   /// Stops the pool and returns the merged latency sample.
   std::vector<double> Stop() {
@@ -100,6 +136,7 @@ struct ReaderPool {
   }
 
   DB* db_;
+  std::chrono::steady_clock::time_point measure_from_;
   std::atomic<bool> stop_{false};
   std::vector<std::vector<double>> lat_;
   std::vector<std::thread> threads_;
@@ -134,7 +171,7 @@ ModeResult RunMode(const std::string& path, bool group_commit) {
   if (!db->Checkpoint().ok()) std::exit(1);
 
   // Warm the cache before measuring: a full-domain sweep touches every
-  // leaf, so the latency samples see latch effects, not cold reads.
+  // leaf, so the latency samples see the commit path, not cold reads.
   for (int i = 0; i < 3; ++i) {
     if (!db->Window(Rect{0, 0, 1, 1}).ok()) std::exit(1);
   }
@@ -144,14 +181,16 @@ ModeResult RunMode(const std::string& path, bool group_commit) {
   // Read-only baseline.
   ReaderPool readers(db.get());
   readers.Start();
+  readers.WaitWarm();
   std::this_thread::sleep_for(kBaselineWindow);
   auto base = readers.Stop();
   out.base_p50 = Percentile(&base, 0.50);
   out.base_p99 = Percentile(&base, 0.99);
 
   // Sustained durable write stream with the readers back on.
-  const uint64_t commits_before = db->Stats().journal_commits;
   readers.Start();
+  readers.WaitWarm();
+  const uint64_t commits_before = db->Stats().journal_commits;
   const auto w0 = std::chrono::steady_clock::now();
   std::vector<std::thread> writers;
   for (size_t w = 0; w < kWriters; ++w) {

@@ -165,7 +165,7 @@ std::vector<PageId> CachePages(BufferPool* pool) {
   return ids;
 }
 
-// The latched read path's page fetch: a pool hit pins and unpins.
+// The writer's page fetch: a pool hit pins and unpins.
 void BM_PoolFetchHit(benchmark::State& state) {
   Env env = MakeEnv(4096, 256);
   const std::vector<PageId> ids = CachePages(env.pool.get());

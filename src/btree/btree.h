@@ -90,13 +90,6 @@ class BTree {
   /// writer under the exclusive latch).
   PageId root() const { return root_; }
 
-  /// The resident buffers of the root page and (if the root is
-  /// internal) of each of its children, by child index, for a snapshot
-  /// meta; a page that is not resident gets a null buffer. Writer side,
-  /// under the exclusive latch; counts no page access.
-  void CaptureUpperPages(PageBuffer* root_page,
-                         std::vector<PageBuffer>* children) const;
-
   /// Persists the in-memory root/height/count to the meta page. Call
   /// before dropping the tree if it will be re-attached with Open().
   Status Flush();
@@ -146,19 +139,16 @@ class BTree {
   Status LoadMeta();
   Status StoreMeta();
 
-  /// The pinned snapshot's meta when this tree is running under an
-  /// installed SnapshotView (page reads then resolve through the
-  /// version chains via BufferPool::Fetch), nullptr otherwise.
-  const SnapshotMeta* ReadMeta() const {
-    const SnapshotView* v = SnapshotView::FindBTree(this);
-    return v != nullptr ? v->meta : nullptr;
+  /// Root for the read path: the pinned snapshot's root when this tree
+  /// is running under an installed SnapshotView (page reads then
+  /// resolve through the version chains via BufferPool::Fetch), the
+  /// live root otherwise.
+  PageId ReadRoot() const {
+    if (const SnapshotView* v = SnapshotView::FindBTree(this)) {
+      return v->meta->btree_root;
+    }
+    return root_;
   }
-
-  /// Read-path fetch of `page`, reached at `depth` (0 = root) through
-  /// child `child` of the root: served from `snap`'s upper pages when
-  /// it holds them, from the pool otherwise.
-  Result<PageRef> ReadPage(const SnapshotMeta* snap, uint32_t depth,
-                           uint16_t child, PageId page) const;
 
   Status CheckRec(PageId page, uint32_t depth,
                   const std::optional<std::string>& lower,

@@ -280,15 +280,13 @@ Status SpatialIndex::RollbackGroupLocked(const Status& cause) {
   // reload's quiesce barrier drops, a pinned reader must not be able to
   // open a snapshot at an epoch whose published state was just reloaded
   // away — MetaAt answers Aborted for the range from here on.
-  if (snapshots_enabled()) {
-    uint64_t lo, hi;
-    {
-      MutexLock gl(gc_mu_);
-      lo = gc_durable_;
-      hi = gc_published_;
-    }
-    epoch_mgr_->InvalidateRange(lo, hi, cause);
+  uint64_t lo, hi;
+  {
+    MutexLock gl(gc_mu_);
+    lo = gc_durable_;
+    hi = gc_published_;
   }
+  epoch_mgr_->InvalidateRange(lo, hi, cause);
   Pager* pager = pool_->pager();
   Status undo = pager->in_batch() ? pager->AbortBatch() : Status::OK();
   if (undo.ok()) {
@@ -336,6 +334,14 @@ void SpatialIndex::BreakCommitPathLocked() {
 SpatialIndex::~SpatialIndex() {
   if (gc_thread_.joinable() || commit_path_armed()) {
     (void)StopGroupCommit();
+  }
+  // The pool's version chains are tagged with this index's epochs, and
+  // the next index opened on the pool counts again from its own start:
+  // none may outlive this one (no pin can, the manager aborts on it).
+  if (epoch_mgr_ != nullptr) {
+    epoch_mgr_->StopGc();
+    pool_->ArmVersioning(0);
+    pool_->versions()->Clear();
   }
 }
 

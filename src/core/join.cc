@@ -31,26 +31,9 @@ void PopNonEnclosing(std::vector<StackEntry>* stack, const ZElement& e) {
   }
 }
 
-}  // namespace
-
-Result<std::vector<std::pair<ObjectId, ObjectId>>> SpatialJoin(
+/// The merge itself; the caller holds both indexes' latches shared.
+Result<std::vector<std::pair<ObjectId, ObjectId>>> MergeJoin(
     SpatialIndex* a, SpatialIndex* b, JoinStats* stats) {
-  // Reader sections on both indexes for the whole merge, acquired in
-  // address order so two joins over the same pair cannot deadlock
-  // against waiting writers. Self-joins take a single section.
-  //
-  // The join deliberately stays on the latched path even when the
-  // indexes have snapshot reads enabled: a consistent two-index merge
-  // would need one pin per index plus a nested snapshot view per
-  // stream, and the merge's correctness only needs each index frozen
-  // for the scan — which the shared sections provide (writers still
-  // latch exclusively with snapshots on). Joins are analytic
-  // whole-index scans; the latch-free fast path targets the point /
-  // window / kNN serving queries.
-  SpatialIndex* first = a < b ? a : b;
-  SpatialIndex* second = a < b ? b : a;
-  auto lock_first = first->ReaderSection();
-  auto lock_second = first == second ? ReaderLatch() : second->ReaderSection();
   if (a->options().grid_bits != b->options().grid_bits ||
       !(a->options().world == b->options().world)) {
     return Status::InvalidArgument(
@@ -137,6 +120,26 @@ Result<std::vector<std::pair<ObjectId, ObjectId>>> SpatialJoin(
   }
   if (stats != nullptr) stats->results = results.size();
   return results;
+}
+
+}  // namespace
+
+Result<std::vector<std::pair<ObjectId, ObjectId>>> SpatialJoin(
+    SpatialIndex* a, SpatialIndex* b, JoinStats* stats) {
+  // The join is an analytic whole-index scan, not a serving query: it
+  // holds each index's latch shared for the whole merge, which freezes
+  // both entry streams against writers. Latches are taken in address
+  // order so two joins over the same pair cannot deadlock against a
+  // waiting writer; a self-join takes one.
+  SpatialIndex* first = a < b ? a : b;
+  SpatialIndex* second = a < b ? b : a;
+  if (first == second) {
+    SpatialIndex::SharedSection lock(first);
+    return MergeJoin(a, b, stats);
+  }
+  SpatialIndex::SharedSection lock_first(first);
+  SpatialIndex::SharedSection lock_second(second);
+  return MergeJoin(a, b, stats);
 }
 
 }  // namespace zdb

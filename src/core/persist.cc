@@ -208,10 +208,8 @@ Status SpatialIndex::ReloadLocked() {
   // read may be mid-flight, loading frames the Discard below drops or
   // dereferencing the handles this reload reseats. The barrier waits
   // those out and blocks new snapshot scopes until the reload
-  // finishes; the caller's exclusive latch keeps latched readers out as
-  // before. (EnableSnapshots takes commit_mu_, which the caller holds,
-  // so the manager cannot appear mid-reload.)
-  if (epoch_mgr_ == nullptr) return ReloadUnquiescedLocked();
+  // finishes; the caller's exclusive latch keeps the shared-latch
+  // readers (SpatialJoin, LevelHistogram, DistanceTo) out.
   epoch_mgr_->BeginQuiesce();
   Status st = ReloadUnquiescedLocked();
   epoch_mgr_->EndQuiesce();
@@ -313,16 +311,19 @@ Result<std::unique_ptr<SpatialIndex>> SpatialIndex::Open(BufferPool* pool,
   index->store_->Restore(std::move(obj_pages), next_oid);
   index->polys_->RestorePages(std::move(poly_pages));
 
-  // Uncontended (the index is not published yet), but the restored
-  // fields carry GUARDED_BY contracts, so take their locks for real.
-  MutexLock commit(index->commit_mu_);
-  WriterSection lock(index.get());
-  index->level_mask_ = level_mask;
-  index->live_objects_ = live_objects;
-  index->build_stats_ = build;
-  index->master_page_ = master_page;
-  index->obj_dir_chain_ = obj_chain;
-  index->poly_dir_chain_ = poly_chain;
+  {
+    // Uncontended (the index is not published yet), but the restored
+    // fields carry GUARDED_BY contracts, so take their locks for real.
+    MutexLock commit(index->commit_mu_);
+    WriterSection lock(index.get());
+    index->level_mask_ = level_mask;
+    index->live_objects_ = live_objects;
+    index->build_stats_ = build;
+    index->master_page_ = master_page;
+    index->obj_dir_chain_ = obj_chain;
+    index->poly_dir_chain_ = poly_chain;
+  }
+  index->StartSnapshots();
   return index;
 }
 

@@ -196,6 +196,8 @@ Result<std::vector<ObjectId>> SpatialIndex::CollectCandidatesFiltered(
 }
 
 Result<WindowPlan> SpatialIndex::PlanWindow(const Rect& window) {
+  ZDB_RETURN_IF_ERROR(CheckSnapshotScope());
+  SnapshotSection section(this);
   if (!window.valid()) {
     return Status::InvalidArgument("invalid query window");
   }
@@ -206,6 +208,8 @@ Result<WindowPlan> SpatialIndex::PlanWindow(const Rect& window) {
 
 Result<std::vector<ObjectId>> SpatialIndex::ExecuteWindowPlanSlice(
     const WindowPlan& plan, size_t begin, size_t end, QueryStats* stats) {
+  ZDB_RETURN_IF_ERROR(CheckSnapshotScope());
+  SnapshotSection section(this);
   const std::function<bool(const Rect&)> leaf_pred = [&](const Rect& mbr) {
     return mbr.Intersects(plan.window);
   };

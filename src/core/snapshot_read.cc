@@ -1,8 +1,8 @@
 // Copyright (c) zdb authors. Licensed under the MIT license.
 //
-// The SpatialIndex half of epoch-based snapshot reads: enabling the
-// feature, pinning epochs, opening per-thread snapshot scopes and the
-// pinned (*At) query variants. The version chains live in
+// The SpatialIndex half of epoch-based snapshot reads: arming them at
+// Create()/Open(), pinning epochs, opening per-thread snapshot scopes
+// and the pinned (*At) query variants. The version chains live in
 // storage/snapshot.{h,cc}; pin accounting and the reclamation thread in
 // core/epoch.{h,cc}. See DESIGN.md "Snapshot reads & epoch GC" for the
 // full safety argument.
@@ -11,35 +11,32 @@
 
 namespace zdb {
 
-Status SpatialIndex::EnableSnapshots() {
+void SpatialIndex::StartSnapshots() {
   MutexLock commit(commit_mu_);
   WriterSection lock(this);
-  if (snapshots_on_.load(std::memory_order_relaxed)) return Status::OK();
   epoch_mgr_ =
       std::make_unique<EpochManager>(&write_epoch_, pool_->versions());
   // The current state is the first pinned-readable epoch: a pin taken
-  // right after this call returns must find its meta.
+  // right after Create()/Open() returns must find its meta.
   epoch_mgr_->RecordMeta(write_epoch(), CaptureMetaLocked());
-  snapshots_on_.store(true, std::memory_order_release);
-  // This writer section was entered before the flag flipped, so arm
-  // copy-on-write by hand; every later WriterSection arms itself.
-  pool_->ArmVersioning(write_epoch() + 1);
   epoch_mgr_->StartGc();
-  return Status::OK();
 }
 
-EpochPin SpatialIndex::PinEpoch() const {
-  if (!snapshots_enabled()) {
-    internal::LockAssertFail("PinEpoch() before EnableSnapshots()");
+EpochPin SpatialIndex::PinEpoch() const { return epoch_mgr_->Pin(); }
+
+Status SpatialIndex::CheckSnapshotScope() const {
+  if (SnapshotView::FindOwner(this) == nullptr) {
+    return Status::InvalidArgument(
+        "plan hook called without a snapshot scope of this index open on "
+        "the calling thread (OpenSnapshot)");
   }
-  return epoch_mgr_->Pin();
+  return Status::OK();
 }
 
 SnapshotMeta SpatialIndex::CaptureMetaLocked() const {
   SnapshotMeta m;
   m.btree_root = btree_->root();
   m.btree_height = btree_->height();
-  btree_->CaptureUpperPages(&m.btree_root_page, &m.btree_root_children);
   m.obj_next_oid = store_->size();
   m.obj_pages = store_->pages();
   m.poly_pages = polys_->pages();
@@ -67,12 +64,7 @@ SnapshotView SpatialIndex::MakeView(uint64_t epoch,
 SpatialIndex::SnapshotReadScope::SnapshotReadScope(const SpatialIndex* ix,
                                                    const EpochPin& pin)
     : ix_(ix), epoch_(pin.epoch()) {
-  if (!ix_->snapshots_enabled()) {
-    status_ = Status::InvalidArgument("snapshots not enabled on this index");
-    return;
-  }
   ix_->epoch_mgr_->EnterRead();
-  entered_ = true;
   // Checked after entering: a rollback marks its epochs before raising
   // the reload barrier, so a read that waited the reload out sees the
   // mark here.
@@ -89,7 +81,7 @@ SpatialIndex::SnapshotReadScope::SnapshotReadScope(const SpatialIndex* ix,
 
 SpatialIndex::SnapshotReadScope::~SnapshotReadScope() {
   scope_.reset();
-  if (entered_) ix_->epoch_mgr_->LeaveRead();
+  ix_->epoch_mgr_->LeaveRead();
 }
 
 Result<std::unique_ptr<SpatialIndex::SnapshotReadScope>>
@@ -149,9 +141,9 @@ SpatialIndex::NearestNeighborsAt(const EpochPin& pin, const Point& p,
 // --------------------------------------------------------------- stats
 
 EpochStats SpatialIndex::epoch_stats() const {
-  // epoch_mgr_ is set once, before concurrent use (EnableSnapshots is
-  // part of index setup) — a monitor read here needs no lock.
-  return epoch_mgr_ != nullptr ? epoch_mgr_->stats() : EpochStats{};
+  // epoch_mgr_ is set once, by Create()/Open() — a monitor read here
+  // needs no lock.
+  return epoch_mgr_->stats();
 }
 
 PageVersionStats SpatialIndex::version_stats() const {

@@ -18,29 +18,32 @@
 //   auto hits = index->WindowQuery(Rect{.1, .1, .4, .4}).value();
 //
 // Concurrency: the index is safe for any mix of concurrent readers and
-// writers. Queries (WindowQuery/PointQuery/ContainmentQuery/
-// EnclosureQuery/NearestNeighbors/SpatialJoin) take an internal shared
-// latch; mutations (Insert/InsertPolygon/Erase/BulkLoad/ApplyBatch/
-// Checkpoint) take it exclusively, so every mutation — in particular the
-// multi-key publication of one object's whole z-element set — becomes
-// visible to readers all-or-nothing. ApplyBatch() extends that guarantee
-// to a whole batch of mutations (and makes the batch crash-atomic on the
-// journaled commit path, StartGroupCommit()). The parallel plan hooks
-// (PlanWindow/ExecuteWindowPlanSlice/RefineWindowCandidates) do NOT
-// latch internally: a caller splitting one query across threads must
-// hold one ReaderSection() across all hook calls (exec/executor.h does).
-// Use exec/executor.h to drive query and mixed read/write batches over a
-// worker pool.
+// writers. Mutations (Insert/InsertPolygon/Erase/BulkLoad/ApplyBatch/
+// Checkpoint) take an internal latch exclusively, so every mutation —
+// in particular the multi-key publication of one object's whole
+// z-element set — becomes visible to readers all-or-nothing.
+// ApplyBatch() extends that guarantee to a whole batch of mutations (and
+// makes the batch crash-atomic on the journaled commit path,
+// StartGroupCommit()). Use exec/executor.h to drive query and mixed
+// read/write batches over a worker pool.
 //
-// Snapshot reads: after EnableSnapshots(), the public queries stop
-// taking the shared latch. Each query pins the current write epoch
-// (EpochPin, core/epoch.h) and traverses copy-on-write before-image
-// version chains (storage/snapshot.h) at that epoch, so a long scan
-// never blocks a writer and a sustained write stream never blocks
-// readers. The *At query variants run several queries against one
-// explicitly pinned epoch — repeated reads at one pin are byte-stable.
-// A background GC thread reclaims superseded versions once the lowest
-// pinned epoch passes them. See DESIGN.md "Snapshot reads & epoch GC".
+// Snapshot reads: the serving queries (WindowQuery/PointQuery/
+// ContainmentQuery/EnclosureQuery/NearestNeighbors) never take the
+// latch. Each pins the current write epoch (EpochPin, core/epoch.h) and
+// traverses copy-on-write before-image version chains
+// (storage/snapshot.h) at that epoch, so a long scan never blocks a
+// writer and a sustained write stream never blocks readers. Create()
+// and Open() arm this: they record the first pinned-readable epoch,
+// arm copy-on-write in the buffer pool and start the version GC thread.
+// The *At query variants run several queries against one explicitly
+// pinned epoch — repeated reads at one pin are byte-stable. The GC
+// thread reclaims superseded versions once the lowest pinned epoch
+// passes them. See DESIGN.md "Snapshot reads & epoch GC". Whole-index
+// and diagnostic reads (SpatialJoin, LevelHistogram, DistanceTo) hold
+// the latch shared instead. The version chains belong to the buffer
+// pool and are tagged with the index's epochs, so indexes that share a
+// pool (e.g. both sides of a join) must not write while another one's
+// pinned reads are in flight.
 
 #ifndef ZDB_CORE_SPATIAL_INDEX_H_
 #define ZDB_CORE_SPATIAL_INDEX_H_
@@ -136,60 +139,6 @@ struct WriteBatch {
   bool empty() const { return ops.empty(); }
 };
 
-namespace internal {
-#ifndef NDEBUG
-// Debug-build bookkeeping behind the nested-ReaderSection assertion: a
-// per-thread stack of the indexes the thread currently holds shared.
-void NoteSharedAcquired(const void* index);
-void NoteSharedReleased(const void* index);
-bool SharedHeldByThisThread(const void* index);
-#endif
-}  // namespace internal
-
-class SpatialIndex;
-
-/// Movable RAII shared-latch section returned by
-/// SpatialIndex::ReaderSection(). In debug builds it additionally
-/// maintains the per-thread held-set that lets the latch acquisition
-/// assert on nested acquisition of the same index (the writer-gate
-/// deadlock documented at ReaderSection()) at the call site instead of
-/// hanging. Must be released on the thread that acquired it.
-///
-/// Deliberately outside thread-safety analysis: a movable handle cannot
-/// be tracked by the analysis (the capability would have to follow the
-/// move), so the latch is acquired and released through unchecked
-/// boundaries (SpatialIndex::AcquireShared / UnlatchShared). Internal
-/// code uses the checked scoped sections instead; this handle exists for
-/// external callers that span the unlatched plan hooks.
-class ReaderLatch {
- public:
-  ReaderLatch() = default;
-  ReaderLatch(ReaderLatch&& o) noexcept : owner_(o.owner_) {
-    o.owner_ = nullptr;
-  }
-  ReaderLatch& operator=(ReaderLatch&& o) noexcept {
-    if (this != &o) {
-      Release();
-      owner_ = o.owner_;
-      o.owner_ = nullptr;
-    }
-    return *this;
-  }
-  ReaderLatch(const ReaderLatch&) = delete;
-  ReaderLatch& operator=(const ReaderLatch&) = delete;
-  ~ReaderLatch() { Release(); }
-
-  bool owns_lock() const { return owner_ != nullptr; }
-
- private:
-  friend class SpatialIndex;
-  explicit ReaderLatch(const SpatialIndex* owner) : owner_(owner) {}
-
-  void Release() NO_THREAD_SAFETY_ANALYSIS;  // inline after SpatialIndex
-
-  const SpatialIndex* owner_ = nullptr;
-};
-
 class SpatialIndex {
  public:
   /// Creates an empty index whose pages come from `pool`.
@@ -202,7 +151,8 @@ class SpatialIndex {
                                                     PageId master_page);
 
   /// Stops the group-commit pipeline (draining pending durability work)
-  /// if it is running.
+  /// if it is running, stops the version GC and drops the pool's
+  /// version chains.
   ~SpatialIndex();
 
   /// Persists the index state (options, B+-tree meta, store directories,
@@ -330,21 +280,6 @@ class SpatialIndex {
 
   // ------------------------------------------------------- concurrency
 
-  /// A shared (reader) latch section. Every public query takes one
-  /// internally; take one explicitly to make several calls — e.g. the
-  /// parallel plan hooks below, or a read-check-read sequence — atomic
-  /// with respect to writers. Never acquire a section inside another one
-  /// on the same thread — in particular, never call a public query
-  /// (WindowQuery/DistanceTo/...) while holding a ReaderSection, since
-  /// it re-acquires internally and a waiting writer deadlocks the
-  /// nesting; use the unlatched plan hooks below instead. Debug builds
-  /// assert at the nested acquisition site (see ReaderLatch), so the
-  /// hazard is a crash with a message instead of a hang.
-  /// Acquisition is writer-preferring: new reader sections stand aside
-  /// while a writer is waiting, so a continuous query stream cannot
-  /// starve the write path (see AcquireShared()).
-  ReaderLatch ReaderSection() const { return AcquireShared(); }
-
   /// Number of committed writer sections (single mutations count one,
   /// ApplyBatch counts one per batch). Monotonic; published with release
   /// order inside the writer section, so a reader that loads epoch e
@@ -357,37 +292,22 @@ class SpatialIndex {
 
   // ------------------------------------------------------ snapshot reads
   //
-  // Epoch-pinned reads replace the reader half of the latch: queries at
-  // a pinned epoch resolve pages through before-image version chains
-  // and never hold latch_, so they cannot stall writers (and writers
-  // cannot tear them). Writers still serialize through
-  // commit_mu_ -> latch_ exactly as before; on every publish they
-  // capture a SnapshotMeta (root, directories, counters) for the new
-  // epoch and the buffer pool saves pre-batch page images on first
-  // mutation.
-
-  /// Switches the read path to epoch-pinned snapshot reads. Captures
-  /// the current state as the first pinned-readable epoch, arms
-  /// copy-on-write in the buffer pool, and starts the version GC
-  /// thread. Call once, after Create()/Open() (and after
-  /// StartGroupCommit() if used); idempotent. Snapshots stay enabled
-  /// for the index's lifetime.
-  Status EnableSnapshots();
-
-  /// True once EnableSnapshots() succeeded.
-  bool snapshots_enabled() const {
-    return snapshots_on_.load(std::memory_order_acquire);
-  }
+  // Epoch-pinned reads are the only read path of the serving queries:
+  // queries at a pinned epoch resolve pages through before-image
+  // version chains and never hold latch_, so they cannot stall writers
+  // (and writers cannot tear them). Writers serialize through
+  // commit_mu_ -> latch_; on every publish they capture a SnapshotMeta
+  // (root, directories, counters) for the new epoch and the buffer pool
+  // saves pre-batch page images on first mutation.
 
   /// Pins the current write epoch for explicit multi-query snapshot
-  /// reads (the *At variants below). Requires snapshots_enabled();
-  /// aborts otherwise. Holding a pin never blocks writers — it only
-  /// delays version reclamation.
+  /// reads (the *At variants below). Holding a pin never blocks writers
+  /// — it only delays version reclamation.
   EpochPin PinEpoch() const;
 
   /// Scoped thread-local snapshot context: while alive, every read this
-  /// thread makes through this index (including the unlatched plan
-  /// hooks) resolves at the scope's epoch. Obtained from
+  /// thread makes through this index (including the plan hooks)
+  /// resolves at the scope's epoch. Obtained from
   /// OpenSnapshot(); destroy on the creating thread, strictly nested.
   /// Construction briefly blocks while a failed-batch reload is in
   /// progress (the quiesce barrier); it never blocks on writers
@@ -412,7 +332,6 @@ class SpatialIndex {
     const SpatialIndex* ix_;
     uint64_t epoch_;
     Status status_;
-    bool entered_ = false;  ///< counted as a read in flight
     /// Engaged when status_ is OK; optional because the TLS installer
     /// must be constructed after the quiesce-barrier wait and the meta
     /// check in the constructor body.
@@ -448,21 +367,19 @@ class SpatialIndex {
       const EpochPin& pin, const Point& p, size_t k,
       QueryStats* stats = nullptr, uint32_t* rounds = nullptr);
 
-  /// Pin / version-chain counters (zero before EnableSnapshots()).
+  /// Pin / version-chain counters.
   EpochStats epoch_stats() const;
   PageVersionStats version_stats() const;
 
-  /// The manager backing PinEpoch(); nullptr before EnableSnapshots().
-  /// Exposed for tests that drive reclamation deterministically
-  /// (EpochManager::RunGcCycle).
+  /// The manager backing PinEpoch(). Exposed for tests that drive
+  /// reclamation deterministically (EpochManager::RunGcCycle).
   EpochManager* epochs() const { return epoch_mgr_.get(); }
 
   // ------------------------------------------------------------- queries
   //
   // `epoch` (optional, on WindowQuery/PointQuery/NearestNeighbors)
   // receives the write epoch whose committed state the answer reflects:
-  // the pinned epoch with snapshots enabled, write_epoch() read under
-  // the shared latch otherwise.
+  // the epoch the query pinned.
 
   /// All live objects whose MBR intersects `window`.
   Result<std::vector<ObjectId>> WindowQuery(const Rect& window,
@@ -497,20 +414,15 @@ class SpatialIndex {
   // executor can split one query's z-interval set across workers: plan
   // once, execute disjoint work-item slices concurrently (each slice
   // deduplicates locally; the caller merges and deduplicates globally),
-  // then refine candidate chunks concurrently. The hooks do not latch
-  // internally (per-call latching could interleave a writer between the
-  // plan and its slices); when writers may be active, hold one
-  // ReaderSection() across the whole plan/execute/refine sequence.
-  //
-  // That contract is not expressible to the thread-safety analysis (the
-  // ReaderSection handle is movable and the hooks run on threads other
-  // than the acquiring one), so the hooks are a documented unchecked
-  // boundary: NO_THREAD_SAFETY_ANALYSIS here, checked REQUIRES_SHARED
-  // helpers underneath.
+  // then refine candidate chunks concurrently. Every call must run under
+  // a snapshot scope of this index open on the calling thread
+  // (OpenSnapshot); a call without one fails with InvalidArgument. One
+  // EpochPin shared by all the scopes of one query makes the plan, its
+  // slices and the refinement observe one committed epoch (each worker
+  // thread opens its own scope under that pin; exec/executor.h does).
 
   /// Builds the probe/scan plan for a window query.
-  Result<WindowPlan> PlanWindow(const Rect& window)
-      NO_THREAD_SAFETY_ANALYSIS;
+  Result<WindowPlan> PlanWindow(const Rect& window);
 
   /// Executes plan work items [begin, end) and returns the candidate
   /// object ids (locally deduplicated, sorted). In store_mbr_in_leaf mode
@@ -518,8 +430,7 @@ class SpatialIndex {
   Result<std::vector<ObjectId>> ExecuteWindowPlanSlice(const WindowPlan& plan,
                                                        size_t begin,
                                                        size_t end,
-                                                       QueryStats* stats)
-      NO_THREAD_SAFETY_ANALYSIS;
+                                                       QueryStats* stats);
 
   /// Refines window-query candidates against exact geometry (a no-op
   /// pass-through in store_mbr_in_leaf mode, where the filter already
@@ -541,8 +452,7 @@ class SpatialIndex {
   /// Euclidean otherwise. Polygon objects use their exact ring.
   Result<double> DistanceTo(ObjectId oid, const Point& p);
 
-  /// Build counters. Advisory monitor read outside the latch (callers
-  /// wanting a consistent snapshot hold a ReaderSection across it), so
+  /// Build counters. Advisory monitor read outside the latch, so
   /// deliberately outside the analysis.
   const IndexBuildStats& build_stats() const NO_THREAD_SAFETY_ANALYSIS {
     return build_stats_;
@@ -569,7 +479,6 @@ class SpatialIndex {
  private:
   friend Result<std::vector<std::pair<ObjectId, ObjectId>>> SpatialJoin(
       SpatialIndex* a, SpatialIndex* b, JoinStats* stats);
-  friend class ReaderLatch;  // Release() calls UnlatchShared()
 
   SpatialIndex(BufferPool* pool, const SpatialIndexOptions& options)
       : pool_(pool),
@@ -580,8 +489,9 @@ class SpatialIndex {
   // caller holds latch_, shared for reads / exclusive for writes; the
   // REQUIRES annotations make the analysis enforce exactly that). The
   // public wrappers acquire the latch and, for mutations, publish the
-  // write epoch; internal callers (kNN's expanding windows, ApplyBatch,
-  // SpatialJoin) compose these without re-acquiring.
+  // write epoch; internal callers (kNN's expanding windows, ApplyBatch)
+  // compose these without re-acquiring. The query bodies run under a
+  // SnapshotSection (pinned reads) or, for DistanceTo, a SharedSection.
   Result<ObjectId> InsertLocked(const Rect& mbr, uint32_t payload,
                                 ObjectId preassigned = kNoPreassignedOid)
       REQUIRES(latch_);
@@ -638,20 +548,45 @@ class SpatialIndex {
       REQUIRES_SHARED(latch_);
 
   /// Bumps the published write epoch; call at the end of a successful
-  /// writer section, while still holding the exclusive latch. With
-  /// snapshots enabled, first records the post-batch SnapshotMeta under
-  /// the new epoch — readers that pin the bumped epoch immediately
-  /// afterwards must already find its meta.
+  /// writer section, while still holding the exclusive latch. First
+  /// records the post-batch SnapshotMeta under the new epoch — readers
+  /// that pin the bumped epoch immediately afterwards must already find
+  /// its meta.
   void PublishWrite() REQUIRES(latch_) {
-    if (snapshots_on_.load(std::memory_order_relaxed)) {
-      epoch_mgr_->RecordMeta(
-          write_epoch_.load(std::memory_order_relaxed) + 1,
-          CaptureMetaLocked());
-    }
+    epoch_mgr_->RecordMeta(write_epoch_.load(std::memory_order_relaxed) + 1,
+                           CaptureMetaLocked());
     write_epoch_.fetch_add(1, std::memory_order_release);
   }
 
   // ----------------------------- snapshot reads (core/snapshot_read.cc)
+
+  /// Arms the read path on a freshly created or opened index: captures
+  /// the current state as the first pinned-readable epoch, arms
+  /// copy-on-write in the buffer pool and starts the version GC thread.
+  /// Called once, by Create() and Open().
+  void StartSnapshots();
+
+  /// Fails with InvalidArgument unless the calling thread has a
+  /// snapshot scope of this index open (the plan hooks' contract).
+  Status CheckSnapshotScope() const;
+
+  /// Runs `at(pin)` under a fresh pin of the current epoch and reports
+  /// the pinned epoch through `epoch_out` (optional). A pin can race a
+  /// group rollback that invalidates its epoch (rare: I/O failure); the
+  /// query then re-pins — the re-published epoch is always valid — and
+  /// retries, at most twice.
+  template <typename AtCall>
+  auto PinnedQuery(uint64_t* epoch_out, const AtCall& at)
+      -> decltype(at(std::declval<const EpochPin&>())) {
+    for (int attempt = 0;; ++attempt) {
+      const EpochPin pin = PinEpoch();
+      auto r = at(pin);
+      if (r.ok() || !r.status().IsAborted() || attempt >= 2) {
+        if (epoch_out != nullptr) *epoch_out = pin.epoch();
+        return r;
+      }
+    }
+  }
 
   /// Value-copies the reader-visible index state (tree root/height,
   /// store directories, counters) into a SnapshotMeta. Writer side,
@@ -764,23 +699,15 @@ class SpatialIndex {
   /// pipeline thread exits.
   void BreakCommitPathLocked() REQUIRES(commit_mu_);
 
-  // Latch acquisition with writer preference. The portable
-  // SharedMutex makes no fairness promise, and the common pthread
-  // implementation prefers readers — under a continuous query stream the
-  // shared side never drains and a writer waits forever. Writers
-  // announce themselves in writers_waiting_ before blocking on the
-  // exclusive latch; LatchShared() sleeps on gate_cv_ while any
-  // writer is announced (no CPU burned during the writer's turn), so
-  // the shared side drains within one in-flight query per reader thread
-  // and the writer gets through. Defined in spatial_index.cc.
-  void LatchShared() const ACQUIRE_SHARED(latch_);
-  void UnlatchShared() const RELEASE_SHARED(latch_);
-  void LatchExclusive() ACQUIRE(latch_);
-  void UnlatchExclusive() RELEASE(latch_);
+  // Latch acquisition. Writers hold latch_ exclusively; only the
+  // whole-index and diagnostic reads (SpatialJoin, LevelHistogram,
+  // DistanceTo) hold it shared.
+  void LatchShared() const ACQUIRE_SHARED(latch_) { latch_.LockShared(); }
+  void UnlatchShared() const RELEASE_SHARED(latch_) { latch_.UnlockShared(); }
+  void LatchExclusive() ACQUIRE(latch_) { latch_.Lock(); }
+  void UnlatchExclusive() RELEASE(latch_) { latch_.Unlock(); }
 
-  /// Checked scoped shared section over the gate + latch; what internal
-  /// read paths use (the public ReaderSection() handle is movable and
-  /// therefore untracked).
+  /// Checked scoped shared section: a plain shared hold of latch_.
   class SCOPED_CAPABILITY SharedSection {
    public:
     explicit SharedSection(const SpatialIndex* ix)
@@ -796,9 +723,9 @@ class SpatialIndex {
     const SpatialIndex* ix_;
   };
 
-  /// Checked scoped writer section (gate announcement + exclusive
-  /// latch). Unlock() releases early — mutators drop the latch before
-  /// committing or blocking on durability.
+  /// Checked scoped writer section (exclusive latch). Unlock()
+  /// releases early — mutators drop the latch before committing or
+  /// blocking on durability.
   class SCOPED_CAPABILITY WriterSection {
    public:
     explicit WriterSection(SpatialIndex* ix) ACQUIRE(ix->latch_)
@@ -808,9 +735,7 @@ class SpatialIndex {
       // saves its pre-batch image tagged with the current (pre-bump)
       // epoch. The stamp is re-armed per section; a checkpoint inside
       // the section disarms it for its own writes (CheckpointLocked).
-      if (ix_->snapshots_on_.load(std::memory_order_relaxed)) {
-        ix_->pool_->ArmVersioning(ix_->write_epoch() + 1);
-      }
+      ix_->pool_->ArmVersioning(ix_->write_epoch() + 1);
     }
     ~WriterSection() RELEASE() {
       if (ix_ != nullptr) ix_->UnlatchExclusive();
@@ -825,10 +750,6 @@ class SpatialIndex {
    private:
     SpatialIndex* ix_;
   };
-
-  /// Backs the public ReaderSection() handle: LatchShared() wrapped into
-  /// a movable ReaderLatch. Untracked by design (see ReaderLatch).
-  ReaderLatch AcquireShared() const NO_THREAD_SAFETY_ANALYSIS;
 
   /// Builds the probe/scan work list for a grid query rect (the shared
   /// planning step of the filter stage). Defined in query.cc.
@@ -892,25 +813,17 @@ class SpatialIndex {
   /// latch.
   std::atomic<uint64_t> live_objects_{0};
 
-  /// Reader/writer latch: queries hold it shared for their whole
-  /// duration (kNN across all its expanding rounds), mutations hold it
-  /// exclusive — batch-granular writer sections over the B+-tree, the
-  /// stores and the index metadata.
+  /// Writer latch: mutations hold it exclusive — batch-granular writer
+  /// sections over the B+-tree, the stores and the index metadata.
+  /// Pinned queries never take it; SharedSection holds it shared for
+  /// the whole-index and diagnostic reads.
   mutable SharedMutex latch_ ACQUIRED_AFTER(commit_mu_);
-  /// Writer-preference gate (see LatchShared()): writers_waiting_
-  /// counts writers blocked on (or about to block on) latch_; readers
-  /// wait on gate_cv_ until it drops to zero. gate_mu_ is a leaf lock.
-  mutable Mutex gate_mu_;
-  mutable CondVar gate_cv_;
-  mutable uint32_t writers_waiting_ GUARDED_BY(gate_mu_) = 0;
   std::atomic<uint64_t> write_epoch_{0};
 
   /// Pin accounting, per-epoch snapshot metas and the version GC
-  /// thread. Set once by EnableSnapshots() (never reseated); the
-  /// snapshots_on_ flag is what readers consult, with acquire order so
-  /// a reader seeing `true` also sees the pointer.
+  /// thread. Set by Create()/Open() before the index is handed out,
+  /// never reseated.
   std::unique_ptr<EpochManager> epoch_mgr_;
-  std::atomic<bool> snapshots_on_{false};
 
   /// Commit pipeline mutex: every mutator takes it *before* latch_
   /// (lock order: commit_mu_ → latch_ → gc_mu_), and the durability
@@ -957,13 +870,6 @@ class SpatialIndex {
   PageId obj_dir_chain_ GUARDED_BY(commit_mu_) = kInvalidPageId;
   PageId poly_dir_chain_ GUARDED_BY(commit_mu_) = kInvalidPageId;
 };
-
-inline void ReaderLatch::Release() {
-  if (owner_ != nullptr) {
-    owner_->UnlatchShared();
-    owner_ = nullptr;
-  }
-}
 
 /// Spatial join: all pairs (a-object, b-object) with intersecting MBRs,
 /// computed by a synchronized z-order merge of the two indexes' entry

@@ -19,23 +19,17 @@
 //     so a harness can cross-check each concurrent answer against a
 //     brute-force oracle at some single write-batch boundary.
 //
-// Queries and mutations synchronize through the index's internal
-// reader/writer latch, so batches may run while a writer is active; a
-// query observes either all or none of any write batch.
-//
-// Snapshot migration boundary: when the index has snapshot reads
-// enabled (SpatialIndex::EnableSnapshots), the executor stops latching.
-// Batch queries delegate to the public index queries, which auto-pin
-// per query; ParallelWindowQuery pins ONE epoch per shard up front and
-// every worker installs its own SnapshotReadScope under that shared
-// pin, so all of a shard's plan hooks (PlanWindow/ExecuteWindowPlanSlice/
-// RefineWindowCandidates) observe the same committed epoch — the
-// latch-era contract "one ReaderSection across all hook calls" maps to
-// "one EpochPin across all hook calls, one scope per worker thread".
-// The hooks themselves stay NO_THREAD_SAFETY_ANALYSIS: what protects
-// them is the pinned epoch's immutability, which tests/snapshot_test.cc
-// (SnapshotStress.PlanHooksCannotObserveTornEpoch) verifies cannot
-// observe a torn epoch under writer churn.
+// Queries read epoch-pinned snapshots and never wait for a writer; a
+// query observes either all or none of any write batch. Batch queries
+// delegate to the public index queries, which pin per query.
+// ParallelWindowQuery pins ONE epoch per shard up front and every
+// worker opens its own SnapshotReadScope under that shared pin, so all
+// of a shard's plan hooks (PlanWindow/ExecuteWindowPlanSlice/
+// RefineWindowCandidates) observe the same committed epoch. A hook
+// called without such a scope fails with InvalidArgument; what protects
+// the hooks is the pinned epoch's immutability, which
+// tests/snapshot_test.cc (SnapshotStress.PlanHooksCannotObserveTornEpoch)
+// verifies cannot observe a torn epoch under writer churn.
 //
 // Per-worker counters (pages pinned, pool hit rate, candidates,
 // refinements) are collected racelessly: each worker owns its WorkerStats
@@ -49,16 +43,15 @@
 // engines of a zdb::DB (DB::NewExecutor wires it), and the single-index
 // constructor builds a one-shard routing, so both run the same code.
 // Batch queries scatter-gather each query across its overlapping shards
-// (queries parallelize across the pool). ParallelWindowQuery
-// parallelizes ACROSS shards before slicing WITHIN them — the
-// overlapping shards' plans are built under one pin (or reader latch)
-// per shard, every (shard, slice) work item goes into a single pool
-// job, candidates are deduplicated globally by oid (an object
-// replicated into several shards is refined only in the shard that
-// surfaced it first — replicas carry identical exact geometry), and
-// refinement chunks again mix all shards in one job. MixedWorkload
-// requires a single-shard executor (writes go through the router, which
-// the executor deliberately does not own).
+// (queries parallelize across the pool). ParallelWindowQuery parallelizes
+// ACROSS shards before slicing WITHIN them — the overlapping shards'
+// plans are built under one pin per shard, every (shard, slice) work item
+// goes into a single pool job, candidates are deduplicated globally by
+// oid (an object replicated into several shards is refined only in the
+// shard that surfaced it first — replicas carry identical exact
+// geometry), and refinement chunks again mix all shards in one job.
+// MixedWorkload requires a single-shard executor (writes go through the
+// router, which the executor deliberately does not own).
 //
 // Example:
 //   QueryExecutor exec(index.get(), 4);
@@ -226,12 +219,11 @@ class QueryExecutor {
   };
 
   /// ParallelWindowQuery's plan/slice/refine pipeline over the
-  /// overlapping `shards`: pins (with `snapshots`) or latches each one,
-  /// then runs all shards' slice and refinement work items through the
-  /// shared pool.
+  /// overlapping `shards`: pins each one, then runs all shards' slice
+  /// and refinement work items through the shared pool.
   Result<std::vector<ObjectId>> ParallelWindowBody(
       const Rect& window, QueryStats* stats,
-      const std::vector<uint32_t>& shards, bool snapshots);
+      const std::vector<uint32_t>& shards);
 
   Status RunJob(size_t count,
                 std::function<Status(size_t item, size_t worker)> fn);

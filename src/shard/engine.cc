@@ -104,9 +104,6 @@ Result<std::unique_ptr<ShardEngine>> ShardEngine::Open(
   if (eng->journaled_) {
     ZDB_RETURN_IF_ERROR(eng->index_->StartGroupCommit(options.group_commit));
   }
-  if (options.snapshot_reads) {
-    ZDB_RETURN_IF_ERROR(eng->index_->EnableSnapshots());
-  }
   return eng;
 }
 

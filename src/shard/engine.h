@@ -33,7 +33,6 @@ struct ShardEngineOptions {
   /// Journaled engines only: true runs the group-commit pipeline thread;
   /// false commits every batch inline as a group of one.
   bool group_commit = true;
-  bool snapshot_reads = true;
 };
 
 class ShardEngine {

@@ -494,18 +494,6 @@ Result<PageRef> BufferPool::SnapshotFetch(const SnapshotView& view,
   return live;
 }
 
-PageRef BufferPool::FetchHeld(PageId id, const PageBuffer& held) {
-  CountHit(GetThreadIoStats());
-  return PageRef::Borrowed(held, id);
-}
-
-PageBuffer BufferPool::ResidentBuffer(PageId id) {
-  Shard& s = shard_for(id);
-  MutexLock lock(s.mu);
-  const int64_t fi = IndexFind(s, id);
-  return fi < 0 ? PageBuffer() : frames_[fi].buf;
-}
-
 Result<PageRef> BufferPool::Fetch(PageId id) {
   if (const SnapshotView* v = SnapshotView::FindPool(this)) {
     return SnapshotFetch(*v, id);

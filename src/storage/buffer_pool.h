@@ -23,11 +23,11 @@
 // has the protocol). Their LRU stamp is approximate: a hit raises the
 // frame's stamp to the shard clock only when it is behind it, and the
 // clock advances on loads, New and pinned hits, so an all-resident pool
-// takes no write on a snapshot hit. Pinned hits keep the exact LRU that
-// the single-shard experiment pools rely on.
+// takes no write on a snapshot hit. Hits at one clock value tie, so the
+// eviction order among them is by frame, not by recency.
 //
-// Small pools (< 32 frames) use a single shard, preserving the exact
-// global-LRU semantics the cold-cache experiments rely on.
+// Small pools (< 32 frames) use a single shard, so the LRU order (with
+// the snapshot-hit ties above) is global to the pool.
 // FlushAll/Clear lock all shards and are intended to be called from one
 // thread with no concurrent mutators.
 
@@ -66,8 +66,7 @@ class BufferPool;
 ///     pin.
 ///   * a counted ref on the live buffer, when all the thread's hazard
 ///     slots are in use.
-/// FetchHeld and Borrowed hand out borrowed refs on bytes the caller
-/// keeps alive.
+/// Borrowed hands out a borrowed ref on bytes the caller keeps alive.
 class PageRef {
  public:
   PageRef() = default;
@@ -80,7 +79,7 @@ class PageRef {
 
   /// A ref that borrows `buf`'s bytes as page `id`. The caller keeps
   /// the buffer alive and unmodified for the ref's lifetime. Counts no
-  /// page access (BufferPool::FetchHeld is the counted form).
+  /// page access.
   static PageRef Borrowed(const PageBuffer& buf, PageId id) {
     return PageRef(buf.data(), id);
   }
@@ -138,17 +137,6 @@ class BufferPool {
 
   /// Pins page `id`, reading it from the pager on a miss. Thread-safe.
   [[nodiscard]] Result<PageRef> Fetch(PageId id);
-
-  /// Counts a pool hit for page `id` and returns a ref that borrows
-  /// `held`, bytes of that page the caller keeps alive and unmodified
-  /// for the ref's lifetime (a pinned snapshot meta's upper B+-tree
-  /// pages). No lock, no reference count, no chain lookup.
-  PageRef FetchHeld(PageId id, const PageBuffer& held);
-
-  /// The buffer of page `id` if it is resident, else a null buffer.
-  /// Counts nothing and does not touch the LRU order. The writer uses
-  /// it to share upper B+-tree pages with a snapshot meta.
-  PageBuffer ResidentBuffer(PageId id);
 
   /// Allocates a fresh page, pinned and zero-filled (and dirty).
   /// Thread-safe.
@@ -335,8 +323,10 @@ class BufferPool {
   /// Exact LRU touch (pinned hits, loads, New): advances the clock.
   static void Touch(Shard& s, Frame& f) REQUIRES(s.mu);
   /// Approximate LRU touch (snapshot hits, no lock): raises the frame's
-  /// stamp to the clock only when it is behind, so a hot page in a pool
-  /// with no loads takes no write.
+  /// stamp to the clock only when it is behind. A page hit again and
+  /// again writes nothing shared; an exact rule (a fresh tick per hit)
+  /// cost the durable_write benchmark about 12% CPU per operation in
+  /// bounced cache lines.
   static void StampIfStale(const Shard& s, Frame& f);
 
   /// A free hazard slot of the calling thread, or nullptr when all are

@@ -97,6 +97,7 @@ void PageVersions::Clear() {
     }
     s.chains.clear();
   }
+  as_of_bound_.store(0, std::memory_order_release);
 }
 
 PageVersionStats PageVersions::stats() const {

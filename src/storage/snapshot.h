@@ -214,7 +214,8 @@ class PageVersions {
   /// once no pin at or below those epochs can exist.
   void ReclaimBefore(uint64_t min_epoch);
 
-  /// Drops everything (index shutdown / reload with no pins).
+  /// Drops everything and forgets every as_of saved so far. Only with
+  /// no reader of the chains left (index shutdown).
   void Clear();
 
   PageVersionStats stats() const;
@@ -246,19 +247,13 @@ class PageVersions {
 
 /// The non-page index state a pinned reader needs, captured by the
 /// writer under the exclusive latch at every publish. Everything here
-/// is a value copy or a shared immutable page buffer — a reader holding
-/// the meta shares nothing mutable with later writers.
+/// is a value copy — a reader holding the meta shares nothing mutable
+/// with later writers. Every page, the B+-tree root included, is read
+/// through the buffer pool, so a pinned read counts the same page
+/// accesses as any other.
 struct SnapshotMeta {
   PageId btree_root = kInvalidPageId;
   uint32_t btree_height = 1;
-  /// The B+-tree's upper two levels at this epoch: the root page, and
-  /// (when the root is internal) child i of the root at index i. Taken
-  /// from the resident frames' buffers, which no writer mutates once
-  /// published (a batch's first mutation moves the buffer to the
-  /// chain). A null buffer (page not resident at capture) sends the
-  /// read through the pool.
-  PageBuffer btree_root_page;
-  std::vector<PageBuffer> btree_root_children;
   uint32_t obj_next_oid = 0;
   std::vector<PageId> obj_pages;
   std::vector<PageId> poly_pages;

@@ -179,6 +179,8 @@ TEST(QueryExecutor, PlanSliceUnionCoversWholeQuery) {
   // candidate set — the invariant ParallelWindowQuery builds on.
   ExecFixture f;
   const Rect w{0.1, 0.1, 0.6, 0.55};
+  const EpochPin pin = f.index->PinEpoch();
+  auto scope = f.index->OpenSnapshot(pin).value();
   auto plan = f.index->PlanWindow(w).value();
   ASSERT_GT(plan.work_items(), 0u);
 

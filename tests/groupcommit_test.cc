@@ -555,9 +555,6 @@ TEST(GroupCommit, MidBatchIoFailureRollsBackMemoryAndDisk) {
       ASSERT_TRUE(pool.FlushAll().ok());
       ASSERT_TRUE(pager->CommitBatch().ok());
       ASSERT_TRUE(index->StartGroupCommit(pipeline).ok());
-      // Snapshot reads, so a rollback also invalidates the failed
-      // group's epochs for pinned readers.
-      ASSERT_TRUE(index->EnableSnapshots().ok());
 
       auto baseline = index->WindowQuery(world).value();
       std::sort(baseline.begin(), baseline.end());

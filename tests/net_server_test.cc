@@ -238,17 +238,13 @@ std::set<std::string> EngineKeys(const std::string& json) {
   return keys;
 }
 
-/// The DB layouts the server's query path runs over: one shard with
-/// snapshot reads (the default), one shard on the latched read path
-/// (DBOptions::snapshot_reads = false), and four shards.
+/// The DB layouts the server's query path runs over: one shard (the
+/// default) and four shards.
 struct DbLayout {
   uint32_t shards;
-  bool snapshot_reads;
   const char* name;
 };
-constexpr DbLayout kLayouts[] = {{1, true, "1 shard, snapshot reads"},
-                                 {1, false, "1 shard, latched reads"},
-                                 {4, true, "4 shards"}};
+constexpr DbLayout kLayouts[] = {{1, "1 shard"}, {4, "4 shards"}};
 
 /// In-memory DB of `layout` + a server with test-friendly defaults.
 struct TestServer {
@@ -262,7 +258,6 @@ struct TestServer {
     dopt.cache_pages = pool_pages;
     dopt.index.data = DecomposeOptions::SizeBound(8);
     dopt.shards = layout.shards;
-    dopt.snapshot_reads = layout.snapshot_reads;
     db = DB::Open("", dopt).value();
     opt.idle_timeout_ms = opt.idle_timeout_ms == 30000 ? 0 : opt.idle_timeout_ms;
     server = std::make_unique<Server>(db.get(), opt);
@@ -328,8 +323,8 @@ TEST(NetServer, BasicRequestReplyCycle) {
   }
 }
 
-// STATS has one engine layout: 1-shard servers (snapshot or latched
-// reads) and a 4-shard server report the same key set (aggregates,
+// STATS has one engine layout: a 1-shard and a 4-shard server report
+// the same key set (aggregates,
 // snapshots, per-shard array, summed io).
 TEST(NetServer, StatsEngineKeysMatchAcrossShardCounts) {
   std::vector<std::set<std::string>> keys;

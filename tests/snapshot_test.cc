@@ -123,7 +123,6 @@ TEST(Snapshot, EveryPinnedBoundaryMatchesBruteForceOracle) {
   auto pager = Pager::OpenInMemory(512);
   BufferPool pool(pager.get(), 128);  // small pool: forces CoW saves
   auto index = BuildIndex(&pool, w);
-  ASSERT_TRUE(index->EnableSnapshots().ok());
   const uint64_t base = index->write_epoch();
 
   // Pin boundary k, then apply batch k to step to boundary k+1.
@@ -155,7 +154,6 @@ TEST(Snapshot, EveryPinnedBoundaryMatchesBruteForceOracle) {
   }
 
   // The live (unpinned) path must answer the final state.
-  EXPECT_TRUE(index->snapshots_enabled());
   auto all = index->WindowQuery(Rect{0, 0, 1, 1}).value();
   EXPECT_EQ(all, ExpectedWindow(w.states.back(), Rect{0, 0, 1, 1}));
   ASSERT_TRUE(index->btree()->CheckInvariants().ok());
@@ -172,7 +170,6 @@ TEST(SnapshotStress, AutoPinnedQueriesMatchOracleUnderChurn) {
   auto pager = Pager::OpenInMemory(512);
   BufferPool pool(pager.get(), 128);
   auto index = BuildIndex(&pool, w);
-  ASSERT_TRUE(index->EnableSnapshots().ok());
   const uint64_t base = index->write_epoch();
 
   std::atomic<bool> writer_done{false};
@@ -233,7 +230,6 @@ TEST(SnapshotStress, PinnedReadersRereadIdenticallyUnderWriterChurn) {
   auto pager = Pager::OpenInMemory(512);
   BufferPool pool(pager.get(), 64);  // tiny pool: constant eviction
   auto index = BuildIndex(&pool, w);
-  ASSERT_TRUE(index->EnableSnapshots().ok());
   const uint64_t base = index->write_epoch();
 
   std::atomic<bool> writer_done{false};
@@ -305,7 +301,7 @@ TEST(SnapshotStress, PinnedReadersRereadIdenticallyUnderWriterChurn) {
 
 // A parked long-lived pin must not block writers: the whole batch
 // sequence completes while the pin is held (a latched long scan would
-// have wedged the writer-preference gate for its duration), and the
+// have held the writers off for its duration), and the
 // parked pin still answers its original boundary afterwards.
 TEST(SnapshotStress, ParkedPinNeverBlocksWriterProgress) {
   const uint64_t seed = SeedFromEnv(kSeedEnv, kDefaultSeed + 3);
@@ -315,7 +311,6 @@ TEST(SnapshotStress, ParkedPinNeverBlocksWriterProgress) {
   auto pager = Pager::OpenInMemory(512);
   BufferPool pool(pager.get(), 128);
   auto index = BuildIndex(&pool, w);
-  ASSERT_TRUE(index->EnableSnapshots().ok());
   const uint64_t base = index->write_epoch();
 
   // Park the pin and take its baseline answers.
@@ -441,7 +436,6 @@ TEST(SnapshotGc, ReleasedPinAllowsVersionReclamation) {
   auto pager = Pager::OpenInMemory(512);
   BufferPool pool(pager.get(), 64);
   auto index = BuildIndex(&pool, w);
-  ASSERT_TRUE(index->EnableSnapshots().ok());
 
   EpochPin parked = index->PinEpoch();
   for (const WriteBatch& batch : w.batches) {
@@ -482,7 +476,6 @@ TEST(SnapshotGc, FloorIsMinimumAcrossPins) {
   auto pager = Pager::OpenInMemory(512);
   BufferPool pool(pager.get(), 64);
   auto index = BuildIndex(&pool, w);
-  ASSERT_TRUE(index->EnableSnapshots().ok());
   const uint64_t base = index->write_epoch();
 
   EpochPin old_pin = index->PinEpoch();
@@ -514,7 +507,7 @@ TEST(SnapshotGc, FloorIsMinimumAcrossPins) {
   EXPECT_EQ(index->version_stats().live, 0u);
 }
 
-// The background GC thread (started by EnableSnapshots) reclaims on its
+// The background GC thread (started by SpatialIndex::Create) reclaims on its
 // own once the pins go away — no manual cycle required.
 TEST(SnapshotGc, BackgroundThreadReclaimsAfterRelease) {
   const uint64_t seed = SeedFromEnv(kSeedEnv, kDefaultSeed + 6);
@@ -523,7 +516,6 @@ TEST(SnapshotGc, BackgroundThreadReclaimsAfterRelease) {
   auto pager = Pager::OpenInMemory(512);
   BufferPool pool(pager.get(), 64);
   auto index = BuildIndex(&pool, w);
-  ASSERT_TRUE(index->EnableSnapshots().ok());
 
   {
     const EpochPin pin = index->PinEpoch();
@@ -554,7 +546,6 @@ TEST(SnapshotDeathTest, DoubleReleaseAborts) {
   opt.data = DecomposeOptions::SizeBound(4);
   auto index = SpatialIndex::Create(&pool, opt).value();
   ASSERT_TRUE(index->Insert(Rect{0.1, 0.1, 0.2, 0.2}).ok());
-  ASSERT_TRUE(index->EnableSnapshots().ok());
 
   EXPECT_DEATH(
       {
@@ -573,7 +564,6 @@ TEST(SnapshotDeathTest, CrossThreadReleaseAborts) {
   opt.data = DecomposeOptions::SizeBound(4);
   auto index = SpatialIndex::Create(&pool, opt).value();
   ASSERT_TRUE(index->Insert(Rect{0.1, 0.1, 0.2, 0.2}).ok());
-  ASSERT_TRUE(index->EnableSnapshots().ok());
 
   EXPECT_DEATH(
       {
@@ -599,7 +589,6 @@ TEST(SnapshotDeathTest, PinOutlivingItsIndexAborts) {
         opt.data = DecomposeOptions::SizeBound(4);
         auto index = SpatialIndex::Create(&pool, opt).value();
         (void)index->Insert(Rect{0.1, 0.1, 0.2, 0.2});
-        (void)index->EnableSnapshots();
         EpochPin pin = index->PinEpoch();
         index.reset();  // destroys the EpochManager under a live pin
       },
@@ -608,10 +597,9 @@ TEST(SnapshotDeathTest, PinOutlivingItsIndexAborts) {
 
 // ------------------------------------------------- executor plan hooks
 
-// Regression for the ReaderSection -> EpochPin migration boundary: the
-// executor's plan hooks (PlanWindow / ExecuteWindowPlanSlice /
-// RefineWindowCandidates) are NO_THREAD_SAFETY_ANALYSIS and run on many
-// worker threads under ONE shared pin. If any hook observed a torn
+// The executor's plan hooks (PlanWindow / ExecuteWindowPlanSlice /
+// RefineWindowCandidates) run on many worker threads under ONE shared
+// pin, each thread in its own snapshot scope. If any hook observed a torn
 // epoch — plan at boundary k, a slice or refinement at k+1 — the merged
 // answer would match no single oracle state and fail the bracket check.
 TEST(SnapshotStress, PlanHooksCannotObserveTornEpoch) {
@@ -622,7 +610,6 @@ TEST(SnapshotStress, PlanHooksCannotObserveTornEpoch) {
   auto pager = Pager::OpenInMemory(512);
   BufferPool pool(pager.get(), 128);
   auto index = BuildIndex(&pool, w);
-  ASSERT_TRUE(index->EnableSnapshots().ok());
   const uint64_t base = index->write_epoch();
 
   QueryExecutor exec(index.get(), 4);
@@ -675,7 +662,6 @@ TEST(SnapshotStress, PlanHooksCannotObserveTornEpoch) {
 
 TEST(Snapshot, DbEnablesSnapshotsByDefaultAndReportsStats) {
   auto db = DB::Open("", {}).value();
-  ASSERT_TRUE(db->index()->snapshots_enabled());
 
   ASSERT_TRUE(db->Insert(Rect{0.1, 0.1, 0.2, 0.2}).ok());
   ASSERT_TRUE(db->Insert(Rect{0.4, 0.4, 0.6, 0.6}).ok());
@@ -683,25 +669,10 @@ TEST(Snapshot, DbEnablesSnapshotsByDefaultAndReportsStats) {
   EXPECT_EQ(hits.size(), 2u);
 
   const DBStats s = db->Stats();
-  EXPECT_TRUE(s.snapshot_reads);
   EXPECT_GT(s.pins_taken, 0u) << "the Window query must have auto-pinned";
   EXPECT_EQ(s.pinned_epochs, 0u) << "auto-pins are released per query";
   EXPECT_GT(s.versions_saved, 0u)
       << "the second insert mutates pages the first one wrote";
-}
-
-TEST(Snapshot, DbSnapshotOptOutFallsBackToLatchedReads) {
-  DBOptions opt;
-  opt.snapshot_reads = false;
-  auto db = DB::Open("", opt).value();
-  ASSERT_FALSE(db->index()->snapshots_enabled());
-
-  ASSERT_TRUE(db->Insert(Rect{0.1, 0.1, 0.2, 0.2}).ok());
-  EXPECT_EQ(db->Window(Rect{0.0, 0.0, 1.0, 1.0}).value().size(), 1u);
-  const DBStats s = db->Stats();
-  EXPECT_FALSE(s.snapshot_reads);
-  EXPECT_EQ(s.pins_taken, 0u);
-  EXPECT_EQ(s.versions_saved, 0u);
 }
 
 // Snapshots compose with the group-commit pipeline: a journaled DB runs
@@ -710,7 +681,6 @@ TEST(Snapshot, PinnedReadsStableAcrossGroupCommitBoundaries) {
   DBOptions opt;
   opt.memory_journal = true;
   auto db = DB::Open("", opt).value();
-  ASSERT_TRUE(db->index()->snapshots_enabled());
   ASSERT_TRUE(db->index()->group_commit_active());
 
   WriteBatch first;
@@ -748,7 +718,6 @@ TEST(SnapshotGc, ReclaimsOnTimerWithoutUnpinWakeups) {
   auto pager = Pager::OpenInMemory(512);
   BufferPool pool(pager.get(), 64);
   auto index = BuildIndex(&pool, w);
-  ASSERT_TRUE(index->EnableSnapshots().ok());
 
   // With no other pin held, each of these unpins raises the minimum
   // pinned epoch (to "none"): a design that wakes the GC whenever the
@@ -800,7 +769,6 @@ TEST(SnapshotStress, PinSlotsNestedOutOfOrderUnderChurn) {
   auto pager = Pager::OpenInMemory(512);
   BufferPool pool(pager.get(), 64);
   auto index = BuildIndex(&pool, w);
-  ASSERT_TRUE(index->EnableSnapshots().ok());
   const uint64_t base = index->write_epoch();
 
   std::atomic<bool> writer_done{false};
@@ -871,9 +839,9 @@ TEST(SnapshotStress, PinSlotsNestedOutOfOrderUnderChurn) {
   EXPECT_GE(es.pins_taken, kReaders * 3 * 2);
 }
 
-// The meta of a pinned epoch holds the B+-tree's upper two levels. A
-// root split after the pin (the tree grows a level and the old root
-// becomes a child) must not change what the pin reads.
+// A root split after a pin (the tree grows a level and the old root
+// becomes a child) must not change what the pin reads: the pinned meta
+// keeps the old root, and its pages resolve through the chains.
 TEST(Snapshot, RootSplitAfterPinKeepsPinnedAnswer) {
   auto pager = Pager::OpenInMemory(512);
   BufferPool pool(pager.get(), 256);
@@ -888,11 +856,10 @@ TEST(Snapshot, RootSplitAfterPinKeepsPinnedAnswer) {
     ASSERT_EQ(index->Insert(data[i]).value(), static_cast<ObjectId>(i));
     st[static_cast<ObjectId>(i)] = data[i];
   }
-  ASSERT_TRUE(index->EnableSnapshots().ok());
 
   const EpochPin pin = index->PinEpoch();
   const uint32_t height = index->btree()->height();
-  ASSERT_GE(height, 2u) << "the pinned meta should hold root and children";
+  ASSERT_GE(height, 2u) << "the old root must be internal";
   const Rect everything{0, 0, 1, 1};
   const Rect corner{0.1, 0.1, 0.45, 0.4};
   const auto all_before = index->WindowQueryAt(pin, everything).value();
@@ -1160,6 +1127,80 @@ TEST(SnapshotGc, GroupCommitLeavesNoVersionsAtCurrentEpoch) {
   EXPECT_EQ(db->index()->version_stats().live, 0u);
   const EpochPin pin = db->index()->PinEpoch();
   EXPECT_FALSE(db->index()->pool()->versions()->MaySaveAtOrAfter(pin.epoch()));
+}
+
+// A cold cache is cold for every page: after DB::ClearCache() a point
+// query reads each level of the B+-tree from the pager, the root and its
+// children included. Every object is a tiny rect inside one finest grid
+// cell, so it decomposes to one element at one level, and a point query
+// in an empty cell runs exactly one descent and refines nothing.
+TEST(Snapshot, ClearCacheColdQueryReadsEveryTreeLevel) {
+  DBOptions opt;
+  opt.page_size = 512;
+  opt.cache_pages = 1024;
+  opt.index.data = DecomposeOptions::SizeBound(1);
+  auto db = DB::Open("", opt).value();
+  constexpr int kSide = 64;
+  const double cell = 1.0 / kSide;
+  WriteBatch batch;
+  for (int i = 0; i < kSide; ++i) {
+    for (int j = 0; j < kSide; ++j) {
+      const double x = (i + 0.25) * cell;
+      const double y = (j + 0.25) * cell;
+      batch.Insert(Rect{x, y, x + 1e-7, y + 1e-7});
+    }
+  }
+  ASSERT_TRUE(db->Apply(batch).ok());
+  const uint32_t height = db->index()->btree()->height();
+  ASSERT_GE(height, 3u);
+
+  ASSERT_TRUE(db->ClearCache().ok());
+  const IoStats before = db->io_stats();
+  const Point empty{0.75 * cell, 0.75 * cell};
+  EXPECT_TRUE(db->Point(empty).value().empty());
+  EXPECT_GE(db->io_stats().Since(before).page_reads.load(), height);
+}
+
+// The plan hooks read at the snapshot scope of their index open on the
+// calling thread; without one (or with only another index's) they fail
+// instead of reading live pages a writer may be changing.
+TEST(Snapshot, PlanHooksRequireASnapshotScope) {
+  auto pager = Pager::OpenInMemory(512);
+  BufferPool pool(pager.get(), 64);
+  SpatialIndexOptions opt;
+  opt.data = DecomposeOptions::SizeBound(4);
+  auto index = SpatialIndex::Create(&pool, opt).value();
+  auto other = SpatialIndex::Create(&pool, opt).value();
+  ASSERT_TRUE(index->Insert(Rect{0.1, 0.1, 0.2, 0.2}).ok());
+  const Rect w{0, 0, 0.5, 0.5};
+
+  auto expect_rejected = [&] {
+    EXPECT_TRUE(index->PlanWindow(w).status().IsInvalidArgument());
+    WindowPlan plan;
+    plan.window = w;
+    QueryStats qs;
+    EXPECT_TRUE(index->ExecuteWindowPlanSlice(plan, 0, 0, &qs)
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(index->RefineWindowCandidates(w, {0}, &qs)
+                    .status()
+                    .IsInvalidArgument());
+  };
+  expect_rejected();
+  {
+    const EpochPin pin = other->PinEpoch();
+    auto scope = other->OpenSnapshot(pin).value();
+    expect_rejected();
+  }
+
+  const EpochPin pin = index->PinEpoch();
+  auto scope = index->OpenSnapshot(pin).value();
+  const WindowPlan plan = index->PlanWindow(w).value();
+  QueryStats qs;
+  auto cands =
+      index->ExecuteWindowPlanSlice(plan, 0, plan.work_items(), &qs).value();
+  EXPECT_EQ(index->RefineWindowCandidates(w, std::move(cands), &qs).value(),
+            std::vector<ObjectId>{0});
 }
 
 }  // namespace

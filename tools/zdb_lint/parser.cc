@@ -42,7 +42,7 @@ enum class AnnKind {
   kRequires,
   kRequiresShared,
   kAcquire,
-  kAcquireShared,
+  kSharedAcquire,
   kRelease,
   kOther,  // EXCLUDES, TRY_ACQUIRE, ASSERT_*, ... parsed and ignored
 };
@@ -53,7 +53,7 @@ std::optional<AnnKind> AnnotationKind(const std::string& name) {
   if (name == "REQUIRES_SHARED" || name == "SHARED_LOCKS_REQUIRED")
     return AnnKind::kRequiresShared;
   if (name == "ACQUIRE") return AnnKind::kAcquire;
-  if (name == "ACQUIRE_SHARED") return AnnKind::kAcquireShared;
+  if (name == "ACQUIRE_SHARED") return AnnKind::kSharedAcquire;
   if (name == "RELEASE" || name == "RELEASE_SHARED" ||
       name == "RELEASE_GENERIC")
     return AnnKind::kRelease;
@@ -478,7 +478,7 @@ class Parser {
               case AnnKind::kRequires: req.push_back({a, true}); break;
               case AnnKind::kRequiresShared: req.push_back({a, false}); break;
               case AnnKind::kAcquire: acq.push_back({a, true}); break;
-              case AnnKind::kAcquireShared: acq.push_back({a, false}); break;
+              case AnnKind::kSharedAcquire: acq.push_back({a, false}); break;
               case AnnKind::kRelease: rel.push_back(a); break;
               case AnnKind::kOther: break;
             }
@@ -661,7 +661,7 @@ class Parser {
           continue;
         }
 
-        // Configured acquire functions (LatchExclusive, ReaderSection..).
+        // Configured acquire functions (LatchExclusive, LatchShared).
         auto acq = cfg_.acquire_fns.find(callee);
         if (acq != cfg_.acquire_fns.end()) {
           LockAcquire ev{acq->second.first, acq->second.second, tok.line,
