@@ -1,35 +1,40 @@
 // Copyright (c) zdb authors. Licensed under the MIT license.
 //
-// E12: parallel query throughput versus worker count. The E2 workload
+// E12: parallel query throughput versus thread count. The E2 workload
 // (size-bound k decomposition over the standard distributions) is run
-// through exec/QueryExecutor at 1, 2, 4 and 8 workers, in two regimes:
+// by 1, 2, 4 and 8 plain reader threads, each answering a strided share
+// of the windows through the public query calls (as the server's
+// request workers share a query stream), in two regimes:
 //
 //   * warm — the pool holds the whole index, so the batch is pure CPU
-//     (filter + refine, no page transfers). Each executor is warmed up
-//     first, then batches run back to back for a fixed interval (five
-//     0.2 s slices); the column is the median slice's throughput, so it
-//     measures steady state, not thread start-up. Two warm columns:
-//     a bare SpatialIndex built by inserts, and a bulk-loaded zdb::DB,
-//     the configuration the server runs; both read epoch-pinned
-//     snapshots.
+//     (filter + refine, no page transfers). The reader threads run
+//     through the windows round after round: first a warm-up, then a
+//     fixed interval (five 0.2 s slices); the column is the median
+//     slice's throughput, so it measures steady state. Two warm
+//     columns: a bare SpatialIndex built by inserts, and a bulk-loaded
+//     zdb::DB, the configuration the server runs; both read
+//     epoch-pinned snapshots.
 //     "csw/q" is voluntary context switches per query over the timed
 //     interval (getrusage, whole process): a read path that blocks on a
 //     lock or wakes another thread shows up here. Scaling in these
 //     columns is bounded by physical cores.
 //   * I/O-bound — a small pool plus simulated per-read device latency
 //     on the in-memory pager (the stall is taken outside the pager
-//     mutex, like a real device queue). Here worker threads overlap
+//     mutex, like a real device queue). Here reader threads overlap
 //     their page-read stalls, which is what the concurrent read path
 //     is for; throughput scales with the thread count irrespective of
-//     core count.
+//     core count. "hit rate" is the pager's pool hit rate over the
+//     batches.
 //
 // The last column splits ONE 10%-selectivity window query across the
-// workers by its z-interval work list (intra-query parallelism), in
-// the I/O-bound regime.
+// workers of an exec/QueryExecutor by its z-interval work list
+// (intra-query parallelism, ParallelWindowQuery), in the I/O-bound
+// regime.
 
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -68,6 +73,20 @@ double BestSeconds(const std::function<void()>& fn) {
   return std::min(SecondsOf(fn), SecondsOf(fn));
 }
 
+/// Answers queries [0, count) on `threads` reader threads: thread t
+/// runs `query(i)` for i = t, t + threads, ...
+void StridedReaders(size_t threads, size_t count,
+                    const std::function<void(size_t)>& query) {
+  std::vector<std::thread> readers;
+  readers.reserve(threads);
+  for (size_t t = 0; t < threads; ++t) {
+    readers.emplace_back([&, t] {
+      for (size_t i = t; i < count; i += threads) query(i);
+    });
+  }
+  for (auto& r : readers) r.join();
+}
+
 uint64_t VoluntaryContextSwitches() {
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
@@ -79,41 +98,61 @@ struct SteadyResult {
   double csw_per_query = 0.0;
 };
 
-/// Runs `batch` (which answers `queries` queries per call) for
-/// kWarmupSeconds, then back to back for kSlices slices of
-/// kSliceSeconds; reports the median slice's throughput and the
-/// voluntary context switches per query over all slices.
-SteadyResult MeasureSteady(const std::function<void()>& batch,
-                           size_t queries) {
+/// Runs `threads` reader threads, thread t answering queries t,
+/// t + threads, ... of [0, count) round after round, for kWarmupSeconds
+/// and then kSlices slices of kSliceSeconds; reports the median slice's
+/// throughput and the voluntary context switches per query over all
+/// slices. The readers live for the whole measurement, so no thread
+/// start-up is timed.
+SteadyResult MeasureSteady(size_t threads, size_t count,
+                           const std::function<void(size_t)>& query) {
   using Clock = std::chrono::steady_clock;
-  struct Slice {
-    size_t queries = 0;
-    double seconds = 0.0;
+  struct alignas(64) Counter {
+    std::atomic<uint64_t> queries{0};
   };
-  const auto run_for = [&](double seconds) {
-    const auto t0 = Clock::now();
-    Slice sl;
-    do {
-      batch();
-      sl.queries += queries;
-      sl.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-    } while (sl.seconds < seconds);
-    return sl;
+  std::vector<Counter> done(threads);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  readers.reserve(threads);
+  for (size_t t = 0; t < threads; ++t) {
+    readers.emplace_back([&, t] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        for (size_t i = t; i < count; i += threads) {
+          query(i);
+          done[t].queries.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  const auto answered = [&] {
+    uint64_t sum = 0;
+    for (const Counter& c : done) sum += c.queries.load();
+    return sum;
   };
-  (void)run_for(kWarmupSeconds);
+  const auto sleep = [](double seconds) {
+    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+  };
+  sleep(kWarmupSeconds);
   std::vector<double> qps;
-  size_t total = 0;
   const uint64_t csw0 = VoluntaryContextSwitches();
+  const uint64_t q0 = answered();
+  uint64_t q = q0;
+  auto t = Clock::now();
   for (int i = 0; i < kSlices; ++i) {
-    const Slice sl = run_for(kSliceSeconds);
-    qps.push_back(sl.queries / sl.seconds);
-    total += sl.queries;
+    sleep(kSliceSeconds);
+    const auto t1 = Clock::now();
+    const uint64_t q1 = answered();
+    qps.push_back((q1 - q) / std::chrono::duration<double>(t1 - t).count());
+    q = q1;
+    t = t1;
   }
   const uint64_t csw = VoluntaryContextSwitches() - csw0;
+  stop.store(true);
+  for (auto& r : readers) r.join();
   std::sort(qps.begin(), qps.end());
   SteadyResult r;
   r.qps = qps[qps.size() / 2];
-  r.csw_per_query = static_cast<double>(csw) / static_cast<double>(total);
+  r.csw_per_query = static_cast<double>(csw) / static_cast<double>(q - q0);
   return r;
 }
 
@@ -166,22 +205,28 @@ void RunDistribution(Distribution dist, size_t n) {
 
   double warm_base = 0.0, db_base = 0.0, io_base = 0.0, big_base = 0.0;
   for (size_t threads : kThreadCounts) {
-    QueryExecutor warm_exec(warm_index.get(), threads);
-    const SteadyResult warm = MeasureSteady(
-        [&] { (void)warm_exec.WindowBatch(warm_windows).value(); },
-        kWarmQueries);
+    const SteadyResult warm =
+        MeasureSteady(threads, kWarmQueries, [&](size_t i) {
+          (void)warm_index->WindowQuery(warm_windows[i]).value();
+        });
+    const SteadyResult served =
+        MeasureSteady(threads, kWarmQueries, [&](size_t i) {
+          (void)db->Window(warm_windows[i]).value();
+        });
 
-    std::unique_ptr<QueryExecutor> db_exec = db->NewExecutor(threads);
-    const SteadyResult served = MeasureSteady(
-        [&] { (void)db_exec->WindowBatch(warm_windows).value(); },
-        kWarmQueries);
+    const IoStats io_before = io_env.pager->io_stats();
+    const double io_s = BestSeconds([&] {
+      StridedReaders(threads, kIoQueries, [&](size_t i) {
+        (void)io_index->WindowQuery(io_windows[i]).value();
+      });
+    });
+    const double io_qps = kIoQueries / io_s;
+    const IoStats io = io_env.Delta(io_before);
+    const uint64_t hits = io.pool_hits.load(), misses = io.pool_misses.load();
+    const double hit_rate =
+        hits + misses > 0 ? static_cast<double>(hits) / (hits + misses) : 0.0;
 
     QueryExecutor io_exec(io_index.get(), threads);
-    const double io_s =
-        BestSeconds([&] { (void)io_exec.WindowBatch(io_windows).value(); });
-    const double io_qps = kIoQueries / io_s;
-    const WorkerStats totals = io_exec.stats().Totals();
-
     const double big_s = BestSeconds(
         [&] { (void)io_exec.ParallelWindowQuery(big_window).value(); });
     const double big_ms = 1000.0 * big_s;
@@ -196,7 +241,7 @@ void RunDistribution(Distribution dist, size_t n) {
                   Fmt(warm.qps / warm_base) + "x", Fmt(warm.csw_per_query, 3),
                   Fmt(served.qps, 0), Fmt(served.qps / db_base) + "x",
                   Fmt(served.csw_per_query, 3), Fmt(io_qps, 0),
-                  Fmt(io_qps / io_base) + "x", Fmt(totals.io.hit_rate(), 3),
+                  Fmt(io_qps / io_base) + "x", Fmt(hit_rate, 3),
                   Fmt(big_ms, 1), Fmt(big_base / big_ms) + "x"});
   }
   table.Print();

@@ -1,12 +1,12 @@
 // Copyright (c) zdb authors. Licensed under the MIT license.
 //
-// E13: mixed read/write throughput. A single writer applies batched
-// inserts + erases through SpatialIndex::ApplyBatch while the executor's
-// worker pool answers window, point and kNN queries — the
-// QueryExecutor::MixedWorkload mode. Queries read epoch-pinned
-// snapshots and never wait for the writer; the question this experiment
-// answers is how much read throughput survives a concurrent write
-// stream, in the two usual regimes:
+// E13: mixed read/write throughput. A writer thread applies batched
+// erases + inserts through SpatialIndex::ApplyBatch while reader threads
+// answer window, point and kNN queries, each taking a strided share of
+// the query stream. Queries read epoch-pinned snapshots and never wait
+// for the writer; the question this experiment answers is how much read
+// throughput survives a concurrent write stream, in the two usual
+// regimes:
 //
 //   * warm — pool holds the whole index; queries are pure CPU, so the
 //     writer competes for cores and pool shards but no I/O bandwidth.
@@ -15,8 +15,8 @@
 //     and evictions compete with them for the pool.
 //
 // Read-only throughput at the same thread count is reported as the
-// baseline, so the last column is the fraction of read throughput
-// retained when the write stream is switched on.
+// baseline, so the "retained" columns are the fraction of read
+// throughput kept when the write stream is switched on.
 //
 // The second phase measures per-query reader latency (p50/p99) with and
 // without a sustained writer stream, at growing reader counts: readers
@@ -36,14 +36,12 @@
 
 #include "bench_util/runner.h"
 #include "bench_util/table.h"
-#include "exec/executor.h"
 
 namespace zdb {
 namespace {
 
-constexpr size_t kRounds = 16;
-constexpr size_t kInsertsPerRound = 48;
-constexpr size_t kErasesPerRound = 48;
+constexpr size_t kRounds = 16;      ///< query rounds; writer batches
+constexpr size_t kRoundPairs = 48;  ///< erase+insert pairs per batch
 constexpr size_t kWindowsPerRound = 24;
 constexpr size_t kPointsPerRound = 16;
 constexpr size_t kKnnPerRound = 4;
@@ -53,9 +51,6 @@ constexpr uint32_t kReadLatencyUs = 100;  ///< simulated device read
 constexpr size_t kIoPoolPages = 256;
 constexpr size_t kThreadCounts[] = {1, 2, 4, 8};
 
-constexpr size_t kQueriesPerRound =
-    kWindowsPerRound + kPointsPerRound + kKnnPerRound;
-
 double SecondsOf(const std::function<void()>& fn) {
   const auto t0 = std::chrono::steady_clock::now();
   fn();
@@ -63,36 +58,108 @@ double SecondsOf(const std::function<void()>& fn) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-/// The per-round write batch erases round r's slice of the base data and
-/// inserts the matching slice of `extra`, so the live count stays flat
-/// across the run. Each thread count gets a fresh index, so the
-/// deterministic oid sequence (dense, no recycling) makes the erase
-/// targets valid by construction.
-std::vector<MixedRound> MakeRounds(const std::vector<Rect>& extra) {
-  std::vector<MixedRound> rounds(kRounds);
-  for (size_t r = 0; r < kRounds; ++r) {
-    MixedRound& round = rounds[r];
-    for (size_t e = 0; e < kErasesPerRound; ++e) {
-      round.writes.Erase(static_cast<ObjectId>(r * kErasesPerRound + e));
+struct ReadSample {
+  std::vector<double> lat_us;  ///< one entry per query
+  double wall = 0.0;           ///< seconds for the whole measurement
+};
+
+/// `threads` readers answer queries [0, count): thread t runs
+/// `query(i)` for i = t, t + threads, ..., timing each call.
+ReadSample MeasureReaders(size_t threads, size_t count,
+                          const std::function<void(size_t)>& query) {
+  std::vector<std::vector<double>> per(threads);
+  const double wall = SecondsOf([&] {
+    std::vector<std::thread> ts;
+    ts.reserve(threads);
+    for (size_t t = 0; t < threads; ++t) {
+      ts.emplace_back([&, t] {
+        per[t].reserve(count / threads + 1);
+        for (size_t i = t; i < count; i += threads) {
+          const auto t0 = std::chrono::steady_clock::now();
+          query(i);
+          const auto t1 = std::chrono::steady_clock::now();
+          per[t].push_back(
+              std::chrono::duration<double, std::micro>(t1 - t0).count());
+        }
+      });
     }
-    for (size_t i = 0; i < kInsertsPerRound; ++i) {
-      round.writes.Insert(extra[r * kInsertsPerRound + i]);
-    }
-    QueryGenOptions qopt;
-    qopt.seed = 300 + static_cast<uint64_t>(r);
-    round.windows = GenerateWindows(kWindowsPerRound, kSelectivity, qopt);
-    round.points = GeneratePoints(kPointsPerRound, 400 + r);
-    round.knn_points = GeneratePoints(kKnnPerRound, 500 + r);
-    round.knn_k = kKnnK;
-  }
-  return rounds;
+    for (auto& th : ts) th.join();
+  });
+  ReadSample out;
+  out.wall = wall;
+  for (auto& v : per) out.lat_us.insert(out.lat_us.end(), v.begin(), v.end());
+  return out;
 }
 
-/// Read-only copy of the mixed rounds (same queries, empty batches).
-std::vector<MixedRound> ReadOnly(const std::vector<MixedRound>& rounds) {
-  std::vector<MixedRound> out = rounds;
-  for (MixedRound& r : out) r.writes = WriteBatch{};
+/// Applies batches of `pairs` erase+insert pairs until `*stop` flips
+/// (or, with a null stop, until `max_batches` have been applied). The
+/// deque tracks live oids — erases pop the front, fresh inserts append —
+/// so erase targets stay valid no matter how long the churn runs.
+/// `applied` is bumped per batch so callers can window their throughput
+/// measurement.
+void Churn(SpatialIndex* index, size_t n_base, const std::vector<Rect>& extra,
+           size_t pairs, const std::atomic<bool>* stop, uint64_t max_batches,
+           std::atomic<uint64_t>* applied) {
+  std::deque<ObjectId> live;
+  for (size_t i = 0; i < n_base; ++i) live.push_back(static_cast<ObjectId>(i));
+  size_t cursor = 0;
+  for (uint64_t done = 0;
+       stop ? !stop->load(std::memory_order_relaxed) : done < max_batches;
+       ++done) {
+    WriteBatch b;
+    for (size_t i = 0; i < pairs; ++i) {
+      b.Erase(live.front());
+      live.pop_front();
+      b.Insert(extra[cursor++ % extra.size()]);
+    }
+    const auto ids = index->ApplyBatch(b).value();
+    live.insert(live.end(), ids.begin(), ids.end());
+    applied->fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+// ------------------------------------------------ mixed throughput phase
+
+/// One phase-1 read: a window, or a point / kNN probe at `p`.
+struct Query {
+  enum Kind { kWindow, kPoint, kKnn } kind;
+  Rect window;
+  Point p;
+};
+
+/// kRounds rounds of windows, points and kNN probes, one seed per round
+/// and query kind.
+std::vector<Query> MakeQueries() {
+  std::vector<Query> out;
+  for (size_t r = 0; r < kRounds; ++r) {
+    QueryGenOptions qopt;
+    qopt.seed = 300 + static_cast<uint64_t>(r);
+    for (const Rect& w :
+         GenerateWindows(kWindowsPerRound, kSelectivity, qopt)) {
+      out.push_back({Query::kWindow, w, {}});
+    }
+    for (const Point& p : GeneratePoints(kPointsPerRound, 400 + r)) {
+      out.push_back({Query::kPoint, {}, p});
+    }
+    for (const Point& p : GeneratePoints(kKnnPerRound, 500 + r)) {
+      out.push_back({Query::kKnn, {}, p});
+    }
+  }
   return out;
+}
+
+void RunQuery(SpatialIndex* index, const Query& q) {
+  switch (q.kind) {
+    case Query::kWindow:
+      (void)index->WindowQuery(q.window).value();
+      break;
+    case Query::kPoint:
+      (void)index->PointQuery(q.p).value();
+      break;
+    case Query::kKnn:
+      (void)index->NearestNeighbors(q.p, kKnnK).value();
+      break;
+  }
 }
 
 struct Regime {
@@ -101,34 +168,40 @@ struct Regime {
   double write_ops = 0.0;  ///< write ops/s during the mixed run
 };
 
-Regime RunRegime(const std::vector<Rect>& data,
-                 const std::vector<MixedRound>& rounds, size_t threads,
+/// The mixed run's writer erases the base objects in oid order and
+/// inserts `extra`, kRoundPairs pairs per batch, so the live count stays
+/// flat. Each run gets a fresh index, so the erase targets are valid by
+/// construction.
+Regime RunRegime(const std::vector<Rect>& data, const std::vector<Rect>& extra,
+                 const std::vector<Query>& queries, size_t threads,
                  bool io_bound) {
   const SpatialIndexOptions opt{.data = DecomposeOptions::SizeBound(4)};
   const size_t pool_pages = io_bound ? kIoPoolPages : 8192;
-  constexpr size_t kWriteOps =
-      kRounds * (kInsertsPerRound + kErasesPerRound);
-
+  constexpr size_t kWriteOps = kRounds * 2 * kRoundPairs;
+  const auto run = [&](bool with_writer) {
+    Env env = MakeEnv(kBenchPageSize, pool_pages);
+    auto index = BuildZIndex(&env, data, opt).value();
+    if (io_bound) env.pager->set_simulated_read_latency_us(kReadLatencyUs);
+    return SecondsOf([&] {
+      std::atomic<uint64_t> applied{0};
+      std::thread writer;
+      if (with_writer) {
+        writer = std::thread([&] {
+          Churn(index.get(), data.size(), extra, kRoundPairs, nullptr,
+                kRounds, &applied);
+        });
+      }
+      (void)MeasureReaders(threads, queries.size(), [&](size_t i) {
+        RunQuery(index.get(), queries[i]);
+      });
+      if (writer.joinable()) writer.join();
+    });
+  };
   Regime out;
-  {
-    Env env = MakeEnv(kBenchPageSize, pool_pages);
-    auto index = BuildZIndex(&env, data, opt).value();
-    if (io_bound) env.pager->set_simulated_read_latency_us(kReadLatencyUs);
-    QueryExecutor exec(index.get(), threads);
-    const auto ro = ReadOnly(rounds);
-    const double s = SecondsOf([&] { (void)exec.MixedWorkload(ro).value(); });
-    out.read_qps = kRounds * kQueriesPerRound / s;
-  }
-  {
-    Env env = MakeEnv(kBenchPageSize, pool_pages);
-    auto index = BuildZIndex(&env, data, opt).value();
-    if (io_bound) env.pager->set_simulated_read_latency_us(kReadLatencyUs);
-    QueryExecutor exec(index.get(), threads);
-    const double s =
-        SecondsOf([&] { (void)exec.MixedWorkload(rounds).value(); });
-    out.mixed_qps = kRounds * kQueriesPerRound / s;
-    out.write_ops = kWriteOps / s;
-  }
+  out.read_qps = queries.size() / run(false);
+  const double s = run(true);
+  out.mixed_qps = queries.size() / s;
+  out.write_ops = kWriteOps / s;
   return out;
 }
 
@@ -139,13 +212,13 @@ void RunDistribution(Distribution dist, size_t n) {
   DataGenOptions dg2;
   dg2.distribution = dist;
   dg2.seed = dg.seed + 1;
-  const auto extra = GenerateData(kRounds * kInsertsPerRound, dg2);
-  const auto rounds = MakeRounds(extra);
+  const auto extra = GenerateData(kRounds * kRoundPairs, dg2);
+  const auto queries = MakeQueries();
 
   Table table(
       "E13 mixed read/write throughput — " + DistributionName(dist) + " (" +
           std::to_string(n) + " objects; " + std::to_string(kRounds) +
-          " rounds x " + std::to_string(kInsertsPerRound + kErasesPerRound) +
+          " batches x " + std::to_string(2 * kRoundPairs) +
           " write ops; I/O regime: " + std::to_string(kIoPoolPages) +
           "-page pool, " + std::to_string(kReadLatencyUs) +
           "us/read; host cores: " +
@@ -154,8 +227,8 @@ void RunDistribution(Distribution dist, size_t n) {
        "io read q/s", "io mixed q/s", "retained", "io write op/s"});
 
   for (size_t threads : kThreadCounts) {
-    const Regime warm = RunRegime(data, rounds, threads, /*io_bound=*/false);
-    const Regime io = RunRegime(data, rounds, threads, /*io_bound=*/true);
+    const Regime warm = RunRegime(data, extra, queries, threads, false);
+    const Regime io = RunRegime(data, extra, queries, threads, true);
     table.AddRow({std::to_string(threads), Fmt(warm.read_qps, 0),
                   Fmt(warm.mixed_qps, 0),
                   Fmt(warm.mixed_qps / warm.read_qps, 2),
@@ -180,67 +253,6 @@ double Percentile(std::vector<double>& v, double p) {
   std::sort(v.begin(), v.end());
   const size_t i = static_cast<size_t>(p * static_cast<double>(v.size() - 1));
   return v[i];
-}
-
-struct ReadSample {
-  std::vector<double> lat_us;  ///< one entry per query
-  double wall = 0.0;           ///< seconds for the whole measurement
-};
-
-/// `threads` readers each issue kSnapReadsPerThread window queries
-/// through the public API (auto-pinned snapshot reads), timing each
-/// query individually.
-ReadSample MeasureReaders(SpatialIndex* index, const std::vector<Rect>& windows,
-                          size_t threads) {
-  std::vector<std::vector<double>> per(threads);
-  const double wall = SecondsOf([&] {
-    std::vector<std::thread> ts;
-    ts.reserve(threads);
-    for (size_t t = 0; t < threads; ++t) {
-      ts.emplace_back([&, t] {
-        per[t].reserve(kSnapReadsPerThread);
-        for (size_t i = 0; i < kSnapReadsPerThread; ++i) {
-          const Rect& w = windows[(t * 31 + i) % windows.size()];
-          const auto t0 = std::chrono::steady_clock::now();
-          (void)index->WindowQuery(w).value();
-          const auto t1 = std::chrono::steady_clock::now();
-          per[t].push_back(
-              std::chrono::duration<double, std::micro>(t1 - t0).count());
-        }
-      });
-    }
-    for (auto& th : ts) th.join();
-  });
-  ReadSample out;
-  out.wall = wall;
-  for (auto& v : per) out.lat_us.insert(out.lat_us.end(), v.begin(), v.end());
-  return out;
-}
-
-/// Applies erase+insert churn batches until `*stop` flips (or, with a
-/// null stop, until `max_batches` have been applied). The deque tracks
-/// live oids — erases pop the front, fresh inserts append — so erase
-/// targets stay valid no matter how long the churn runs. `applied` is
-/// bumped per batch so callers can window their throughput measurement.
-void Churn(SpatialIndex* index, size_t n_base, const std::vector<Rect>& extra,
-           const std::atomic<bool>* stop, uint64_t max_batches,
-           std::atomic<uint64_t>* applied) {
-  std::deque<ObjectId> live;
-  for (size_t i = 0; i < n_base; ++i) live.push_back(static_cast<ObjectId>(i));
-  size_t cursor = 0;
-  for (uint64_t done = 0;
-       stop ? !stop->load(std::memory_order_relaxed) : done < max_batches;
-       ++done) {
-    WriteBatch b;
-    for (size_t i = 0; i < kSnapChurnBatch; ++i) {
-      b.Erase(live.front());
-      live.pop_front();
-      b.Insert(extra[cursor++ % extra.size()]);
-    }
-    const auto ids = index->ApplyBatch(b).value();
-    live.insert(live.end(), ids.begin(), ids.end());
-    applied->fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 void RunSnapshotPhase(size_t n) {
@@ -268,15 +280,22 @@ void RunSnapshotPhase(size_t n) {
     Env env = MakeEnv(kBenchPageSize, 8192);
     auto index = BuildZIndex(&env, data, opt).value();
 
-    ReadSample quiet = MeasureReaders(index.get(), windows, threads);
+    // Reader t issues kSnapReadsPerThread windows, starting at 31 * t.
+    const auto read = [&](size_t i) {
+      const size_t t = i % threads, k = i / threads;
+      (void)index->WindowQuery(windows[(t * 31 + k) % windows.size()])
+          .value();
+    };
+    const size_t reads = threads * kSnapReadsPerThread;
+    ReadSample quiet = MeasureReaders(threads, reads, read);
 
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> applied{0};
     std::thread writer([&] {
-      Churn(index.get(), n, extra, &stop, 0, &applied);
+      Churn(index.get(), n, extra, kSnapChurnBatch, &stop, 0, &applied);
     });
     const uint64_t b0 = applied.load();
-    ReadSample churn = MeasureReaders(index.get(), windows, threads);
+    ReadSample churn = MeasureReaders(threads, reads, read);
     const uint64_t b1 = applied.load();
     stop.store(true);
     writer.join();
@@ -300,8 +319,8 @@ void RunSnapshotPhase(size_t n) {
     auto index = BuildZIndex(&env, data, opt).value();
     std::atomic<uint64_t> applied{0};
     unpinned_s = SecondsOf(
-        [&] { Churn(index.get(), n, extra, nullptr, kSnapParkedBatches,
-                    &applied); });
+        [&] { Churn(index.get(), n, extra, kSnapChurnBatch, nullptr,
+                    kSnapParkedBatches, &applied); });
   }
   {
     Env env = MakeEnv(kBenchPageSize, 8192);
@@ -309,8 +328,8 @@ void RunSnapshotPhase(size_t n) {
     const EpochPin pin = index->PinEpoch();
     std::atomic<uint64_t> applied{0};
     parked_s = SecondsOf(
-        [&] { Churn(index.get(), n, extra, nullptr, kSnapParkedBatches,
-                    &applied); });
+        [&] { Churn(index.get(), n, extra, kSnapChurnBatch, nullptr,
+                    kSnapParkedBatches, &applied); });
   }
   const double per_batch = static_cast<double>(kSnapParkedBatches);
   std::printf(

@@ -7,14 +7,6 @@
 
 namespace zdb {
 
-namespace {
-thread_local ThreadIoStats* tls_io_stats = nullptr;
-}  // namespace
-
-void SetThreadIoStats(ThreadIoStats* stats) { tls_io_stats = stats; }
-
-ThreadIoStats* GetThreadIoStats() { return tls_io_stats; }
-
 // ------------------------------------------------------------ JsonWriter
 
 void JsonWriter::MaybeComma() {
@@ -129,30 +121,6 @@ void AppendJson(JsonWriter* w, std::string_view key, const IoStats& stats) {
            stats.pool_evictions.load(std::memory_order_relaxed));
   w->Field("accesses", stats.accesses());
   w->EndObject();
-}
-
-void AppendJson(JsonWriter* w, std::string_view key,
-                const ThreadIoStats& stats) {
-  w->Key(key).BeginObject();
-  w->Field("pages_pinned", stats.pages_pinned);
-  w->Field("pool_hits", stats.pool_hits);
-  w->Field("pool_misses", stats.pool_misses);
-  w->Field("hit_rate", stats.hit_rate());
-  w->EndObject();
-}
-
-std::string SnapshotJson(const IoStats& stats) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Field("page_reads", stats.page_reads.load(std::memory_order_relaxed));
-  w.Field("page_writes", stats.page_writes.load(std::memory_order_relaxed));
-  w.Field("pool_hits", stats.pool_hits.load(std::memory_order_relaxed));
-  w.Field("pool_misses", stats.pool_misses.load(std::memory_order_relaxed));
-  w.Field("pool_evictions",
-          stats.pool_evictions.load(std::memory_order_relaxed));
-  w.Field("accesses", stats.accesses());
-  w.EndObject();
-  return w.str();
 }
 
 }  // namespace zdb

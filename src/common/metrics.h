@@ -8,17 +8,17 @@
 // storage layer can be exercised from many threads without racing the
 // accounting. Copies/snapshots (Since, assignment) are relaxed loads —
 // they are statistically consistent, which is all the benches need.
-// ThreadIoStats is a per-thread shadow registered via SetThreadIoStats();
-// each worker owns its own instance, so those counters are plain integers
-// aggregated racelessly after the worker quiesces.
+// Pool hits are not counted here on the hot path: each thread bumps its
+// own slot in the pager (Pager::CountPoolHit), and Pager::io_stats()
+// sums the slots into pool_hits.
 //
 // Thread-safety contracts: this header deliberately has no lockable
 // members and therefore no GUARDED_BY annotations (see DESIGN.md,
 // "Concurrency contracts"). Everything shared is a lone relaxed atomic
-// — no multi-field invariant to guard — and everything non-atomic is
-// owned by exactly one thread (TLS registration) for its whole lifetime.
-// If a future counter couples two fields under one invariant, promote
-// this to a zdb::Mutex + GUARDED_BY rather than widening the atomics.
+// — no multi-field invariant to guard — and JsonWriter is a plain value
+// owned by whoever builds the dump. If a future counter couples two
+// fields under one invariant, promote this to a zdb::Mutex +
+// GUARDED_BY rather than widening the atomics.
 
 #ifndef ZDB_COMMON_METRICS_H_
 #define ZDB_COMMON_METRICS_H_
@@ -82,39 +82,6 @@ struct IoStats {
   }
 };
 
-/// Per-thread I/O shadow counters. A query worker registers its own
-/// instance with SetThreadIoStats(); the buffer pool then additionally
-/// charges that thread's pins/hits/misses here. Plain (non-atomic)
-/// fields: only the owning thread writes them, and the aggregator reads
-/// them only after joining/quiescing the worker — raceless by ownership.
-struct ThreadIoStats {
-  /// Pages handed to this thread by successful Fetch/New calls: pinned
-  /// frames and unpinned snapshot refs alike. Each Fetch also counts one
-  /// pool hit or miss, so a thread that only reads has pages_pinned ==
-  /// pool_hits + pool_misses.
-  uint64_t pages_pinned = 0;
-  uint64_t pool_hits = 0;     ///< this thread's pool hits
-  uint64_t pool_misses = 0;   ///< this thread's pool misses
-
-  double hit_rate() const {
-    const uint64_t total = pool_hits + pool_misses;
-    return total ? static_cast<double>(pool_hits) / total : 0.0;
-  }
-
-  void Add(const ThreadIoStats& o) {
-    pages_pinned += o.pages_pinned;
-    pool_hits += o.pool_hits;
-    pool_misses += o.pool_misses;
-  }
-};
-
-/// Registers `stats` as the calling thread's I/O shadow (nullptr to
-/// unregister). The pointer must stay valid until unregistered.
-void SetThreadIoStats(ThreadIoStats* stats);
-
-/// The calling thread's registered shadow, or nullptr.
-ThreadIoStats* GetThreadIoStats();
-
 // ----------------------------- structured counter dumps (JSON) ---------
 //
 // Counters cross process boundaries in two places — the server's STATS
@@ -166,12 +133,6 @@ class JsonWriter {
 /// Appends `stats` as a JSON object under `key` to an already-open
 /// object: {"page_reads":N,...,"accesses":N}.
 void AppendJson(JsonWriter* w, std::string_view key, const IoStats& stats);
-void AppendJson(JsonWriter* w, std::string_view key,
-                const ThreadIoStats& stats);
-
-/// One-shot structured dump: the whole IoStats as a standalone JSON
-/// object string.
-std::string SnapshotJson(const IoStats& stats);
 
 }  // namespace zdb
 

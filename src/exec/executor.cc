@@ -7,8 +7,6 @@
 #include <thread>
 #include <unordered_set>
 
-#include "shard/scatter.h"
-
 namespace zdb {
 
 QueryExecutor::QueryExecutor(SpatialIndex* index, size_t threads)
@@ -23,10 +21,9 @@ QueryExecutor::QueryExecutor(std::vector<SpatialIndex*> indexes,
   assert(!indexes_.empty() && indexes_.size() == routing_.shards());
   assert(threads >= 1);
   if (threads < 1) threads = 1;
-  stats_.workers.resize(threads);
   workers_.reserve(threads);
   for (size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -39,15 +36,7 @@ QueryExecutor::~QueryExecutor() {
   for (auto& w : workers_) w.join();
 }
 
-void QueryExecutor::ResetStats() {
-  for (auto& w : stats_.workers) w = WorkerStats{};
-  stats_.writer = WorkerStats{};
-}
-
-void QueryExecutor::WorkerLoop(size_t worker_idx) {
-  // The worker's I/O shadow: the buffer pool charges this thread's pins,
-  // hits and misses here without any shared-counter races.
-  SetThreadIoStats(&stats_.workers[worker_idx].io);
+void QueryExecutor::WorkerLoop() {
   for (;;) {
     std::shared_ptr<Job> job;
     {
@@ -56,7 +45,7 @@ void QueryExecutor::WorkerLoop(size_t worker_idx) {
       if (jobs_.empty()) break;  // stop_ and nothing left to drain
       job = jobs_.front();
     }
-    ProcessJob(job.get(), worker_idx);
+    ProcessJob(job.get());
     {
       MutexLock lock(mu_);
       // Whichever worker drains the job retires it; the shared_ptr
@@ -64,16 +53,14 @@ void QueryExecutor::WorkerLoop(size_t worker_idx) {
       if (!jobs_.empty() && jobs_.front() == job) jobs_.pop_front();
     }
   }
-  SetThreadIoStats(nullptr);
 }
 
-void QueryExecutor::ProcessJob(Job* job, size_t worker_idx) {
+void QueryExecutor::ProcessJob(Job* job) {
   for (;;) {
     const size_t item = job->next.fetch_add(1, std::memory_order_relaxed);
     if (item >= job->count) return;
     if (!job->failed.load(std::memory_order_acquire)) {
-      Status s = job->fn(item, worker_idx);
-      ++stats_.workers[worker_idx].tasks;
+      Status s = job->fn(item);
       if (!s.ok()) {
         MutexLock jl(job->mu);
         if (!job->failed.load(std::memory_order_relaxed)) {
@@ -90,8 +77,8 @@ void QueryExecutor::ProcessJob(Job* job, size_t worker_idx) {
   }
 }
 
-Status QueryExecutor::RunJob(
-    size_t count, std::function<Status(size_t item, size_t worker)> fn) {
+Status QueryExecutor::RunJob(size_t count,
+                             std::function<Status(size_t item)> fn) {
   if (count == 0) return Status::OK();
   auto job = std::make_shared<Job>();
   job->fn = std::move(fn);
@@ -107,52 +94,6 @@ Status QueryExecutor::RunJob(
   }
   return job->failed.load(std::memory_order_relaxed) ? job->first_error
                                                      : Status::OK();
-}
-
-Result<std::vector<std::vector<ObjectId>>> QueryExecutor::WindowBatch(
-    const std::vector<Rect>& windows) {
-  std::vector<std::vector<ObjectId>> out(windows.size());
-  ZDB_RETURN_IF_ERROR(
-      RunJob(windows.size(), [&](size_t i, size_t w) -> Status {
-        QueryStats qs;
-        auto r = shard::ScatterWindow(indexes_, routing_, windows[i], &qs);
-        if (!r.ok()) return r.status();
-        out[i] = std::move(r).value();
-        stats_.workers[w].query.Add(qs);
-        return Status::OK();
-      }));
-  return out;
-}
-
-Result<std::vector<std::vector<ObjectId>>> QueryExecutor::PointBatch(
-    const std::vector<Point>& points) {
-  std::vector<std::vector<ObjectId>> out(points.size());
-  ZDB_RETURN_IF_ERROR(
-      RunJob(points.size(), [&](size_t i, size_t w) -> Status {
-        QueryStats qs;
-        auto r = shard::ScatterPoint(indexes_, routing_, points[i], &qs);
-        if (!r.ok()) return r.status();
-        out[i] = std::move(r).value();
-        stats_.workers[w].query.Add(qs);
-        return Status::OK();
-      }));
-  return out;
-}
-
-Result<std::vector<std::vector<std::pair<ObjectId, double>>>>
-QueryExecutor::NearestBatch(const std::vector<Point>& points, size_t k) {
-  std::vector<std::vector<std::pair<ObjectId, double>>> out(points.size());
-  ZDB_RETURN_IF_ERROR(
-      RunJob(points.size(), [&](size_t i, size_t w) -> Status {
-        QueryStats qs;
-        auto r =
-            shard::ScatterNearest(indexes_, routing_, points[i], k, &qs);
-        if (!r.ok()) return r.status();
-        out[i] = std::move(r).value();
-        stats_.workers[w].query.Add(qs);
-        return Status::OK();
-      }));
-  return out;
 }
 
 Result<std::vector<ObjectId>> QueryExecutor::ParallelWindowQuery(
@@ -212,7 +153,7 @@ Result<std::vector<ObjectId>> QueryExecutor::ParallelWindowBody(
   }
   std::vector<std::vector<ObjectId>> parts(work.size());
   std::vector<QueryStats> part_stats(work.size());
-  ZDB_RETURN_IF_ERROR(RunJob(work.size(), [&](size_t i, size_t w) -> Status {
+  ZDB_RETURN_IF_ERROR(RunJob(work.size(), [&](size_t i) -> Status {
     SpatialIndex* ix = indexes_[shards[work[i].shard]];
     std::unique_ptr<SpatialIndex::SnapshotReadScope> scope;
     ZDB_ASSIGN_OR_RETURN(scope, ix->OpenSnapshot(pins[work[i].shard]));
@@ -220,7 +161,6 @@ Result<std::vector<ObjectId>> QueryExecutor::ParallelWindowBody(
                                         work[i].hi, &part_stats[i]);
     if (!r.ok()) return r.status();
     parts[i] = std::move(r).value();
-    stats_.workers[w].query.Add(part_stats[i]);
     return Status::OK();
   }));
 
@@ -250,19 +190,17 @@ Result<std::vector<ObjectId>> QueryExecutor::ParallelWindowBody(
   }
   std::vector<std::vector<ObjectId>> refined(rwork.size());
   std::vector<QueryStats> refine_stats(rwork.size());
-  ZDB_RETURN_IF_ERROR(RunJob(rwork.size(), [&](size_t i, size_t w) -> Status {
+  ZDB_RETURN_IF_ERROR(RunJob(rwork.size(), [&](size_t i) -> Status {
     SpatialIndex* ix = indexes_[shards[rwork[i].shard]];
     std::unique_ptr<SpatialIndex::SnapshotReadScope> scope;
     ZDB_ASSIGN_OR_RETURN(scope, ix->OpenSnapshot(pins[rwork[i].shard]));
     const auto& list = cand[rwork[i].shard];
     std::vector<ObjectId> chunk(list.begin() + rwork[i].lo,
                                 list.begin() + rwork[i].hi);
-    stats_.workers[w].refinements += chunk.size();
     auto r = ix->RefineWindowCandidates(window, std::move(chunk),
                                         &refine_stats[i]);
     if (!r.ok()) return r.status();
     refined[i] = std::move(r).value();
-    stats_.workers[w].query.Add(refine_stats[i]);
     return Status::OK();
   }));
 
@@ -282,100 +220,6 @@ Result<std::vector<ObjectId>> QueryExecutor::ParallelWindowBody(
     stats->results = results.size();
   }
   return results;
-}
-
-Result<std::vector<MixedRoundResult>> QueryExecutor::MixedWorkload(
-    const std::vector<MixedRound>& rounds) {
-  if (sharded()) {
-    return Status::InvalidArgument(
-        "mixed workload requires a single-shard executor");
-  }
-  SpatialIndex* index = indexes_[0];
-  std::vector<MixedRoundResult> out(rounds.size());
-  for (size_t r = 0; r < rounds.size(); ++r) {
-    out[r].window_results.resize(rounds[r].windows.size());
-    out[r].window_epochs.resize(rounds[r].windows.size());
-    out[r].point_results.resize(rounds[r].points.size());
-    out[r].point_epochs.resize(rounds[r].points.size());
-    const size_t nk =
-        rounds[r].knn_k > 0 ? rounds[r].knn_points.size() : 0;
-    out[r].knn_results.resize(nk);
-    out[r].knn_epochs.resize(nk);
-  }
-
-  // Dedicated writer: applies the rounds' batches in order, each one an
-  // atomic writer section. `writer_status` is only read after join().
-  Status writer_status;
-  std::thread writer([&] {
-    SetThreadIoStats(&stats_.writer.io);
-    for (size_t r = 0; r < rounds.size(); ++r) {
-      if (rounds[r].writes.empty()) continue;
-      auto res = index->ApplyBatch(rounds[r].writes);
-      if (!res.ok()) {
-        writer_status = res.status();
-        break;
-      }
-      out[r].inserted = std::move(res).value();
-      ++stats_.writer.tasks;
-    }
-    SetThreadIoStats(nullptr);
-  });
-
-  // The query side: per round, one pool job per query type. The writer
-  // drifts ahead or behind freely; the epochs bracketing each query tell
-  // the caller which oracle states the answer may legally match.
-  Status query_status = Status::OK();
-  for (size_t r = 0; r < rounds.size() && query_status.ok(); ++r) {
-    const MixedRound& round = rounds[r];
-    MixedRoundResult& res = out[r];
-    if (!round.windows.empty()) {
-      query_status =
-          RunJob(round.windows.size(), [&](size_t i, size_t w) -> Status {
-            QueryStats qs;
-            res.window_epochs[i].first = index->write_epoch();
-            auto q = index->WindowQuery(round.windows[i], &qs);
-            res.window_epochs[i].second = index->write_epoch();
-            if (!q.ok()) return q.status();
-            res.window_results[i] = std::move(q).value();
-            stats_.workers[w].query.Add(qs);
-            return Status::OK();
-          });
-      if (!query_status.ok()) break;
-    }
-    if (!round.points.empty()) {
-      query_status =
-          RunJob(round.points.size(), [&](size_t i, size_t w) -> Status {
-            QueryStats qs;
-            res.point_epochs[i].first = index->write_epoch();
-            auto q = index->PointQuery(round.points[i], &qs);
-            res.point_epochs[i].second = index->write_epoch();
-            if (!q.ok()) return q.status();
-            res.point_results[i] = std::move(q).value();
-            stats_.workers[w].query.Add(qs);
-            return Status::OK();
-          });
-      if (!query_status.ok()) break;
-    }
-    if (round.knn_k > 0 && !round.knn_points.empty()) {
-      query_status = RunJob(
-          round.knn_points.size(), [&](size_t i, size_t w) -> Status {
-            QueryStats qs;
-            res.knn_epochs[i].first = index->write_epoch();
-            auto q = index->NearestNeighbors(round.knn_points[i],
-                                             round.knn_k, &qs);
-            res.knn_epochs[i].second = index->write_epoch();
-            if (!q.ok()) return q.status();
-            res.knn_results[i] = std::move(q).value();
-            stats_.workers[w].query.Add(qs);
-            return Status::OK();
-          });
-    }
-  }
-
-  writer.join();
-  ZDB_RETURN_IF_ERROR(writer_status);
-  ZDB_RETURN_IF_ERROR(query_status);
-  return out;
 }
 
 }  // namespace zdb

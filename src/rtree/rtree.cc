@@ -462,27 +462,6 @@ Result<std::vector<std::pair<ObjectId, double>>> RTree::NearestNeighbors(
 
 // ---------------------------------------------------------------- checks
 
-Result<uint32_t> RTree::PageCount() const {
-  uint32_t pages = 0;
-  std::vector<PageId> frontier{root_};
-  while (!frontier.empty()) {
-    std::vector<PageId> next_level;
-    for (PageId id : frontier) {
-      PageRef ref;
-      ZDB_ASSIGN_OR_RETURN(ref, pool_->Fetch(id));
-      RNode node(std::move(ref), capacity_);
-      ++pages;
-      if (!node.is_leaf()) {
-        for (uint16_t i = 0; i < node.count(); ++i) {
-          next_level.push_back(node.Get(i).ref);
-        }
-      }
-    }
-    frontier = std::move(next_level);
-  }
-  return pages;
-}
-
 Status RTree::CheckInvariants() const {
   uint32_t leaf_depth = 0;
   uint64_t entries = 0;

@@ -93,9 +93,6 @@ class RTree {
   uint64_t size() const { return count_; }
   uint32_t height() const { return height_; }
 
-  /// Pages in the tree (walks it).
-  Result<uint32_t> PageCount() const;
-
   /// Structural audit: MBR containment, occupancy, uniform leaf depth.
   Status CheckInvariants() const;
 

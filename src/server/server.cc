@@ -112,7 +112,7 @@ Status Server::Start() {
         UnixListen(options_.unix_path, options_.listen_backlog));
     ZDB_RETURN_IF_ERROR(SetNonBlocking(unix_listener_));
   }
-  if (options_.exec_threads > 0 && options_.parallel_window_area >= 0) {
+  if (options_.exec_threads > 0) {
     exec_ = db_->NewExecutor(options_.exec_threads);
   }
 

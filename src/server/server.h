@@ -128,7 +128,7 @@ struct ServerOptions {
   size_t exec_threads = 2;       ///< intra-query pool; 0 = no executor
   /// Windows at least this large (fraction of the unit square) run
   /// through QueryExecutor::ParallelWindowQuery instead of the scalar
-  /// path. Negative disables intra-query parallelism.
+  /// path (when exec_threads > 0).
   double parallel_window_area = 0.02;
   /// Flow control: a connection with more than this many reply bytes
   /// buffered stops being read until the peer drains it below half.

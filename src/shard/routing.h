@@ -63,12 +63,6 @@ class ShardRouting {
     return shards_ == 64 ? ~0ULL : (1ULL << shards_) - 1;
   }
 
-  /// The world-space rectangles of `shard`'s prefix regions (one per
-  /// owned prefix). Used by the kNN frontier for mindist ordering.
-  const std::vector<Rect>& WorldRegionsOf(uint32_t shard) const {
-    return shard_world_[shard];
-  }
-
   /// Minimum world-space distance from `p` to any region of `shard` —
   /// a lower bound on the distance to any object routed to the shard,
   /// provided `p` lies inside the world rect (an object overhanging the

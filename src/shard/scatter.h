@@ -1,9 +1,8 @@
 // Copyright (c) zdb authors. Licensed under the MIT license.
 //
-// Scatter-gather queries over a set of shard engines. Free functions so
-// both the ShardRouter (serial queries through zdb::DB) and the
-// QueryExecutor (cross-shard batch parallelism) run the exact same
-// gather semantics:
+// Scatter-gather queries over a set of shard engines, run by the
+// ShardRouter (serial queries through zdb::DB). QueryExecutor's
+// ParallelWindowQuery gathers windows with the same semantics:
 //
 //   * window/containment scatter only to the shards whose prefix region
 //     intersects the query rect, gather the per-shard sorted id lists

@@ -387,14 +387,6 @@ void BufferPool::PrepareWrite(uint32_t shard, uint32_t frame) {
 
 // -------------------------------------------------------------- fetches
 
-void BufferPool::CountHit(ThreadIoStats* tls) {
-  pager_->CountPoolHit();
-  if (tls != nullptr) {
-    ++tls->pool_hits;
-    ++tls->pages_pinned;
-  }
-}
-
 std::atomic<const char*>* BufferPool::FreeHazard() {
   for (auto& h : hazards_.Local().hazard) {
     if (h.load(std::memory_order_relaxed) == nullptr) return &h;
@@ -424,7 +416,6 @@ PageRef BufferPool::LiveRefLocked(Shard& s, Frame& f, PageId id) {
 Result<PageRef> BufferPool::SnapshotFetch(const SnapshotView& view,
                                           PageId id) {
   Shard& s = shard_for(id);
-  ThreadIoStats* tls = GetThreadIoStats();
   // Lock-free hit: probe, announce, re-check (storage/snapshot.h).
   std::atomic<const char*>* hazard = FreeHazard();
   for (int64_t fi; hazard != nullptr && (fi = IndexFind(s, id)) >= 0;) {
@@ -443,7 +434,7 @@ Result<PageRef> BufferPool::SnapshotFetch(const SnapshotView& view,
     if (versions_.MaySaveAtOrAfter(view.epoch)) {
       if (const char* image = versions_.Lookup(id, view.epoch)) {
         hazard->store(nullptr, std::memory_order_release);
-        CountHit(tls);
+        pager_->CountPoolHit();
         return PageRef(image, id);
       }
     }
@@ -451,7 +442,7 @@ Result<PageRef> BufferPool::SnapshotFetch(const SnapshotView& view,
     PageBuffer::NoteSnapshotRead(bytes);
 #endif
     StampIfStale(s, f);
-    CountHit(tls);
+    pager_->CountPoolHit();
     return PageRef(hazard, bytes, id);
   }
   if (hazard != nullptr) hazard->store(nullptr, std::memory_order_release);
@@ -466,20 +457,18 @@ Result<PageRef> BufferPool::SnapshotFetch(const SnapshotView& view,
       // can load and save the page in between.
       if (versions_.MaySaveAtOrAfter(view.epoch)) {
         if (const char* image = versions_.Lookup(id, view.epoch)) {
-          CountHit(tls);
+          pager_->CountPoolHit();
           return PageRef(image, id);
         }
       }
       ++pager_->mutable_io_stats()->pool_misses;
-      if (tls != nullptr) ++tls->pool_misses;
       uint32_t idx;
       ZDB_ASSIGN_OR_RETURN(idx, LoadFrame(s, id));
-      if (tls != nullptr) ++tls->pages_pinned;
       return LiveRefLocked(s, frames_[idx], id);
     }
     Frame& f = frames_[fi];
     StampIfStale(s, f);
-    CountHit(tls);
+    pager_->CountPoolHit();
     live = LiveRefLocked(s, f, id);
   }
   // The live buffer is held before the chain is checked: a writer whose
@@ -505,21 +494,18 @@ Result<PageRef> BufferPool::FetchLive(PageId id) {
   const uint32_t sidx = static_cast<uint32_t>(id) & shard_mask_;
   Shard& s = shards_[sidx];
   MutexLock lock(s.mu);
-  ThreadIoStats* tls = GetThreadIoStats();
   const int64_t fi = IndexFind(s, id);
   if (fi >= 0) {
-    CountHit(tls);
+    pager_->CountPoolHit();
     Frame& f = frames_[fi];
     f.pins.fetch_add(1, std::memory_order_relaxed);
     Touch(s, f);
     return PageRef(this, sidx, static_cast<uint32_t>(fi));
   }
   ++pager_->mutable_io_stats()->pool_misses;
-  if (tls != nullptr) ++tls->pool_misses;
   uint32_t idx;
   ZDB_ASSIGN_OR_RETURN(idx, LoadFrame(s, id));
   frames_[idx].pins.store(1, std::memory_order_relaxed);
-  if (tls != nullptr) ++tls->pages_pinned;
   return PageRef(this, sidx, idx);
 }
 
@@ -551,8 +537,6 @@ Result<PageRef> BufferPool::New() {
                      std::memory_order_relaxed);
   Touch(s, f);
   IndexInsert(s, id, idx);
-  ThreadIoStats* tls = GetThreadIoStats();
-  if (tls != nullptr) ++tls->pages_pinned;
   return PageRef(this, sidx, idx);
 }
 

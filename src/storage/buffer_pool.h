@@ -315,11 +315,6 @@ class BufferPool {
   /// Shared body of FlushAll/FlushForCommit.
   Status FlushInternal(bool include_pinned);
 
-  /// Charges one pool hit (and one fetched page) to the pager's
-  /// per-thread hit count and to the calling thread's `tls` shadow, if
-  /// any.
-  void CountHit(ThreadIoStats* tls);
-
   /// Exact LRU touch (pinned hits, loads, New): advances the clock.
   static void Touch(Shard& s, Frame& f) REQUIRES(s.mu);
   /// Approximate LRU touch (snapshot hits, no lock): raises the frame's

@@ -269,9 +269,9 @@ class DB {
   [[nodiscard]] Status ClearCache();
 
   /// A query executor driving this DB's shard engines over `threads`
-  /// workers: it scatter-gathers across the shards (parallelizing across
-  /// shards before slicing within them). The executor must not outlive
-  /// the DB.
+  /// workers: its ParallelWindowQuery scatter-gathers across the shards
+  /// (parallelizing across shards before slicing within them). The
+  /// executor must not outlive the DB.
   std::unique_ptr<QueryExecutor> NewExecutor(size_t threads);
 
   /// Shard 0's index — the escape hatch for engine-level wiring and

@@ -1,9 +1,8 @@
 // Copyright (c) zdb authors. Licensed under the MIT license.
 //
-// QueryExecutor correctness: batch execution and intra-query parallelism
-// must return exactly what the serial SpatialIndex calls return, across
-// thread counts and index modes (plain, store_mbr_in_leaf, BIGMIN), and
-// the per-worker counters must add up.
+// QueryExecutor correctness: intra-query parallelism must return exactly
+// what the serial SpatialIndex::WindowQuery returns, across thread
+// counts and index modes (plain, store_mbr_in_leaf, BIGMIN).
 
 #include "exec/executor.h"
 
@@ -40,54 +39,6 @@ struct ExecFixture {
   BufferPool pool;
   std::unique_ptr<SpatialIndex> index;
 };
-
-TEST(QueryExecutor, WindowBatchMatchesSerial) {
-  ExecFixture f;
-  const auto windows = GenerateWindows(40, 0.02, QueryGenOptions{});
-  std::vector<std::vector<ObjectId>> expected;
-  for (const auto& w : windows) {
-    expected.push_back(f.index->WindowQuery(w).value());
-  }
-  for (size_t threads : {1u, 2u, 4u}) {
-    QueryExecutor exec(f.index.get(), threads);
-    auto got = exec.WindowBatch(windows).value();
-    ASSERT_EQ(got.size(), expected.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i], expected[i]) << "window " << i << " at " << threads
-                                     << " threads";
-    }
-  }
-}
-
-TEST(QueryExecutor, PointBatchMatchesSerial) {
-  ExecFixture f;
-  const auto points = GeneratePoints(60, 3);
-  std::vector<std::vector<ObjectId>> expected;
-  for (const auto& p : points) {
-    expected.push_back(f.index->PointQuery(p).value());
-  }
-  QueryExecutor exec(f.index.get(), 4);
-  auto got = exec.PointBatch(points).value();
-  ASSERT_EQ(got.size(), expected.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i], expected[i]) << "point " << i;
-  }
-}
-
-TEST(QueryExecutor, NearestBatchMatchesSerial) {
-  ExecFixture f;
-  const auto points = GeneratePoints(20, 5);
-  std::vector<std::vector<std::pair<ObjectId, double>>> expected;
-  for (const auto& p : points) {
-    expected.push_back(f.index->NearestNeighbors(p, 5).value());
-  }
-  QueryExecutor exec(f.index.get(), 3);
-  auto got = exec.NearestBatch(points, 5).value();
-  ASSERT_EQ(got.size(), expected.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i], expected[i]) << "knn " << i;
-  }
-}
 
 TEST(QueryExecutor, ParallelWindowQueryMatchesSerial) {
   ExecFixture f;
@@ -130,11 +81,6 @@ TEST(QueryExecutor, ParallelWindowQueryBigminMode) {
 TEST(QueryExecutor, EmptyBatchesAndEmptyIndex) {
   ExecFixture f(ExecFixture::MakeOptions(), 0);
   QueryExecutor exec(f.index.get(), 2);
-  EXPECT_TRUE(exec.WindowBatch({}).value().empty());
-  EXPECT_TRUE(exec.PointBatch({}).value().empty());
-  auto got = exec.WindowBatch({Rect{0, 0, 1, 1}}).value();
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_TRUE(got[0].empty());
   EXPECT_TRUE(exec.ParallelWindowQuery(Rect{0, 0, 1, 1}).value().empty());
 }
 
@@ -142,36 +88,10 @@ TEST(QueryExecutor, PropagatesQueryErrors) {
   ExecFixture f;
   QueryExecutor exec(f.index.get(), 2);
   const Rect bad{0.5, 0.5, 0.4, 0.6};  // xlo > xhi
-  EXPECT_TRUE(exec.WindowBatch({Rect{0, 0, 1, 1}, bad})
-                  .status()
-                  .IsInvalidArgument());
   EXPECT_TRUE(exec.ParallelWindowQuery(bad).status().IsInvalidArgument());
-  // The executor survives a failed batch and keeps answering.
-  EXPECT_FALSE(exec.WindowBatch({Rect{0, 0, 1, 1}}).value().empty());
-}
-
-TEST(QueryExecutor, PerWorkerStatsAggregate) {
-  ExecFixture f;
-  const auto windows = GenerateWindows(32, 0.02, QueryGenOptions{});
-  QueryExecutor exec(f.index.get(), 4);
-  exec.ResetStats();
-  auto results = exec.WindowBatch(windows).value();
-  size_t total_results = 0;
-  for (const auto& r : results) total_results += r.size();
-
-  const ExecStats stats = exec.stats();
-  ASSERT_EQ(stats.workers.size(), 4u);
-  const WorkerStats totals = stats.Totals();
-  EXPECT_EQ(totals.tasks, windows.size());
-  EXPECT_EQ(totals.query.results, total_results);
-  // Every query pinned at least one page, and every pin was a hit or a
-  // miss.
-  EXPECT_GE(totals.io.pages_pinned, windows.size());
-  EXPECT_EQ(totals.io.pages_pinned, totals.io.pool_hits + totals.io.pool_misses);
-
-  exec.ResetStats();
-  EXPECT_EQ(exec.stats().Totals().tasks, 0u);
-  EXPECT_EQ(exec.stats().Totals().io.pages_pinned, 0u);
+  // The executor survives a failed query and keeps answering.
+  EXPECT_EQ(exec.ParallelWindowQuery(Rect{0, 0, 1, 1}).value(),
+            f.index->WindowQuery(Rect{0, 0, 1, 1}).value());
 }
 
 TEST(QueryExecutor, PlanSliceUnionCoversWholeQuery) {

@@ -357,29 +357,13 @@ TEST(ShardExecutor, ScatterGatherMatchesRouterAnswers) {
   ASSERT_TRUE(db->Apply(init).ok());
 
   auto exec = db->NewExecutor(3);
-  ASSERT_TRUE(exec->sharded());
   EXPECT_EQ(exec->shards(), 4u);
 
-  auto window_batch = exec->WindowBatch(w.windows);
-  ASSERT_TRUE(window_batch.ok());
   for (size_t i = 0; i < w.windows.size(); ++i) {
-    EXPECT_EQ(window_batch.value()[i], db->Window(w.windows[i]).value());
     auto par = exec->ParallelWindowQuery(w.windows[i]);
     ASSERT_TRUE(par.ok());
     EXPECT_EQ(par.value(), db->Window(w.windows[i]).value());
   }
-  auto point_batch = exec->PointBatch(w.points);
-  ASSERT_TRUE(point_batch.ok());
-  for (size_t i = 0; i < w.points.size(); ++i) {
-    EXPECT_EQ(point_batch.value()[i], db->Point(w.points[i]).value());
-  }
-  auto knn_batch = exec->NearestBatch(w.knn_points, 5);
-  ASSERT_TRUE(knn_batch.ok());
-  for (size_t i = 0; i < w.knn_points.size(); ++i) {
-    EXPECT_EQ(knn_batch.value()[i], db->Nearest(w.knn_points[i], 5).value());
-  }
-  // Writes don't go through a sharded executor.
-  EXPECT_TRUE(exec->MixedWorkload({}).status().IsInvalidArgument());
 }
 
 // ------------------------------------------------------------------ stats

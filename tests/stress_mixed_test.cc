@@ -4,11 +4,12 @@
 // batches (inserts + erases) while parallel readers run window, point
 // and kNN queries against the same index. Every concurrent answer is
 // cross-checked against a brute-force oracle evaluated at each
-// write-batch boundary: because batches publish atomically under the
-// index latch, a query that observed write epochs [e0, e1] around its
-// execution must match the oracle at EXACTLY one epoch in that range —
-// a partially visible batch (or a partially visible z-element set of
-// one object) matches no boundary state and fails the check.
+// write-batch boundary: because batches publish atomically and a query
+// reads one pinned epoch, a query that observed write epochs [e0, e1]
+// around its execution must match the oracle at EXACTLY one epoch in
+// that range — a partially visible batch (or a partially visible
+// z-element set of one object) matches no boundary state and fails the
+// check.
 //
 // The whole workload (data, batches, queries) derives from one root
 // seed; failures print the seed and ZDB_STRESS_SEED replays it (see
@@ -26,7 +27,6 @@
 #include <vector>
 
 #include "core/spatial_index.h"
-#include "exec/executor.h"
 #include "oracle_util.h"
 #include "storage/pager.h"
 #include "workload/datagen.h"
@@ -66,77 +66,12 @@ std::unique_ptr<SpatialIndex> BuildIndex(BufferPool* pool,
 
 // ---------------------------------------------------------------- tests
 
-// Executor mixed mode: write batches on the dedicated writer thread,
-// query batches on the pool, every answer checked against the oracle at
-// the epochs it observed.
-TEST(StressMixed, ExecutorMixedWorkloadMatchesOracleAtEveryEpoch) {
-  const uint64_t seed = SeedFromEnv(kSeedEnv, kDefaultSeed);
-  SCOPED_TRACE(SeedReplayHint(kSeedEnv, seed));
-  const Workload w = MakeWorkload(seed);
-
-  auto pager = Pager::OpenInMemory(512);
-  BufferPool pool(pager.get(), 256);
-  auto index = BuildIndex(&pool, w);
-  // Epochs 0.. are counted from here: setup inserts bumped the counter.
-  const uint64_t base = index->write_epoch();
-
-  QueryExecutor exec(index.get(), 4);
-  std::vector<MixedRound> rounds(w.batches.size());
-  for (size_t b = 0; b < w.batches.size(); ++b) {
-    rounds[b].writes = w.batches[b];
-    rounds[b].windows = w.windows;
-    rounds[b].points = w.points;
-    rounds[b].knn_points = w.knn_points;
-    rounds[b].knn_k = kKnnK;
-  }
-  auto results = exec.MixedWorkload(rounds).value();
-
-  ASSERT_EQ(results.size(), w.batches.size());
-  for (size_t b = 0; b < results.size(); ++b) {
-    EXPECT_EQ(results[b].inserted, w.batch_oids[b]) << "batch " << b;
-    for (size_t q = 0; q < w.windows.size(); ++q) {
-      const auto [raw0, raw1] = results[b].window_epochs[q];
-      const uint64_t e0 = raw0 - base, e1 = raw1 - base;
-      EXPECT_TRUE(MatchesWindowInRange(w.states, w.windows[q],
-                                       results[b].window_results[q], e0,
-                                       e1))
-          << "round " << b << " window " << q << " epochs [" << e0 << ","
-          << e1 << "]: partially visible batch observed";
-    }
-    for (size_t q = 0; q < w.points.size(); ++q) {
-      const auto [raw0, raw1] = results[b].point_epochs[q];
-      EXPECT_TRUE(MatchesPointInRange(w.states, w.points[q],
-                                      results[b].point_results[q],
-                                      raw0 - base, raw1 - base))
-          << "round " << b << " point " << q;
-    }
-    for (size_t q = 0; q < w.knn_points.size(); ++q) {
-      const auto [raw0, raw1] = results[b].knn_epochs[q];
-      EXPECT_TRUE(MatchesKnnInRange(w.states, w.knn_points[q], kKnnK,
-                                    results[b].knn_results[q],
-                                    raw0 - base, raw1 - base))
-          << "round " << b << " knn " << q;
-    }
-  }
-
-  // After the workload the index must be exactly the final oracle state.
-  const OracleState& last = w.states.back();
-  EXPECT_EQ(index->object_count(), last.size());
-  auto all = index->WindowQuery(Rect{0, 0, 1, 1}).value();
-  std::sort(all.begin(), all.end());
-  EXPECT_EQ(all, ExpectedWindow(last, Rect{0, 0, 1, 1}));
-  ASSERT_TRUE(index->btree()->CheckInvariants().ok());
-
-  // The writer's batches were all counted racelessly in its own slot.
-  EXPECT_EQ(exec.stats().writer.tasks, w.batches.size());
-}
-
-// Raw-thread variant: a writer thread applies batches directly through
-// ApplyBatch while reader threads hammer the latched public queries.
-// Exercises the latch without any executor machinery; also the
-// erase-race coverage — batches erase live objects while kNN and window
-// queries are mid-flight, and the epoch cross-check rejects any answer
-// in which a deleted object was partially visible.
+// A writer thread applies the batches directly through ApplyBatch while
+// reader threads hammer the public window, point and kNN queries; every
+// answer is checked against the oracle at the epochs it observed. Also
+// the erase-race coverage — batches erase live objects while kNN and
+// window queries are mid-flight, and the epoch cross-check rejects any
+// answer in which a deleted object was partially visible.
 TEST(StressMixed, RawWriterAndReaderThreadsAgreeWithOracle) {
   const uint64_t seed = SeedFromEnv(kSeedEnv, kDefaultSeed + 1);
   SCOPED_TRACE(SeedReplayHint(kSeedEnv, seed));
@@ -150,13 +85,16 @@ TEST(StressMixed, RawWriterAndReaderThreadsAgreeWithOracle) {
   std::atomic<bool> writer_done{false};
   std::atomic<int> failures{0};
 
+  // Written by the writer only; read after join().
+  std::vector<std::vector<ObjectId>> inserted(w.batches.size());
   std::thread writer([&] {
-    for (const WriteBatch& batch : w.batches) {
-      auto r = index->ApplyBatch(batch);
+    for (size_t b = 0; b < w.batches.size(); ++b) {
+      auto r = index->ApplyBatch(w.batches[b]);
       if (!r.ok()) {
         ++failures;
         break;
       }
+      inserted[b] = std::move(r).value();
     }
     writer_done.store(true, std::memory_order_release);
   });
@@ -206,8 +144,17 @@ TEST(StressMixed, RawWriterAndReaderThreadsAgreeWithOracle) {
   writer.join();
   for (auto& r : readers) r.join();
   EXPECT_EQ(failures.load(), 0);
+  for (size_t b = 0; b < w.batches.size(); ++b) {
+    EXPECT_EQ(inserted[b], w.batch_oids[b]) << "batch " << b;
+  }
   EXPECT_EQ(index->write_epoch() - base, w.batches.size());
-  EXPECT_EQ(index->object_count(), w.states.back().size());
+
+  // After the workload the index must be exactly the final oracle state.
+  const OracleState& last = w.states.back();
+  EXPECT_EQ(index->object_count(), last.size());
+  auto all = index->WindowQuery(Rect{0, 0, 1, 1}).value();
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(all, ExpectedWindow(last, Rect{0, 0, 1, 1}));
   ASSERT_TRUE(index->btree()->CheckInvariants().ok());
 }
 
