@@ -14,10 +14,12 @@
 //     columns: a bare SpatialIndex built by inserts, and a bulk-loaded
 //     zdb::DB, the configuration the server runs; both read
 //     epoch-pinned snapshots.
-//     "csw/q" is voluntary context switches per query over the timed
-//     interval (getrusage, whole process): a read path that blocks on a
-//     lock or wakes another thread shows up here. Scaling in these
-//     columns is bounded by physical cores.
+//     "csw/q" is the reader threads' voluntary context switches per
+//     query over the timed interval (each reader's own
+//     getrusage(RUSAGE_THREAD), summed; the indexes' background GC
+//     timers are not counted): a read path that blocks on a lock or
+//     waits for another thread shows up here. Scaling in these columns
+//     is bounded by physical cores.
 //   * I/O-bound — a small pool plus simulated per-read device latency
 //     on the in-memory pager (the stall is taken outside the pager
 //     mutex, like a real device queue). Here reader threads overlap
@@ -87,9 +89,10 @@ void StridedReaders(size_t threads, size_t count,
   for (auto& r : readers) r.join();
 }
 
-uint64_t VoluntaryContextSwitches() {
+/// Voluntary context switches of the calling thread so far.
+uint64_t ThreadVoluntaryContextSwitches() {
   rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
+  getrusage(RUSAGE_THREAD, &ru);
   return static_cast<uint64_t>(ru.ru_nvcsw);
 }
 
@@ -101,27 +104,36 @@ struct SteadyResult {
 /// Runs `threads` reader threads, thread t answering queries t,
 /// t + threads, ... of [0, count) round after round, for kWarmupSeconds
 /// and then kSlices slices of kSliceSeconds; reports the median slice's
-/// throughput and the voluntary context switches per query over all
-/// slices. The readers live for the whole measurement, so no thread
-/// start-up is timed.
+/// throughput and the readers' voluntary context switches per query
+/// over all slices. The readers live for the whole measurement, so no
+/// thread start-up is timed.
 SteadyResult MeasureSteady(size_t threads, size_t count,
                            const std::function<void(size_t)>& query) {
   using Clock = std::chrono::steady_clock;
   struct alignas(64) Counter {
     std::atomic<uint64_t> queries{0};
+    uint64_t csw = 0;  ///< switches in the timed interval (set at exit)
   };
   std::vector<Counter> done(threads);
+  std::atomic<bool> timing{false};
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
   readers.reserve(threads);
   for (size_t t = 0; t < threads; ++t) {
     readers.emplace_back([&, t] {
+      bool timed = false;
+      uint64_t csw0 = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         for (size_t i = t; i < count; i += threads) {
+          if (!timed && timing.load(std::memory_order_relaxed)) {
+            timed = true;
+            csw0 = ThreadVoluntaryContextSwitches();
+          }
           query(i);
           done[t].queries.fetch_add(1, std::memory_order_relaxed);
         }
       }
+      if (timed) done[t].csw = ThreadVoluntaryContextSwitches() - csw0;
     });
   }
   const auto answered = [&] {
@@ -134,7 +146,7 @@ SteadyResult MeasureSteady(size_t threads, size_t count,
   };
   sleep(kWarmupSeconds);
   std::vector<double> qps;
-  const uint64_t csw0 = VoluntaryContextSwitches();
+  timing.store(true);
   const uint64_t q0 = answered();
   uint64_t q = q0;
   auto t = Clock::now();
@@ -146,9 +158,10 @@ SteadyResult MeasureSteady(size_t threads, size_t count,
     q = q1;
     t = t1;
   }
-  const uint64_t csw = VoluntaryContextSwitches() - csw0;
   stop.store(true);
   for (auto& r : readers) r.join();
+  uint64_t csw = 0;
+  for (const Counter& c : done) csw += c.csw;
   std::sort(qps.begin(), qps.end());
   SteadyResult r;
   r.qps = qps[qps.size() / 2];

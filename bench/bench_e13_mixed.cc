@@ -20,8 +20,8 @@
 //
 // The second phase measures per-query reader latency (p50/p99) with and
 // without a sustained writer stream, at growing reader counts: readers
-// pin an epoch and traverse copy-on-write page versions latch-free. The
-// phase closes with the parked-pin experiment: writer batch throughput
+// pin an epoch and traverse copy-on-write page versions with no lock.
+// The phase closes with the parked-pin experiment: writer batch throughput
 // while a long-lived pin is held open, versus unpinned — this must be a
 // wash, since a pin only delays version reclamation.
 
@@ -169,10 +169,11 @@ struct Regime {
 };
 
 /// The mixed run's writer erases the base objects in oid order and
-/// inserts `extra`, kRoundPairs pairs per batch, so the live count stays
-/// flat. Each run gets a fresh index, so the erase targets are valid by
-/// construction.
-Regime RunRegime(const std::vector<Rect>& data, const std::vector<Rect>& extra,
+/// re-inserts each erased rectangle, kRoundPairs pairs per batch, so the
+/// live count and the data distribution the queries were drawn against
+/// stay as they were. Each run gets a fresh index, so the erase targets
+/// are valid by construction.
+Regime RunRegime(const std::vector<Rect>& data,
                  const std::vector<Query>& queries, size_t threads,
                  bool io_bound) {
   const SpatialIndexOptions opt{.data = DecomposeOptions::SizeBound(4)};
@@ -187,7 +188,7 @@ Regime RunRegime(const std::vector<Rect>& data, const std::vector<Rect>& extra,
       std::thread writer;
       if (with_writer) {
         writer = std::thread([&] {
-          Churn(index.get(), data.size(), extra, kRoundPairs, nullptr,
+          Churn(index.get(), data.size(), data, kRoundPairs, nullptr,
                 kRounds, &applied);
         });
       }
@@ -209,10 +210,6 @@ void RunDistribution(Distribution dist, size_t n) {
   DataGenOptions dg;
   dg.distribution = dist;
   const auto data = GenerateData(n, dg);
-  DataGenOptions dg2;
-  dg2.distribution = dist;
-  dg2.seed = dg.seed + 1;
-  const auto extra = GenerateData(kRounds * kRoundPairs, dg2);
   const auto queries = MakeQueries();
 
   Table table(
@@ -227,8 +224,8 @@ void RunDistribution(Distribution dist, size_t n) {
        "io read q/s", "io mixed q/s", "retained", "io write op/s"});
 
   for (size_t threads : kThreadCounts) {
-    const Regime warm = RunRegime(data, extra, queries, threads, false);
-    const Regime io = RunRegime(data, extra, queries, threads, true);
+    const Regime warm = RunRegime(data, queries, threads, false);
+    const Regime io = RunRegime(data, queries, threads, true);
     table.AddRow({std::to_string(threads), Fmt(warm.read_qps, 0),
                   Fmt(warm.mixed_qps, 0),
                   Fmt(warm.mixed_qps / warm.read_qps, 2),

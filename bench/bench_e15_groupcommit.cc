@@ -1,14 +1,15 @@
 // Copyright (c) zdb authors. Licensed under the MIT license.
 //
-// E15: the off-latch group-commit durability pipeline. Two claims under
+// E15: the group-commit durability pipeline. Two claims under
 // test, against a real file (genuine fsyncs — this experiment is about
 // the durability window, so an in-memory journal would measure nothing):
 //
-//   * Reader tail latency: mutations publish under the latch with no
-//     I/O inside and the checkpoint + flush + journal fsync run with the
-//     latch released, so reader p99 during a sustained durable write
-//     stream should stay within ~2x of the read-only baseline. Both
-//     modes commit that way; neither makes readers wait out an fsync.
+//   * Reader tail latency: mutations publish in a writer section with
+//     no I/O inside, the checkpoint + flush + journal fsync run after
+//     it, and readers take no lock, so reader p99 during a sustained
+//     durable write stream should stay within ~2x of the read-only
+//     baseline. Both modes commit that way; neither makes readers wait
+//     out an fsync.
 //
 //   * Coalescing: k writers blocking on kDurable acks complete with
 //     FEWER journal commits than batches — concurrently published
@@ -45,8 +46,8 @@ constexpr size_t kPreloadBatch = 500;
 constexpr size_t kWriters = 4;
 
 /// Busy reader threads scale with the host: oversubscribing cores turns
-/// the p99 into a scheduler-preemption measurement instead of a latch
-/// one. Writers are excluded — they sleep on the group fsync.
+/// the p99 into a scheduler-preemption measurement instead of a
+/// read-path one. Writers are excluded — they sleep on the group fsync.
 size_t ReaderCount() {
   const size_t hw = std::thread::hardware_concurrency();
   return std::max<size_t>(2, std::min<size_t>(4, hw));

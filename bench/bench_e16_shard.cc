@@ -14,7 +14,7 @@
 //   * window-query throughput under concurrency: queries scatter only
 //     to the shards their window overlaps, so small windows on
 //     different shards traverse disjoint B+-trees with disjoint
-//     latches/epoch domains and stop contending with each other.
+//     writer locks/epoch domains and stop contending with each other.
 //
 // Each writer ingests into its own quadrant of the world — the spatial
 // locality real ingest streams have, and the case sharding is for: a
@@ -125,7 +125,7 @@ ShardResult RunShards(const std::string& path, uint32_t shards) {
   out.commits = db->Stats().journal_commits;
 
   // Warm every shard's cache so the query phase measures traversal and
-  // latching, not cold page reads.
+  // snapshot reads, not cold page reads.
   for (int i = 0; i < 3; ++i) {
     if (!db->Window(Rect{0, 0, 1, 1}).ok()) std::exit(1);
   }

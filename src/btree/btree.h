@@ -11,10 +11,11 @@
 // only pins pages through the thread-safe BufferPool and reads immutable
 // in-memory metadata. Mutations (Insert/Put/Delete/BulkLoad) require
 // external exclusive access; there is no latch-crabbing. SpatialIndex
-// provides that exclusion: its reader/writer latch maps queries to
-// shared sections and mutations to exclusive ones (see
-// core/spatial_index.h), so a BTree owned by a SpatialIndex needs no
-// extra locking by the caller.
+// provides that exclusion: its mutations hold the index's writer lock,
+// and its queries read a pinned snapshot of the tree (copy-on-write page
+// versions plus the root captured at publish; see core/spatial_index.h),
+// so a BTree owned by a SpatialIndex needs no extra locking by the
+// caller.
 
 #ifndef ZDB_BTREE_BTREE_H_
 #define ZDB_BTREE_BTREE_H_
@@ -87,7 +88,7 @@ class BTree {
   uint32_t height() const { return height_; }
 
   /// Current root page (captured into snapshot metas by the index
-  /// writer under the exclusive latch).
+  /// writer at every publish).
   PageId root() const { return root_; }
 
   /// Persists the in-memory root/height/count to the meta page. Call

@@ -16,7 +16,7 @@ Status SpatialIndex::BulkLoad(const std::vector<Rect>& data, double fill,
                               const std::vector<ObjectId>* oids) {
   MutexLock commit(commit_mu_);
   ZDB_RETURN_IF_ERROR(WritableLocked());
-  WriterSection lock(this);
+  WriterSection section(this);
   if (btree_->size() != 0 || store_->size() != 0) {
     return Status::InvalidArgument("bulk load into non-empty index");
   }
@@ -29,7 +29,7 @@ Status SpatialIndex::BulkLoad(const std::vector<Rect>& data, double fill,
   bool mutated = false;
   const Status st = BulkLoadLocked(data, fill, oids, &mutated);
   ZDB_RETURN_IF_ERROR(PublishOrRollbackLocked(st, mutated));
-  lock.Unlock();
+  section.End();
   return CommitInlineLocked();
 }
 

@@ -35,11 +35,11 @@
 // barrier (EnterRead/LeaveRead against BeginQuiesce/EndQuiesce), again
 // one seq_cst store per side with no lock on the read path.
 //
-// Lock order (extends the index's commit_mu_ -> latch_ -> gc_mu_
-// discipline): the writer calls RecordMeta/InvalidateRange and the
-// quiesce brackets while holding the exclusive index latch, so latch ->
-// manager gc_mu_ and latch -> quiesce_mu_ are part of the order; the
-// manager never acquires any index lock.
+// Lock order (extends the index's commit_mu_ -> gc_mu_ discipline):
+// the writer calls RecordMeta/InvalidateRange and the quiesce brackets
+// while holding the index's commit_mu_, so commit_mu_ -> manager gc_mu_
+// and commit_mu_ -> quiesce_mu_ are part of the order; the manager
+// never acquires any index lock.
 //
 // EpochPin misuse is a programming error and aborts loudly rather than
 // corrupting the pin accounting: double release, release (or
@@ -191,7 +191,7 @@ class EpochManager {
   /// Pins the current write epoch.
   EpochPin Pin();
 
-  /// Writer side (called under the exclusive index latch, before the
+  /// Writer side (called under the index's commit_mu_, before the
   /// epoch counter is bumped to `epoch`): stores the meta readers pinned
   /// at `epoch` resolve non-page state through.
   void RecordMeta(uint64_t epoch, SnapshotMeta meta) EXCLUDES(gc_mu_);
@@ -215,8 +215,8 @@ class EpochManager {
   void LeaveRead();
 
   /// Raises the reload barrier and waits until no snapshot read is in
-  /// flight / lowers it again. The caller holds the exclusive index
-  /// latch, so no writer runs meanwhile.
+  /// flight / lowers it again. The caller holds the index's commit_mu_,
+  /// so no writer runs meanwhile.
   void BeginQuiesce() EXCLUDES(quiesce_mu_);
   void EndQuiesce() EXCLUDES(quiesce_mu_);
 

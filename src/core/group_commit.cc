@@ -2,7 +2,7 @@
 //
 // The journaled commit path (see the "group commit" section of
 // spatial_index.h). Mutators publish in-memory state and the write epoch
-// under the exclusive latch with no durability I/O inside; this file
+// in a writer section with no durability I/O inside; this file
 // owns what makes published state durable — checkpoint, buffer-pool
 // flush, journal commit — and completes waiters in epoch order through
 // the gc_durable_ watermark. It runs in one of two places: a dedicated
@@ -122,7 +122,7 @@ Status SpatialIndex::StartGroupCommit(bool pipeline) {
 
   // Make the current state durable — it becomes the initial group
   // boundary the armed journal's before-images roll back to.
-  WriterSection lock(this);
+  WriterSection section(this);
   const PageId master_before = master_page_;
   ZDB_RETURN_IF_ERROR(pager->BeginBatch());
   Status st = CheckpointLocked().status();
@@ -185,7 +185,7 @@ Status SpatialIndex::StopGroupCommit() {
     pending = gc_published_ > gc_durable_;
   }
   if (pending) {
-    WriterSection lock(this);
+    WriterSection section(this);
     st = CheckpointLocked().status();
     if (st.ok()) st = pool_->FlushAll();
   }
@@ -236,27 +236,28 @@ Status SpatialIndex::CommitGroup() {
 Status SpatialIndex::CommitGroupLocked() {
   Pager* pager = pool_->pager();
 
-  // Checkpoint under a brief exclusive latch: it only rewrites metadata
+  // Checkpoint in a brief writer section: it only rewrites metadata
   // pages through the buffer pool (no fsync inside). commit_mu_ keeps
   // write_epoch() frozen for the rest of the cycle, so `target` is
   // exactly the set of batches this group makes durable.
   uint64_t target = 0;
   Status st;
   {
-    WriterSection lock(this);
+    WriterSection section(this);
     target = write_epoch();
     st = CheckpointLocked().status();
   }
 
   // The expensive half — dirty-page write-back and the journal fsync —
-  // runs with the latch released: readers keep querying right through
-  // the durability window. Reader pins don't block the flush (readers
-  // never mutate frame bytes, and commit_mu_ excludes every mutator).
+  // runs after the section. Readers take no lock, so they keep querying
+  // right through the durability window. Reader pins don't block the
+  // flush (readers never mutate frame bytes, and commit_mu_ excludes
+  // every mutator).
   if (st.ok()) st = pool_->FlushForCommit();
   if (st.ok()) st = pager->CommitBatch();
 
   if (!st.ok()) {
-    WriterSection lock(this);
+    WriterSection section(this);
     return RollbackGroupLocked(st);
   }
 

@@ -31,7 +31,7 @@ void PopNonEnclosing(std::vector<StackEntry>* stack, const ZElement& e) {
   }
 }
 
-/// The merge itself; the caller holds both indexes' latches shared.
+/// The merge itself; the caller holds both indexes' commit_mu_.
 Result<std::vector<std::pair<ObjectId, ObjectId>>> MergeJoin(
     SpatialIndex* a, SpatialIndex* b, JoinStats* stats) {
   if (a->options().grid_bits != b->options().grid_bits ||
@@ -127,18 +127,17 @@ Result<std::vector<std::pair<ObjectId, ObjectId>>> MergeJoin(
 Result<std::vector<std::pair<ObjectId, ObjectId>>> SpatialJoin(
     SpatialIndex* a, SpatialIndex* b, JoinStats* stats) {
   // The join is an analytic whole-index scan, not a serving query: it
-  // holds each index's latch shared for the whole merge, which freezes
-  // both entry streams against writers. Latches are taken in address
-  // order so two joins over the same pair cannot deadlock against a
-  // waiting writer; a self-join takes one.
+  // holds each index's writer lock for the whole merge, which freezes
+  // both live entry streams against writers. It reads live pages, not a
+  // pinned snapshot: both sides usually share one buffer pool, and a
+  // thread's snapshot views are looked up by pool, so two views on one
+  // pool cannot be told apart. The locks are taken in address order so
+  // two joins over the same pair cannot deadlock; a self-join takes one.
   SpatialIndex* first = a < b ? a : b;
   SpatialIndex* second = a < b ? b : a;
-  if (first == second) {
-    SpatialIndex::SharedSection lock(first);
-    return MergeJoin(a, b, stats);
-  }
-  SpatialIndex::SharedSection lock_first(first);
-  SpatialIndex::SharedSection lock_second(second);
+  MutexLock lock_first(first->commit_mu_);
+  if (first == second) return MergeJoin(a, b, stats);
+  MutexLock lock_second(second->commit_mu_);
   return MergeJoin(a, b, stats);
 }
 

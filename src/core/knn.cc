@@ -44,7 +44,7 @@ SpatialIndex::NearestNeighborsLocked(const Point& p, size_t k,
                                      QueryStats* stats, uint32_t* rounds) {
   // Pinned reads must size the search off the pinned object count, not
   // the live counter a concurrent writer is mutating.
-  const uint64_t live_objects = EffectiveLiveObjects();
+  const uint64_t live_objects = ViewMeta().live_objects;
   std::vector<std::pair<ObjectId, double>> best;
   if (k == 0 || live_objects == 0) {
     if (rounds != nullptr) *rounds = 0;

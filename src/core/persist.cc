@@ -136,7 +136,7 @@ Result<PageId> SpatialIndex::Checkpoint() {
   // takes commit_mu_ first to serialize with the group-commit thread).
   MutexLock commit(commit_mu_);
   ZDB_RETURN_IF_ERROR(WritableLocked());
-  WriterSection lock(this);
+  WriterSection section(this);
   return CheckpointLocked();
 }
 
@@ -204,12 +204,12 @@ Result<PageId> SpatialIndex::CheckpointLocked() {
 }
 
 Status SpatialIndex::ReloadLocked() {
-  // Quiesce snapshot readers first: they hold no latch, but a pinned
+  // Quiesce snapshot readers first: they hold no lock, but a pinned
   // read may be mid-flight, loading frames the Discard below drops or
   // dereferencing the handles this reload reseats. The barrier waits
   // those out and blocks new snapshot scopes until the reload
-  // finishes; the caller's exclusive latch keeps the shared-latch
-  // readers (SpatialJoin, LevelHistogram, DistanceTo) out.
+  // finishes; the caller's commit_mu_ keeps SpatialJoin, the one live
+  // reader, out.
   epoch_mgr_->BeginQuiesce();
   Status st = ReloadUnquiescedLocked();
   epoch_mgr_->EndQuiesce();
@@ -313,9 +313,8 @@ Result<std::unique_ptr<SpatialIndex>> SpatialIndex::Open(BufferPool* pool,
 
   {
     // Uncontended (the index is not published yet), but the restored
-    // fields carry GUARDED_BY contracts, so take their locks for real.
+    // fields carry GUARDED_BY contracts, so take their lock for real.
     MutexLock commit(index->commit_mu_);
-    WriterSection lock(index.get());
     index->level_mask_ = level_mask;
     index->live_objects_ = live_objects;
     index->build_stats_ = build;

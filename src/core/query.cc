@@ -85,10 +85,9 @@ WindowPlan SpatialIndex::BuildWindowPlan(const GridRect& qgrid) const {
 
   // 2. Ancestor probes: strict enclosing elements of the query elements
   // that the scans will not pass over. Only levels that actually occur in
-  // the index are probed (the pinned snapshot's mask under a snapshot
-  // read — the live mask may already include a concurrent writer's new
-  // levels).
-  const uint64_t level_mask = EffectiveLevelMask();
+  // the index are probed (the pinned snapshot's mask — the live mask
+  // may already include a concurrent writer's new levels).
+  const uint64_t level_mask = ViewMeta().level_mask;
   for (const ZElement& e : plan.scans) {
     ZElement anc = e;
     while (anc.level > 0) {
@@ -183,11 +182,6 @@ Result<std::vector<ObjectId>> SpatialIndex::ExecutePlanSlice(
   return sink.Finish();
 }
 
-Result<std::vector<ObjectId>> SpatialIndex::CollectCandidates(
-    const GridRect& qgrid, QueryStats* stats) {
-  return CollectCandidatesFiltered(qgrid, nullptr, stats);
-}
-
 Result<std::vector<ObjectId>> SpatialIndex::CollectCandidatesFiltered(
     const GridRect& qgrid, const std::function<bool(const Rect&)>* leaf_pred,
     QueryStats* stats) {
@@ -197,7 +191,6 @@ Result<std::vector<ObjectId>> SpatialIndex::CollectCandidatesFiltered(
 
 Result<WindowPlan> SpatialIndex::PlanWindow(const Rect& window) {
   ZDB_RETURN_IF_ERROR(CheckSnapshotScope());
-  SnapshotSection section(this);
   if (!window.valid()) {
     return Status::InvalidArgument("invalid query window");
   }
@@ -209,20 +202,19 @@ Result<WindowPlan> SpatialIndex::PlanWindow(const Rect& window) {
 Result<std::vector<ObjectId>> SpatialIndex::ExecuteWindowPlanSlice(
     const WindowPlan& plan, size_t begin, size_t end, QueryStats* stats) {
   ZDB_RETURN_IF_ERROR(CheckSnapshotScope());
-  SnapshotSection section(this);
   const std::function<bool(const Rect&)> leaf_pred = [&](const Rect& mbr) {
     return mbr.Intersects(plan.window);
   };
   return ExecutePlanSlice(plan, begin, end, &leaf_pred, stats);
 }
 
-Result<std::vector<ObjectId>> SpatialIndex::CollectPointCandidates(
-    GridCoord gx, GridCoord gy, QueryStats* stats) {
-  return CollectPointCandidatesFiltered(gx, gy, nullptr, stats);
+Result<std::vector<uint64_t>> SpatialIndex::LevelHistogram() {
+  return PinnedQuery(nullptr, [&](const EpochPin& pin) {
+    return ReadAt(pin, [&] { return LevelHistogramLocked(); });
+  });
 }
 
-Result<std::vector<uint64_t>> SpatialIndex::LevelHistogram() {
-  SharedSection lock(this);
+Result<std::vector<uint64_t>> SpatialIndex::LevelHistogramLocked() {
   std::vector<uint64_t> histogram(2 * options_.grid_bits + 1, 0);
   Cursor cur(pool_, pool_->pager()->page_size());
   ZDB_ASSIGN_OR_RETURN(cur, btree_->SeekFirst());
@@ -252,7 +244,7 @@ Result<std::vector<ObjectId>> SpatialIndex::CollectPointCandidatesFiltered(
   // the point's cell: probe every level present in the index.
   const ZElement cell = ZElement::Cell(gx, gy, gbits);
   const uint32_t zbits = 2 * gbits;
-  const uint64_t level_mask = EffectiveLevelMask();
+  const uint64_t level_mask = ViewMeta().level_mask;
   if (stats != nullptr) stats->query_elements += 1;
   for (uint32_t lvl = 0; lvl <= zbits; ++lvl) {
     if ((level_mask & (1ULL << lvl)) == 0) continue;

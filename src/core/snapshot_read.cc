@@ -13,7 +13,7 @@ namespace zdb {
 
 void SpatialIndex::StartSnapshots() {
   MutexLock commit(commit_mu_);
-  WriterSection lock(this);
+  WriterSection section(this);
   epoch_mgr_ =
       std::make_unique<EpochManager>(&write_epoch_, pool_->versions());
   // The current state is the first pinned-readable epoch: a pin taken
@@ -42,6 +42,9 @@ SnapshotMeta SpatialIndex::CaptureMetaLocked() const {
   m.poly_pages = polys_->pages();
   m.level_mask = level_mask_;
   m.live_objects = live_objects_.load(std::memory_order_relaxed);
+  m.objects = build_stats_.objects;
+  m.index_entries = build_stats_.index_entries;
+  m.total_error = build_stats_.total_error;
   return m;
 }
 
@@ -75,7 +78,7 @@ SpatialIndex::SnapshotReadScope::SnapshotReadScope(const SpatialIndex* ix,
   }
   // The component handles (btree_/store_/polys_) are only reseated by
   // ReloadLocked, which waits for this thread's read to leave — reading
-  // them without the latch is race-free.
+  // them without a lock is race-free.
   scope_.emplace(ix_->MakeView(epoch_, meta.value()));
 }
 
@@ -92,50 +95,33 @@ SpatialIndex::OpenSnapshot(const EpochPin& pin) const {
 }
 
 // ----------------------------------------------------- pinned queries
-//
-// Each opens its scope on the stack (no allocation) and fails with the
-// scope's status when the pinned epoch cannot be read.
 
 Result<std::vector<ObjectId>> SpatialIndex::WindowQueryAt(
     const EpochPin& pin, const Rect& window, QueryStats* stats) {
-  SnapshotReadScope scope(this, pin);
-  ZDB_RETURN_IF_ERROR(scope.status());
-  SnapshotSection section(this);
-  return WindowQueryLocked(window, stats);
+  return ReadAt(pin, [&] { return WindowQueryLocked(window, stats); });
 }
 
 Result<std::vector<ObjectId>> SpatialIndex::PointQueryAt(
     const EpochPin& pin, const Point& p, QueryStats* stats) {
-  SnapshotReadScope scope(this, pin);
-  ZDB_RETURN_IF_ERROR(scope.status());
-  SnapshotSection section(this);
-  return PointQueryLocked(p, stats);
+  return ReadAt(pin, [&] { return PointQueryLocked(p, stats); });
 }
 
 Result<std::vector<ObjectId>> SpatialIndex::ContainmentQueryAt(
     const EpochPin& pin, const Rect& window, QueryStats* stats) {
-  SnapshotReadScope scope(this, pin);
-  ZDB_RETURN_IF_ERROR(scope.status());
-  SnapshotSection section(this);
-  return ContainmentQueryLocked(window, stats);
+  return ReadAt(pin, [&] { return ContainmentQueryLocked(window, stats); });
 }
 
 Result<std::vector<ObjectId>> SpatialIndex::EnclosureQueryAt(
     const EpochPin& pin, const Rect& window, QueryStats* stats) {
-  SnapshotReadScope scope(this, pin);
-  ZDB_RETURN_IF_ERROR(scope.status());
-  SnapshotSection section(this);
-  return EnclosureQueryLocked(window, stats);
+  return ReadAt(pin, [&] { return EnclosureQueryLocked(window, stats); });
 }
 
 Result<std::vector<std::pair<ObjectId, double>>>
 SpatialIndex::NearestNeighborsAt(const EpochPin& pin, const Point& p,
                                  size_t k, QueryStats* stats,
                                  uint32_t* rounds) {
-  SnapshotReadScope scope(this, pin);
-  ZDB_RETURN_IF_ERROR(scope.status());
-  SnapshotSection section(this);
-  return NearestNeighborsLocked(p, k, stats, rounds);
+  return ReadAt(pin,
+                [&] { return NearestNeighborsLocked(p, k, stats, rounds); });
 }
 
 // --------------------------------------------------------------- stats
@@ -150,20 +136,45 @@ PageVersionStats SpatialIndex::version_stats() const {
   return pool_->versions()->stats();
 }
 
-// ---------------------------------------------- view-aware index state
+// ------------------------------------------------------ monitor reads
 
-uint64_t SpatialIndex::EffectiveLevelMask() const {
-  if (const SnapshotView* v = SnapshotView::FindOwner(this)) {
-    return v->meta->level_mask;
+void SpatialIndex::ReadCurrentMeta(
+    const std::function<void(const SnapshotMeta&)>& read) const {
+  for (;;) {
+    const EpochPin pin = PinEpoch();
+    Result<const SnapshotMeta*> meta = epoch_mgr_->MetaAt(pin);
+    if (meta.ok()) return read(*meta.value());
+    // The pin landed on an epoch a group rollback is invalidating; the
+    // rollback publishes a readable epoch before it returns.
+    std::this_thread::yield();
   }
-  return level_mask_;
 }
 
-uint64_t SpatialIndex::EffectiveLiveObjects() const {
-  if (const SnapshotView* v = SnapshotView::FindOwner(this)) {
-    return v->meta->live_objects;
+IndexBuildStats SpatialIndex::build_stats() const {
+  IndexBuildStats b;
+  ReadCurrentMeta([&](const SnapshotMeta& m) {
+    b.objects = m.objects;
+    b.index_entries = m.index_entries;
+    b.total_error = m.total_error;
+  });
+  return b;
+}
+
+uint64_t SpatialIndex::level_mask() const {
+  uint64_t mask = 0;
+  ReadCurrentMeta([&](const SnapshotMeta& m) { mask = m.level_mask; });
+  return mask;
+}
+
+// ---------------------------------------------- view-aware index state
+
+const SnapshotMeta& SpatialIndex::ViewMeta() const {
+  const SnapshotView* v = SnapshotView::FindOwner(this);
+  if (v == nullptr) {
+    internal::LockAssertFail(
+        "query body run without a snapshot scope of its index");
   }
-  return live_objects_.load(std::memory_order_relaxed);
+  return *v->meta;
 }
 
 }  // namespace zdb

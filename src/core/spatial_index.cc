@@ -27,13 +27,12 @@ Result<std::unique_ptr<SpatialIndex>> SpatialIndex::Create(
 
 // ------------------------------------------------------------- mutations
 //
-// Public mutations are batch-granular writer sections: the exclusive
-// latch is held for the whole multi-key operation, so an object's
-// z-element set is published to readers all-or-nothing. Every mutator
-// takes commit_mu_ first (lock order commit_mu_ → latch_), which is
-// what serializes the write path against the commit path's off-latch
-// durability work. Each one ends the same way: publish under the
-// latch, drop it, and (inline groups of one) commit before returning.
+// Public mutations are batch-granular writer sections under commit_mu_,
+// which serializes writers against each other and against the commit
+// path's durability work. Readers take no lock: they read the epoch
+// they pinned, so an object's z-element set reaches them all-or-nothing
+// at the publish. Each mutator ends the same way: publish, end the
+// writer section, and (inline groups of one) commit before returning.
 //
 // A mid-operation I/O failure may have partially mutated the in-memory
 // state, so — on an armed commit path — the whole armed group is rolled
@@ -50,11 +49,11 @@ bool PrevalidatedFailure(const Status& s) {
 Result<ObjectId> SpatialIndex::Insert(const Rect& mbr, uint32_t payload) {
   MutexLock commit(commit_mu_);
   ZDB_RETURN_IF_ERROR(WritableLocked());
-  WriterSection lock(this);
+  WriterSection section(this);
   auto r = InsertLocked(mbr, payload);
   ZDB_RETURN_IF_ERROR(PublishOrRollbackLocked(
       r.status(), !PrevalidatedFailure(r.status())));
-  lock.Unlock();
+  section.End();
   ZDB_RETURN_IF_ERROR(CommitInlineLocked());
   return r;
 }
@@ -63,11 +62,11 @@ Result<ObjectId> SpatialIndex::InsertPolygon(const Polygon& poly,
                                              ObjectId preassigned) {
   MutexLock commit(commit_mu_);
   ZDB_RETURN_IF_ERROR(WritableLocked());
-  WriterSection lock(this);
+  WriterSection section(this);
   auto r = InsertPolygonLocked(poly, preassigned);
   ZDB_RETURN_IF_ERROR(PublishOrRollbackLocked(
       r.status(), !PrevalidatedFailure(r.status())));
-  lock.Unlock();
+  section.End();
   ZDB_RETURN_IF_ERROR(CommitInlineLocked());
   return r;
 }
@@ -75,10 +74,10 @@ Result<ObjectId> SpatialIndex::InsertPolygon(const Polygon& poly,
 Status SpatialIndex::Erase(ObjectId oid) {
   MutexLock commit(commit_mu_);
   ZDB_RETURN_IF_ERROR(WritableLocked());
-  WriterSection lock(this);
+  WriterSection section(this);
   const Status s = EraseLocked(oid);
   ZDB_RETURN_IF_ERROR(PublishOrRollbackLocked(s, !PrevalidatedFailure(s)));
-  lock.Unlock();
+  section.End();
   return CommitInlineLocked();
 }
 
@@ -86,7 +85,7 @@ Result<std::vector<ObjectId>> SpatialIndex::ApplyBatch(
     const WriteBatch& batch, Durability durability) {
   MutexLock commit(commit_mu_);
   ZDB_RETURN_IF_ERROR(WritableLocked());
-  WriterSection lock(this);
+  WriterSection section(this);
   // Predictable failures (invalid MBRs, unknown/dead/duplicate erases)
   // reject the whole batch before any op is applied, so they can never
   // leave a partial application.
@@ -97,13 +96,13 @@ Result<std::vector<ObjectId>> SpatialIndex::ApplyBatch(
   // or make durable — in particular no commit and no write-epoch bump.
   if (batch.empty()) return inserted;
 
-  // Apply + publish under the latch with no durability I/O (page
+  // Apply + publish in the writer section with no durability I/O (page
   // mutations land in the buffer pool; the armed pager batch journals
-  // before-images of any evicted page), then commit off the latch.
+  // before-images of any evicted page), then commit after it.
   ZDB_RETURN_IF_ERROR(
       PublishOrRollbackLocked(ApplyOpsLocked(batch, &inserted), true));
   const uint64_t epoch = write_epoch();
-  lock.Unlock();
+  section.End();
   ZDB_RETURN_IF_ERROR(CommitInlineLocked());
   commit.Unlock();
   if (durability == Durability::kDurable) {
@@ -268,8 +267,9 @@ Result<bool> SpatialIndex::RecordIntersects(const ObjectRecord& rec,
 }
 
 Result<double> SpatialIndex::DistanceTo(ObjectId oid, const Point& p) {
-  SharedSection lock(this);
-  return DistanceToLocked(oid, p);
+  return PinnedQuery(nullptr, [&](const EpochPin& pin) {
+    return ReadAt(pin, [&] { return DistanceToLocked(oid, p); });
+  });
 }
 
 Result<double> SpatialIndex::DistanceToLocked(ObjectId oid, const Point& p) {
@@ -319,7 +319,7 @@ Result<std::vector<ObjectId>> SpatialIndex::RefineWindowCandidates(
 
 // ---------------------------------------------------------------- queries
 //
-// The public queries pin the current epoch and run latch-free against
+// The public queries pin the current epoch and run lock-free against
 // the pinned version chains (PinnedQuery).
 
 Result<std::vector<ObjectId>> SpatialIndex::WindowQuery(const Rect& window,

@@ -18,32 +18,32 @@
 //   auto hits = index->WindowQuery(Rect{.1, .1, .4, .4}).value();
 //
 // Concurrency: the index is safe for any mix of concurrent readers and
-// writers. Mutations (Insert/InsertPolygon/Erase/BulkLoad/ApplyBatch/
-// Checkpoint) take an internal latch exclusively, so every mutation —
-// in particular the multi-key publication of one object's whole
-// z-element set — becomes visible to readers all-or-nothing.
-// ApplyBatch() extends that guarantee to a whole batch of mutations (and
-// makes the batch crash-atomic on the journaled commit path,
-// StartGroupCommit()). Use exec/executor.h to drive query and mixed
-// read/write batches over a worker pool.
+// writers. Readers take no lock; writers take one. Mutations (Insert/
+// InsertPolygon/Erase/BulkLoad/ApplyBatch/Checkpoint) serialize on an
+// internal mutex and publish each mutation — in particular the
+// multi-key publication of one object's whole z-element set — to
+// readers all-or-nothing, as a new write epoch. ApplyBatch() extends
+// that guarantee to a whole batch of mutations (and makes the batch
+// crash-atomic on the journaled commit path, StartGroupCommit()).
+// exec/executor.h splits one window query across a worker pool.
 //
-// Snapshot reads: the serving queries (WindowQuery/PointQuery/
-// ContainmentQuery/EnclosureQuery/NearestNeighbors) never take the
-// latch. Each pins the current write epoch (EpochPin, core/epoch.h) and
-// traverses copy-on-write before-image version chains
-// (storage/snapshot.h) at that epoch, so a long scan never blocks a
-// writer and a sustained write stream never blocks readers. Create()
-// and Open() arm this: they record the first pinned-readable epoch,
-// arm copy-on-write in the buffer pool and start the version GC thread.
-// The *At query variants run several queries against one explicitly
-// pinned epoch — repeated reads at one pin are byte-stable. The GC
-// thread reclaims superseded versions once the lowest pinned epoch
-// passes them. See DESIGN.md "Snapshot reads & epoch GC". Whole-index
-// and diagnostic reads (SpatialJoin, LevelHistogram, DistanceTo) hold
-// the latch shared instead. The version chains belong to the buffer
-// pool and are tagged with the index's epochs, so indexes that share a
-// pool (e.g. both sides of a join) must not write while another one's
-// pinned reads are in flight.
+// Snapshot reads: every query (WindowQuery/PointQuery/ContainmentQuery/
+// EnclosureQuery/NearestNeighbors) and the diagnostic reads
+// (LevelHistogram, DistanceTo, build_stats, level_mask) pin the current
+// write epoch (EpochPin, core/epoch.h) and traverse copy-on-write
+// before-image version chains (storage/snapshot.h) at that epoch, so a
+// long scan never blocks a writer and a sustained write stream never
+// blocks readers. Create() and Open() arm this: they record the first
+// pinned-readable epoch, arm copy-on-write in the buffer pool and start
+// the version GC thread. The *At query variants run several queries
+// against one explicitly pinned epoch — repeated reads at one pin are
+// byte-stable. The GC thread reclaims superseded versions once the
+// lowest pinned epoch passes them. See DESIGN.md "Snapshot reads & epoch
+// GC". SpatialJoin, an analytic whole-index scan, holds both indexes'
+// writer mutex instead and reads the live pages. The version chains
+// belong to the buffer pool and are tagged with the index's epochs, so
+// indexes that share a pool (e.g. both sides of a join) must not write
+// while another one's pinned reads are in flight.
 
 #ifndef ZDB_CORE_SPATIAL_INDEX_H_
 #define ZDB_CORE_SPATIAL_INDEX_H_
@@ -198,10 +198,10 @@ class SpatialIndex {
   /// validates empty is a no-op: nothing is applied, checkpointed or
   /// published, and the write epoch is unchanged.
   ///
-  /// The batch is applied and *published* under the exclusive latch with
-  /// no durability I/O inside. On a journaled commit path
+  /// The batch is applied and *published* in a writer section with no
+  /// durability I/O inside. On a journaled commit path
   /// (StartGroupCommit()) the commit — checkpoint, flush, journal fsync —
-  /// then runs off the latch: on the pipeline thread, which coalesces
+  /// then runs after the section: on the pipeline thread, which coalesces
   /// consecutively published batches into one commit and completes
   /// waiters in epoch order (`durability` picks whether the call waits),
   /// or, with the pipeline off, inline on this thread as a group of one
@@ -230,9 +230,9 @@ class SpatialIndex {
 
   // ------------------------------------------------------- group commit
   //
-  // The journaled commit path: mutations publish in-memory state under
-  // the exclusive latch, and the checkpoint + flush + journal commit
-  // runs with the latch released, so readers never wait out an fsync.
+  // The journaled commit path: mutations publish in-memory state in a
+  // writer section, and the checkpoint + flush + journal commit runs
+  // after it. Readers take no lock, so they never wait out an fsync.
   // The pager batch (rollback journal) is kept permanently armed; its
   // before-images always describe the last durable group boundary, which
   // is what makes whole published-but-not-durable batches roll back as a
@@ -292,13 +292,13 @@ class SpatialIndex {
 
   // ------------------------------------------------------ snapshot reads
   //
-  // Epoch-pinned reads are the only read path of the serving queries:
-  // queries at a pinned epoch resolve pages through before-image
-  // version chains and never hold latch_, so they cannot stall writers
-  // (and writers cannot tear them). Writers serialize through
-  // commit_mu_ -> latch_; on every publish they capture a SnapshotMeta
-  // (root, directories, counters) for the new epoch and the buffer pool
-  // saves pre-batch page images on first mutation.
+  // Epoch-pinned reads are the only read path of the queries: queries
+  // at a pinned epoch resolve pages through before-image version chains
+  // and take no lock, so they cannot stall writers (and writers cannot
+  // tear them). Writers serialize through commit_mu_; on every publish
+  // they capture a SnapshotMeta (root, directories, counters) for the
+  // new epoch and the buffer pool saves pre-batch page images on first
+  // mutation.
 
   /// Pins the current write epoch for explicit multi-query snapshot
   /// reads (the *At variants below). Holding a pin never blocks writers
@@ -449,28 +449,26 @@ class SpatialIndex {
   BufferPool* pool() { return pool_; }
 
   /// Fetches an object's exact geometry distance to a point: 0 inside,
-  /// Euclidean otherwise. Polygon objects use their exact ring.
+  /// Euclidean otherwise. Polygon objects use their exact ring. Reads
+  /// the current epoch's snapshot.
   Result<double> DistanceTo(ObjectId oid, const Point& p);
 
-  /// Build counters. Advisory monitor read outside the latch, so
-  /// deliberately outside the analysis.
-  const IndexBuildStats& build_stats() const NO_THREAD_SAFETY_ANALYSIS {
-    return build_stats_;
-  }
+  /// Build counters of the current epoch (read from its snapshot meta
+  /// under a pin, so safe beside writers).
+  IndexBuildStats build_stats() const;
 
-  /// Bitmask of element levels present in the index (bit L set if some
-  /// entry was inserted at level L). Conservative: never cleared.
-  /// Advisory monitor read outside the latch, like build_stats().
-  uint64_t level_mask() const NO_THREAD_SAFETY_ANALYSIS {
-    return level_mask_;
-  }
+  /// Bitmask of element levels present in the index at the current
+  /// epoch (bit L set if some entry was inserted at level L).
+  /// Conservative: never cleared. Read like build_stats().
+  uint64_t level_mask() const;
 
   /// Exact per-level entry counts (index 0 = whole-space element, up to
-  /// 2 * grid_bits). Scans the whole index; diagnostics/analysis use.
+  /// 2 * grid_bits) at the current epoch. Scans the whole index;
+  /// diagnostics/analysis use.
   Result<std::vector<uint64_t>> LevelHistogram();
 
   /// Live objects (inserted minus erased). Safe to read from any thread
-  /// without a latch (relaxed; a concurrent writer's batch may or may
+  /// without a lock (relaxed; a concurrent writer's batch may or may
   /// not be counted yet).
   uint64_t object_count() const {
     return live_objects_.load(std::memory_order_relaxed);
@@ -485,33 +483,34 @@ class SpatialIndex {
         options_(options),
         mapper_(options.world, options.grid_bits) {}
 
-  // Unlatched bodies of the public entry points (suffix "Locked" =
-  // caller holds latch_, shared for reads / exclusive for writes; the
-  // REQUIRES annotations make the analysis enforce exactly that). The
-  // public wrappers acquire the latch and, for mutations, publish the
-  // write epoch; internal callers (kNN's expanding windows, ApplyBatch)
-  // compose these without re-acquiring. The query bodies run under a
-  // SnapshotSection (pinned reads) or, for DistanceTo, a SharedSection.
+  // Bodies of the public entry points (suffix "Locked"). The writer
+  // bodies REQUIRE commit_mu_; the public wrappers take it, open a
+  // WriterSection and publish the write epoch, and internal callers
+  // (ApplyBatch) compose the bodies without re-acquiring. The query
+  // bodies take no lock: they run under a snapshot scope of this index
+  // (ReadAt), and read the live writer state only through the view-aware
+  // tree/store/pool paths and ViewMeta() — the analysis rejects a query
+  // body that touches a commit_mu_-guarded field.
   Result<ObjectId> InsertLocked(const Rect& mbr, uint32_t payload,
                                 ObjectId preassigned = kNoPreassignedOid)
-      REQUIRES(latch_);
+      REQUIRES(commit_mu_);
   Result<ObjectId> InsertPolygonLocked(const Polygon& poly,
                                        ObjectId preassigned =
                                            kNoPreassignedOid)
-      REQUIRES(latch_);
-  Status EraseLocked(ObjectId oid) REQUIRES(latch_);
+      REQUIRES(commit_mu_);
+  Status EraseLocked(ObjectId oid) REQUIRES(commit_mu_);
   /// Body of BulkLoad; sets *mutated once the first page is touched.
   Status BulkLoadLocked(const std::vector<Rect>& data, double fill,
                         const std::vector<ObjectId>* oids, bool* mutated)
-      REQUIRES(latch_);
+      REQUIRES(commit_mu_);
   /// Checkpoints serialize against the group-commit thread through
-  /// commit_mu_ in addition to the exclusive latch.
-  Result<PageId> CheckpointLocked() REQUIRES(commit_mu_, latch_);
+  /// commit_mu_.
+  Result<PageId> CheckpointLocked() REQUIRES(commit_mu_);
 
   /// Rejects a batch whose ops would fail mid-application: invalid
   /// insert MBRs, erases of unknown/dead oids, duplicate erases. Reads
   /// only; nothing is applied.
-  Status ValidateBatchLocked(const WriteBatch& batch) REQUIRES(latch_);
+  Status ValidateBatchLocked(const WriteBatch& batch) REQUIRES(commit_mu_);
 
   /// Applies a validated batch's ops in order, appending inserted oids
   /// to *inserted; stops at the first failure (possibly mid-batch — the
@@ -519,40 +518,34 @@ class SpatialIndex {
   /// checkable function instead of a lambda (the analysis does not
   /// propagate locksets into lambdas).
   Status ApplyOpsLocked(const WriteBatch& batch,
-                        std::vector<ObjectId>* inserted) REQUIRES(latch_);
+                        std::vector<ObjectId>* inserted) REQUIRES(commit_mu_);
 
   /// Re-reads the dynamic index state (B+-tree meta, store directories,
   /// counters) from the master page after Pager::AbortBatch rolled the
   /// file back to the pre-batch checkpoint, discarding the buffer-pool
   /// cache first. Quiesces in-flight snapshot reads before touching
-  /// anything (see BeginSnapshotQuiesce). Defined in core/persist.cc.
-  Status ReloadLocked() REQUIRES(commit_mu_, latch_);
+  /// anything (EpochManager::BeginQuiesce). Defined in core/persist.cc.
+  Status ReloadLocked() REQUIRES(commit_mu_);
   /// ReloadLocked's body, run between the quiesce brackets.
-  Status ReloadUnquiescedLocked() REQUIRES(commit_mu_, latch_);
+  Status ReloadUnquiescedLocked() REQUIRES(commit_mu_);
   Result<std::vector<ObjectId>> WindowQueryLocked(const Rect& window,
-                                                  QueryStats* stats)
-      REQUIRES_SHARED(latch_);
+                                                  QueryStats* stats);
   Result<std::vector<ObjectId>> PointQueryLocked(const Point& p,
-                                                 QueryStats* stats)
-      REQUIRES_SHARED(latch_);
+                                                 QueryStats* stats);
   Result<std::vector<ObjectId>> ContainmentQueryLocked(const Rect& window,
-                                                       QueryStats* stats)
-      REQUIRES_SHARED(latch_);
+                                                       QueryStats* stats);
   Result<std::vector<ObjectId>> EnclosureQueryLocked(const Rect& window,
-                                                     QueryStats* stats)
-      REQUIRES_SHARED(latch_);
+                                                     QueryStats* stats);
   Result<std::vector<std::pair<ObjectId, double>>> NearestNeighborsLocked(
-      const Point& p, size_t k, QueryStats* stats, uint32_t* rounds)
-      REQUIRES_SHARED(latch_);
-  Result<double> DistanceToLocked(ObjectId oid, const Point& p)
-      REQUIRES_SHARED(latch_);
+      const Point& p, size_t k, QueryStats* stats, uint32_t* rounds);
+  Result<double> DistanceToLocked(ObjectId oid, const Point& p);
+  Result<std::vector<uint64_t>> LevelHistogramLocked();
 
   /// Bumps the published write epoch; call at the end of a successful
-  /// writer section, while still holding the exclusive latch. First
-  /// records the post-batch SnapshotMeta under the new epoch — readers
-  /// that pin the bumped epoch immediately afterwards must already find
-  /// its meta.
-  void PublishWrite() REQUIRES(latch_) {
+  /// writer section. First records the post-batch SnapshotMeta under the
+  /// new epoch — readers that pin the bumped epoch immediately
+  /// afterwards must already find its meta.
+  void PublishWrite() REQUIRES(commit_mu_) {
     epoch_mgr_->RecordMeta(write_epoch_.load(std::memory_order_relaxed) + 1,
                            CaptureMetaLocked());
     write_epoch_.fetch_add(1, std::memory_order_release);
@@ -588,47 +581,42 @@ class SpatialIndex {
     }
   }
 
+  /// Runs `body()` under a snapshot scope at `pin`'s epoch, opened on
+  /// the stack (no allocation); fails with the scope's status when the
+  /// pinned epoch cannot be read.
+  template <typename Body>
+  auto ReadAt(const EpochPin& pin, const Body& body) -> decltype(body()) {
+    SnapshotReadScope scope(this, pin);
+    ZDB_RETURN_IF_ERROR(scope.status());
+    return body();
+  }
+
+  /// Calls `read` with the current epoch's snapshot meta, under a pin
+  /// (the monitor reads build_stats() and level_mask()).
+  void ReadCurrentMeta(
+      const std::function<void(const SnapshotMeta&)>& read) const;
+
   /// Value-copies the reader-visible index state (tree root/height,
-  /// store directories, counters) into a SnapshotMeta. Writer side,
-  /// under the exclusive latch, at every publish.
-  SnapshotMeta CaptureMetaLocked() const REQUIRES(latch_);
+  /// store directories, counters) into a SnapshotMeta. Writer side, at
+  /// every publish.
+  SnapshotMeta CaptureMetaLocked() const REQUIRES(commit_mu_);
 
   /// Builds the thread-local redirection record for `epoch`: tags this
   /// index's pool/tree/stores so their read paths resolve through the
   /// version chains and `meta` instead of the live state.
   SnapshotView MakeView(uint64_t epoch, const SnapshotMeta* meta) const;
 
-  /// Capability bridge for the pinned read path: claims the shared
-  /// latch for the thread-safety analysis WITHOUT acquiring it, so the
-  /// REQUIRES_SHARED query bodies stay checkable from the latch-free
-  /// snapshot path. Sound because under an installed SnapshotView every
-  /// latch-guarded datum those bodies touch is redirected to immutable
-  /// snapshot state (EffectiveLevelMask/EffectiveLiveObjects, the
-  /// view-aware BTree/store/pool read paths); the live fields a writer
-  /// could race on are never read. Only construct with a
-  /// SnapshotReadScope installed on this thread.
-  class SCOPED_CAPABILITY SnapshotSection {
-   public:
-    explicit SnapshotSection(const SpatialIndex* ix)
-        ACQUIRE_SHARED(ix->latch_) {
-      (void)ix;  // consumed by the annotation only
-    }
-    ~SnapshotSection() RELEASE() {}
-    SnapshotSection(const SnapshotSection&) = delete;
-    SnapshotSection& operator=(const SnapshotSection&) = delete;
-  };
-
-  /// level_mask_ / live_objects_, redirected to the installed snapshot
-  /// view when one covers this index (pinned reads must not consult
-  /// live counters a concurrent writer is mutating). Defined in
-  /// core/snapshot_read.cc with the rest of the snapshot plumbing.
-  uint64_t EffectiveLevelMask() const REQUIRES_SHARED(latch_);
-  uint64_t EffectiveLiveObjects() const REQUIRES_SHARED(latch_);
+  /// The meta of the snapshot scope of this index open on the calling
+  /// thread: the pinned level mask and live-object count the query
+  /// bodies plan with (never the live counters a concurrent writer is
+  /// mutating). Every query body runs under such a scope; calling this
+  /// without one aborts.
+  const SnapshotMeta& ViewMeta() const;
 
   // --------------------------------- group commit (core/group_commit.cc)
 
   /// Where the journaled commit path stands. Changed under commit_mu_;
-  /// atomic so group_commit_active() is latch-free.
+  /// atomic so group_commit_active() is lock-free.
   enum class CommitPath : uint8_t {
     kOff,       ///< unarmed: apply + publish, the caller owns durability
     kPipeline,  ///< armed; the group-commit thread commits groups
@@ -653,12 +641,12 @@ class SpatialIndex {
   /// (pages may have changed) and the path is armed, rolls the armed
   /// group back (RollbackGroupLocked); otherwise returns `st` as is.
   Status PublishOrRollbackLocked(const Status& st, bool mutated)
-      REQUIRES(commit_mu_, latch_);
+      REQUIRES(commit_mu_);
 
   /// Inline groups of one: commits the group this writer just
-  /// published, with the latch released and commit_mu_ still held, so
-  /// the mutation returns durable (or rolled back, with the cause).
-  /// No-op unless the path is kInline.
+  /// published, after its writer section and with commit_mu_ still
+  /// held, so the mutation returns durable (or rolled back, with the
+  /// cause). No-op unless the path is kInline.
   Status CommitInlineLocked() REQUIRES(commit_mu_);
 
   /// Records the current write epoch as published and wakes the
@@ -678,8 +666,8 @@ class SpatialIndex {
   /// unless the pipeline was stopped meanwhile.
   Status CommitGroup();
 
-  /// One group commit: brief exclusive-latch checkpoint, then flush +
-  /// journal commit + re-arm off the latch. Returns OK once the group
+  /// One group commit: a checkpoint in a brief writer section, then
+  /// flush + journal commit + re-arm after it. Returns OK once the group
   /// is durable (a failed re-arm then stops the path for later writes),
   /// or the rollback's status if the commit failed.
   Status CommitGroupLocked() REQUIRES(commit_mu_);
@@ -687,105 +675,58 @@ class SpatialIndex {
   /// Rolls the whole armed group back (disk via AbortBatch, memory via
   /// ReloadLocked from the last durable master), fails pending
   /// durability waiters with `cause`, and re-arms the journal. Caller
-  /// holds commit_mu_ and the exclusive latch. Returns `cause` on a
+  /// holds commit_mu_ in a writer section. Returns `cause` on a
   /// successful rollback, Corruption if the rollback itself failed
   /// (the path then stops; the intact journal still recovers the file
   /// on the next open).
-  Status RollbackGroupLocked(const Status& cause)
-      REQUIRES(commit_mu_, latch_);
+  Status RollbackGroupLocked(const Status& cause) REQUIRES(commit_mu_);
 
   /// Stops the commit path after a journal failure (kBroken): later
   /// writes fail, waiters on undurable epochs get Unavailable, and the
   /// pipeline thread exits.
   void BreakCommitPathLocked() REQUIRES(commit_mu_);
 
-  // Latch acquisition. Writers hold latch_ exclusively; only the
-  // whole-index and diagnostic reads (SpatialJoin, LevelHistogram,
-  // DistanceTo) hold it shared.
-  void LatchShared() const ACQUIRE_SHARED(latch_) { latch_.LockShared(); }
-  void UnlatchShared() const RELEASE_SHARED(latch_) { latch_.UnlockShared(); }
-  void LatchExclusive() ACQUIRE(latch_) { latch_.Lock(); }
-  void UnlatchExclusive() RELEASE(latch_) { latch_.Unlock(); }
-
-  /// Checked scoped shared section: a plain shared hold of latch_.
-  class SCOPED_CAPABILITY SharedSection {
+  /// Scoped writer section, opened with commit_mu_ held: the publish
+  /// half of a mutation, from arming copy-on-write to the epoch publish.
+  /// The constructor arms copy-on-write for this batch: the first
+  /// mutation of any page saves its pre-batch image tagged with the
+  /// current (pre-bump) epoch. The stamp is re-armed per section; a
+  /// checkpoint inside the section disarms it for its own writes
+  /// (CheckpointLocked). No durability I/O may run inside a section
+  /// (zdb_lint's io-under-latch check): End() closes it early, before
+  /// a mutator commits or blocks on durability.
+  class WriterSection {
    public:
-    explicit SharedSection(const SpatialIndex* ix)
-        ACQUIRE_SHARED(ix->latch_)
-        : ix_(ix) {
-      ix_->LatchShared();
+    explicit WriterSection(SpatialIndex* ix) REQUIRES(ix->commit_mu_) {
+      ix->pool_->ArmVersioning(ix->write_epoch() + 1);
     }
-    ~SharedSection() RELEASE() { ix_->UnlatchShared(); }
-    SharedSection(const SharedSection&) = delete;
-    SharedSection& operator=(const SharedSection&) = delete;
-
-   private:
-    const SpatialIndex* ix_;
-  };
-
-  /// Checked scoped writer section (exclusive latch). Unlock()
-  /// releases early — mutators drop the latch before committing or
-  /// blocking on durability.
-  class SCOPED_CAPABILITY WriterSection {
-   public:
-    explicit WriterSection(SpatialIndex* ix) ACQUIRE(ix->latch_)
-        : ix_(ix) {
-      ix_->LatchExclusive();
-      // Arm copy-on-write for this batch: first mutation of any page
-      // saves its pre-batch image tagged with the current (pre-bump)
-      // epoch. The stamp is re-armed per section; a checkpoint inside
-      // the section disarms it for its own writes (CheckpointLocked).
-      ix_->pool_->ArmVersioning(ix_->write_epoch() + 1);
-    }
-    ~WriterSection() RELEASE() {
-      if (ix_ != nullptr) ix_->UnlatchExclusive();
-    }
-    void Unlock() RELEASE() {
-      ix_->UnlatchExclusive();
-      ix_ = nullptr;
-    }
+    void End() {}
     WriterSection(const WriterSection&) = delete;
     WriterSection& operator=(const WriterSection&) = delete;
-
-   private:
-    SpatialIndex* ix_;
   };
 
   /// Builds the probe/scan work list for a grid query rect (the shared
   /// planning step of the filter stage). Defined in query.cc.
-  WindowPlan BuildWindowPlan(const GridRect& qgrid) const
-      REQUIRES_SHARED(latch_);
+  WindowPlan BuildWindowPlan(const GridRect& qgrid) const;
 
   /// Executes plan work items [begin, end) through a fresh CandidateSink,
   /// optionally leaf-filtering with `leaf_pred`. Defined in query.cc.
   Result<std::vector<ObjectId>> ExecutePlanSlice(
       const WindowPlan& plan, size_t begin, size_t end,
-      const std::function<bool(const Rect&)>* leaf_pred, QueryStats* stats)
-      REQUIRES_SHARED(latch_);
+      const std::function<bool(const Rect&)>* leaf_pred, QueryStats* stats);
 
   /// Shared filter stage: every unique candidate whose element
-  /// approximation touches the query grid rect. Defined in query.cc.
-  Result<std::vector<ObjectId>> CollectCandidates(const GridRect& qgrid,
-                                                  QueryStats* stats)
-      REQUIRES_SHARED(latch_);
-
-  /// As above; in store-MBR-in-leaf mode additionally applies `leaf_pred`
-  /// to the MBR replicated in the leaf, making refinement I/O-free.
+  /// approximation touches the query grid rect; in store-MBR-in-leaf
+  /// mode additionally applies `leaf_pred` to the MBR replicated in the
+  /// leaf, making refinement I/O-free. Defined in query.cc.
   Result<std::vector<ObjectId>> CollectCandidatesFiltered(
       const GridRect& qgrid,
-      const std::function<bool(const Rect&)>* leaf_pred, QueryStats* stats)
-      REQUIRES_SHARED(latch_);
+      const std::function<bool(const Rect&)>* leaf_pred, QueryStats* stats);
 
   /// Candidates for a point (ancestor probes only). Defined in query.cc.
-  Result<std::vector<ObjectId>> CollectPointCandidates(GridCoord gx,
-                                                       GridCoord gy,
-                                                       QueryStats* stats)
-      REQUIRES_SHARED(latch_);
-
   Result<std::vector<ObjectId>> CollectPointCandidatesFiltered(
       GridCoord gx, GridCoord gy,
-      const std::function<bool(const Rect&)>* leaf_pred, QueryStats* stats)
-      REQUIRES_SHARED(latch_);
+      const std::function<bool(const Rect&)>* leaf_pred, QueryStats* stats);
 
   /// Refinement driver shared by the public queries. The predicate sees
   /// the full object record and may fetch exact geometry.
@@ -799,25 +740,19 @@ class SpatialIndex {
   BufferPool* pool_;
   SpatialIndexOptions options_;
   SpaceMapper mapper_;
-  // The handles are set once at construction/Open and the pointees do
-  // their own page-level synchronization under this index's latch; the
-  // pointers themselves are never reseated concurrently (ReloadLocked
-  // reseats them under commit_mu_ + exclusive latch).
+  // The handles are set once at construction/Open; writers mutate the
+  // pointees under commit_mu_ and readers resolve them through their
+  // snapshot views. The pointers themselves are never reseated
+  // concurrently (ReloadLocked reseats them under commit_mu_, behind the
+  // snapshot-read quiesce barrier).
   std::unique_ptr<BTree> btree_;
   std::unique_ptr<ObjectStore> store_;
   std::unique_ptr<PolygonStore> polys_;
-  IndexBuildStats build_stats_ GUARDED_BY(latch_);
-  uint64_t level_mask_ GUARDED_BY(latch_) = 0;
+  IndexBuildStats build_stats_ GUARDED_BY(commit_mu_);
+  uint64_t level_mask_ GUARDED_BY(commit_mu_) = 0;
   /// Relaxed atomic so object_count() stays readable from monitor
-  /// threads without a latch; writers mutate it under the exclusive
-  /// latch.
+  /// threads without a lock; writers mutate it under commit_mu_.
   std::atomic<uint64_t> live_objects_{0};
-
-  /// Writer latch: mutations hold it exclusive — batch-granular writer
-  /// sections over the B+-tree, the stores and the index metadata.
-  /// Pinned queries never take it; SharedSection holds it shared for
-  /// the whole-index and diagnostic reads.
-  mutable SharedMutex latch_ ACQUIRED_AFTER(commit_mu_);
   std::atomic<uint64_t> write_epoch_{0};
 
   /// Pin accounting, per-epoch snapshot metas and the version GC
@@ -825,12 +760,13 @@ class SpatialIndex {
   /// never reseated.
   std::unique_ptr<EpochManager> epoch_mgr_;
 
-  /// Commit pipeline mutex: every mutator takes it *before* latch_
-  /// (lock order: commit_mu_ → latch_ → gc_mu_), and the durability
-  /// thread holds it — without the latch — across checkpoint, flush and
-  /// journal commit. Readers never touch it, so the fsync window cannot
-  /// stall the query path; writers queue on it instead of on the
-  /// reader-visible latch.
+  /// The writer lock: every mutator holds it for its whole writer
+  /// section and commit (lock order: commit_mu_ → {gc_mu_,
+  /// EpochManager::gc_mu_, EpochManager::quiesce_mu_}), and the
+  /// durability thread holds it across checkpoint, flush and journal
+  /// commit. Readers never touch it, so neither a writer nor the fsync
+  /// window can stall the query path. SpatialJoin holds it (on both
+  /// indexes) to freeze the live entry streams it merges.
   Mutex commit_mu_;
   std::atomic<CommitPath> commit_path_{CommitPath::kOff};
   /// Master page of the last *durable* group boundary — the rollback
@@ -842,8 +778,8 @@ class SpatialIndex {
   std::thread gc_thread_;
 
   /// Epoch bookkeeping shared with the durability thread and waiters.
-  /// gc_mu_ is a leaf lock (acquired after commit_mu_/latch_, never
-  /// held across I/O).
+  /// gc_mu_ is a leaf lock (acquired after commit_mu_, never held
+  /// across I/O).
   mutable Mutex gc_mu_ ACQUIRED_AFTER(commit_mu_);
   CondVar gc_cv_;             ///< wakes the thread
   mutable CondVar gc_done_cv_;  ///< wakes waiters
@@ -863,9 +799,8 @@ class SpatialIndex {
   std::vector<FailedEpochs> gc_failed_ GUARDED_BY(gc_mu_);
 
   // Persistence bookkeeping (see core/persist.cc). Written by
-  // checkpoint/reload/rollback, which all hold commit_mu_ (plus the
-  // exclusive latch); read by the commit pipeline under commit_mu_
-  // alone.
+  // checkpoint/reload/rollback and read by the commit pipeline, all
+  // under commit_mu_.
   PageId master_page_ GUARDED_BY(commit_mu_) = kInvalidPageId;
   PageId obj_dir_chain_ GUARDED_BY(commit_mu_) = kInvalidPageId;
   PageId poly_dir_chain_ GUARDED_BY(commit_mu_) = kInvalidPageId;

@@ -62,11 +62,9 @@
 // array with one entry per shard engine (one for a single-shard DB) and
 // I/O summed over the shards' pagers.
 //
-// Deadlock note: the executor's worker pool only ever runs the
-// unlatched plan hooks (via ParallelWindowQuery); latched queries
-// execute on the server workers' own threads. Queueing latched work
-// behind a pool job whose driver holds a reader section would deadlock
-// against a waiting writer — don't.
+// The executor's worker pool only ever runs the plan hooks (via
+// ParallelWindowQuery); every query reads a pinned snapshot and takes
+// no index lock, so a pool job never waits on a writer.
 //
 // Lock order: a net thread takes its NetThread::mu and a connection's
 // write_mu strictly one at a time, never nested; no server lock is

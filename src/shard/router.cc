@@ -64,18 +64,32 @@ Status ShardRouter::RecoverState() {
 
 // ----------------------------------------------------------------- writes
 
-Status ShardRouter::PlanBatchLocked(const WriteBatch& batch, RoutePlan* plan) {
-  plan->sub.resize(shards());
+Status ShardRouter::PlanBatchLocked(const WriteBatch& batch, bool replicated,
+                                    RoutePlan* plan) {
   plan->next_oid = next_oid_;
   std::unordered_set<ObjectId> erased;
   for (const WriteOp& op : batch.ops) {
     if (op.kind == WriteOp::Kind::kInsert) {
-      if (op.preassigned != kNoPreassignedOid) {
+      const bool preassigned = op.preassigned != kNoPreassignedOid;
+      if (replicated && !preassigned) {
+        return Status::InvalidArgument(
+            "replicated insert lacks a leader-assigned oid");
+      }
+      if (!replicated && preassigned) {
         return Status::InvalidArgument(
             "preassigned oids are router-assigned in a sharded DB");
       }
       if (!op.mbr.valid()) return Status::InvalidArgument("invalid MBR");
-      const ObjectId oid = plan->next_oid++;
+      ObjectId oid;
+      if (replicated) {
+        oid = op.preassigned;
+        if (oid < masks_.size() && masks_[oid] != 0) {
+          return Status::InvalidArgument("replicated oid already live");
+        }
+        plan->next_oid = std::max(plan->next_oid, oid + 1);
+      } else {
+        oid = plan->next_oid++;
+      }
       const uint64_t mask = routing_.MaskForRect(op.mbr);
       ZDB_RETURN_IF_ERROR(ForEachShard(mask, [&](uint32_t s) -> Status {
         plan->sub[s].InsertWithOid(op.mbr, oid, op.payload);
@@ -104,51 +118,7 @@ Status ShardRouter::PlanBatchLocked(const WriteBatch& batch, RoutePlan* plan) {
   return Status::OK();
 }
 
-Status ShardRouter::PlanReplicatedLocked(const WriteBatch& batch,
-                                         RoutePlan* plan) {
-  plan->sub.resize(shards());
-  plan->next_oid = next_oid_;
-  std::unordered_set<ObjectId> erased;
-  for (const WriteOp& op : batch.ops) {
-    if (op.kind == WriteOp::Kind::kInsert) {
-      if (op.preassigned == kNoPreassignedOid) {
-        return Status::InvalidArgument(
-            "replicated insert lacks a leader-assigned oid");
-      }
-      if (!op.mbr.valid()) return Status::InvalidArgument("invalid MBR");
-      const ObjectId oid = op.preassigned;
-      if (oid < masks_.size() && masks_[oid] != 0) {
-        return Status::InvalidArgument("replicated oid already live");
-      }
-      plan->next_oid = std::max(plan->next_oid, oid + 1);
-      const uint64_t mask = routing_.MaskForRect(op.mbr);
-      ZDB_RETURN_IF_ERROR(ForEachShard(mask, [&](uint32_t s) -> Status {
-        plan->sub[s].InsertWithOid(op.mbr, oid, op.payload);
-        return Status::OK();
-      }));
-      plan->insert_masks.emplace_back(oid, mask);
-      plan->inserted.push_back(oid);
-      plan->touched |= mask;
-    } else {
-      if (op.oid >= next_oid_) return Status::NotFound("oid out of range");
-      const uint64_t mask = masks_[op.oid];
-      if (mask == 0) return Status::NotFound("object already erased");
-      if (!erased.insert(op.oid).second) {
-        return Status::NotFound("object erased twice in batch");
-      }
-      ZDB_RETURN_IF_ERROR(ForEachShard(mask, [&](uint32_t s) -> Status {
-        plan->sub[s].Erase(op.oid);
-        return Status::OK();
-      }));
-      plan->erase_oids.push_back(op.oid);
-      plan->touched |= mask;
-    }
-  }
-  return Status::OK();
-}
-
-Status ShardRouter::FanOutLocked(RoutePlan* plan,
-                                 std::vector<uint64_t>* wait_epochs) {
+Status ShardRouter::FanOutLocked(RoutePlan* plan) {
   // Publish per shard, in shard order. kPublished keeps the fan-out
   // I/O-free in group-commit mode; the caller waits durability outside
   // the router lock so concurrent batches overlap their fsyncs.
@@ -162,65 +132,57 @@ Status ShardRouter::FanOutLocked(RoutePlan* plan,
       // atomicity contract.
       return r.status();
     }
-    // Monotonic and >= the sub-batch's publish epoch — a conservative
-    // but always-correct durability wait target.
-    (*wait_epochs)[s] = indexes_[s]->write_epoch();
+    plan->wait_epochs[s] = indexes_[s]->write_epoch();
   }
+  CommitPlanLocked(*plan);
+  return Status::OK();
+}
 
-  next_oid_ = plan->next_oid;
+void ShardRouter::CommitPlanLocked(const RoutePlan& plan) {
+  next_oid_ = plan.next_oid;
   if (masks_.size() < next_oid_) masks_.resize(next_oid_, 0);
-  for (const auto& [oid, mask] : plan->insert_masks) masks_[oid] = mask;
-  for (const ObjectId oid : plan->erase_oids) masks_[oid] = 0;
-  live_count_.fetch_add(plan->insert_masks.size(),
-                        std::memory_order_relaxed);
-  live_count_.fetch_sub(plan->erase_oids.size(), std::memory_order_relaxed);
+  for (const auto& [oid, mask] : plan.insert_masks) masks_[oid] = mask;
+  for (const ObjectId oid : plan.erase_oids) masks_[oid] = 0;
+  live_count_.fetch_add(plan.insert_masks.size(), std::memory_order_relaxed);
+  live_count_.fetch_sub(plan.erase_oids.size(), std::memory_order_relaxed);
   {
     MutexLock el(epoch_mu_);
-    Status st = ForEachShard(plan->touched, [&](uint32_t s) -> Status {
-      shard_epochs_[s] = (*wait_epochs)[s];
+    Status st = ForEachShard(plan.touched, [&](uint32_t s) -> Status {
+      shard_epochs_[s] = plan.wait_epochs[s];
       ++shard_batches_[s];
       return Status::OK();
     });
     (void)st;  // the lambda never fails
   }
   epoch_.fetch_add(1, std::memory_order_release);
-  return Status::OK();
-}
-
-Status ShardRouter::WaitShardsDurable(uint64_t touched,
-                                      const std::vector<uint64_t>& wait_epochs,
-                                      uint64_t timeout_ms) {
-  return ForEachShard(touched, [&](uint32_t s) -> Status {
-    return indexes_[s]->WaitDurable(wait_epochs[s], timeout_ms);
-  });
 }
 
 Result<std::vector<ObjectId>> ShardRouter::Apply(const WriteBatch& batch,
                                                  Durability durability) {
-  RoutePlan plan;
-  std::vector<uint64_t> wait_epochs(shards(), 0);
+  RoutePlan plan(shards());
   {
     MutexLock lock(router_mu_);
-    ZDB_RETURN_IF_ERROR(PlanBatchLocked(batch, &plan));
+    ZDB_RETURN_IF_ERROR(PlanBatchLocked(batch, false, &plan));
     // A batch that validates empty is a no-op: nothing published, no
     // epoch bump — same as the single-engine contract.
     if (batch.empty()) return plan.inserted;
-    ZDB_RETURN_IF_ERROR(FanOutLocked(&plan, &wait_epochs));
+    ZDB_RETURN_IF_ERROR(FanOutLocked(&plan));
   }
   if (durability == Durability::kDurable) {
-    ZDB_RETURN_IF_ERROR(WaitShardsDurable(plan.touched, wait_epochs, 0));
+    ZDB_RETURN_IF_ERROR(ForEachShard(plan.touched, [&](uint32_t s) -> Status {
+      return indexes_[s]->WaitDurable(plan.wait_epochs[s]);
+    }));
   }
   return plan.inserted;
 }
 
 Result<std::vector<ObjectId>> ShardRouter::ApplyReplicated(
     const WriteBatch& batch) {
-  RoutePlan plan;
-  std::vector<uint64_t> wait_epochs(shards(), 0);
+  RoutePlan plan(shards());
   MutexLock lock(router_mu_);
-  ZDB_RETURN_IF_ERROR(PlanReplicatedLocked(batch, &plan));
+  ZDB_RETURN_IF_ERROR(PlanBatchLocked(batch, true, &plan));
   if (batch.empty()) return plan.inserted;
-  ZDB_RETURN_IF_ERROR(FanOutLocked(&plan, &wait_epochs));
+  ZDB_RETURN_IF_ERROR(FanOutLocked(&plan));
   return plan.inserted;
 }
 
@@ -242,29 +204,18 @@ Result<ObjectId> ShardRouter::InsertPolygon(const Polygon& poly) {
     return Status::InvalidArgument("polygon needs at least 3 vertices");
   }
   MutexLock lock(router_mu_);
+  RoutePlan plan(shards());
   const ObjectId oid = next_oid_;
-  const uint64_t mask = routing_.MaskForRect(poly.Bounds());
-  std::vector<uint64_t> wait_epochs(shards(), 0);
-  ZDB_RETURN_IF_ERROR(ForEachShard(mask, [&](uint32_t s) -> Status {
+  plan.next_oid = oid + 1;
+  plan.touched = routing_.MaskForRect(poly.Bounds());
+  plan.insert_masks.emplace_back(oid, plan.touched);
+  ZDB_RETURN_IF_ERROR(ForEachShard(plan.touched, [&](uint32_t s) -> Status {
     auto r = indexes_[s]->InsertPolygon(poly, oid);
     if (!r.ok()) return r.status();
-    wait_epochs[s] = indexes_[s]->write_epoch();
+    plan.wait_epochs[s] = indexes_[s]->write_epoch();
     return Status::OK();
   }));
-  next_oid_ = oid + 1;
-  masks_.resize(next_oid_, 0);
-  masks_[oid] = mask;
-  live_count_.fetch_add(1, std::memory_order_relaxed);
-  {
-    MutexLock el(epoch_mu_);
-    Status st = ForEachShard(mask, [&](uint32_t s) -> Status {
-      shard_epochs_[s] = wait_epochs[s];
-      ++shard_batches_[s];
-      return Status::OK();
-    });
-    (void)st;
-  }
-  epoch_.fetch_add(1, std::memory_order_release);
+  CommitPlanLocked(plan);
   return oid;
 }
 
@@ -282,35 +233,29 @@ Status ShardRouter::BulkLoad(const std::vector<Rect>& data, double fill) {
   for (const Rect& mbr : data) {
     if (!mbr.valid()) return Status::InvalidArgument("invalid MBR");
   }
+  RoutePlan plan(shards());
+  plan.next_oid = static_cast<ObjectId>(data.size());
+  plan.insert_masks.reserve(data.size());
   std::vector<std::vector<Rect>> shard_data(shards());
   std::vector<std::vector<ObjectId>> shard_oids(shards());
-  std::vector<uint64_t> new_masks(data.size(), 0);
   for (size_t i = 0; i < data.size(); ++i) {
+    const ObjectId oid = static_cast<ObjectId>(i);
     const uint64_t mask = routing_.MaskForRect(data[i]);
-    new_masks[i] = mask;
+    plan.insert_masks.emplace_back(oid, mask);
+    plan.touched |= mask;
     ZDB_RETURN_IF_ERROR(ForEachShard(mask, [&](uint32_t s) -> Status {
       shard_data[s].push_back(data[i]);
-      shard_oids[s].push_back(static_cast<ObjectId>(i));
+      shard_oids[s].push_back(oid);
       return Status::OK();
     }));
   }
-  for (uint32_t s = 0; s < shards(); ++s) {
-    if (shard_data[s].empty()) continue;
-    ZDB_RETURN_IF_ERROR(
-        indexes_[s]->BulkLoad(shard_data[s], fill, &shard_oids[s]));
-  }
-  next_oid_ = static_cast<ObjectId>(data.size());
-  masks_ = std::move(new_masks);
-  live_count_.store(data.size(), std::memory_order_relaxed);
-  {
-    MutexLock el(epoch_mu_);
-    for (uint32_t s = 0; s < shards(); ++s) {
-      if (shard_data[s].empty()) continue;
-      shard_epochs_[s] = indexes_[s]->write_epoch();
-      ++shard_batches_[s];
-    }
-  }
-  epoch_.fetch_add(1, std::memory_order_release);
+  ZDB_RETURN_IF_ERROR(ForEachShard(plan.touched, [&](uint32_t s) -> Status {
+    const Status st =
+        indexes_[s]->BulkLoad(shard_data[s], fill, &shard_oids[s]);
+    plan.wait_epochs[s] = indexes_[s]->write_epoch();
+    return st;
+  }));
+  CommitPlanLocked(plan);
   return Status::OK();
 }
 

@@ -135,31 +135,37 @@ class ShardRouter {
   ShardCounters CountersOf(uint32_t s) const;
 
  private:
-  /// Validated routing decisions of one batch, staged before the
-  /// fan-out and committed to masks_/next_oid_ only if every shard
-  /// publish succeeds.
+  /// Validated routing decisions of one write (a batch, a polygon
+  /// insert or a bulk load), staged before the shards publish it and
+  /// committed to masks_/next_oid_ only if every shard publish succeeds.
   struct RoutePlan {
+    explicit RoutePlan(uint32_t shards) : sub(shards), wait_epochs(shards) {}
+
     std::vector<WriteBatch> sub;              ///< per-shard sub-batches
     std::vector<std::pair<ObjectId, uint64_t>> insert_masks;
     std::vector<ObjectId> erase_oids;
     std::vector<ObjectId> inserted;           ///< result ids, op order
-    ObjectId next_oid = 0;                    ///< cursor after the batch
-    uint64_t touched = 0;                     ///< shards with a sub-batch
+    ObjectId next_oid = 0;                    ///< cursor after the write
+    uint64_t touched = 0;                     ///< shards the write reaches
+    /// Per shard: its write epoch right after publishing its part —
+    /// monotonic and >= that publish, a conservative but always-correct
+    /// durability wait target.
+    std::vector<uint64_t> wait_epochs;
   };
 
-  Status PlanBatchLocked(const WriteBatch& batch, RoutePlan* plan)
-      REQUIRES(router_mu_);
-  /// PlanBatchLocked's replicated twin: consumes preassigned oids
-  /// instead of assigning from the cursor (advancing the cursor past
-  /// them), so replay cannot fork the id sequence.
-  Status PlanReplicatedLocked(const WriteBatch& batch, RoutePlan* plan)
-      REQUIRES(router_mu_);
-  Status FanOutLocked(RoutePlan* plan,
-                      std::vector<uint64_t>* wait_epochs)
-      REQUIRES(router_mu_) EXCLUDES(epoch_mu_);
-  Status WaitShardsDurable(uint64_t touched,
-                           const std::vector<uint64_t>& wait_epochs,
-                           uint64_t timeout_ms);
+  /// Routes and validates `batch` into per-shard sub-batches. Inserts
+  /// take their oid from the router cursor, or — `replicated` — from
+  /// WriteOp::preassigned, the leader's id (advancing the cursor past
+  /// it, so replay cannot fork the id sequence).
+  Status PlanBatchLocked(const WriteBatch& batch, bool replicated,
+                         RoutePlan* plan) REQUIRES(router_mu_);
+  /// Publishes the sub-batches shard by shard, then commits the plan.
+  Status FanOutLocked(RoutePlan* plan) REQUIRES(router_mu_)
+      EXCLUDES(epoch_mu_);
+  /// Commits a published plan's bookkeeping: oid cursor, owner masks,
+  /// live count, per-shard epochs and batch counters, router epoch.
+  void CommitPlanLocked(const RoutePlan& plan) REQUIRES(router_mu_)
+      EXCLUDES(epoch_mu_);
 
   const std::vector<std::unique_ptr<ShardEngine>> engines_;
   const ShardRouting routing_;

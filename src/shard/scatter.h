@@ -14,8 +14,8 @@
 //     to their prefix regions — shards provably farther than the k-th
 //     candidate are never opened.
 //
-// Each per-shard query is individually consistent (latched or
-// epoch-pinned inside that engine); the gathered answer spans one
+// Each per-shard query is individually consistent (epoch-pinned
+// inside that engine); the gathered answer spans one
 // consistent state per shard, not one global state. See DESIGN.md
 // "Sharded partitions" for the cross-shard consistency contract.
 

@@ -353,7 +353,7 @@ Result<uint32_t> BufferPool::LoadFrame(Shard& s, PageId id) {
 }
 
 void BufferPool::PrepareWrite(uint32_t shard, uint32_t frame) {
-  // Only the single armed mutator (exclusive index latch) reaches here
+  // Only the single armed mutator (index writer lock) reaches here
   // with a nonzero stamp, so the stamp comparison cannot race another
   // writer; the frame stays mapped under the mutator's own pin.
   const uint64_t stamp = save_stamp_.load(std::memory_order_acquire);

@@ -182,9 +182,10 @@ class BufferPool {
   /// Arms copy-on-write before-images for the write batch that will
   /// publish epoch `stamp` (stamp = current epoch + 1): until re-armed,
   /// the first mutation of each page hands its current buffer to the
-  /// chains tagged `stamp - 1`. Called by the index writer section under
-  /// the exclusive latch; 0 (the initial value) disarms versioning, and
-  /// mutable_data() then writes in place and saves nothing.
+  /// chains tagged `stamp - 1`. Called by the index writer section,
+  /// under the index's writer lock; 0 (the initial value) disarms
+  /// versioning, and mutable_data() then writes in place and saves
+  /// nothing.
   void ArmVersioning(uint64_t stamp) {
     save_stamp_.store(stamp, std::memory_order_release);
   }

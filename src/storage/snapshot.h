@@ -5,7 +5,7 @@
 // half lives in core/epoch.h).
 //
 // Model: every write batch publishes one write epoch E under the
-// exclusive index latch. While the batch runs, the first mutation of a
+// index's writer lock. While the batch runs, the first mutation of a
 // page through PageRef::mutable_data() appends the page's *pre-batch*
 // bytes to its version chain, tagged `as_of = E-1` ("content at the end
 // of epoch E-1"). A reader pinned at epoch P resolves a page by taking
@@ -246,9 +246,8 @@ class PageVersions {
 };
 
 /// The non-page index state a pinned reader needs, captured by the
-/// writer under the exclusive latch at every publish. Everything here
-/// is a value copy — a reader holding the meta shares nothing mutable
-/// with later writers. Every page, the B+-tree root included, is read
+/// writer at every publish. Everything here is a value copy — a reader
+/// holding the meta shares nothing mutable with later writers. Every page, the B+-tree root included, is read
 /// through the buffer pool, so a pinned read counts the same page
 /// accesses as any other.
 struct SnapshotMeta {
@@ -259,6 +258,10 @@ struct SnapshotMeta {
   std::vector<PageId> poly_pages;
   uint64_t level_mask = 0;
   uint64_t live_objects = 0;
+  /// Build counters (the index's IndexBuildStats), for monitor reads.
+  uint64_t objects = 0;
+  uint64_t index_entries = 0;
+  double total_error = 0.0;
 };
 
 /// A thread-local redirection record: while installed (via

@@ -346,7 +346,7 @@ uint64_t DB::object_count() const {
                         : impl_->router->index(0)->object_count();
 }
 
-const IndexBuildStats& DB::build_stats() const {
+IndexBuildStats DB::build_stats() const {
   return impl_->router->index(0)->build_stats();
 }
 

@@ -82,7 +82,7 @@ struct DBOptions {
   /// How a journaled DB commits (see spatial_index.h "group commit").
   /// true: a pipeline thread coalesces published batches into one
   /// journal commit, and readers never wait out the fsync. false: every
-  /// batch is a group of one that the writer commits, off the latch,
+  /// batch is a group of one that the writer commits, after its publish,
   /// before its call returns — the same commit, without the thread.
   bool group_commit = true;
 
@@ -253,7 +253,7 @@ class DB {
 
   /// Shard 0's build counters (exact for a single-shard DB; for a
   /// sharded DB use Stats(), which aggregates).
-  const IndexBuildStats& build_stats() const;
+  IndexBuildStats build_stats() const;
 
   /// Cumulative page I/O counters of shard 0's pager (the only pager of
   /// a single-shard DB).

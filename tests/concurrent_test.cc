@@ -131,6 +131,46 @@ TEST(Concurrent, MixedQueryStress) {
   EXPECT_EQ(pool.pinned_pages(), 0u);
 }
 
+// SpatialJoin holds both indexes' writer locks for the whole merge: a
+// writer recycling rectangles on one side (erase + re-insert the same
+// rectangle per batch) never shows the join a half-applied batch, so
+// every join finds the same number of pairs.
+TEST(Concurrent, JoinBesideWriter) {
+  auto pager = Pager::OpenInMemory(512);
+  BufferPool pool(pager.get(), 128);
+  SpatialIndexOptions opt;
+  opt.data = DecomposeOptions::SizeBound(4);
+  auto a = SpatialIndex::Create(&pool, opt).value();
+  auto b = SpatialIndex::Create(&pool, opt).value();
+  DataGenOptions dg;
+  const auto da = GenerateData(200, dg);
+  dg.seed += 1;
+  const auto db = GenerateData(200, dg);
+  for (const Rect& r : da) ASSERT_TRUE(a->Insert(r).ok());
+  for (const Rect& r : db) ASSERT_TRUE(b->Insert(r).ok());
+  const size_t pairs0 = SpatialJoin(a.get(), b.get()).value().size();
+  ASSERT_GT(pairs0, 0u);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> batches{0};
+  std::thread writer([&] {
+    for (ObjectId oid = 0; !stop.load(std::memory_order_relaxed); ++oid) {
+      WriteBatch batch;
+      batch.Erase(oid);
+      batch.Insert(da[oid % da.size()]);
+      if (!a->ApplyBatch(batch).ok()) break;
+      batches.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  int joins = 0;
+  while (joins < 20 || batches.load() < 20) {
+    EXPECT_EQ(SpatialJoin(a.get(), b.get()).value().size(), pairs0);
+    ++joins;
+  }
+  stop.store(true);
+  writer.join();
+}
+
 TEST(Concurrent, ExecutorBatchesUnderContention) {
   // Two callers race ParallelWindowQuery on one executor (as the
   // server's request workers do) beside an outside reader thread; all

@@ -1,6 +1,6 @@
 // Copyright (c) zdb authors. Licensed under the MIT license.
 //
-// The journaled commit path: batches published under the latch coalesce
+// The journaled commit path: batches published by writer sections coalesce
 // into fewer journal commits on the pipeline thread (or commit inline as
 // groups of one with the pipeline off), durability waiters complete in
 // epoch order through the durable watermark, and a crash between
@@ -345,7 +345,7 @@ TEST(GroupCommit, CrashPreservesDurableGroupsAndDropsPublishedTail) {
 TEST(GroupCommit, ReadersRunThroughTheDurabilityWindow) {
   // Concurrent readers query while writers push durable batches through
   // the pipeline — under TSan this is the race check on the durability
-  // thread's latch/flush/commit handoffs.
+  // thread's publish/flush/commit handoffs.
   GroupRig rig;
   auto index = rig.Baseline(60);
   ASSERT_TRUE(index->StartGroupCommit().ok());

@@ -258,8 +258,8 @@ TEST(Journal, CrashMidBatchWithParallelReadersRollsBack) {
   }
 
   {
-    // Doomed batch with readers in flight. The index latch serializes
-    // each mutation against the queries; the pager batch makes the whole
+    // Doomed batch with readers in flight. Each mutation publishes as
+    // one epoch the queries pin; the pager batch makes the whole
     // churn roll back on reopen.
     auto index = SpatialIndex::Open(rig.pool.get(), master).value();
     ASSERT_TRUE(rig.pager->BeginBatch().ok());

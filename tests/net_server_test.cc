@@ -383,8 +383,7 @@ TEST(NetServer, UnixSocketRoundTrip) {
 // batch boundary whose brute-force oracle answer matches exactly — a
 // partially visible batch matches none and fails — and every query
 // below the parallel-window threshold names the one epoch it answered
-// (e0 == e1): the pinned epoch with snapshot reads, the epoch read
-// under the shared latch without. On several shards each shard answers
+// (e0 == e1): the epoch it pinned. On several shards each shard answers
 // from its own pinned state, so a reply must be a per-shard mix of the
 // bracket's states (see ShardedLast); the final quiescent state must
 // match exactly.

@@ -7,7 +7,7 @@
 // and query sets to replay against any of those states.
 //
 // Two checking modes:
-//   * range checks (Matches*InRange) — for latched concurrent readers,
+//   * range checks (Matches*InRange) — for auto-pinned concurrent readers,
 //     whose answer must equal the oracle at exactly one epoch in the
 //     [e0, e1] bracket the reader observed;
 //   * exact-state checks (ExpectedWindow/ExpectedPoint/KnnMatchesState)

@@ -1,7 +1,7 @@
 // Copyright (c) zdb authors. Licensed under the MIT license.
 //
-// Snapshot-isolation oracle suite for epoch-pinned reads (the latch-free
-// query path of spatial_index.h). The properties under test:
+// Snapshot-isolation oracle suite for epoch-pinned reads (the lock-free
+// read path of spatial_index.h). The properties under test:
 //
 //   * repeatability — a query re-run at the same EpochPin returns the
 //     byte-identical answer no matter how much writer churn happened in
@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <map>
 #include <thread>
 #include <vector>
@@ -1201,6 +1202,102 @@ TEST(Snapshot, PlanHooksRequireASnapshotScope) {
       index->ExecuteWindowPlanSlice(plan, 0, plan.work_items(), &qs).value();
   EXPECT_EQ(index->RefineWindowCandidates(w, std::move(cands), &qs).value(),
             std::vector<ObjectId>{0});
+}
+
+// ------------------------------------------- diagnostics beside a writer
+
+/// Erases and re-inserts the same rectangles, one pair per batch, until
+/// `stop`: every published epoch holds the same multiset of rectangles.
+/// `live` is the churned oids with their rectangles, oldest first.
+void RecycleChurn(SpatialIndex* index,
+                  std::deque<std::pair<ObjectId, Rect>> live,
+                  const std::atomic<bool>* stop, std::atomic<int>* batches) {
+  while (!stop->load(std::memory_order_relaxed)) {
+    const auto [oid, rect] = live.front();
+    live.pop_front();
+    WriteBatch b;
+    b.Erase(oid);
+    b.Insert(rect);
+    auto r = index->ApplyBatch(b);
+    if (!r.ok()) break;
+    live.emplace_back(r.value()[0], rect);
+    batches->fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+// DB::Stats() and DB::ShardStats() read the build counters from the
+// current epoch's snapshot meta under a pin, so a STATS request beside
+// an Apply writer shares no unsynchronized state with it (TSan checks).
+TEST(SnapshotDiagnostics, StatsBesideWriterReadPublishedCounters) {
+  auto db = DB::Open("", {}).value();
+  const auto data = GenerateData(200, DataGenOptions{});
+  ASSERT_TRUE(db->BulkLoad(data).ok());
+  const uint64_t entries0 = db->Stats().index_entries;
+  ASSERT_GT(entries0, 0u);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> batches{0};
+  std::thread writer([&] {
+    for (ObjectId oid = 0; !stop.load(std::memory_order_relaxed); ++oid) {
+      WriteBatch b;
+      b.Erase(oid);
+      b.Insert(data[oid % data.size()]);
+      if (!db->Apply(b).ok()) break;
+      batches.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  uint64_t last = entries0;
+  int reads = 0;
+  while (reads < 200 || batches.load() < 100) {
+    const DBStats s = db->Stats();
+    // Erases never lower the build counters: they only grow.
+    EXPECT_GE(s.index_entries, last);
+    last = s.index_entries;
+    const auto shards = db->ShardStats();
+    ASSERT_EQ(shards.size(), 1u);
+    EXPECT_GE(shards[0].index_entries, entries0);
+    EXPECT_GE(db->build_stats().objects, data.size());
+    ++reads;
+  }
+  stop.store(true);
+  writer.join();
+  EXPECT_GE(batches.load(), 100);
+}
+
+// LevelHistogram, level_mask and DistanceTo read a pinned epoch: beside
+// a writer that recycles rectangles, every read sees the one histogram
+// all epochs share, and distances of untouched objects never move.
+TEST(SnapshotDiagnostics, HistogramAndDistanceBesideWriter) {
+  auto pager = Pager::OpenInMemory(512);
+  BufferPool pool(pager.get(), 256);
+  SpatialIndexOptions opt;
+  opt.data = DecomposeOptions::SizeBound(4);
+  auto index = SpatialIndex::Create(&pool, opt).value();
+  const auto data = GenerateData(300, DataGenOptions{});
+  std::deque<std::pair<ObjectId, Rect>> churned;
+  for (size_t i = 0; i < data.size(); ++i) {
+    const ObjectId oid = index->Insert(data[i]).value();
+    if (i < 100) churned.emplace_back(oid, data[i]);
+  }
+  const std::vector<uint64_t> hist0 = index->LevelHistogram().value();
+  const uint64_t mask0 = index->level_mask();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> batches{0};
+  std::thread writer(
+      [&] { RecycleChurn(index.get(), churned, &stop, &batches); });
+  const Point p{0.5, 0.25};
+  int reads = 0;
+  while (reads < 50 || batches.load() < 50) {
+    EXPECT_EQ(index->LevelHistogram().value(), hist0);
+    EXPECT_EQ(index->level_mask(), mask0);
+    const ObjectId oid = static_cast<ObjectId>(100 + reads % 200);
+    EXPECT_EQ(index->DistanceTo(oid, p).value(), data[oid].DistanceTo(p));
+    ++reads;
+  }
+  stop.store(true);
+  writer.join();
+  EXPECT_GE(batches.load(), 50);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // holding gc_mu_. Mirrors EpochManager's metas_/aborted_ discipline
 // (core/epoch.h): the meta map and the aborted-range list are shared
 // between the writer (RecordMeta/InvalidateRange under the index
-// latch), readers (MetaAt) and the reclamation thread — every access
+// commit_mu_), readers (MetaAt) and the reclamation thread — every access
 // must hold gc_mu_. The analysis must reject the unlocked prune.
 
 #include <cstdint>

@@ -1,7 +1,9 @@
 // Seeded violation: a publish function calls into the durability tail
-// while holding the exclusive writer latch. The sink (fsync) lives two
-// hops away in another TU — only the interprocedural search can see it.
-// zdb_lint must reject this with [io-under-latch].
+// inside its writer section, the publish half that must stay I/O-free
+// (commit_mu_ alone may be held across the flush, the section may not).
+// The sink (fsync) lives two hops away in another TU — only the
+// interprocedural search can see it. zdb_lint must reject this with
+// [io-under-latch].
 
 namespace zdb {
 
@@ -10,11 +12,15 @@ void FlushTail();  // defined in src/storage/tail.cc
 class SpatialIndex {
  public:
   void Publish();
+
+ private:
+  Mutex commit_mu_;
 };
 
 void SpatialIndex::Publish() {
-  WriterSection lock(this);
-  FlushTail();  // I/O under the exclusive latch
+  MutexLock commit(commit_mu_);
+  WriterSection section(this);
+  FlushTail();  // I/O before the section ends
 }
 
 }  // namespace zdb

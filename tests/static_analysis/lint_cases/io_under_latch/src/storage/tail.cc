@@ -1,5 +1,5 @@
 // The durability tail the seeded publish path reaches: FlushTail ->
-// SyncJournal -> fsync. Nothing in this TU holds a latch; the violation
+// SyncJournal -> fsync. Nothing in this TU opens a section; the violation
 // only exists on the cross-TU path from publish.cc.
 
 namespace zdb {

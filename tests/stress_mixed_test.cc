@@ -158,7 +158,7 @@ TEST(StressMixed, RawWriterAndReaderThreadsAgreeWithOracle) {
   ASSERT_TRUE(index->btree()->CheckInvariants().ok());
 }
 
-// Concurrent writers: the exclusive latch serializes competing mutators,
+// Concurrent writers: the writer mutex serializes competing mutators,
 // so racing single-op writers and batch writers never corrupt the tree
 // and never expose readers to a partial z-element set.
 TEST(StressMixed, CompetingWritersSerializeCleanly) {
@@ -183,7 +183,7 @@ TEST(StressMixed, CompetingWritersSerializeCleanly) {
   for (size_t t = 0; t < kWriters; ++t) {
     writers.emplace_back([&, t] {
       // Writer 0 uses batches, the others single inserts: both paths
-      // contend for the same exclusive latch.
+      // contend for the same writer mutex.
       if (t == 0) {
         for (size_t i = 0; i < kPerWriter; i += 8) {
           WriteBatch batch;

@@ -1,8 +1,8 @@
 // Copyright (c) zdb authors. Licensed under the MIT license.
 //
 // io-under-latch: the publish/durability split. Any call site executed
-// while an exclusive engine latch is held (scoped WriterSection, manual
-// LatchExclusive, or a REQUIRES(latch_) contract) must not reach a
+// inside a configured exclusive section (the index's scoped
+// WriterSection, or a REQUIRES contract naming one) must not reach a
 // configured I/O sink through any interprocedural path. Functions on the
 // io_allow list (group-commit bootstrap, crash rollback) cut the search
 // with their written reason.
@@ -16,7 +16,7 @@ namespace lint {
 
 namespace {
 
-/// The exclusive latch (if any) held at this site.
+/// The exclusive section (if any) held at this site.
 std::optional<std::string> HeldLatch(const std::vector<HeldLock>& held,
                                      const Config& cfg) {
   for (const HeldLock& h : held) {

@@ -69,8 +69,8 @@ bool LoadConfig(const std::string& path, Config* cfg, std::string* err) {
     };
     if (section == "latches") {
       cfg->latches.insert(line);
-    } else if (section == "section_types" || section == "acquire_fns") {
-      // "WriterSection = SpatialIndex::latch_, exclusive"
+    } else if (section == "section_types") {
+      // "WriterSection = SpatialIndex::WriterSection, exclusive"
       const auto kv = SplitOn(line, "=");
       if (kv.size() != 2) return bad("want 'Name = Lock, exclusive|shared'");
       const auto lockmode = SplitOn(kv[1], ",");
@@ -78,12 +78,7 @@ bool LoadConfig(const std::string& path, Config* cfg, std::string* err) {
           (lockmode[1] != "exclusive" && lockmode[1] != "shared")) {
         return bad("want 'Name = Lock, exclusive|shared'");
       }
-      const bool excl = lockmode[1] == "exclusive";
-      if (section == "section_types") {
-        cfg->section_types[kv[0]] = {lockmode[0], excl};
-      } else {
-        cfg->acquire_fns[kv[0]] = {lockmode[0], excl};
-      }
+      cfg->section_types[kv[0]] = {lockmode[0], lockmode[1] == "exclusive"};
     } else if (section == "io_sinks") {
       cfg->io_sinks.insert(line);
     } else if (section == "io_allow") {

@@ -4,11 +4,12 @@
 // domain contracts — the invariants that sit one level above what the
 // Clang thread-safety analysis can express:
 //
-//   io-under-latch   no call path from code holding the SpatialIndex
-//                    exclusive latch may reach a durability/file-I/O
-//                    sink (the PR "publish/durability split" contract),
-//                    modulo an explicit, reasoned allowlist for the
-//                    group-commit bootstrap/rollback paths.
+//   io-under-latch   no call path from code inside the SpatialIndex
+//                    publish section (WriterSection) may reach a
+//                    durability/file-I/O sink (the "publish/durability
+//                    split" contract), modulo an explicit, reasoned
+//                    allowlist for the group-commit bootstrap/rollback
+//                    paths.
 //   epoch-pin        EpochPin is a stack-scoped capability: it must not
 //                    be stored in containers, heap-allocated, held as a
 //                    class member, or returned, except by the sanctioned
@@ -19,9 +20,9 @@
 //                    no (void)-discards, no assign-and-forget.
 //   lock-order       lock acquisitions, propagated across translation
 //                    units through the call graph, must conform to the
-//                    declared partial order (commit_mu_ -> latch_ ->
-//                    {gc_mu_, the epoch manager's gc_mu_ and
-//                    quiesce_mu_}, router_mu_ -> epoch_mu_) — catching
+//                    declared partial order (commit_mu_ -> {gc_mu_,
+//                    the epoch manager's gc_mu_ and quiesce_mu_},
+//                    router_mu_ -> epoch_mu_) — catching
 //                    inversions the per-member ACQUIRED_AFTER
 //                    annotations cannot see because the two
 //                    acquisitions live in different TUs.
@@ -82,8 +83,8 @@ std::vector<Token> Lex(const std::string& scrubbed);
 
 // ------------------------------------------------------------------ model
 
-/// A lock named by class-qualified member ("SpatialIndex::latch_") or, if
-/// the member could not be attributed to a class, its bare name.
+/// A lock named by class-qualified member ("SpatialIndex::commit_mu_")
+/// or, if the member could not be attributed to a class, its bare name.
 struct HeldLock {
   std::string name;
   bool exclusive = true;
@@ -156,12 +157,10 @@ struct Model {
 // ----------------------------------------------------------------- config
 
 struct Config {
-  /// The exclusive-latch capabilities the io-under-latch check guards.
+  /// The exclusive sections the io-under-latch check guards.
   std::set<std::string> latches;
   /// Scoped RAII section types -> (lock, exclusive?).
   std::map<std::string, std::pair<std::string, bool>> section_types;
-  /// Functions whose call acquires a latch (LatchExclusive()).
-  std::map<std::string, std::pair<std::string, bool>> acquire_fns;
   /// I/O sink functions ("File::Sync") and bare syscall names ("fsync").
   std::set<std::string> io_sinks;
   /// Functions whose subtree is exempt from io-under-latch, with reason.

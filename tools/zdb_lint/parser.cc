@@ -66,6 +66,12 @@ std::optional<AnnKind> AnnotationKind(const std::string& name) {
   return std::nullopt;
 }
 
+/// Annotations that trail a data member's declarator.
+bool IsMemberAnnotation(const std::string& name) {
+  return name == "GUARDED_BY" || name == "PT_GUARDED_BY" ||
+         name == "ACQUIRED_AFTER" || name == "ACQUIRED_BEFORE";
+}
+
 class Parser {
  public:
   Parser(const std::string& rel, const std::vector<Token>& toks,
@@ -141,7 +147,7 @@ class Parser {
   }
 
   /// The last identifier within [i, end) — how lock names are pulled out
-  /// of annotation args ("ix->latch_" -> "latch_").
+  /// of annotation args ("ix->commit_mu_" -> "commit_mu_").
   std::string LastIdentIn(size_t i, size_t end) const {
     std::string out;
     for (size_t j = i; j < end; ++j) {
@@ -319,7 +325,13 @@ class Parser {
       }
       if (s == "(") {
         // Function if preceded by an identifier (possibly qualified or
-        // "operator..."): otherwise skip the parens and continue.
+        // "operator..."): otherwise skip the parens and continue. A
+        // member's trailing annotation ("Mutex mu_ ACQUIRED_AFTER(x);",
+        // "int n_ GUARDED_BY(mu_);") is not a function name.
+        if (j > i + 1 && IsIdent(j - 1) && IsMemberAnnotation(t_[j - 1].text)) {
+          j = SkipParens(j, end);
+          continue;
+        }
         if (j > i && IsIdent(j - 1)) {
           name_last = j - 1;
           found_call_paren = true;
@@ -536,7 +548,7 @@ class Parser {
   struct ActiveLock {
     HeldLock lock;
     int depth;    ///< brace depth at declaration; popped when left
-    bool manual;  ///< .Lock()/Latch* style — released by name, not scope
+    bool manual;  ///< .Lock() style — released by name, not scope
     std::string var;  ///< guard variable, for early `guard.Unlock()`
   };
 
@@ -641,7 +653,8 @@ class Parser {
 
         // Manual lock/unlock calls keep the active set honest. Unlock on
         // either the mutex itself ("mu_.Unlock()") or a guard variable
-        // ("lock.Unlock()", the early-release idiom) releases it.
+        // ("lock.Unlock()", the early-release idiom) releases it, and
+        // so does End() on a section guard ("section.End()").
         if ((callee == "Lock" || callee == "LockShared") &&
             !receiver.empty()) {
           const bool excl = callee == "Lock";
@@ -650,35 +663,18 @@ class Parser {
           active.push_back({{receiver, excl}, depth, true, receiver});
           continue;
         }
-        if ((callee == "Unlock" || callee == "UnlockShared") &&
+        if ((callee == "Unlock" || callee == "UnlockShared" ||
+             callee == "End") &&
             !receiver.empty()) {
+          bool released = false;
           for (size_t k = active.size(); k-- > 0;) {
             if (active[k].lock.name == receiver || active[k].var == receiver) {
               active.erase(active.begin() + static_cast<long>(k));
+              released = true;
               break;
             }
           }
-          continue;
-        }
-
-        // Configured acquire functions (LatchExclusive, LatchShared).
-        auto acq = cfg_.acquire_fns.find(callee);
-        if (acq != cfg_.acquire_fns.end()) {
-          LockAcquire ev{acq->second.first, acq->second.second, tok.line,
-                         CurrentHeld(*fn, active)};
-          fn->lock_acquires.push_back(ev);
-          active.push_back(
-              {{acq->second.first, acq->second.second}, depth, true, ""});
-          continue;
-        }
-        if (callee == "UnlatchExclusive" || callee == "UnlatchShared") {
-          for (size_t k = active.size(); k-- > 0;) {
-            if (cfg_.latches.count(active[k].lock.name) > 0) {
-              active.erase(active.begin() + static_cast<long>(k));
-              break;
-            }
-          }
-          continue;
+          if (released || callee != "End") continue;
         }
 
         CallSite call{callee, receiver, tok.line, CurrentHeld(*fn, active)};
