@@ -22,6 +22,9 @@
 #include "net/wire.h"
 #include "storage/snapshot.h"
 #include "transform/morton4.h"
+#include "workload/datagen.h"
+#include "workload/querygen.h"
+#include "zdb/db.h"
 #include "zorder/bigmin.h"
 #include "zorder/morton.h"
 #include "zorder/zkey.h"
@@ -304,6 +307,62 @@ void BM_WireWindowRequest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WireWindowRequest);
+
+/// A bulk-loaded in-memory DB of 20k uniform small rectangles whose
+/// pages all fit the pool, shared by the DB query benchmarks (built once,
+/// on first use, never destroyed): the served read path, warm, without
+/// the network.
+DB* WarmDB() {
+  static DB* db = [] {
+    DBOptions opt;
+    opt.cache_pages = 4096;
+    DB* d = DB::Open("", opt).value().release();
+    DataGenOptions gen;
+    gen.seed = 1;
+    (void)d->BulkLoad(GenerateData(20000, gen));
+    return d;
+  }();
+  return db;
+}
+
+/// Runs `query(i)` once per input to warm the pool, then times it
+/// round-robin over the inputs.
+template <typename Query>
+void RunWarm(benchmark::State& state, size_t inputs, const Query& query) {
+  for (size_t i = 0; i < inputs; ++i) query(i);
+  size_t i = 0;
+  for (auto _ : state) query(i++ % inputs);
+}
+
+// DB::Window over 0.1%-area windows.
+void BM_DBWindow(benchmark::State& state) {
+  DB* db = WarmDB();
+  const std::vector<Rect> windows =
+      GenerateWindows(256, 0.001, QueryGenOptions{});
+  RunWarm(state, windows.size(), [&](size_t i) {
+    benchmark::DoNotOptimize(db->Window(windows[i]).value().size());
+  });
+}
+BENCHMARK(BM_DBWindow);
+
+void BM_DBPoint(benchmark::State& state) {
+  DB* db = WarmDB();
+  const std::vector<Point> points = GeneratePoints(256, 3);
+  RunWarm(state, points.size(), [&](size_t i) {
+    benchmark::DoNotOptimize(db->Point(points[i]).value().size());
+  });
+}
+BENCHMARK(BM_DBPoint);
+
+// DB::Nearest with k = 8, as zdb-bench's cold_scan asks.
+void BM_DBNearest(benchmark::State& state) {
+  DB* db = WarmDB();
+  const std::vector<Point> points = GeneratePoints(256, 4);
+  RunWarm(state, points.size(), [&](size_t i) {
+    benchmark::DoNotOptimize(db->Nearest(points[i], 8).value().size());
+  });
+}
+BENCHMARK(BM_DBNearest);
 
 }  // namespace
 }  // namespace zdb

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/spatial_index.h"
 
@@ -40,8 +41,11 @@ SpatialIndex::NearestNeighbors(const Point& p, size_t k, QueryStats* stats,
 }
 
 Result<std::vector<std::pair<ObjectId, double>>>
-SpatialIndex::NearestNeighborsLocked(const Point& p, size_t k,
-                                     QueryStats* stats, uint32_t* rounds) {
+SpatialIndex::ExpandingSearch(const Point& p, size_t k, QueryStats* stats,
+                              uint32_t* rounds) {
+  // A non-finite point never yields a valid search window: the radius
+  // would double forever.
+  if (!IsFinite(p)) return Status::InvalidArgument("non-finite query point");
   // Pinned reads must size the search off the pinned object count, not
   // the live counter a concurrent writer is mutating.
   const uint64_t live_objects = ViewMeta().live_objects;
@@ -52,34 +56,18 @@ SpatialIndex::NearestNeighborsLocked(const Point& p, size_t k,
   }
 
   const Rect world = options_.world;
-
-  if (k >= live_objects) {
-    // Termination guard: the expanding-window loop exits on a proven k-th
-    // hit, which can never exist when k meets or exceeds the live object
-    // count. One whole-world sweep returns every live object directly.
-    QueryStats qs;
-    std::vector<ObjectId> hits;
-    ZDB_ASSIGN_OR_RETURN(hits, WindowQueryLocked(world, &qs));
-    if (stats != nullptr) stats->Add(qs);
-    best.reserve(hits.size());
-    for (ObjectId oid : hits) {
-      double d;
-      ZDB_ASSIGN_OR_RETURN(d, DistanceToLocked(oid, p));
-      best.emplace_back(oid, d);
-    }
-    SortByDistance(&best);
-    if (best.size() > k) best.resize(k);
-    if (rounds != nullptr) *rounds = 1;
-    return best;
-  }
   const double world_span =
       std::max(world.xhi - world.xlo, world.yhi - world.ylo);
   // First radius: roughly the expected k-neighborhood under uniformity.
+  // When k meets or exceeds the live object count no k-th hit can ever
+  // prove a radius, so the first round searches the whole world instead.
   double radius =
-      world_span *
-      std::sqrt(static_cast<double>(k) /
-                std::max<uint64_t>(1, live_objects)) /
-      2.0;
+      k >= live_objects
+          ? std::numeric_limits<double>::infinity()
+          : world_span *
+                std::sqrt(static_cast<double>(k) /
+                          static_cast<double>(live_objects)) /
+                2.0;
   radius = std::max(radius, world_span / 4096.0);
 
   uint32_t round = 0;
@@ -97,14 +85,15 @@ SpatialIndex::NearestNeighborsLocked(const Point& p, size_t k,
 
     QueryStats qs;
     std::vector<ObjectId> hits;
-    ZDB_ASSIGN_OR_RETURN(hits, WindowQueryLocked(window, &qs));
+    ZDB_ASSIGN_OR_RETURN(hits,
+                         RunQuery(QueryPredicate::kIntersects, window, &qs));
     if (stats != nullptr) stats->Add(qs);
 
     best.clear();
     best.reserve(hits.size());
     for (ObjectId oid : hits) {
       double d;
-      ZDB_ASSIGN_OR_RETURN(d, DistanceToLocked(oid, p));
+      ZDB_ASSIGN_OR_RETURN(d, ExactDistance(oid, p));
       best.emplace_back(oid, d);
     }
     SortByDistance(&best);
@@ -120,6 +109,21 @@ SpatialIndex::NearestNeighborsLocked(const Point& p, size_t k,
   }
   if (rounds != nullptr) *rounds = round;
   return best;
+}
+
+Result<double> SpatialIndex::DistanceTo(ObjectId oid, const Point& p) {
+  return PinnedQuery(nullptr, [&](const EpochPin& pin) {
+    return ReadAt(pin, [&] { return ExactDistance(oid, p); });
+  });
+}
+
+Result<double> SpatialIndex::ExactDistance(ObjectId oid, const Point& p) {
+  ObjectRecord rec;
+  ZDB_ASSIGN_OR_RETURN(rec, store_->Fetch(oid));
+  if (rec.kind == ObjectKind::kRect) return rec.mbr.DistanceTo(p);
+  Polygon poly;
+  ZDB_ASSIGN_OR_RETURN(poly, polys_->Fetch(rec.payload));
+  return poly.DistanceTo(p);
 }
 
 }  // namespace zdb

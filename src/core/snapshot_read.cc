@@ -98,30 +98,38 @@ SpatialIndex::OpenSnapshot(const EpochPin& pin) const {
 
 Result<std::vector<ObjectId>> SpatialIndex::WindowQueryAt(
     const EpochPin& pin, const Rect& window, QueryStats* stats) {
-  return ReadAt(pin, [&] { return WindowQueryLocked(window, stats); });
+  return ReadAt(pin, [&] {
+    return RunQuery(QueryPredicate::kIntersects, window, stats);
+  });
 }
 
 Result<std::vector<ObjectId>> SpatialIndex::PointQueryAt(
     const EpochPin& pin, const Point& p, QueryStats* stats) {
-  return ReadAt(pin, [&] { return PointQueryLocked(p, stats); });
+  return ReadAt(pin, [&] {
+    return RunQuery(QueryPredicate::kContainsPoint, Rect{p.x, p.y, p.x, p.y},
+                    stats);
+  });
 }
 
 Result<std::vector<ObjectId>> SpatialIndex::ContainmentQueryAt(
     const EpochPin& pin, const Rect& window, QueryStats* stats) {
-  return ReadAt(pin, [&] { return ContainmentQueryLocked(window, stats); });
+  return ReadAt(pin, [&] {
+    return RunQuery(QueryPredicate::kInside, window, stats);
+  });
 }
 
 Result<std::vector<ObjectId>> SpatialIndex::EnclosureQueryAt(
     const EpochPin& pin, const Rect& window, QueryStats* stats) {
-  return ReadAt(pin, [&] { return EnclosureQueryLocked(window, stats); });
+  return ReadAt(pin, [&] {
+    return RunQuery(QueryPredicate::kEncloses, window, stats);
+  });
 }
 
 Result<std::vector<std::pair<ObjectId, double>>>
 SpatialIndex::NearestNeighborsAt(const EpochPin& pin, const Point& p,
                                  size_t k, QueryStats* stats,
                                  uint32_t* rounds) {
-  return ReadAt(pin,
-                [&] { return NearestNeighborsLocked(p, k, stats, rounds); });
+  return ReadAt(pin, [&] { return ExpandingSearch(p, k, stats, rounds); });
 }
 
 // --------------------------------------------------------------- stats

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "decompose/region.h"
-#include "geom/clip.h"
 #include "zorder/zkey.h"
 
 namespace zdb {
@@ -255,72 +254,11 @@ Status SpatialIndex::EraseLocked(ObjectId oid) {
   return Status::OK();
 }
 
-// ------------------------------------------------------------- refinement
-
-Result<bool> SpatialIndex::RecordIntersects(const ObjectRecord& rec,
-                                            const Rect& window) {
-  if (!rec.mbr.Intersects(window)) return false;
-  if (rec.kind == ObjectKind::kRect) return true;
-  Polygon poly;
-  ZDB_ASSIGN_OR_RETURN(poly, polys_->Fetch(rec.payload));
-  return poly.Intersects(window);
-}
-
-Result<double> SpatialIndex::DistanceTo(ObjectId oid, const Point& p) {
-  return PinnedQuery(nullptr, [&](const EpochPin& pin) {
-    return ReadAt(pin, [&] { return DistanceToLocked(oid, p); });
-  });
-}
-
-Result<double> SpatialIndex::DistanceToLocked(ObjectId oid, const Point& p) {
-  ObjectRecord rec;
-  ZDB_ASSIGN_OR_RETURN(rec, store_->Fetch(oid));
-  if (rec.kind == ObjectKind::kRect) return rec.mbr.DistanceTo(p);
-  Polygon poly;
-  ZDB_ASSIGN_OR_RETURN(poly, polys_->Fetch(rec.payload));
-  return poly.DistanceTo(p);
-}
-
-template <typename Predicate>
-Result<std::vector<ObjectId>> SpatialIndex::Refine(
-    std::vector<ObjectId> candidates, Predicate pred, QueryStats* stats) {
-  std::vector<ObjectId> results;
-  results.reserve(candidates.size());
-  for (ObjectId oid : candidates) {
-    ObjectRecord rec;
-    ZDB_ASSIGN_OR_RETURN(rec, store_->Fetch(oid));
-    bool keep = false;
-    if (rec.live) {
-      ZDB_ASSIGN_OR_RETURN(keep, pred(rec));
-    }
-    if (keep) {
-      results.push_back(oid);
-    } else if (stats != nullptr) {
-      ++stats->false_hits;
-    }
-  }
-  if (stats != nullptr) stats->results = results.size();
-  return results;
-}
-
-Result<std::vector<ObjectId>> SpatialIndex::RefineWindowCandidates(
-    const Rect& window, std::vector<ObjectId> candidates, QueryStats* stats) {
-  ZDB_RETURN_IF_ERROR(CheckSnapshotScope());
-  if (options_.store_mbr_in_leaf) {
-    // The filter already tested the replicated MBR against the window.
-    if (stats != nullptr) stats->results = candidates.size();
-    return candidates;
-  }
-  return Refine(
-      std::move(candidates),
-      [&](const ObjectRecord& rec) { return RecordIntersects(rec, window); },
-      stats);
-}
-
 // ---------------------------------------------------------------- queries
 //
 // The public queries pin the current epoch and run lock-free against
-// the pinned version chains (PinnedQuery).
+// the pinned version chains (PinnedQuery); every kind runs RunQuery
+// (core/query.cc).
 
 Result<std::vector<ObjectId>> SpatialIndex::WindowQuery(const Rect& window,
                                                         QueryStats* stats,
@@ -328,28 +266,6 @@ Result<std::vector<ObjectId>> SpatialIndex::WindowQuery(const Rect& window,
   return PinnedQuery(epoch, [&](const EpochPin& pin) {
     return WindowQueryAt(pin, window, stats);
   });
-}
-
-Result<std::vector<ObjectId>> SpatialIndex::WindowQueryLocked(
-    const Rect& window, QueryStats* stats) {
-  if (!window.valid()) {
-    return Status::InvalidArgument("invalid query window");
-  }
-  const GridRect qgrid = mapper_.ToGrid(window);
-  const std::function<bool(const Rect&)> leaf_pred = [&](const Rect& mbr) {
-    return mbr.Intersects(window);
-  };
-  std::vector<ObjectId> candidates;
-  ZDB_ASSIGN_OR_RETURN(candidates,
-                       CollectCandidatesFiltered(qgrid, &leaf_pred, stats));
-  if (options_.store_mbr_in_leaf) {
-    if (stats != nullptr) stats->results = candidates.size();
-    return candidates;
-  }
-  return Refine(
-      std::move(candidates),
-      [&](const ObjectRecord& rec) { return RecordIntersects(rec, window); },
-      stats);
 }
 
 Result<std::vector<ObjectId>> SpatialIndex::PointQuery(const Point& p,
@@ -360,33 +276,6 @@ Result<std::vector<ObjectId>> SpatialIndex::PointQuery(const Point& p,
   });
 }
 
-Result<std::vector<ObjectId>> SpatialIndex::PointQueryLocked(
-    const Point& p, QueryStats* stats) {
-  const std::function<bool(const Rect&)> leaf_pred = [&](const Rect& mbr) {
-    return mbr.Contains(p);
-  };
-  std::vector<ObjectId> candidates;
-  ZDB_ASSIGN_OR_RETURN(
-      candidates,
-      CollectPointCandidatesFiltered(mapper_.ToGridX(p.x),
-                                     mapper_.ToGridY(p.y), &leaf_pred,
-                                     stats));
-  if (options_.store_mbr_in_leaf) {
-    if (stats != nullptr) stats->results = candidates.size();
-    return candidates;
-  }
-  return Refine(
-      std::move(candidates),
-      [&](const ObjectRecord& rec) -> Result<bool> {
-        if (!rec.mbr.Contains(p)) return false;
-        if (rec.kind == ObjectKind::kRect) return true;
-        Polygon poly;
-        ZDB_ASSIGN_OR_RETURN(poly, polys_->Fetch(rec.payload));
-        return poly.Contains(p);
-      },
-      stats);
-}
-
 Result<std::vector<ObjectId>> SpatialIndex::ContainmentQuery(
     const Rect& window, QueryStats* stats) {
   return PinnedQuery(nullptr, [&](const EpochPin& pin) {
@@ -394,65 +283,11 @@ Result<std::vector<ObjectId>> SpatialIndex::ContainmentQuery(
   });
 }
 
-Result<std::vector<ObjectId>> SpatialIndex::ContainmentQueryLocked(
-    const Rect& window, QueryStats* stats) {
-  if (!window.valid()) {
-    return Status::InvalidArgument("invalid query window");
-  }
-  const GridRect qgrid = mapper_.ToGrid(window);
-  const std::function<bool(const Rect&)> leaf_pred = [&](const Rect& mbr) {
-    return window.Contains(mbr);
-  };
-  std::vector<ObjectId> candidates;
-  ZDB_ASSIGN_OR_RETURN(candidates,
-                       CollectCandidatesFiltered(qgrid, &leaf_pred, stats));
-  if (options_.store_mbr_in_leaf) {
-    if (stats != nullptr) stats->results = candidates.size();
-    return candidates;
-  }
-  // A tight MBR inside the window implies the object is inside, for both
-  // kinds.
-  return Refine(
-      std::move(candidates),
-      [&](const ObjectRecord& rec) -> Result<bool> {
-        return window.Contains(rec.mbr);
-      },
-      stats);
-}
-
 Result<std::vector<ObjectId>> SpatialIndex::EnclosureQuery(
     const Rect& window, QueryStats* stats) {
   return PinnedQuery(nullptr, [&](const EpochPin& pin) {
     return EnclosureQueryAt(pin, window, stats);
   });
-}
-
-Result<std::vector<ObjectId>> SpatialIndex::EnclosureQueryLocked(
-    const Rect& window, QueryStats* stats) {
-  if (!window.valid()) {
-    return Status::InvalidArgument("invalid query window");
-  }
-  const GridRect qgrid = mapper_.ToGrid(window);
-  const std::function<bool(const Rect&)> leaf_pred = [&](const Rect& mbr) {
-    return mbr.Contains(window);
-  };
-  std::vector<ObjectId> candidates;
-  ZDB_ASSIGN_OR_RETURN(candidates,
-                       CollectCandidatesFiltered(qgrid, &leaf_pred, stats));
-  if (options_.store_mbr_in_leaf) {
-    if (stats != nullptr) stats->results = candidates.size();
-    return candidates;
-  }
-  return Refine(
-      std::move(candidates),
-      [&](const ObjectRecord& rec) -> Result<bool> {
-        if (!rec.mbr.Contains(window)) return false;
-        if (rec.kind == ObjectKind::kRect) return true;
-        Polygon poly;
-        ZDB_ASSIGN_OR_RETURN(poly, polys_->Fetch(rec.payload));
-        return PolygonContainsRect(poly, window);
-      },
-      stats);
 }
 
 }  // namespace zdb

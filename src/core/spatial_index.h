@@ -70,15 +70,30 @@
 
 namespace zdb {
 
-/// Filter-stage plan of one window query: the ancestor probes and
-/// z-interval scans the filter will run. Work items are indexed
-/// [0, probes.size()) for probes, then [probes.size(), work_items()) for
-/// scans; any partition of that index range over threads executes the
-/// same entry set (see QueryExecutor::ParallelWindowQuery).
+/// The exact predicate a query answers. The filter tests it on the MBRs
+/// replicated into the leaves (store_mbr_in_leaf), refinement on each
+/// candidate's record and, for a polygon, its exact ring.
+enum class QueryPredicate : uint8_t {
+  kIntersects,     ///< objects intersecting the window (window, kNN)
+  kContainsPoint,  ///< objects containing the point (point)
+  kInside,         ///< objects inside the window (containment)
+  kEncloses,       ///< objects enclosing the window (enclosure)
+};
+
+/// Filter-stage plan of one query: the ancestor probes and z-interval
+/// scans the filter will run. Work items are indexed [0, probes.size())
+/// for probes, then [probes.size(), work_items()) for scans; any
+/// partition of that index range over threads executes the same entry
+/// set (see QueryExecutor::ParallelWindowQuery). A point query's plan
+/// holds only probes, one per level present in the index, coarsest
+/// first.
 struct WindowPlan {
-  Rect window;                   ///< original world-space query window
+  QueryPredicate predicate = QueryPredicate::kIntersects;
+  /// World-space query window; a point query's degenerate rect at the
+  /// point.
+  Rect window;
   GridRect qgrid;                ///< window mapped onto the grid
-  std::vector<ZElement> probes;  ///< strict enclosing-element probes
+  std::vector<ZElement> probes;  ///< enclosing-element probes
   std::vector<ZElement> scans;   ///< query elements (interval scans)
 
   size_t work_items() const { return probes.size() + scans.size(); }
@@ -483,14 +498,11 @@ class SpatialIndex {
         options_(options),
         mapper_(options.world, options.grid_bits) {}
 
-  // Bodies of the public entry points (suffix "Locked"). The writer
-  // bodies REQUIRE commit_mu_; the public wrappers take it, open a
-  // WriterSection and publish the write epoch, and internal callers
-  // (ApplyBatch) compose the bodies without re-acquiring. The query
-  // bodies take no lock: they run under a snapshot scope of this index
-  // (ReadAt), and read the live writer state only through the view-aware
-  // tree/store/pool paths and ViewMeta() — the analysis rejects a query
-  // body that touches a commit_mu_-guarded field.
+  // Writer bodies (suffix "Locked": they REQUIRE commit_mu_). The public
+  // wrappers take it, open a WriterSection and publish the write epoch,
+  // and internal callers (ApplyBatch) compose the bodies without
+  // re-acquiring. The read bodies further down hold nothing and carry
+  // no suffix.
   Result<ObjectId> InsertLocked(const Rect& mbr, uint32_t payload,
                                 ObjectId preassigned = kNoPreassignedOid)
       REQUIRES(commit_mu_);
@@ -528,18 +540,22 @@ class SpatialIndex {
   Status ReloadLocked() REQUIRES(commit_mu_);
   /// ReloadLocked's body, run between the quiesce brackets.
   Status ReloadUnquiescedLocked() REQUIRES(commit_mu_);
-  Result<std::vector<ObjectId>> WindowQueryLocked(const Rect& window,
-                                                  QueryStats* stats);
-  Result<std::vector<ObjectId>> PointQueryLocked(const Point& p,
-                                                 QueryStats* stats);
-  Result<std::vector<ObjectId>> ContainmentQueryLocked(const Rect& window,
-                                                       QueryStats* stats);
-  Result<std::vector<ObjectId>> EnclosureQueryLocked(const Rect& window,
-                                                     QueryStats* stats);
-  Result<std::vector<std::pair<ObjectId, double>>> NearestNeighborsLocked(
+
+  // Read bodies. They take no lock: they run under a snapshot scope of
+  // this index (ReadAt), and read the live writer state only through the
+  // view-aware tree/store/pool paths and ViewMeta() — the analysis
+  // rejects a read body that touches a commit_mu_-guarded field.
+
+  /// Every query kind: plan, filter, refine — exactly the steps the plan
+  /// hooks expose. Defined in core/query.cc.
+  Result<std::vector<ObjectId>> RunQuery(QueryPredicate predicate,
+                                         const Rect& window,
+                                         QueryStats* stats);
+  /// kNN's expanding-window rounds (core/knn.cc).
+  Result<std::vector<std::pair<ObjectId, double>>> ExpandingSearch(
       const Point& p, size_t k, QueryStats* stats, uint32_t* rounds);
-  Result<double> DistanceToLocked(ObjectId oid, const Point& p);
-  Result<std::vector<uint64_t>> LevelHistogramLocked();
+  /// Exact geometry distance of one object to a point (core/knn.cc).
+  Result<double> ExactDistance(ObjectId oid, const Point& p);
 
   /// Bumps the published write epoch; call at the end of a successful
   /// writer section. First records the post-batch SnapshotMeta under the
@@ -705,37 +721,29 @@ class SpatialIndex {
     WriterSection& operator=(const WriterSection&) = delete;
   };
 
-  /// Builds the probe/scan work list for a grid query rect (the shared
-  /// planning step of the filter stage). Defined in query.cc.
-  WindowPlan BuildWindowPlan(const GridRect& qgrid) const;
+  // The pipeline's steps (core/query.cc).
 
-  /// Executes plan work items [begin, end) through a fresh CandidateSink,
-  /// optionally leaf-filtering with `leaf_pred`. Defined in query.cc.
-  Result<std::vector<ObjectId>> ExecutePlanSlice(
-      const WindowPlan& plan, size_t begin, size_t end,
-      const std::function<bool(const Rect&)>* leaf_pred, QueryStats* stats);
+  /// Validates the query and builds its probe/scan work list.
+  Result<WindowPlan> BuildPlan(QueryPredicate predicate,
+                               const Rect& window) const;
 
-  /// Shared filter stage: every unique candidate whose element
-  /// approximation touches the query grid rect; in store-MBR-in-leaf
-  /// mode additionally applies `leaf_pred` to the MBR replicated in the
-  /// leaf, making refinement I/O-free. Defined in query.cc.
-  Result<std::vector<ObjectId>> CollectCandidatesFiltered(
-      const GridRect& qgrid,
-      const std::function<bool(const Rect&)>* leaf_pred, QueryStats* stats);
+  /// Executes plan work items [begin, end) through a fresh CandidateSink
+  /// (in store_mbr_in_leaf mode testing the plan's predicate on the
+  /// replicated MBRs): locally deduplicated candidates, sorted.
+  Result<std::vector<ObjectId>> ExecutePlanSlice(const WindowPlan& plan,
+                                                 size_t begin, size_t end,
+                                                 QueryStats* stats);
 
-  /// Candidates for a point (ancestor probes only). Defined in query.cc.
-  Result<std::vector<ObjectId>> CollectPointCandidatesFiltered(
-      GridCoord gx, GridCoord gy,
-      const std::function<bool(const Rect&)>* leaf_pred, QueryStats* stats);
+  /// Keeps the candidates whose record satisfies `predicate`; a
+  /// pass-through in store_mbr_in_leaf mode. Preserves candidate order.
+  Result<std::vector<ObjectId>> Refine(QueryPredicate predicate,
+                                       const Rect& window,
+                                       std::vector<ObjectId> candidates,
+                                       QueryStats* stats);
 
-  /// Refinement driver shared by the public queries. The predicate sees
-  /// the full object record and may fetch exact geometry.
-  template <typename Predicate>
-  Result<std::vector<ObjectId>> Refine(std::vector<ObjectId> candidates,
-                                       Predicate pred, QueryStats* stats);
-
-  /// Exact-geometry test of one record against a window (intersection).
-  Result<bool> RecordIntersects(const ObjectRecord& rec, const Rect& window);
+  /// Exact test of one live record; fetches the ring only for polygons.
+  Result<bool> RecordSatisfies(QueryPredicate predicate, const Rect& window,
+                               const ObjectRecord& rec);
 
   BufferPool* pool_;
   SpatialIndexOptions options_;

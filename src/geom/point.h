@@ -3,6 +3,8 @@
 #ifndef ZDB_GEOM_POINT_H_
 #define ZDB_GEOM_POINT_H_
 
+#include <cmath>
+
 namespace zdb {
 
 /// A point in world coordinates (the unit square [0,1) x [0,1) for all
@@ -14,6 +16,11 @@ struct Point {
 
 inline bool operator==(const Point& a, const Point& b) {
   return a.x == b.x && a.y == b.y;
+}
+
+/// False for a NaN or infinite coordinate: no grid cell holds the point.
+inline bool IsFinite(const Point& p) {
+  return std::isfinite(p.x) && std::isfinite(p.y);
 }
 
 }  // namespace zdb

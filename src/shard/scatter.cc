@@ -78,6 +78,8 @@ Result<std::vector<ObjectId>> ScatterWindow(
 Result<std::vector<ObjectId>> ScatterPoint(
     const std::vector<SpatialIndex*>& indexes, const ShardRouting& routing,
     const Point& p, QueryStats* stats) {
+  // A NaN coordinate has no grid cell, hence no shard.
+  if (!IsFinite(p)) return Status::InvalidArgument("non-finite query point");
   const SpaceMapper& m = routing.mapper();
   const uint32_t s = routing.ShardForCell(m.ToGridX(p.x), m.ToGridY(p.y));
   return indexes[s]->PointQuery(p, stats);
@@ -95,6 +97,8 @@ Result<std::vector<ObjectId>> ScatterContainment(
 Result<std::vector<std::pair<ObjectId, double>>> ScatterNearest(
     const std::vector<SpatialIndex*>& indexes, const ShardRouting& routing,
     const Point& p, size_t k, QueryStats* stats) {
+  // Checked before the shard order is sorted by NaN distances.
+  if (!IsFinite(p)) return Status::InvalidArgument("non-finite query point");
   std::vector<std::pair<ObjectId, double>> best;
   if (k == 0 || indexes.empty()) return best;
   if (indexes.size() == 1) return indexes[0]->NearestNeighbors(p, k, stats);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "btree/btree.h"
 #include "btree/cursor.h"
@@ -174,6 +175,29 @@ TEST(Edge, NearestNeighborsReportsRoundsAndStats) {
   EXPECT_EQ(got.value().size(), 10u);
   EXPECT_GE(rounds, 1u);
   EXPECT_GT(qs.index_entries, 0u);
+}
+
+// A NaN or infinite query point has no grid cell: point and kNN queries
+// reject it instead of casting it onto the grid (undefined behaviour) or
+// doubling the kNN radius forever.
+TEST(Edge, NonFinitePointsAreRejected) {
+  Fixture f;
+  ASSERT_TRUE(f.index->Insert(Rect{0.4, 0.4, 0.6, 0.6}).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Point& p : {Point{nan, 0.5}, Point{0.5, nan}, Point{inf, 0.5},
+                         Point{0.5, -inf}}) {
+    EXPECT_TRUE(f.index->PointQuery(p).status().IsInvalidArgument());
+    EXPECT_TRUE(f.index->NearestNeighbors(p, 3).status().IsInvalidArgument());
+    EXPECT_TRUE(f.index->NearestNeighbors(p, 0).status().IsInvalidArgument());
+    const EpochPin pin = f.index->PinEpoch();
+    EXPECT_TRUE(f.index->PointQueryAt(pin, p).status().IsInvalidArgument());
+    EXPECT_TRUE(
+        f.index->NearestNeighborsAt(pin, p, 3).status().IsInvalidArgument());
+  }
+  // Finite points outside the world stay valid queries.
+  EXPECT_TRUE(f.index->PointQuery(Point{5.0, 0.5}).value().empty());
+  EXPECT_EQ(f.index->NearestNeighbors(Point{5.0, 0.5}, 3).value().size(), 1u);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <dirent.h>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -373,6 +374,32 @@ TEST(NetServer, UnixSocketRoundTrip) {
 
   ts.server->Stop();
   ::unlink(path.c_str());
+}
+
+// A NaN or infinite point in a POINT or KNN frame gets a typed
+// InvalidArgument reply and leaves the connection usable. A KNN frame
+// that never finished would hold its worker and block Stop(), so the
+// test ends with Stop().
+TEST(NetServer, NonFinitePointsGetInvalidArgument) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const DbLayout& layout : kLayouts) {
+    SCOPED_TRACE(layout.name);
+    TestServer ts({}, 256, layout);
+    Client client = ts.Connect();
+    WriteBatch batch;
+    batch.Insert(Rect{0.4, 0.4, 0.6, 0.6});
+    ASSERT_TRUE(client.Apply(batch).ok());
+    for (const Point& p : {Point{nan, 0.5}, Point{inf, 0.5},
+                           Point{0.5, -inf}}) {
+      EXPECT_TRUE(client.Nearest(p, 3).status().IsInvalidArgument());
+      EXPECT_TRUE(client.Point(p).status().IsInvalidArgument());
+    }
+    auto nn = client.Nearest(Point{0.5, 0.5}, 3);
+    ASSERT_TRUE(nn.ok()) << nn.status().ToString();
+    EXPECT_EQ(nn->hits.size(), 1u);
+    ts.server->Stop();
+  }
 }
 
 // The remote twin of stress_mixed_test: one writer client steps the

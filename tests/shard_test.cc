@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <cstdio>
 #include <set>
 #include <thread>
@@ -133,6 +134,26 @@ TEST(ShardOpen, RejectsPreassignedOidsInBatches) {
   WriteBatch batch;
   batch.InsertWithOid(Rect{0.1, 0.1, 0.2, 0.2}, 7);
   EXPECT_TRUE(db->Apply(batch).status().IsInvalidArgument());
+}
+
+// A non-finite point has no grid cell and so no shard: the router rejects
+// it before routing, and an unsharded DB's index rejects it itself.
+TEST(ShardOpen, NonFinitePointsAreRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    auto db = DB::Open("", MemShardOptions(shards)).value();
+    WriteBatch batch;
+    batch.Insert(Rect{0.1, 0.1, 0.9, 0.9});
+    ASSERT_TRUE(db->Apply(batch).ok());
+    for (const Point& p : {Point{nan, 0.5}, Point{inf, 0.5},
+                           Point{0.5, -inf}}) {
+      EXPECT_TRUE(db->Point(p).status().IsInvalidArgument());
+      EXPECT_TRUE(db->Nearest(p, 3).status().IsInvalidArgument());
+    }
+    EXPECT_EQ(db->Nearest(Point{0.5, 0.5}, 3).value().size(), 1u);
+  }
 }
 
 // ------------------------------------------------------------ oracle suite
