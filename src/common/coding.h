@@ -16,7 +16,7 @@
 
 namespace zdb {
 
-// -------- little-endian fixed-width (page layouts) --------
+// -------- little-endian fixed-width (page layouts, wire payloads) --------
 
 inline void EncodeFixed16(char* dst, uint16_t v) { std::memcpy(dst, &v, 2); }
 inline void EncodeFixed32(char* dst, uint32_t v) { std::memcpy(dst, &v, 4); }
@@ -36,6 +36,23 @@ inline uint64_t DecodeFixed64(const char* src) {
   uint64_t v;
   std::memcpy(&v, src, 8);
   return v;
+}
+
+/// Little-endian appends (wire payloads, replication records).
+inline void PutU32(std::string* dst, uint32_t v) {
+  char buf[4];
+  EncodeFixed32(buf, v);
+  dst->append(buf, 4);
+}
+inline void PutU64(std::string* dst, uint64_t v) {
+  char buf[8];
+  EncodeFixed64(buf, v);
+  dst->append(buf, 8);
+}
+inline void PutDouble(std::string* dst, double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  PutU64(dst, bits);
 }
 
 // -------- big-endian fixed-width (order-preserving keys) --------

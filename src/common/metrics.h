@@ -63,8 +63,6 @@ struct IoStats {
            page_writes.load(std::memory_order_relaxed);
   }
 
-  void Reset() { *this = IoStats{}; }
-
   /// Difference since a snapshot; used to attribute I/O to one operation.
   IoStats Since(const IoStats& snap) const {
     IoStats d;

@@ -65,12 +65,6 @@ class CAPABILITY("mutex") Mutex {
     mu_.unlock();
   }
 
-  bool TryLock() TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) return false;
-    holder_.store(std::this_thread::get_id(), std::memory_order_relaxed);
-    return true;
-  }
-
   /// Aborts unless the calling thread holds this mutex. Safe to call in
   /// any build mode; the holder is tracked with relaxed atomics.
   void AssertHeld() const ASSERT_CAPABILITY(this) {

@@ -8,7 +8,6 @@
 #include <algorithm>
 
 #include "core/spatial_index.h"
-#include "zorder/zkey.h"
 
 namespace zdb {
 
@@ -37,14 +36,7 @@ Status SpatialIndex::BulkLoadLocked(const std::vector<Rect>& data,
                                     double fill,
                                     const std::vector<ObjectId>* oids,
                                     bool* mutated) {
-  std::string value;
-  if (options_.store_mbr_in_leaf) value.resize(kEncodedRectSize);
-
-  struct Entry {
-    std::string key;
-    std::string value;
-  };
-  std::vector<Entry> entries;
+  std::vector<LeafEntry> entries;
   entries.reserve(data.size() * 2);
 
   for (size_t n = 0; n < data.size(); ++n) {
@@ -58,28 +50,20 @@ Status SpatialIndex::BulkLoadLocked(const std::vector<Rect>& data,
       oid = (*oids)[n];
       ZDB_RETURN_IF_ERROR(store_->InsertAt(oid, mbr));
     }
-    const Decomposition decomp =
-        Decompose(mapper_.ToGrid(mbr), options_.grid_bits, options_.data);
-    if (options_.store_mbr_in_leaf) EncodeRect(mbr, value.data());
-    for (const ZElement& elem : decomp.elements) {
-      entries.push_back({EncodeZKey(elem, oid), value});
-      level_mask_ |= 1ULL << elem.level;
-    }
-    ++build_stats_.objects;
-    build_stats_.index_entries += decomp.elements.size();
-    build_stats_.total_error += decomp.error();
-    ++live_objects_;
+    ZDB_RETURN_IF_ERROR(IndexObjectLocked(oid, mbr, nullptr, &entries));
   }
 
   std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.key < b.key; });
+            [](const LeafEntry& a, const LeafEntry& b) {
+              return a.first < b.first;
+            });
 
   size_t i = 0;
   return btree_->BulkLoad(
       [&](std::string* key, std::string* val) {
         if (i >= entries.size()) return false;
-        *key = entries[i].key;
-        *val = entries[i].value;
+        *key = entries[i].first;
+        *val = entries[i].second;
         ++i;
         return true;
       },

@@ -152,6 +152,43 @@ Status SpatialIndex::ValidateBatchLocked(const WriteBatch& batch) {
   return Status::OK();
 }
 
+SpatialIndex::ObjectElements SpatialIndex::DecomposeObject(
+    const Rect& mbr, const Polygon* poly) const {
+  if (poly != nullptr) {
+    const PolygonRegion region(poly);
+    RegionDecomposition d = DecomposeRegion(region, mapper_, options_.data);
+    return {std::move(d.elements), d.error()};
+  }
+  Decomposition d = Decompose(mapper_.ToGrid(mbr), options_.grid_bits,
+                              options_.data);
+  return {std::move(d.elements), d.error()};
+}
+
+Status SpatialIndex::IndexObjectLocked(ObjectId oid, const Rect& mbr,
+                                       const Polygon* poly,
+                                       std::vector<LeafEntry>* staged) {
+  const ObjectElements decomp = DecomposeObject(mbr, poly);
+  std::string value;
+  if (options_.store_mbr_in_leaf) {
+    value.resize(kEncodedRectSize);
+    EncodeRect(mbr, value.data());
+  }
+  for (const ZElement& elem : decomp.elements) {
+    if (staged != nullptr) {
+      staged->push_back({EncodeZKey(elem, oid), value});
+    } else {
+      ZDB_RETURN_IF_ERROR(
+          btree_->Insert(Slice(EncodeZKey(elem, oid)), Slice(value)));
+    }
+    level_mask_ |= 1ULL << elem.level;
+  }
+  ++build_stats_.objects;
+  build_stats_.index_entries += decomp.elements.size();
+  build_stats_.total_error += decomp.error;
+  ++live_objects_;
+  return Status::OK();
+}
+
 Result<ObjectId> SpatialIndex::InsertLocked(const Rect& mbr,
                                             uint32_t payload,
                                             ObjectId preassigned) {
@@ -163,27 +200,7 @@ Result<ObjectId> SpatialIndex::InsertLocked(const Rect& mbr,
     oid = preassigned;
     ZDB_RETURN_IF_ERROR(store_->InsertAt(oid, mbr, payload));
   }
-
-  const GridRect grect = mapper_.ToGrid(mbr);
-  const Decomposition decomp =
-      Decompose(grect, options_.grid_bits, options_.data);
-
-  std::string value;
-  if (options_.store_mbr_in_leaf) {
-    value.resize(kEncodedRectSize);
-    EncodeRect(mbr, value.data());
-  }
-
-  for (const ZElement& elem : decomp.elements) {
-    ZDB_RETURN_IF_ERROR(
-        btree_->Insert(Slice(EncodeZKey(elem, oid)), Slice(value)));
-    level_mask_ |= 1ULL << elem.level;
-  }
-
-  ++build_stats_.objects;
-  build_stats_.index_entries += decomp.elements.size();
-  build_stats_.total_error += decomp.error();
-  ++live_objects_;
+  ZDB_RETURN_IF_ERROR(IndexObjectLocked(oid, mbr, nullptr, nullptr));
   return oid;
 }
 
@@ -212,20 +229,7 @@ Result<ObjectId> SpatialIndex::InsertPolygonLocked(const Polygon& poly,
     rec.kind = ObjectKind::kPolygon;
     ZDB_RETURN_IF_ERROR(store_->Rewrite(oid, rec));
   }
-
-  const PolygonRegion region(&poly);
-  const RegionDecomposition decomp =
-      DecomposeRegion(region, mapper_, options_.data);
-  for (const ZElement& elem : decomp.elements) {
-    ZDB_RETURN_IF_ERROR(
-        btree_->Insert(Slice(EncodeZKey(elem, oid)), Slice()));
-    level_mask_ |= 1ULL << elem.level;
-  }
-
-  ++build_stats_.objects;
-  build_stats_.index_entries += decomp.elements.size();
-  build_stats_.total_error += decomp.error();
-  ++live_objects_;
+  ZDB_RETURN_IF_ERROR(IndexObjectLocked(oid, poly.Bounds(), &poly, nullptr));
   return oid;
 }
 
@@ -235,18 +239,13 @@ Status SpatialIndex::EraseLocked(ObjectId oid) {
   if (!rec.live) return Status::NotFound("object already erased");
 
   // Recompute the (deterministic) decomposition to find the entries.
-  std::vector<ZElement> elements;
+  Polygon poly;
   if (rec.kind == ObjectKind::kPolygon) {
-    Polygon poly;
     ZDB_ASSIGN_OR_RETURN(poly, polys_->Fetch(rec.payload));
-    const PolygonRegion region(&poly);
-    elements = DecomposeRegion(region, mapper_, options_.data).elements;
-  } else {
-    elements =
-        Decompose(mapper_.ToGrid(rec.mbr), options_.grid_bits, options_.data)
-            .elements;
   }
-  for (const ZElement& elem : elements) {
+  const ObjectElements decomp = DecomposeObject(
+      rec.mbr, rec.kind == ObjectKind::kPolygon ? &poly : nullptr);
+  for (const ZElement& elem : decomp.elements) {
     ZDB_RETURN_IF_ERROR(btree_->Delete(Slice(EncodeZKey(elem, oid))));
   }
   ZDB_RETURN_IF_ERROR(store_->Erase(oid));

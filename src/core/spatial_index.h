@@ -52,6 +52,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -114,7 +115,8 @@ struct WriteOp {
   /// kInsert: store the object under this caller-chosen oid instead of
   /// the store's append cursor. Used by the shard router, which assigns
   /// global oids and replicates one object into every overlapping
-  /// shard engine under the same id.
+  /// shard engine under the same id, and by replicas replaying a
+  /// leader's oids. zdb::DB::Apply rejects it.
   ObjectId preassigned = kNoPreassignedOid;
 };
 
@@ -511,6 +513,26 @@ class SpatialIndex {
                                            kNoPreassignedOid)
       REQUIRES(commit_mu_);
   Status EraseLocked(ObjectId oid) REQUIRES(commit_mu_);
+
+  /// An object's data-side z-elements and their dead-space error.
+  struct ObjectElements {
+    std::vector<ZElement> elements;
+    double error = 0.0;
+  };
+  /// The one rule for an object's index entries: Decompose of its MBR's
+  /// grid rectangle, or — `poly` set — DecomposeRegion of its ring.
+  /// Insert, erase and bulk load all call it, so every live object's
+  /// entries are exactly DecomposeObject(object).
+  ObjectElements DecomposeObject(const Rect& mbr, const Polygon* poly) const;
+  /// One index entry: (z-key, leaf value).
+  using LeafEntry = std::pair<std::string, std::string>;
+  /// Inserts object `oid`'s entries — into the tree, or appended to
+  /// *staged for a bulk load to sort and build — and counts the object:
+  /// level mask, build stats, live count. The leaf value is the encoded
+  /// MBR in store_mbr_in_leaf mode, else empty.
+  Status IndexObjectLocked(ObjectId oid, const Rect& mbr, const Polygon* poly,
+                           std::vector<LeafEntry>* staged)
+      REQUIRES(commit_mu_);
   /// Body of BulkLoad; sets *mutated once the first page is touched.
   Status BulkLoadLocked(const std::vector<Rect>& data, double fill,
                         const std::vector<ObjectId>* oids, bool* mutated)

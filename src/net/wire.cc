@@ -9,30 +9,6 @@
 namespace zdb {
 namespace net {
 
-namespace {
-
-void PutDouble(std::string* dst, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  char buf[8];
-  EncodeFixed64(buf, bits);
-  dst->append(buf, 8);
-}
-
-void PutU32(std::string* dst, uint32_t v) {
-  char buf[4];
-  EncodeFixed32(buf, v);
-  dst->append(buf, 4);
-}
-
-void PutU64(std::string* dst, uint64_t v) {
-  char buf[8];
-  EncodeFixed64(buf, v);
-  dst->append(buf, 8);
-}
-
-}  // namespace
-
 bool KnownOpcode(uint8_t op) {
   return op >= static_cast<uint8_t>(Opcode::kPing) &&
          op <= static_cast<uint8_t>(Opcode::kLogAck);
@@ -322,23 +298,61 @@ bool DecodeKnnRequest(std::string_view payload, Point* p, uint32_t* k,
          r.GetU64(max_lag) && r.AtEnd();
 }
 
+void EncodeWriteOps(std::string* dst, const WriteBatch& batch,
+                    bool with_oids) {
+  PutU32(dst, static_cast<uint32_t>(batch.ops.size()));
+  for (const WriteOp& op : batch.ops) {
+    if (op.kind == WriteOp::Kind::kInsert) {
+      dst->push_back(0);
+      PutDouble(dst, op.mbr.xlo);
+      PutDouble(dst, op.mbr.ylo);
+      PutDouble(dst, op.mbr.xhi);
+      PutDouble(dst, op.mbr.yhi);
+      PutU32(dst, op.payload);
+      if (with_oids) PutU32(dst, op.preassigned);
+    } else {
+      dst->push_back(1);
+      PutU32(dst, op.oid);
+    }
+  }
+}
+
+bool DecodeWriteOps(PayloadReader* r, bool with_oids, WriteBatch* batch) {
+  uint32_t count;
+  if (!r->GetU32(&count)) return false;
+  // Each op is at least 5 bytes (kind + oid); a count claiming more ops
+  // than the remaining bytes could hold is rejected before any loop (a
+  // hostile count can't drive allocation).
+  if (count > r->remaining() / 5) return false;
+  batch->ops.clear();
+  batch->ops.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    uint8_t kind;
+    if (!r->GetU8(&kind)) return false;
+    WriteOp op;
+    if (kind == 0) {
+      op.kind = WriteOp::Kind::kInsert;
+      if (!r->GetDouble(&op.mbr.xlo) || !r->GetDouble(&op.mbr.ylo) ||
+          !r->GetDouble(&op.mbr.xhi) || !r->GetDouble(&op.mbr.yhi) ||
+          !r->GetU32(&op.payload) ||
+          (with_oids && !r->GetU32(&op.preassigned))) {
+        return false;
+      }
+    } else if (kind == 1) {
+      op.kind = WriteOp::Kind::kErase;
+      if (!r->GetU32(&op.oid)) return false;
+    } else {
+      return false;
+    }
+    batch->ops.push_back(op);
+  }
+  return true;
+}
+
 std::string EncodeApplyRequest(const WriteBatch& batch,
                                Durability durability) {
   std::string out;
-  PutU32(&out, static_cast<uint32_t>(batch.ops.size()));
-  for (const WriteOp& op : batch.ops) {
-    if (op.kind == WriteOp::Kind::kInsert) {
-      out.push_back(0);
-      PutDouble(&out, op.mbr.xlo);
-      PutDouble(&out, op.mbr.ylo);
-      PutDouble(&out, op.mbr.xhi);
-      PutDouble(&out, op.mbr.yhi);
-      PutU32(&out, op.payload);
-    } else {
-      out.push_back(1);
-      PutU32(&out, op.oid);
-    }
-  }
+  EncodeWriteOps(&out, batch, false);
   out.push_back(static_cast<char>(durability));
   return out;
 }
@@ -346,37 +360,10 @@ std::string EncodeApplyRequest(const WriteBatch& batch,
 bool DecodeApplyRequest(std::string_view payload, WriteBatch* batch,
                         Durability* durability) {
   PayloadReader r(payload);
-  uint32_t count;
-  if (!r.GetU32(&count)) return false;
-  // Each op is at least 5 bytes (kind + oid); a count claiming more ops
-  // than the remaining bytes could hold is rejected before any loop (a
-  // hostile count can't drive allocation).
-  if (count > r.remaining() / 5) return false;
-  batch->ops.clear();
-  batch->ops.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint8_t kind;
-    if (!r.GetU8(&kind)) return false;
-    if (kind == 0) {
-      WriteOp op;
-      op.kind = WriteOp::Kind::kInsert;
-      if (!r.GetDouble(&op.mbr.xlo) || !r.GetDouble(&op.mbr.ylo) ||
-          !r.GetDouble(&op.mbr.xhi) || !r.GetDouble(&op.mbr.yhi) ||
-          !r.GetU32(&op.payload)) {
-        return false;
-      }
-      batch->ops.push_back(op);
-    } else if (kind == 1) {
-      WriteOp op;
-      op.kind = WriteOp::Kind::kErase;
-      if (!r.GetU32(&op.oid)) return false;
-      batch->ops.push_back(op);
-    } else {
-      return false;
-    }
-  }
   uint8_t flag;
-  if (!r.GetU8(&flag) || !r.AtEnd()) return false;
+  if (!DecodeWriteOps(&r, false, batch) || !r.GetU8(&flag) || !r.AtEnd()) {
+    return false;
+  }
   if (flag != static_cast<uint8_t>(Durability::kDurable) &&
       flag != static_cast<uint8_t>(Durability::kPublished)) {
     return false;

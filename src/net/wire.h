@@ -237,9 +237,19 @@ std::string EncodeKnnRequest(const Point& p, uint32_t k,
 [[nodiscard]] bool DecodeKnnRequest(std::string_view payload, Point* p,
                                     uint32_t* k, uint64_t* max_lag);
 
-/// APPLY: u32 op count, then per op a kind byte — 0: insert (4 doubles
-/// MBR + u32 payload word), 1: erase (u32 oid) — then one Durability
-/// byte. Applied atomically server-side via zdb::DB::Apply.
+/// A batch's ops, the one codec of both batch encodings (APPLY below,
+/// the replication log record in repl/record.h): u32 op count, then per
+/// op a kind byte — 0: insert (4 doubles MBR, u32 payload word and, iff
+/// `with_oids`, the u32 WriteOp::preassigned oid), 1: erase (u32 oid).
+void EncodeWriteOps(std::string* dst, const WriteBatch& batch,
+                    bool with_oids);
+/// Reads the ops into *batch (replacing its ops); false on truncation,
+/// an unknown kind, or a count the remaining bytes cannot hold.
+[[nodiscard]] bool DecodeWriteOps(PayloadReader* r, bool with_oids,
+                                  WriteBatch* batch);
+
+/// APPLY: the batch's ops without oids (EncodeWriteOps), then one
+/// Durability byte. Applied atomically server-side via zdb::DB::Apply.
 std::string EncodeApplyRequest(const WriteBatch& batch,
                                Durability durability = Durability::kDurable);
 [[nodiscard]] bool DecodeApplyRequest(std::string_view payload,

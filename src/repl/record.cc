@@ -2,8 +2,6 @@
 
 #include "repl/record.h"
 
-#include <cstring>
-
 #include "common/coding.h"
 #include "net/wire.h"
 
@@ -11,24 +9,6 @@ namespace zdb {
 namespace repl {
 
 namespace {
-
-void PutU32(std::string* dst, uint32_t v) {
-  char buf[4];
-  EncodeFixed32(buf, v);
-  dst->append(buf, 4);
-}
-
-void PutU64(std::string* dst, uint64_t v) {
-  char buf[8];
-  EncodeFixed64(buf, v);
-  dst->append(buf, 8);
-}
-
-void PutDouble(std::string* dst, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(dst, bits);
-}
 
 /// FNV-1a over the record body — cheap, order-sensitive, and enough to
 /// catch a misaligned or bit-flipped replay before it mutates state.
@@ -47,21 +27,7 @@ std::string EncodeLogRecord(const LogRecord& record) {
   std::string out;
   out.reserve(16 + 41 * record.batch.ops.size());
   PutU64(&out, record.epoch);
-  PutU32(&out, static_cast<uint32_t>(record.batch.ops.size()));
-  for (const WriteOp& op : record.batch.ops) {
-    if (op.kind == WriteOp::Kind::kInsert) {
-      out.push_back(0);
-      PutDouble(&out, op.mbr.xlo);
-      PutDouble(&out, op.mbr.ylo);
-      PutDouble(&out, op.mbr.xhi);
-      PutDouble(&out, op.mbr.yhi);
-      PutU32(&out, op.payload);
-      PutU32(&out, op.preassigned);
-    } else {
-      out.push_back(1);
-      PutU32(&out, op.oid);
-    }
-  }
+  net::EncodeWriteOps(&out, record.batch, true);
   PutU32(&out, Fnv1a(out));
   return out;
 }
@@ -73,33 +39,8 @@ bool DecodeLogRecord(std::string_view payload, LogRecord* record) {
   if (stored != Fnv1a(body)) return false;
 
   net::PayloadReader r(body);
-  uint32_t count;
-  if (!r.GetU64(&record->epoch) || !r.GetU32(&count)) return false;
-  // Smallest op is 5 bytes (kind + oid): a hostile count cannot drive
-  // allocation past the bytes actually present.
-  if (count > r.remaining() / 5) return false;
-  record->batch.ops.clear();
-  record->batch.ops.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint8_t kind;
-    if (!r.GetU8(&kind)) return false;
-    WriteOp op;
-    if (kind == 0) {
-      op.kind = WriteOp::Kind::kInsert;
-      if (!r.GetDouble(&op.mbr.xlo) || !r.GetDouble(&op.mbr.ylo) ||
-          !r.GetDouble(&op.mbr.xhi) || !r.GetDouble(&op.mbr.yhi) ||
-          !r.GetU32(&op.payload) || !r.GetU32(&op.preassigned)) {
-        return false;
-      }
-    } else if (kind == 1) {
-      op.kind = WriteOp::Kind::kErase;
-      if (!r.GetU32(&op.oid)) return false;
-    } else {
-      return false;
-    }
-    record->batch.ops.push_back(op);
-  }
-  return r.AtEnd();
+  return r.GetU64(&record->epoch) &&
+         net::DecodeWriteOps(&r, true, &record->batch) && r.AtEnd();
 }
 
 // --------------------------------------------------- opcode payload codecs

@@ -12,6 +12,9 @@
 //        kind u8 = 1: erase  — u32 oid
 //   u32  checksum     FNV-1a over every preceding byte
 //
+// op_count and ops are net::EncodeWriteOps with oids: the APPLY
+// request's op codec (net/wire.h), plus each insert's oid.
+//
 // Inserts carry the leader-assigned oid (replayed as a preassigned
 // insert), which is what keeps follower object ids byte-identical to
 // the leader's. The checksum is defence in depth: TCP already checks

@@ -70,15 +70,6 @@ Status ShardRouter::PlanBatchLocked(const WriteBatch& batch, bool replicated,
   std::unordered_set<ObjectId> erased;
   for (const WriteOp& op : batch.ops) {
     if (op.kind == WriteOp::Kind::kInsert) {
-      const bool preassigned = op.preassigned != kNoPreassignedOid;
-      if (replicated && !preassigned) {
-        return Status::InvalidArgument(
-            "replicated insert lacks a leader-assigned oid");
-      }
-      if (!replicated && preassigned) {
-        return Status::InvalidArgument(
-            "preassigned oids are router-assigned in a sharded DB");
-      }
       if (!op.mbr.valid()) return Status::InvalidArgument("invalid MBR");
       ObjectId oid;
       if (replicated) {
@@ -158,11 +149,12 @@ void ShardRouter::CommitPlanLocked(const RoutePlan& plan) {
 }
 
 Result<std::vector<ObjectId>> ShardRouter::Apply(const WriteBatch& batch,
-                                                 Durability durability) {
+                                                 Durability durability,
+                                                 bool replicated) {
   RoutePlan plan(shards());
   {
     MutexLock lock(router_mu_);
-    ZDB_RETURN_IF_ERROR(PlanBatchLocked(batch, false, &plan));
+    ZDB_RETURN_IF_ERROR(PlanBatchLocked(batch, replicated, &plan));
     // A batch that validates empty is a no-op: nothing published, no
     // epoch bump — same as the single-engine contract.
     if (batch.empty()) return plan.inserted;
@@ -174,26 +166,6 @@ Result<std::vector<ObjectId>> ShardRouter::Apply(const WriteBatch& batch,
     }));
   }
   return plan.inserted;
-}
-
-Result<std::vector<ObjectId>> ShardRouter::ApplyReplicated(
-    const WriteBatch& batch) {
-  RoutePlan plan(shards());
-  MutexLock lock(router_mu_);
-  ZDB_RETURN_IF_ERROR(PlanBatchLocked(batch, true, &plan));
-  if (batch.empty()) return plan.inserted;
-  ZDB_RETURN_IF_ERROR(FanOutLocked(&plan));
-  return plan.inserted;
-}
-
-Result<ObjectId> ShardRouter::Insert(const Rect& mbr, uint32_t payload) {
-  WriteBatch batch;
-  batch.Insert(mbr, payload);
-  // Publish-time ack, like a single-op mutation on a group-commit
-  // engine; use Apply(…, kDurable) to block on the fsync.
-  std::vector<ObjectId> ids;
-  ZDB_ASSIGN_OR_RETURN(ids, Apply(batch, Durability::kPublished));
-  return ids[0];
 }
 
 Result<ObjectId> ShardRouter::InsertPolygon(const Polygon& poly) {
@@ -217,12 +189,6 @@ Result<ObjectId> ShardRouter::InsertPolygon(const Polygon& poly) {
   }));
   CommitPlanLocked(plan);
   return oid;
-}
-
-Status ShardRouter::Erase(ObjectId oid) {
-  WriteBatch batch;
-  batch.Erase(oid);
-  return Apply(batch, Durability::kPublished).status();
 }
 
 Status ShardRouter::BulkLoad(const std::vector<Rect>& data, double fill) {

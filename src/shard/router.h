@@ -78,21 +78,16 @@ class ShardRouter {
   /// Splits `batch` by routing prefix, fans the sub-batches out to the
   /// per-shard pipelines (published under router_mu_, in shard order)
   /// and, for kDurable, waits on each involved shard's durable epoch
-  /// outside the locks. Returns router-assigned oids in op order.
+  /// outside the locks. Returns the inserted oids in op order: assigned
+  /// by the router or — `replicated`, a follower replaying a leader's
+  /// batch — each insert's WriteOp::preassigned, the leader's oid
+  /// (routed and replicated under that id, so the replica's ids stay
+  /// byte-identical to the leader's).
   Result<std::vector<ObjectId>> Apply(const WriteBatch& batch,
-                                      Durability durability);
+                                      Durability durability,
+                                      bool replicated = false);
 
-  /// Replays a leader-resolved batch on a follower: every insert must
-  /// carry its leader-assigned oid in WriteOp::preassigned (routed and
-  /// replicated under that id, so the replica's ids stay byte-identical
-  /// to the leader's), erases fan out by the stored owner masks.
-  /// Publish-time semantics (kPublished); durability follows via the
-  /// per-shard pipelines as usual.
-  Result<std::vector<ObjectId>> ApplyReplicated(const WriteBatch& batch);
-
-  Result<ObjectId> Insert(const Rect& mbr, uint32_t payload);
   Result<ObjectId> InsertPolygon(const Polygon& poly);
-  Status Erase(ObjectId oid);
 
   /// Bulk loads into empty shards: assigns global oids 0..n-1, routes
   /// each rectangle to its owner shards and runs one per-shard bulk
@@ -112,7 +107,7 @@ class ShardRouter {
   // ---------------------------------------------------------- durability
 
   /// Router-level published-batch counter (the sharded DB's write
-  /// epoch). Bumped once per successful Apply/Insert/Erase fan-out.
+  /// epoch). Bumped once per successful write fan-out.
   uint64_t write_epoch() const {
     return epoch_.load(std::memory_order_acquire);
   }
@@ -156,7 +151,9 @@ class ShardRouter {
   /// Routes and validates `batch` into per-shard sub-batches. Inserts
   /// take their oid from the router cursor, or — `replicated` — from
   /// WriteOp::preassigned, the leader's id (advancing the cursor past
-  /// it, so replay cannot fork the id sequence).
+  /// it, so replay cannot fork the id sequence). DB::Apply and
+  /// DB::ApplyReplicated have already checked that an insert carries an
+  /// oid exactly when it is replicated.
   Status PlanBatchLocked(const WriteBatch& batch, bool replicated,
                          RoutePlan* plan) REQUIRES(router_mu_);
   /// Publishes the sub-batches shard by shard, then commits the plan.

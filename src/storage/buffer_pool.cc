@@ -671,17 +671,6 @@ Status BufferPool::Discard() {
   return Status::OK();
 }
 
-size_t BufferPool::cached_pages() const {
-  size_t n = 0;
-  for (const auto& s : shards_) {
-    MutexLock lock(s.mu);
-    for (uint32_t i = s.frame_base; i < s.frame_base + s.frame_count; ++i) {
-      if (frames_[i].id.load(std::memory_order_relaxed) != kInvalidPageId) ++n;
-    }
-  }
-  return n;
-}
-
 size_t BufferPool::pinned_pages() const {
   size_t n = 0;
   for (const auto& s : shards_) {

@@ -66,7 +66,6 @@ class BufferPool;
 ///     pin.
 ///   * a counted ref on the live buffer, when all the thread's hazard
 ///     slots are in use.
-/// Borrowed hands out a borrowed ref on bytes the caller keeps alive.
 class PageRef {
  public:
   PageRef() = default;
@@ -76,13 +75,6 @@ class PageRef {
 
   PageRef(const PageRef&) = delete;
   PageRef& operator=(const PageRef&) = delete;
-
-  /// A ref that borrows `buf`'s bytes as page `id`. The caller keeps
-  /// the buffer alive and unmodified for the ref's lifetime. Counts no
-  /// page access.
-  static PageRef Borrowed(const PageBuffer& buf, PageId id) {
-    return PageRef(buf.data(), id);
-  }
 
   bool valid() const { return pool_ != nullptr || bytes_ != nullptr; }
   PageId id() const;
@@ -196,9 +188,6 @@ class BufferPool {
 
   /// Number of table shards (1 for small pools).
   size_t shard_count() const { return shards_.size(); }
-
-  /// Pages currently cached. Takes every shard lock; diagnostics use.
-  size_t cached_pages() const;
 
   /// Frames currently pinned by live PageRefs. Takes every shard lock;
   /// diagnostics use (e.g. verifying no pins remain before Checkpoint).

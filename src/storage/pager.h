@@ -149,9 +149,6 @@ class Pager {
   void set_simulated_read_latency_us(uint32_t us) {
     sim_read_latency_us_.store(us, std::memory_order_relaxed);
   }
-  uint32_t simulated_read_latency_us() const {
-    return sim_read_latency_us_.load(std::memory_order_relaxed);
-  }
 
  private:
   Pager(std::unique_ptr<File> file, uint32_t page_size)

@@ -33,6 +33,25 @@ auto WithEpochs(const DB& db, EpochRange* epochs, Query query) {
   return r;
 }
 
+/// The DB assigns every inserted object's oid, except on a replica,
+/// which replays the leader's: an insert carries WriteOp::preassigned
+/// exactly when `replicated`.
+Status CheckInsertOids(const WriteBatch& batch, bool replicated) {
+  for (const WriteOp& op : batch.ops) {
+    if (op.kind != WriteOp::Kind::kInsert) continue;
+    if (replicated && op.preassigned == kNoPreassignedOid) {
+      return Status::InvalidArgument(
+          "replicated insert lacks a leader-assigned oid");
+    }
+    if (!replicated && op.preassigned != kNoPreassignedOid) {
+      return Status::InvalidArgument(
+          "preassigned oids are DB-assigned; only ApplyReplicated takes "
+          "them");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 struct DB::Impl {
@@ -46,6 +65,16 @@ struct DB::Impl {
   Mutex repl_mu_;
   CommitSink* sink GUARDED_BY(repl_mu_) = nullptr;
   std::atomic<bool> has_sink{false};
+
+  /// The one write dispatch: the router of a sharded DB, else the
+  /// single engine's index (which stores a replicated insert under its
+  /// WriteOp::preassigned oid by itself).
+  Result<std::vector<ObjectId>> Apply(const WriteBatch& batch,
+                                      Durability durability,
+                                      bool replicated = false) {
+    if (sharded) return router->Apply(batch, durability, replicated);
+    return router->index(0)->ApplyBatch(batch, durability);
+  }
 };
 
 DB::~DB() {
@@ -118,7 +147,6 @@ Result<std::unique_ptr<DB>> DB::Open(const std::string& path,
 
   std::unique_ptr<DB> db(new DB());
   db->impl_ = std::make_unique<Impl>();
-  db->journaled_ = engines[0]->journaled();
   db->impl_->sharded = n > 1;
 
   // Routing comes from the engines' actual (possibly reopened) index
@@ -170,17 +198,11 @@ Result<std::vector<std::pair<ObjectId, double>>> DB::Nearest(
 // --------------------------------------------------------------- updates
 
 Result<ObjectId> DB::Insert(const Rect& mbr, uint32_t payload) {
-  if (impl_->has_sink.load(std::memory_order_acquire)) {
-    // Route through Apply so the mutation reaches the commit sink as a
-    // one-op batch (publish-time ack, like the direct path).
-    WriteBatch batch;
-    batch.Insert(mbr, payload);
-    std::vector<ObjectId> ids;
-    ZDB_ASSIGN_OR_RETURN(ids, Apply(batch, Durability::kPublished));
-    return ids[0];
-  }
-  if (impl_->sharded) return impl_->router->Insert(mbr, payload);
-  return index()->Insert(mbr, payload);
+  WriteBatch batch;
+  batch.Insert(mbr, payload);
+  std::vector<ObjectId> ids;
+  ZDB_ASSIGN_OR_RETURN(ids, Apply(batch, Durability::kPublished));
+  return ids[0];
 }
 
 Result<ObjectId> DB::InsertPolygon(const Polygon& poly) {
@@ -194,13 +216,9 @@ Result<ObjectId> DB::InsertPolygon(const Polygon& poly) {
 }
 
 Status DB::Erase(ObjectId oid) {
-  if (impl_->has_sink.load(std::memory_order_acquire)) {
-    WriteBatch batch;
-    batch.Erase(oid);
-    return Apply(batch, Durability::kPublished).status();
-  }
-  if (impl_->sharded) return impl_->router->Erase(oid);
-  return index()->Erase(oid);
+  WriteBatch batch;
+  batch.Erase(oid);
+  return Apply(batch, Durability::kPublished).status();
 }
 
 Status DB::BulkLoad(const std::vector<Rect>& data, double fill) {
@@ -215,9 +233,9 @@ Status DB::BulkLoad(const std::vector<Rect>& data, double fill) {
 
 Result<std::vector<ObjectId>> DB::Apply(const WriteBatch& batch,
                                         Durability durability) {
+  ZDB_RETURN_IF_ERROR(CheckInsertOids(batch, false));
   if (!impl_->has_sink.load(std::memory_order_acquire)) {
-    if (impl_->sharded) return impl_->router->Apply(batch, durability);
-    return index()->ApplyBatch(batch, durability);
+    return impl_->Apply(batch, durability);
   }
 
   // Sink attached: publish and emit under repl_mu_ so OnCommit sees
@@ -227,18 +245,12 @@ Result<std::vector<ObjectId>> DB::Apply(const WriteBatch& batch,
   Result<std::vector<ObjectId>> r = std::vector<ObjectId>{};
   {
     MutexLock lock(impl_->repl_mu_);
-    if (impl_->sink == nullptr) {
-      // Detached between the fast-path check and the lock.
-      lock.Unlock();
-      if (impl_->sharded) return impl_->router->Apply(batch, durability);
-      return index()->ApplyBatch(batch, durability);
-    }
-    r = impl_->sharded
-            ? impl_->router->Apply(batch, Durability::kPublished)
-            : index()->ApplyBatch(batch, Durability::kPublished);
-    if (!r.ok()) return r;
-    if (!batch.empty()) {
-      publish_epoch = write_epoch();
+    r = impl_->Apply(batch, Durability::kPublished);
+    if (!r.ok() || batch.empty()) return r;
+    publish_epoch = write_epoch();
+    // The sink may have detached between the fast-path check and the
+    // lock; the batch is then simply not reported.
+    if (impl_->sink != nullptr) {
       WriteBatch resolved = batch;
       size_t next_inserted = 0;
       for (WriteOp& op : resolved.ops) {
@@ -249,7 +261,7 @@ Result<std::vector<ObjectId>> DB::Apply(const WriteBatch& batch,
       impl_->sink->OnCommit(publish_epoch, resolved);
     }
   }
-  if (durability == Durability::kDurable && !batch.empty()) {
+  if (durability == Durability::kDurable) {
     ZDB_RETURN_IF_ERROR(WaitDurable(publish_epoch));
   }
   return r;
@@ -268,15 +280,8 @@ Status DB::SetCommitSink(CommitSink* sink) {
 }
 
 Result<std::vector<ObjectId>> DB::ApplyReplicated(const WriteBatch& batch) {
-  for (const WriteOp& op : batch.ops) {
-    if (op.kind == WriteOp::Kind::kInsert &&
-        op.preassigned == kNoPreassignedOid) {
-      return Status::InvalidArgument(
-          "replicated insert lacks a leader-assigned oid");
-    }
-  }
-  if (impl_->sharded) return impl_->router->ApplyReplicated(batch);
-  return index()->ApplyBatch(batch, Durability::kPublished);
+  ZDB_RETURN_IF_ERROR(CheckInsertOids(batch, true));
+  return impl_->Apply(batch, Durability::kPublished, true);
 }
 
 // ------------------------------------------------------------ durability

@@ -186,9 +186,10 @@ class DB {
 
   // ------------------------------------------------------------- updates
 
-  /// Single-object mutations. With the pipeline running these are
-  /// acknowledged at publish time (durable asynchronously); use Apply
-  /// with kDurable — or Checkpoint() — to block on durability.
+  /// Single-object mutations. Insert and Erase are one-op batches,
+  /// Apply(…, kPublished): acknowledged once readers can see them (with
+  /// the pipeline running, durable asynchronously); use Apply with
+  /// kDurable — or Checkpoint() — to block on durability.
   [[nodiscard]] Result<ObjectId> Insert(const Rect& mbr, uint32_t payload = 0);
   [[nodiscard]] Result<ObjectId> InsertPolygon(const Polygon& poly);
   [[nodiscard]] Status Erase(ObjectId oid);
@@ -201,7 +202,9 @@ class DB {
   /// (default) returns once the batch is fsynced on every involved
   /// shard; kPublished returns once readers can see it (the batch
   /// becomes durable asynchronously and rolls back as a unit if a
-  /// crash beats the fsync).
+  /// crash beats the fsync). The DB assigns every inserted oid: an
+  /// insert carrying WriteOp::preassigned fails with InvalidArgument on
+  /// any shard count (only ApplyReplicated takes oids).
   [[nodiscard]] Result<std::vector<ObjectId>> Apply(
       const WriteBatch& batch, Durability durability = Durability::kDurable);
 
@@ -290,7 +293,6 @@ class DB {
 
   struct Impl;  ///< owns the router (which owns the shard engines)
   std::unique_ptr<Impl> impl_;
-  bool journaled_ = false;
 };
 
 }  // namespace zdb

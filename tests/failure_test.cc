@@ -11,6 +11,7 @@
 #include "btree/btree.h"
 #include "common/random.h"
 #include "core/spatial_index.h"
+#include "fault_file.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
 #include "workload/datagen.h"
@@ -18,52 +19,12 @@
 namespace zdb {
 namespace {
 
-/// Delegating file that fails all I/O after `budget` operations.
-class FailingFile : public File {
- public:
-  explicit FailingFile(int64_t budget)
-      : inner_(std::make_unique<MemFile>()), budget_(budget) {}
-
-  Status Read(uint64_t offset, size_t n, char* buf) const override {
-    if (Spend()) return Status::IOError("injected read failure");
-    return inner_->Read(offset, n, buf);
-  }
-  Status Write(uint64_t offset, const char* data, size_t n) override {
-    if (Spend()) return Status::IOError("injected write failure");
-    return inner_->Write(offset, data, n);
-  }
-  uint64_t Size() const override { return inner_->Size(); }
-  Status Truncate(uint64_t size) override {
-    if (Spend()) return Status::IOError("injected truncate failure");
-    return inner_->Truncate(size);
-  }
-
-  /// Re-arms or disables the failure countdown without touching data.
-  void set_budget(int64_t b) { budget_ = b; }
-
-  Status Sync() override {
-    if (Spend()) return Status::IOError("injected sync failure");
-    return inner_->Sync();
-  }
-
- private:
-  bool Spend() const {
-    if (budget_ < 0) return false;  // disabled
-    if (budget_ == 0) return true;
-    --budget_;
-    return false;
-  }
-
-  std::unique_ptr<MemFile> inner_;
-  mutable int64_t budget_;
-};
-
 TEST(FailureInjection, BTreeInsertsSurfaceIOErrors) {
   // Sweep the failure point across the build; every outcome must be a
   // clean Status, and successful prefixes must stay readable via the
   // pool (which still holds the pages in memory).
   for (int64_t budget : {0, 1, 3, 10, 50, 200}) {
-    auto file = std::make_unique<FailingFile>(budget);
+    auto file = std::make_unique<FaultFile>(budget);
     auto pager_r = Pager::Open(std::move(file), 512);
     if (!pager_r.ok()) {
       EXPECT_TRUE(pager_r.status().IsIOError());
@@ -97,8 +58,8 @@ TEST(FailureInjection, BTreeInsertsSurfaceIOErrors) {
 }
 
 TEST(FailureInjection, QueriesSurfaceIOErrors) {
-  auto file = std::make_unique<FailingFile>(-1);  // start healthy
-  FailingFile* raw = file.get();
+  auto file = std::make_unique<FaultFile>(-1);  // start healthy
+  FaultFile* raw = file.get();
   auto pager = Pager::Open(std::move(file), 512).value();
   BufferPool pool(pager.get(), 4);
   SpatialIndexOptions opt;
@@ -124,8 +85,8 @@ TEST(FailureInjection, QueriesSurfaceIOErrors) {
 }
 
 TEST(FailureInjection, PoolReportsWriteBackFailures) {
-  auto file = std::make_unique<FailingFile>(-1);
-  FailingFile* raw = file.get();
+  auto file = std::make_unique<FaultFile>(-1);
+  FaultFile* raw = file.get();
   auto pager = Pager::Open(std::move(file), 512).value();
   BufferPool pool(pager.get(), 2);
 

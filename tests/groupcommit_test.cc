@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/spatial_index.h"
+#include "fault_file.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
 #include "zdb/db.h"
@@ -28,44 +29,13 @@
 namespace zdb {
 namespace {
 
-/// Journal file whose header write can be made to fail on demand. The
-/// header is written at offset 0 only by Pager::BeginBatch, so this
-/// fails exactly the re-arm that follows a group's journal commit.
-class RearmFailingFile : public File {
- public:
-  Status Read(uint64_t offset, size_t n, char* buf) const override {
-    return inner_.Read(offset, n, buf);
-  }
-  Status Write(uint64_t offset, const char* data, size_t n) override {
-    if (offset == 0 && fail_rearm_.load(std::memory_order_acquire)) {
-      return Status::IOError("injected journal re-arm failure");
-    }
-    return inner_.Write(offset, data, n);
-  }
-  uint64_t Size() const override { return inner_.Size(); }
-  Status Truncate(uint64_t size) override { return inner_.Truncate(size); }
-  Status Sync() override { return inner_.Sync(); }
-
-  void FailRearm(bool fail) {
-    fail_rearm_.store(fail, std::memory_order_release);
-  }
-  std::vector<char> Snapshot() const { return inner_.Snapshot(); }
-  void RestoreSnapshot(const std::vector<char>& image) {
-    inner_.RestoreSnapshot(image);
-  }
-
- private:
-  MemFile inner_;
-  std::atomic<bool> fail_rearm_{false};
-};
-
 /// Journaled in-memory rig with crash simulation, plus a group-commit
 /// aware baseline builder (the baseline commits synchronously BEFORE the
 /// pipeline starts, so it is the initial durable group boundary).
 struct GroupRig {
   GroupRig() {
     auto db_file = std::make_unique<MemFile>();
-    auto journal_file = std::make_unique<RearmFailingFile>();
+    auto journal_file = std::make_unique<FaultFile>();
     db = db_file.get();
     journal = journal_file.get();
     pager =
@@ -102,7 +72,7 @@ struct GroupRig {
   std::unique_ptr<SpatialIndex> Reopen() {
     auto db_copy = std::make_unique<MemFile>();
     db_copy->RestoreSnapshot(db_snapshot);
-    auto journal_copy = std::make_unique<RearmFailingFile>();
+    auto journal_copy = std::make_unique<FaultFile>();
     journal_copy->RestoreSnapshot(journal_snapshot);
     db = db_copy.get();
     journal = journal_copy.get();
@@ -114,7 +84,7 @@ struct GroupRig {
   }
 
   MemFile* db;
-  RearmFailingFile* journal;
+  FaultFile* journal;
   std::unique_ptr<Pager> pager;
   std::unique_ptr<BufferPool> pool;
   PageId master = kInvalidPageId;
@@ -464,57 +434,6 @@ TEST(GroupCommit, DbFacadeRunsThePipeline) {
   EXPECT_TRUE(db2->Checkpoint().ok());
 }
 
-/// Delegating file that fails I/O after `budget` operations: every
-/// operation from then on (a dead disk), or only that one (a transient
-/// fault). Snapshots let crashes be simulated on top of the injected
-/// failures. The budget is atomic: the pipeline thread spends it.
-class FailingFile : public File {
- public:
-
-  Status Read(uint64_t offset, size_t n, char* buf) const override {
-    if (Spend()) return Status::IOError("injected read failure");
-    return inner_.Read(offset, n, buf);
-  }
-  Status Write(uint64_t offset, const char* data, size_t n) override {
-    if (Spend()) return Status::IOError("injected write failure");
-    return inner_.Write(offset, data, n);
-  }
-  uint64_t Size() const override { return inner_.Size(); }
-  Status Truncate(uint64_t size) override {
-    if (Spend()) return Status::IOError("injected truncate failure");
-    return inner_.Truncate(size);
-  }
-  Status Sync() override {
-    if (Spend()) return Status::IOError("injected sync failure");
-    return inner_.Sync();
-  }
-
-  /// Re-arms (b >= 0) or disables (b < 0) the failure countdown
-  /// without touching data. A transient fault fails one operation only.
-  void set_budget(int64_t b, bool transient = false) {
-    transient_.store(transient);
-    budget_.store(b);
-  }
-
-  std::vector<char> Snapshot() const { return inner_.Snapshot(); }
-
- private:
-  bool Spend() const {
-    const int64_t b = budget_.load();
-    if (b < 0) return false;  // disabled
-    if (b == 0) {
-      if (transient_.load()) budget_.store(-1);
-      return true;
-    }
-    budget_.store(b - 1);
-    return false;
-  }
-
-  MemFile inner_;
-  mutable std::atomic<int64_t> budget_{-1};
-  std::atomic<bool> transient_{false};
-};
-
 TEST(GroupCommit, MidBatchIoFailureRollsBackMemoryAndDisk) {
   // Sweep an I/O-failure point across one durable ApplyBatch, on the
   // pipeline thread and on inline groups of one. Whatever the point —
@@ -535,8 +454,8 @@ TEST(GroupCommit, MidBatchIoFailureRollsBackMemoryAndDisk) {
     for (int64_t budget : {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512,
                            1024, 2048, 4096}) {
       SCOPED_TRACE(transient ? "transient" : "dead disk");
-      auto db_file = std::make_unique<FailingFile>();
-      FailingFile* db = db_file.get();
+      auto db_file = std::make_unique<FaultFile>();
+      FaultFile* db = db_file.get();
       auto journal_file = std::make_unique<MemFile>();
       MemFile* journal = journal_file.get();
       auto pager =

@@ -129,11 +129,19 @@ TEST(ShardOpen, RejectsBadShardCounts) {
   EXPECT_TRUE(DB::Open("", opt).status().IsInvalidArgument());
 }
 
+// The DB assigns oids on every shard count: a caller-chosen oid could
+// name any slot (an oid near 2^32 sizes the store directory to it).
+// Only ApplyReplicated takes oids, the leader's.
 TEST(ShardOpen, RejectsPreassignedOidsInBatches) {
-  auto db = DB::Open("", MemShardOptions(4)).value();
-  WriteBatch batch;
-  batch.InsertWithOid(Rect{0.1, 0.1, 0.2, 0.2}, 7);
-  EXPECT_TRUE(db->Apply(batch).status().IsInvalidArgument());
+  for (uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    auto db = DB::Open("", MemShardOptions(shards)).value();
+    WriteBatch batch;
+    batch.InsertWithOid(Rect{0.1, 0.1, 0.2, 0.2}, 7);
+    EXPECT_TRUE(db->Apply(batch).status().IsInvalidArgument());
+    EXPECT_EQ(db->object_count(), 0u);
+    EXPECT_EQ(db->write_epoch(), 0u);
+  }
 }
 
 // A non-finite point has no grid cell and so no shard: the router rejects
