@@ -317,7 +317,7 @@ int main(int argc, char** argv) {
       Status s = db->Erase(oid);
       std::printf("%s\n", s.ok() ? "ok" : s.ToString().c_str());
     } else if (cmd == "stats") {
-      if (db->sharded()) {
+      if (db->shards() > 1) {
         const DBStats agg = db->Stats();
         std::printf(
             "objects %llu, index entries %llu (summed over %u shards), "

@@ -63,6 +63,16 @@ struct IoStats {
            page_writes.load(std::memory_order_relaxed);
   }
 
+  /// Adds `o`'s counters (sums the I/O of several pagers).
+  void Add(const IoStats& o) {
+    constexpr auto kRelaxed = std::memory_order_relaxed;
+    page_reads.fetch_add(o.page_reads.load(kRelaxed), kRelaxed);
+    page_writes.fetch_add(o.page_writes.load(kRelaxed), kRelaxed);
+    pool_hits.fetch_add(o.pool_hits.load(kRelaxed), kRelaxed);
+    pool_misses.fetch_add(o.pool_misses.load(kRelaxed), kRelaxed);
+    pool_evictions.fetch_add(o.pool_evictions.load(kRelaxed), kRelaxed);
+  }
+
   /// Difference since a snapshot; used to attribute I/O to one operation.
   IoStats Since(const IoStats& snap) const {
     IoStats d;

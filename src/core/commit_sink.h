@@ -13,11 +13,12 @@
 //     replication mutex — it must not call back into the DB, and it
 //     should be cheap (copy/enqueue, not serialize-and-send; the log
 //     shipper does its encoding on a dedicated thread).
-//   * `epoch` is the DB's publish epoch observed immediately after the
-//     batch published (the shard router's batch counter on a sharded
-//     DB). Epochs are strictly increasing across OnCommit calls but may
-//     have holes: the engine also bumps its epoch on group rollbacks,
-//     which produce no record.
+//   * `epoch` is DB::write_epoch() observed immediately after the batch
+//     published: the engine's epoch on a one-shard DB, the shard
+//     router's batch counter on a sharded one. Epochs are strictly
+//     increasing across OnCommit calls but may have holes: a one-shard
+//     DB's engine also bumps its epoch on group rollbacks, which
+//     produce no record.
 //   * Durability is NOT implied: the batch is reader-visible but may
 //     still roll back if the process crashes before its group fsync.
 //     A follower replica therefore tracks the leader's *published*

@@ -310,6 +310,7 @@ Status SpatialIndex::RollbackGroupLocked(const Status& cause) {
                 : Status::Corruption("group rollback failed (" +
                                      cause.ToString() +
                                      "): " + undo.ToString());
+  rollbacks_.fetch_add(1, std::memory_order_release);
   PublishWrite();
   {
     MutexLock gl(gc_mu_);

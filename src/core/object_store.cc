@@ -59,6 +59,11 @@ Status ObjectStore::InsertAt(ObjectId oid, const Rect& mbr,
   return Status::OK();
 }
 
+uint32_t ObjectStore::size() const {
+  const SnapshotView* v = SnapshotView::FindObjects(this);
+  return v != nullptr ? v->meta->obj_next_oid : next_oid_;
+}
+
 Result<ObjectRecord> ObjectStore::Fetch(ObjectId oid) {
   // Under an installed snapshot view, resolve through the pinned meta:
   // the live directory/append cursor may already describe later epochs.

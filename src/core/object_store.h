@@ -44,7 +44,8 @@ class ObjectStore {
 
   /// One past the highest id ever written (including dead records and,
   /// in sharded stores, ids this store never saw — those read as holes).
-  uint32_t size() const { return next_oid_; }
+  /// Like Fetch, it answers at the thread's installed snapshot view.
+  uint32_t size() const;
 
   /// Heap pages allocated.
   uint32_t page_count() const {

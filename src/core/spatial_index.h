@@ -307,6 +307,12 @@ class SpatialIndex {
     return write_epoch_.load(std::memory_order_acquire);
   }
 
+  /// Group rollbacks run so far. Each one reloads the index from its
+  /// last durable group, dropping every write published after it.
+  uint64_t rollbacks() const {
+    return rollbacks_.load(std::memory_order_acquire);
+  }
+
   // ------------------------------------------------------ snapshot reads
   //
   // Epoch-pinned reads are the only read path of the queries: queries
@@ -784,6 +790,7 @@ class SpatialIndex {
   /// threads without a lock; writers mutate it under commit_mu_.
   std::atomic<uint64_t> live_objects_{0};
   std::atomic<uint64_t> write_epoch_{0};
+  std::atomic<uint64_t> rollbacks_{0};
 
   /// Pin accounting, per-epoch snapshot metas and the version GC
   /// thread. Set by Create()/Open() before the index is handed out,

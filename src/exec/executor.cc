@@ -123,7 +123,7 @@ Result<std::vector<ObjectId>> QueryExecutor::ParallelWindowBody(
   // Pin one epoch per participating shard: each shard's plan/slice/
   // refine calls all observe that shard's pinned state — per-shard
   // consistency, not one cross-shard state (the scatter-gather contract,
-  // see shard/scatter.h). Every thread that calls a plan hook opens its
+  // see shard/router.cc). Every thread that calls a plan hook opens its
   // own snapshot scope under the shard's pin.
   EpochPinSet pins(ns);
   std::vector<WindowPlan> plans(ns);

@@ -1083,7 +1083,6 @@ std::string Server::StatsJson() const {
   w.Field("version_bytes", ds.version_bytes);
   w.Field("versions_reclaimed", ds.versions_reclaimed);
   w.EndObject();
-  IoStats io_total;
   w.Key("shards").BeginArray();
   const std::vector<shard::ShardCounters> per_shard = db_->ShardStats();
   for (size_t s = 0; s < per_shard.size(); ++s) {
@@ -1100,17 +1099,9 @@ std::string Server::StatsJson() const {
     w.Field("pins_taken", c.pins_taken);
     w.Field("page_versions", c.page_versions);
     w.EndObject();
-    const IoStats eio =
-        db_->router()->engine(static_cast<uint32_t>(s))->pager()->io_stats();
-    io_total.page_reads += eio.page_reads.load(std::memory_order_relaxed);
-    io_total.page_writes += eio.page_writes.load(std::memory_order_relaxed);
-    io_total.pool_hits += eio.pool_hits.load(std::memory_order_relaxed);
-    io_total.pool_misses += eio.pool_misses.load(std::memory_order_relaxed);
-    io_total.pool_evictions +=
-        eio.pool_evictions.load(std::memory_order_relaxed);
   }
   w.EndArray();
-  AppendJson(&w, "io", io_total);
+  AppendJson(&w, "io", db_->io_stats());
   w.EndObject();
 
   w.EndObject();

@@ -20,9 +20,10 @@
 //     inline, decoded requests pushed into the bounded admission queue.
 //   * a fixed worker pool pops requests from the queue and executes
 //     them against the DB — each WINDOW/POINT/KNN is one DB query that
-//     also reports the epoch range its answer reflects (one pinned
-//     epoch on a single-shard DB, the write_epoch() bracket of the
-//     scatter on a sharded one); windows of at least
+//     also reports the epoch range its answer reflects (the shard
+//     router fills it: one pinned epoch on a one-shard DB, the
+//     write_epoch() bracket of the scatter on a sharded one); windows
+//     of at least
 //     parallel_window_area run through the DB's QueryExecutor instead,
 //     bracketed by write_epoch(). Mutations go through DB::Apply. The
 //     reply is appended to the connection's write buffer and the
@@ -193,10 +194,10 @@ struct ServerCounters {
 
 class Server {
  public:
-  /// Serves `db`, sharded or not: queries and mutations go through the
-  /// DB facade (a sharded DB scatter-gathers, each shard engine pinning
-  /// its own epoch). The DB must outlive the server. Call Start() to
-  /// begin serving.
+  /// Serves `db`, whatever its shard count: queries and mutations go
+  /// through the DB facade, whose shard router scatter-gathers (each
+  /// shard engine pinning its own epoch). The DB must outlive the
+  /// server. Call Start() to begin serving.
   Server(DB* db, ServerOptions options);
 
   ~Server();

@@ -33,21 +33,25 @@ ShardEngine::~ShardEngine() {
 
 Result<std::unique_ptr<ShardEngine>> ShardEngine::Open(
     const std::string& path, const ShardEngineOptions& options) {
-  if (options.cache_pages == 0) {
-    return Status::InvalidArgument("cache_pages must be >= 1");
-  }
-  std::unique_ptr<ShardEngine> eng(new ShardEngine());
-
   std::unique_ptr<File> file, journal;
-  bool fresh = true;
   if (IsMemoryPath(path)) {
     file = std::make_unique<MemFile>();
     if (options.memory_journal) journal = std::make_unique<MemFile>();
   } else {
     ZDB_ASSIGN_OR_RETURN(file, PosixFile::Open(path));
     ZDB_ASSIGN_OR_RETURN(journal, PosixFile::Open(path + "-journal"));
-    fresh = file->Size() == 0;
   }
+  return Open(std::move(file), std::move(journal), options);
+}
+
+Result<std::unique_ptr<ShardEngine>> ShardEngine::Open(
+    std::unique_ptr<File> file, std::unique_ptr<File> journal,
+    const ShardEngineOptions& options) {
+  if (options.cache_pages == 0) {
+    return Status::InvalidArgument("cache_pages must be >= 1");
+  }
+  std::unique_ptr<ShardEngine> eng(new ShardEngine());
+  const bool fresh = file->Size() == 0;
   eng->journaled_ = journal != nullptr;
 
   // Pager::Open with a journal runs crash recovery: a batch interrupted

@@ -45,6 +45,14 @@ class ShardEngine {
   static Result<std::unique_ptr<ShardEngine>> Open(
       const std::string& path, const ShardEngineOptions& options);
 
+  /// Opens (or creates, if `file` is empty) one engine stack over the
+  /// given files; a null `journal` gives an unjournaled engine and
+  /// `options.memory_journal` is not consulted. For callers that bring
+  /// their own File, such as a failure-injecting one in tests.
+  static Result<std::unique_ptr<ShardEngine>> Open(
+      std::unique_ptr<File> file, std::unique_ptr<File> journal,
+      const ShardEngineOptions& options);
+
   /// Stops the group-commit pipeline before the storage stack goes.
   ~ShardEngine();
 

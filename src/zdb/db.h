@@ -30,17 +30,18 @@
 // DBOptions::memory_journal to get journaled crash-atomic batches and
 // the group-commit pipeline on an in-memory file (tests, benches).
 //
-// Sharding: DBOptions::shards > 1 partitions the z-order keyspace by
-// top-level Morton prefix into N independent shard engines (each its
-// own file, pager, buffer pool, index, epoch domain and group-commit
-// pipeline) behind this same facade — queries scatter to overlapping
-// shards and gather + dedup by oid, writes split by routing prefix and
-// fan out to the per-shard pipelines, and object ids stay byte-identical
-// to a single-shard DB's. On disk the main path holds a small manifest
-// and shard i lives at `path + ".shard<i>"`; a sharded file always
-// reopens sharded (the stored layout wins, like stored index options).
-// The default shards = 1 preserves today's one-file layout exactly.
-// See DESIGN.md "Sharded partitions".
+// Sharding: every DB is a shard::ShardRouter over N shard engines (each
+// its own file, pager, buffer pool, index, epoch domain and group-commit
+// pipeline); the default N = 1 is the degenerate partition, one engine
+// that owns the whole keyspace. DBOptions::shards > 1 partitions the
+// z-order keyspace by top-level Morton prefix — queries scatter to
+// overlapping shards and gather + dedup by oid, writes split by routing
+// prefix and fan out to the per-shard pipelines, and object ids stay
+// byte-identical to a single-shard DB's. On disk the main path of a
+// sharded DB holds a small manifest and shard i lives at
+// `path + ".shard<i>"`; a one-shard DB is one classic file with no
+// manifest. The stored layout wins on reopen, like stored index
+// options. See DESIGN.md "Sharded partitions".
 //
 // Every fallible entry point returns Status/Result<T> (common/status.h).
 
@@ -131,17 +132,6 @@ struct DBStats {
   uint64_t gc_cycles = 0;       ///< epoch-GC reclamation passes run
 };
 
-/// The write epochs a query answer reflects. A single-shard DB answers
-/// from one pinned epoch: first == last, and the answer is exactly that
-/// epoch's committed state. A sharded DB has no global pin: the range is
-/// write_epoch() read before and after the scatter, and each shard
-/// answers from its own state, which may already hold the batch then in
-/// flight (epoch last + 1) — see DESIGN.md "Sharded partitions".
-struct EpochRange {
-  uint64_t first = 0;
-  uint64_t last = 0;
-};
-
 class DB {
  public:
   /// Opens (or creates) a database. An empty path or ":memory:" gives an
@@ -153,6 +143,13 @@ class DB {
   [[nodiscard]] static Result<std::unique_ptr<DB>> Open(const std::string& path,
                                           const DBOptions& options = {});
 
+  /// Assembles a DB over engines the caller opened: one per shard, in
+  /// shard order (1..64), routed by engine 0's stored index options.
+  /// For tests and tools that open engines over their own File, such
+  /// as a failure-injecting one.
+  [[nodiscard]] static Result<std::unique_ptr<DB>> Open(
+      std::vector<std::unique_ptr<shard::ShardEngine>> engines);
+
   /// Stops the group-commit pipeline(s) (draining pending durability)
   /// and tears the stack down.
   ~DB();
@@ -163,7 +160,8 @@ class DB {
   // ------------------------------------------------------------- queries
   //
   // `epochs` (optional, on Window/Point/Nearest) receives the range of
-  // write epochs the answer reflects (see EpochRange).
+  // write epochs the answer reflects (see EpochRange, shard/router.h):
+  // first == last on a one-shard DB.
 
   /// All live objects whose MBR intersects `window`.
   [[nodiscard]] Result<std::vector<ObjectId>> Window(
@@ -221,8 +219,9 @@ class DB {
   [[nodiscard]] Status SetCommitSink(CommitSink* sink);
 
   /// Replays a leader-resolved batch on a follower replica: every insert
-  /// must carry its leader-assigned oid in WriteOp::preassigned, which
-  /// is what keeps replica object ids byte-identical to the leader's.
+  /// carries its leader-assigned oid in WriteOp::preassigned, which is
+  /// what keeps replica object ids byte-identical to the leader's. That
+  /// oid must be this DB's next one (Corruption otherwise).
   /// Publish-time semantics (durability follows asynchronously through
   /// the group-commit pipeline, exactly like the leader's own commit).
   [[nodiscard]] Result<std::vector<ObjectId>> ApplyReplicated(
@@ -237,8 +236,9 @@ class DB {
 
   /// Blocks until `epoch` is durable (see SpatialIndex::WaitDurable;
   /// OK at once on an unjournaled DB). timeout_ms 0 waits indefinitely.
-  /// On a sharded DB this waits on every shard's durable epoch as of
-  /// the call (conservative for older epochs).
+  /// A one-shard DB waits for exactly `epoch`; a sharded DB waits on
+  /// every shard's durable epoch as of the call (conservative for older
+  /// epochs). See ShardRouter::WaitDurable.
   [[nodiscard]] Status WaitDurable(uint64_t epoch, uint64_t timeout_ms = 0);
 
   // ------------------------------------------------------------ plumbing
@@ -248,7 +248,6 @@ class DB {
   /// Per-shard counter breakdown (one entry for a single-shard DB).
   std::vector<shard::ShardCounters> ShardStats() const;
 
-  bool sharded() const;
   uint32_t shards() const;
 
   uint64_t write_epoch() const;
@@ -258,8 +257,7 @@ class DB {
   /// sharded DB use Stats(), which aggregates).
   IndexBuildStats build_stats() const;
 
-  /// Cumulative page I/O counters of shard 0's pager (the only pager of
-  /// a single-shard DB).
+  /// Cumulative page I/O counters, summed over every shard's pager.
   IoStats io_stats() const;
 
   /// Benchmarking aid: simulated per-page-read device latency on every
@@ -277,21 +275,19 @@ class DB {
   /// executor must not outlive the DB.
   std::unique_ptr<QueryExecutor> NewExecutor(size_t threads);
 
-  /// Shard 0's index — the escape hatch for engine-level wiring and
-  /// diagnostics (LevelHistogram, btree stats). It is the whole engine
-  /// of a single-shard DB; on a sharded DB it sees only shard 0's
-  /// slice, so prefer the typed DB methods for data operations.
+  /// Shard 0's index — the escape hatch for diagnostics
+  /// (LevelHistogram, btree stats). It is the whole engine of a
+  /// one-shard DB and only shard 0's slice of a sharded one. Writes
+  /// must go through the DB: the router's oid cursor and owner masks
+  /// would not see a write made on the index directly.
   SpatialIndex* index();
-
-  /// The router behind a sharded DB; nullptr semantics never arise —
-  /// a single-shard DB has a router too (with one engine and trivial
-  /// routing). Engine-level wiring for the server and tests.
-  shard::ShardRouter* router();
 
  private:
   DB() = default;
 
-  struct Impl;  ///< owns the router (which owns the shard engines)
+  /// Owns the shard::ShardRouter, and through it the shard engines,
+  /// that every DB call goes through, one shard included.
+  struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 

@@ -26,9 +26,11 @@
 #include <vector>
 
 #include "client/client.h"
+#include "fault_file.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "server/server.h"
+#include "shard/engine.h"
 #include "workload/datagen.h"
 #include "workload/querygen.h"
 #include "workload/seed.h"
@@ -609,6 +611,92 @@ TEST(NetServer, ConcurrentMixedTrafficMatchesOracle) {
     SCOPED_TRACE(layout.name);
     ConcurrentMixedTraffic(layout, seed);
   }
+}
+
+/// Records the epoch of every batch a DB reports to its commit sink.
+struct EpochSink : CommitSink {
+  void OnCommit(uint64_t epoch, const WriteBatch&) override {
+    epochs.push_back(epoch);
+  }
+  std::vector<uint64_t> epochs;  // written under the DB's repl mutex
+};
+
+// A one-shard DB's epochs are its engine's. A group rollback moves the
+// engine epoch twice (the failed batch's publish, then the durable
+// state re-published) while the router counts one batch, so from then
+// on a router batch counter would name the wrong epochs. APPLY's
+// epoch_after, the commit sink's epoch and DB::write_epoch() must all
+// be the engine's, and a query must still name the one epoch it pinned.
+TEST(NetServer, OneShardEpochsAreTheEnginesAfterARollback) {
+  auto file = std::make_unique<FaultFile>();
+  FaultFile* faults = file.get();
+  shard::ShardEngineOptions eopt;
+  eopt.page_size = 512;
+  eopt.index.data = DecomposeOptions::SizeBound(8);
+  std::vector<std::unique_ptr<shard::ShardEngine>> engines;
+  engines.push_back(shard::ShardEngine::Open(std::move(file),
+                                             std::make_unique<MemFile>(), eopt)
+                        .value());
+  auto db = DB::Open(std::move(engines)).value();
+  EpochSink sink;
+  ASSERT_TRUE(db->SetCommitSink(&sink).ok());
+  ServerOptions sopt;
+  sopt.idle_timeout_ms = 0;
+  Server server(db.get(), sopt);
+  ASSERT_TRUE(server.Start().ok());
+  Client client =
+      Client::Connect("tcp://127.0.0.1:" + std::to_string(server.port()))
+          .value();
+  SpatialIndex* engine = db->index();
+
+  auto insert = [&](double x) {
+    WriteBatch batch;
+    batch.Insert(Rect{x, x, x + 0.05, x + 0.05});
+    return client.Apply(batch);
+  };
+  ASSERT_TRUE(insert(0.1).ok());
+  ASSERT_TRUE(insert(0.2).ok());
+
+  // The next file operation, the group's page write-back, fails once:
+  // the group rolls back and the rollback's own restore succeeds.
+  faults->set_budget(0, /*transient=*/true);
+  auto failed = insert(0.3);
+  faults->set_budget(-1);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().ToString().find("injected"), std::string::npos)
+      << failed.status().ToString();
+  EXPECT_EQ(engine->rollbacks(), 1u);
+  EXPECT_EQ(db->write_epoch(), engine->write_epoch());
+  EXPECT_EQ(db->object_count(), 2u);
+
+  auto applied = insert(0.4);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied->epoch_after, engine->write_epoch());
+  EXPECT_EQ(db->write_epoch(), engine->write_epoch());
+  ASSERT_FALSE(sink.epochs.empty());
+  EXPECT_EQ(sink.epochs.back(), engine->write_epoch());
+  // The rolled-back insert's oid is given out again, as the engine's
+  // own cursor would.
+  EXPECT_EQ(applied->inserted, std::vector<ObjectId>{2});
+  EXPECT_EQ(db->object_count(), 3u);
+
+  auto window = client.Window(Rect{0, 0, 1, 1});
+  ASSERT_TRUE(window.ok());
+  EXPECT_EQ(window->ids, (std::vector<ObjectId>{0, 1, 2}));
+  EXPECT_EQ(window->epoch_before, engine->write_epoch());
+  EXPECT_EQ(window->epoch_after, window->epoch_before);
+  auto point = client.Point(Point{0.42, 0.42});
+  ASSERT_TRUE(point.ok());
+  EXPECT_EQ(point->ids, std::vector<ObjectId>{2});
+  EXPECT_EQ(point->epoch_before, engine->write_epoch());
+  EXPECT_EQ(point->epoch_after, point->epoch_before);
+  auto nn = client.Nearest(Point{0.0, 0.0}, 2);
+  ASSERT_TRUE(nn.ok());
+  EXPECT_EQ(nn->epoch_before, engine->write_epoch());
+  EXPECT_EQ(nn->epoch_after, nn->epoch_before);
+
+  server.Stop();
+  ASSERT_TRUE(db->SetCommitSink(nullptr).ok());
 }
 
 // Graceful shutdown: a request in flight when Stop() begins completes

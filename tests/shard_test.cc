@@ -315,7 +315,7 @@ TEST(ShardPersist, ManifestRoundTripAndRecovery) {
     DBOptions opt;
     opt.shards = 4;
     auto db = DB::Open(file.path, opt).value();
-    ASSERT_TRUE(db->sharded());
+    ASSERT_EQ(db->shards(), 4u);
     WriteBatch init;
     for (const Rect& r : w.initial) init.Insert(r);
     ASSERT_TRUE(db->Apply(init).ok());
@@ -332,7 +332,6 @@ TEST(ShardPersist, ManifestRoundTripAndRecovery) {
     DBOptions opt;
     opt.shards = 1;
     auto db = DB::Open(file.path, opt).value();
-    EXPECT_TRUE(db->sharded());
     EXPECT_EQ(db->shards(), 4u);
     EXPECT_EQ(db->object_count(), w.states.back().size() + 1);
     for (size_t i = 0; i < w.windows.size(); ++i) {
@@ -360,7 +359,7 @@ TEST(ShardPersist, SingleShardFileStaysClassic) {
   {
     DBOptions opt;  // shards = 1
     auto db = DB::Open(file.path, opt).value();
-    ASSERT_FALSE(db->sharded());
+    ASSERT_EQ(db->shards(), 1u);
     ASSERT_TRUE(db->Insert(Rect{0.1, 0.1, 0.2, 0.2}).ok());
     ASSERT_TRUE(db->Checkpoint().ok());
   }
@@ -370,7 +369,6 @@ TEST(ShardPersist, SingleShardFileStaysClassic) {
     DBOptions opt;
     opt.shards = 4;
     auto db = DB::Open(file.path, opt).value();
-    EXPECT_FALSE(db->sharded());
     EXPECT_EQ(db->shards(), 1u);
     EXPECT_EQ(db->object_count(), 1u);
   }
@@ -397,30 +395,70 @@ TEST(ShardExecutor, ScatterGatherMatchesRouterAnswers) {
 
 // ------------------------------------------------------------------ stats
 
+// One body for every shard count: a one-shard DB's writes go through
+// the router too, so its per-shard batch counter moves like any other.
 TEST(ShardStats, AggregateAndPerShardCountersAgree) {
-  auto db = DB::Open("", MemShardOptions(4)).value();
-  WriteBatch batch;
-  batch.Insert(Rect{0.45, 0.45, 0.55, 0.55});  // replicated to all 4
-  batch.Insert(Rect{0.1, 0.1, 0.12, 0.12});    // one shard
-  ASSERT_TRUE(db->Apply(batch).ok());
+  for (uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    auto db = DB::Open("", MemShardOptions(shards)).value();
+    // The straddler is replicated to every shard; the bulk load is one
+    // batch on each of them.
+    ASSERT_TRUE(db->BulkLoad({Rect{0.45, 0.45, 0.55, 0.55}}).ok());
+    WriteBatch batch;
+    batch.Insert(Rect{0.1, 0.1, 0.12, 0.12});  // one shard
+    ASSERT_TRUE(db->Apply(batch).ok());
 
-  const DBStats s = db->Stats();
-  EXPECT_EQ(s.shards, 4u);
-  EXPECT_EQ(s.objects, 2u);  // deduped, not per-replica
-  EXPECT_TRUE(s.group_commit);
-  EXPECT_EQ(s.write_epoch, db->write_epoch());
+    const DBStats s = db->Stats();
+    EXPECT_EQ(s.shards, shards);
+    EXPECT_EQ(s.objects, 2u);  // deduped, not per-replica
+    EXPECT_TRUE(s.group_commit);
+    EXPECT_EQ(s.write_epoch, db->write_epoch());
 
-  const auto per_shard = db->ShardStats();
-  ASSERT_EQ(per_shard.size(), 4u);
-  uint64_t entries = 0, replicas = 0, batches = 0;
-  for (const auto& c : per_shard) {
-    entries += c.index_entries;
-    replicas += c.objects;
-    batches += c.batches;
+    const auto per_shard = db->ShardStats();
+    ASSERT_EQ(per_shard.size(), shards);
+    uint64_t entries = 0, replicas = 0, batches = 0;
+    for (const auto& c : per_shard) {
+      entries += c.index_entries;
+      replicas += c.objects;
+      batches += c.batches;
+    }
+    EXPECT_EQ(entries, s.index_entries);
+    EXPECT_EQ(replicas, shards + 1);  // N replicas + 1 one-shard object
+    EXPECT_EQ(batches, shards + 1);   // the load on N shards + the batch
   }
-  EXPECT_EQ(entries, s.index_entries);
-  EXPECT_EQ(replicas, 5u);  // 4 replicas + 1 single-shard object
-  EXPECT_GE(batches, 4u);   // the batch fanned out to every shard
+}
+
+// A well-formed leader stream names this replica's next oid for every
+// insert. Any other oid is rejected before it can size the router's
+// owner masks or a shard store's page directory, and leaves the replica
+// ready for the next valid record.
+TEST(ShardOpen, ReplicatedInsertsMustTakeTheNextOid) {
+  for (uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    auto db = DB::Open("", MemShardOptions(shards)).value();
+    auto replicate = [&](ObjectId oid) {
+      WriteBatch batch;
+      batch.InsertWithOid(Rect{0.4, 0.4, 0.6, 0.6}, oid);
+      return db->ApplyReplicated(batch);
+    };
+    EXPECT_TRUE(replicate(0x04000000).status().IsCorruption());
+    EXPECT_TRUE(replicate(1).status().IsCorruption());
+    EXPECT_EQ(db->object_count(), 0u);
+    EXPECT_EQ(db->write_epoch(), 0u);
+
+    auto r = replicate(0);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value(), std::vector<ObjectId>{0});
+    EXPECT_TRUE(replicate(0).status().IsCorruption());  // already taken
+    WriteBatch two;
+    two.InsertWithOid(Rect{0.1, 0.1, 0.2, 0.2}, 1);
+    two.InsertWithOid(Rect{0.7, 0.7, 0.8, 0.8}, 3);  // skips oid 2
+    EXPECT_TRUE(db->ApplyReplicated(two).status().IsCorruption());
+    EXPECT_EQ(db->object_count(), 1u);
+    EXPECT_EQ(replicate(1).value(), std::vector<ObjectId>{1});
+    EXPECT_EQ(db->Window(Rect{0, 0, 1, 1}).value(),
+              (std::vector<ObjectId>{0, 1}));
+  }
 }
 
 // ------------------------------------------------------- concurrent churn
