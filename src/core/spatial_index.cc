@@ -74,21 +74,27 @@ Status SpatialIndex::Erase(ObjectId oid) {
   MutexLock commit(commit_mu_);
   ZDB_RETURN_IF_ERROR(WritableLocked());
   WriterSection section(this);
-  const Status s = EraseLocked(oid);
+  const Result<ObjectRecord> rec = store_->Fetch(oid);
+  Status s = rec.status();
+  if (s.ok()) {
+    s = rec.value().live ? EraseLocked(oid, rec.value())
+                         : Status::NotFound("object already erased");
+  }
   ZDB_RETURN_IF_ERROR(PublishOrRollbackLocked(s, !PrevalidatedFailure(s)));
   section.End();
   return CommitInlineLocked();
 }
 
 Result<std::vector<ObjectId>> SpatialIndex::ApplyBatch(
-    const WriteBatch& batch, Durability durability) {
+    const WriteBatch& batch, Durability durability, uint64_t* epoch) {
   MutexLock commit(commit_mu_);
   ZDB_RETURN_IF_ERROR(WritableLocked());
   WriterSection section(this);
   // Predictable failures (invalid MBRs, unknown/dead/duplicate erases)
   // reject the whole batch before any op is applied, so they can never
   // leave a partial application.
-  ZDB_RETURN_IF_ERROR(ValidateBatchLocked(batch));
+  std::vector<ObjectRecord> erased;
+  ZDB_RETURN_IF_ERROR(ValidateBatchLocked(batch, &erased));
 
   std::vector<ObjectId> inserted;
   // A batch that validates empty is a no-op: nothing to apply, publish
@@ -99,32 +105,36 @@ Result<std::vector<ObjectId>> SpatialIndex::ApplyBatch(
   // mutations land in the buffer pool; the armed pager batch journals
   // before-images of any evicted page), then commit after it.
   ZDB_RETURN_IF_ERROR(
-      PublishOrRollbackLocked(ApplyOpsLocked(batch, &inserted), true));
-  const uint64_t epoch = write_epoch();
+      PublishOrRollbackLocked(ApplyOpsLocked(batch, erased, &inserted), true));
+  const uint64_t published = write_epoch();
+  if (epoch != nullptr) *epoch = published;
   section.End();
   ZDB_RETURN_IF_ERROR(CommitInlineLocked());
   commit.Unlock();
   if (durability == Durability::kDurable) {
-    ZDB_RETURN_IF_ERROR(WaitDurable(epoch));
+    ZDB_RETURN_IF_ERROR(WaitDurable(published));
   }
   return inserted;
 }
 
 Status SpatialIndex::ApplyOpsLocked(const WriteBatch& batch,
+                                    const std::vector<ObjectRecord>& erased,
                                     std::vector<ObjectId>* inserted) {
+  auto next_erased = erased.begin();
   for (const WriteOp& op : batch.ops) {
     if (op.kind == WriteOp::Kind::kInsert) {
       auto r = InsertLocked(op.mbr, op.payload, op.preassigned);
       if (!r.ok()) return r.status();
       inserted->push_back(r.value());
     } else {
-      ZDB_RETURN_IF_ERROR(EraseLocked(op.oid));
+      ZDB_RETURN_IF_ERROR(EraseLocked(op.oid, *next_erased++));
     }
   }
   return Status::OK();
 }
 
-Status SpatialIndex::ValidateBatchLocked(const WriteBatch& batch) {
+Status SpatialIndex::ValidateBatchLocked(const WriteBatch& batch,
+                                         std::vector<ObjectRecord>* records) {
   std::unordered_set<ObjectId> erased;
   for (const WriteOp& op : batch.ops) {
     if (op.kind == WriteOp::Kind::kInsert) {
@@ -147,6 +157,7 @@ Status SpatialIndex::ValidateBatchLocked(const WriteBatch& batch) {
       if (!erased.insert(op.oid).second) {
         return Status::NotFound("object erased twice in batch");
       }
+      records->push_back(rec);
     }
   }
   return Status::OK();
@@ -233,11 +244,7 @@ Result<ObjectId> SpatialIndex::InsertPolygonLocked(const Polygon& poly,
   return oid;
 }
 
-Status SpatialIndex::EraseLocked(ObjectId oid) {
-  ObjectRecord rec;
-  ZDB_ASSIGN_OR_RETURN(rec, store_->Fetch(oid));
-  if (!rec.live) return Status::NotFound("object already erased");
-
+Status SpatialIndex::EraseLocked(ObjectId oid, const ObjectRecord& rec) {
   // Recompute the (deterministic) decomposition to find the entries.
   Polygon poly;
   if (rec.kind == ObjectKind::kPolygon) {

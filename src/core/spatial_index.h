@@ -113,7 +113,7 @@ struct WriteOp {
   uint32_t payload = 0;  ///< kInsert: opaque application reference
   ObjectId oid = 0;      ///< kErase: the object to remove
   /// kInsert: store the object under this caller-chosen oid instead of
-  /// the store's append cursor. Used by the shard router, which assigns
+  /// the store's append cursor. Used by zdb::DB, which assigns
   /// global oids and replicates one object into every overlapping
   /// shard engine under the same id, and by replicas replaying a
   /// leader's oids. zdb::DB::Apply rejects it.
@@ -242,8 +242,15 @@ class SpatialIndex {
   /// then the recovery path. After the commit path has stopped
   /// (journal re-arm or rollback failure), every write fails with
   /// Unavailable.
+  ///
+  /// `epoch` (optional) receives the write epoch the batch published,
+  /// read under the writer lock: the exact target for a later
+  /// WaitDurable. write_epoch() read after the call may already name a
+  /// group rollback's re-publish, which reads as durable although the
+  /// batch was rolled back.
   Result<std::vector<ObjectId>> ApplyBatch(
-      const WriteBatch& batch, Durability durability = Durability::kDurable);
+      const WriteBatch& batch, Durability durability = Durability::kDurable,
+      uint64_t* epoch = nullptr);
 
   // ------------------------------------------------------- group commit
   //
@@ -518,7 +525,9 @@ class SpatialIndex {
                                        ObjectId preassigned =
                                            kNoPreassignedOid)
       REQUIRES(commit_mu_);
-  Status EraseLocked(ObjectId oid) REQUIRES(commit_mu_);
+  /// Erases live object `oid`, whose record `rec` the caller fetched.
+  Status EraseLocked(ObjectId oid, const ObjectRecord& rec)
+      REQUIRES(commit_mu_);
 
   /// An object's data-side z-elements and their dead-space error.
   struct ObjectElements {
@@ -549,15 +558,21 @@ class SpatialIndex {
 
   /// Rejects a batch whose ops would fail mid-application: invalid
   /// insert MBRs, erases of unknown/dead oids, duplicate erases. Reads
-  /// only; nothing is applied.
-  Status ValidateBatchLocked(const WriteBatch& batch) REQUIRES(commit_mu_);
+  /// only; nothing is applied. Appends the record of every erased
+  /// object to *records, in op order, so the apply step need not fetch
+  /// it again.
+  Status ValidateBatchLocked(const WriteBatch& batch,
+                             std::vector<ObjectRecord>* records)
+      REQUIRES(commit_mu_);
 
-  /// Applies a validated batch's ops in order, appending inserted oids
-  /// to *inserted; stops at the first failure (possibly mid-batch — the
-  /// caller owns rollback). Split out of ApplyBatch so the loop is a
+  /// Applies a validated batch's ops in order, taking each erase's
+  /// record from `erased` (ValidateBatchLocked's) and appending inserted
+  /// oids to *inserted; stops at the first failure (possibly mid-batch —
+  /// the caller owns rollback). Split out of ApplyBatch so the loop is a
   /// checkable function instead of a lambda (the analysis does not
   /// propagate locksets into lambdas).
   Status ApplyOpsLocked(const WriteBatch& batch,
+                        const std::vector<ObjectRecord>& erased,
                         std::vector<ObjectId>* inserted) REQUIRES(commit_mu_);
 
   /// Re-reads the dynamic index state (B+-tree meta, store directories,

@@ -123,7 +123,7 @@ Result<std::vector<ObjectId>> QueryExecutor::ParallelWindowBody(
   // Pin one epoch per participating shard: each shard's plan/slice/
   // refine calls all observe that shard's pinned state — per-shard
   // consistency, not one cross-shard state (the scatter-gather contract,
-  // see shard/router.cc). Every thread that calls a plan hook opens its
+  // see zdb/db.h). Every thread that calls a plan hook opens its
   // own snapshot scope under the shard's pin.
   EpochPinSet pins(ns);
   std::vector<WindowPlan> plans(ns);
@@ -205,7 +205,7 @@ Result<std::vector<ObjectId>> QueryExecutor::ParallelWindowBody(
   }));
 
   // Each oid was refined exactly once, so a plain sort yields the same
-  // sorted-unique answer SpatialIndex::WindowQuery (and the router's
+  // sorted-unique answer SpatialIndex::WindowQuery (and DB::Window's
   // scatter path) returns. One shard's chunks are contiguous ranges of
   // its sorted candidates: concatenated in order, they are sorted.
   std::vector<ObjectId> results;

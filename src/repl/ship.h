@@ -23,8 +23,8 @@
 // floor gets a typed NotFound ("log truncated"): it must resync from a
 // fresh copy of the leader, it cannot be caught up incrementally.
 //
-// Lock order: ship_mu_ is acquired after the DB's replication mutex
-// (OnCommit runs under it) and before nothing — the send callbacks
+// Lock order: ship_mu_ is acquired after the DB's write mutex (OnCommit
+// runs under it) and before nothing — the send callbacks
 // that take connection locks run outside ship_mu_. The negative-compile
 // suite (tests/static_analysis/repl_cursor_unlocked.cc) pins the
 // cursor-map discipline.

@@ -895,7 +895,7 @@ std::string Server::ExecuteRequest(const Frame& frame, bool* is_error) {
       // kDurable blocks this worker until the batch's group commits (on
       // the pipeline thread, or inline as a group of one); kPublished
       // acks as soon as readers can see the batch. Sharded batches split
-      // by routing prefix inside the router and overlap their per-shard
+      // by routing prefix inside the DB and overlap their per-shard
       // fsyncs. The DB facade is also where the replication commit sink
       // hooks in.
       auto r = db_->Apply(batch, durability);

@@ -20,8 +20,8 @@
 //     inline, decoded requests pushed into the bounded admission queue.
 //   * a fixed worker pool pops requests from the queue and executes
 //     them against the DB — each WINDOW/POINT/KNN is one DB query that
-//     also reports the epoch range its answer reflects (the shard
-//     router fills it: one pinned epoch on a one-shard DB, the
+//     also reports the epoch range its answer reflects (the DB
+//     fills it: one pinned epoch on a one-shard DB, the
 //     write_epoch() bracket of the scatter on a sharded one); windows
 //     of at least
 //     parallel_window_area run through the DB's QueryExecutor instead,
@@ -195,7 +195,7 @@ struct ServerCounters {
 class Server {
  public:
   /// Serves `db`, whatever its shard count: queries and mutations go
-  /// through the DB facade, whose shard router scatter-gathers (each
+  /// through the DB facade, which scatter-gathers over its shards (each
   /// shard engine pinning its own epoch). The DB must outlive the
   /// server. Call Start() to begin serving.
   Server(DB* db, ServerOptions options);

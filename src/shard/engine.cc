@@ -32,7 +32,7 @@ ShardEngine::~ShardEngine() {
 }
 
 Result<std::unique_ptr<ShardEngine>> ShardEngine::Open(
-    const std::string& path, const ShardEngineOptions& options) {
+    const std::string& path, const DBOptions& options) {
   std::unique_ptr<File> file, journal;
   if (IsMemoryPath(path)) {
     file = std::make_unique<MemFile>();
@@ -46,10 +46,8 @@ Result<std::unique_ptr<ShardEngine>> ShardEngine::Open(
 
 Result<std::unique_ptr<ShardEngine>> ShardEngine::Open(
     std::unique_ptr<File> file, std::unique_ptr<File> journal,
-    const ShardEngineOptions& options) {
-  if (options.cache_pages == 0) {
-    return Status::InvalidArgument("cache_pages must be >= 1");
-  }
+    const DBOptions& options) {
+  ZDB_RETURN_IF_ERROR(options.Validate());
   std::unique_ptr<ShardEngine> eng(new ShardEngine());
   const bool fresh = file->Size() == 0;
   eng->journaled_ = journal != nullptr;

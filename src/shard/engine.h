@@ -4,11 +4,10 @@
 // rollback journal, Pager, BufferPool, SpatialIndex, group-commit
 // pipeline, epoch manager. zdb::DB always runs on ShardEngines: a
 // single-shard DB owns exactly one (today's one-file layout, unchanged),
-// a sharded DB owns N of them behind a ShardRouter, each with its own
-// file pair, fsync pipeline and epoch domain. Every shard file is a
-// standalone database file: the catalog-page format is byte-identical
-// to a single-shard DB's, so a shard can be opened and inspected as an
-// ordinary DB.
+// a sharded DB owns N of them, each with its own file pair, fsync
+// pipeline and epoch domain. Every shard file is a standalone database
+// file: the catalog-page format is byte-identical to a single-shard
+// DB's, so a shard can be opened and inspected as an ordinary DB.
 
 #ifndef ZDB_SHARD_ENGINE_H_
 #define ZDB_SHARD_ENGINE_H_
@@ -19,21 +18,10 @@
 #include "core/spatial_index.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
+#include "zdb/options.h"
 
 namespace zdb {
 namespace shard {
-
-/// Per-engine configuration (the engine-level subset of zdb::DBOptions;
-/// DB::Open maps one onto the other).
-struct ShardEngineOptions {
-  SpatialIndexOptions index;
-  uint32_t page_size = kDefaultPageSize;
-  size_t cache_pages = 256;
-  bool memory_journal = false;
-  /// Journaled engines only: true runs the group-commit pipeline thread;
-  /// false commits every batch inline as a group of one.
-  bool group_commit = true;
-};
 
 class ShardEngine {
  public:
@@ -41,9 +29,10 @@ class ShardEngine {
   /// is an in-memory engine (journaled only with memory_journal);
   /// anything else is a file whose rollback journal lives at
   /// `path + "-journal"` — crash recovery for this shard runs here,
-  /// independent of every other shard.
+  /// independent of every other shard. Every DBOptions field but
+  /// `shards` configures the engine; the DB opens one per shard.
   static Result<std::unique_ptr<ShardEngine>> Open(
-      const std::string& path, const ShardEngineOptions& options);
+      const std::string& path, const DBOptions& options);
 
   /// Opens (or creates, if `file` is empty) one engine stack over the
   /// given files; a null `journal` gives an unjournaled engine and
@@ -51,7 +40,7 @@ class ShardEngine {
   /// their own File, such as a failure-injecting one in tests.
   static Result<std::unique_ptr<ShardEngine>> Open(
       std::unique_ptr<File> file, std::unique_ptr<File> journal,
-      const ShardEngineOptions& options);
+      const DBOptions& options);
 
   /// Stops the group-commit pipeline before the storage stack goes.
   ~ShardEngine();

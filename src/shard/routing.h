@@ -8,7 +8,7 @@
 // redundant decomposition already splits an object's z-elements on
 // prefix boundaries, a boundary-straddling object simply belongs to
 // every shard whose prefix region its MBR's grid rectangle intersects;
-// the router replicates the whole object into each of those engines
+// the DB replicates the whole object into each of those engines
 // under its global oid and queries dedup by oid at gather time.
 //
 // Everything here is immutable after construction and safe to share

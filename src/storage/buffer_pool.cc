@@ -220,13 +220,15 @@ void BufferPool::Republish(Shard& s, Frame& f, PageId id,
   // storage/snapshot.h); a reader re-checking the count after this
   // store retries, and the retired buffer's scan comes later still.
   f.seq.store(seq + 1, std::memory_order_seq_cst);
-  std::atomic_thread_fence(std::memory_order_release);
 #ifndef NDEBUG
   if (fresh) fresh.clear_snapshot_read();
 #endif
   PageBuffer old = std::exchange(f.buf, std::move(fresh));
-  f.id.store(id, std::memory_order_relaxed);
-  f.bytes.store(f.buf ? f.buf.data() : nullptr, std::memory_order_relaxed);
+  const char* bytes = f.buf ? f.buf.data() : nullptr;
+  // Release: a reader whose acquire load sees the new id or buffer also
+  // sees the odd count above, and retries.
+  f.id.store(id, std::memory_order_release);
+  f.bytes.store(bytes, std::memory_order_release);
   // Release: a reader that reads this count sees the buffer's bytes.
   f.seq.store(seq + 2, std::memory_order_release);
   if (old) Retire(std::move(old));
@@ -421,12 +423,12 @@ Result<PageRef> BufferPool::SnapshotFetch(const SnapshotView& view,
   for (int64_t fi; hazard != nullptr && (fi = IndexFind(s, id)) >= 0;) {
     Frame& f = frames_[fi];
     const uint64_t seq = f.seq.load(std::memory_order_acquire);
-    const PageId page = f.id.load(std::memory_order_relaxed);
-    const char* bytes = f.bytes.load(std::memory_order_relaxed);
+    // Acquire: the count re-read below cannot move above these loads.
+    const PageId page = f.id.load(std::memory_order_acquire);
+    const char* bytes = f.bytes.load(std::memory_order_acquire);
     if ((seq & 1) != 0) continue;  // a writer is republishing the frame
     if (page != id || bytes == nullptr) break;  // stale probe: lock
     hazard->store(bytes, std::memory_order_seq_cst);
-    std::atomic_thread_fence(std::memory_order_acquire);
     if (f.seq.load(std::memory_order_seq_cst) != seq) continue;
     // `bytes` were page `id`'s published buffer after the announce, so
     // no scan can reuse them now. The chain comes next (see the live

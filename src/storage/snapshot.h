@@ -28,7 +28,16 @@
 //     or freed only once a scan of every hazard slot (seq_cst loads)
 //     finds no slot naming it. The two seq_cst pairs are Dekker's:
 //     either the scan sees the announce, or the reader's re-read sees
-//     the count move and retries.
+//     the count move and retries. The id and buffer are stored with
+//     release after the odd count and loaded with acquire before the
+//     re-read, so a reader that loads a new id or buffer also sees the
+//     odd count (it happened before the store it read) and retries,
+//     and its re-read cannot be hoisted above those loads. This is the
+//     seqlock's ordering carried by the atomics themselves: no
+//     standalone fence is needed, ThreadSanitizer models every edge
+//     (it does not model std::atomic_thread_fence), and on x86 the
+//     release stores and acquire loads are the plain moves that the
+//     fences compiled to.
 //   * Always swap. The writer's first mutation of a page in a batch
 //     hands the frame's buffer to the version chain (tagged as below)
 //     and mutates a copy, published only after the save. So a buffer a

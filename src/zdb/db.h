@@ -30,24 +30,50 @@
 // DBOptions::memory_journal to get journaled crash-atomic batches and
 // the group-commit pipeline on an in-memory file (tests, benches).
 //
-// Sharding: every DB is a shard::ShardRouter over N shard engines (each
-// its own file, pager, buffer pool, index, epoch domain and group-commit
-// pipeline); the default N = 1 is the degenerate partition, one engine
-// that owns the whole keyspace. DBOptions::shards > 1 partitions the
-// z-order keyspace by top-level Morton prefix — queries scatter to
-// overlapping shards and gather + dedup by oid, writes split by routing
-// prefix and fan out to the per-shard pipelines, and object ids stay
-// byte-identical to a single-shard DB's. On disk the main path of a
-// sharded DB holds a small manifest and shard i lives at
-// `path + ".shard<i>"`; a one-shard DB is one classic file with no
-// manifest. The stored layout wins on reopen, like stored index
-// options. See DESIGN.md "Sharded partitions".
+// Sharding: every DB owns N shard engines (each its own file, pager,
+// buffer pool, index, epoch domain and group-commit pipeline) and
+// routes every call itself; the default N = 1 is the degenerate
+// partition, one engine that owns the whole keyspace, and runs the same
+// code. DBOptions::shards > 1 partitions the z-order keyspace by
+// top-level Morton prefix (shard/routing.h). Object ids are assigned by
+// the DB, densely in op order, so an N-shard DB answers with exactly
+// the ids a 1-shard DB would. Each insert is replicated into every
+// shard whose prefix region its MBR overlaps, under the same oid; an
+// in-memory per-oid owner-shard mask, rebuilt from the shard object
+// stores on open and after a shard's group rollback, lets erases fan
+// out to exactly the owning shards. Queries scatter to the overlapping
+// shards and gather + dedup by oid. On disk the main path of a sharded
+// DB holds a small manifest and shard i lives at `path + ".shard<i>"`;
+// a one-shard DB is one classic file with no manifest. The stored
+// layout wins on reopen, like stored index options. See DESIGN.md
+// "Sharded partitions".
+//
+// Epochs: a single engine is its own global epoch domain, so a one-shard
+// DB reports that engine's write epoch, waits on it exactly and lets a
+// query report the epoch it pinned. With more engines there is no
+// global pin: write_epoch() is the DB's batch counter and a query
+// reports the write_epoch() bracket of its scatter.
+//
+// Writes and locking: every write (Apply, ApplyReplicated,
+// InsertPolygon, BulkLoad) plans its routing, publishes on each involved
+// shard in shard order and commits the routing bookkeeping under one
+// write mutex, write_mu_; the commit sink is called under it too.
+// write_mu_ -> epoch_mu_ (declared via ACQUIRED_AFTER); epoch_mu_ guards
+// the per-shard published epochs and batch counters. Durability waits
+// happen outside both locks, so concurrent kDurable writers overlap
+// their fsyncs across the per-shard group-commit pipelines. One batch
+// publishes atomically per shard but not across shards: a reader racing
+// the fan-out can see it on one shard and not yet on another. Quiescent
+// states are exact. A shard I/O failure mid-fan-out leaves the batch
+// partially applied across shards and the routing bookkeeping
+// unchanged; see DESIGN.md "Sharded partitions" for the recovery story.
 //
 // Every fallible entry point returns Status/Result<T> (common/status.h).
 
 #ifndef ZDB_ZDB_DB_H_
 #define ZDB_ZDB_DB_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <utility>
@@ -58,58 +84,50 @@
 #include "core/commit_sink.h"
 #include "core/spatial_index.h"
 #include "exec/executor.h"
-#include "shard/router.h"
+#include "shard/engine.h"
+#include "shard/routing.h"
+#include "zdb/options.h"
 
 namespace zdb {
 
-/// Configuration of DB::Open. The defaults give a 4 KiB-page, 256-frame
-/// cache with the paper's size-bound-4 decomposition.
-struct DBOptions {
-  /// Index configuration (decomposition policies, grid, ablations).
-  /// Used when creating; a reopened DB restores its stored options.
-  SpatialIndexOptions index;
-
-  /// Page size of a newly created database file.
-  uint32_t page_size = kDefaultPageSize;
-
-  /// Buffer-pool capacity in frames (per shard engine).
-  size_t cache_pages = 256;
-
-  /// Give an in-memory DB a (memory-backed) rollback journal, enabling
-  /// crash-atomic batches and the group-commit pipeline without a disk
-  /// file. File-backed DBs always have a journal.
-  bool memory_journal = false;
-
-  /// How a journaled DB commits (see spatial_index.h "group commit").
-  /// true: a pipeline thread coalesces published batches into one
-  /// journal commit, and readers never wait out the fsync. false: every
-  /// batch is a group of one that the writer commits, after its publish,
-  /// before its call returns — the same commit, without the thread.
-  bool group_commit = true;
-
-  /// Queries always read epoch-pinned snapshots (see the "snapshot
-  /// reads" section of spatial_index.h); this is not a setting. The
-  /// constant remains only because the service benchmark prints it: a
-  /// benchmark change that drops that print deletes it.
-  static constexpr bool snapshot_reads = true;
-
-  /// Number of z-prefix shard engines, 1..64. Used when creating; a
-  /// reopened DB keeps its stored shard layout. 1 (the default) is the
-  /// classic single-engine DB.
-  uint32_t shards = 1;
-
-  /// Typed rejection of every statically invalid knob combination
-  /// (cache_pages == 0, shards outside [1, 64], ...). DB::Open calls
-  /// this first, so invalid options yield this exact Status instead of
-  /// a partially opened stack; callers building configuration surfaces
-  /// (servers, tools) can validate without opening anything.
-  [[nodiscard]] Status Validate() const;
+/// The write epochs a query answer reflects. A one-engine DB answers
+/// from one pinned epoch: first == last, and the answer is exactly that
+/// epoch's committed state. A sharded DB has no global pin: the range is
+/// write_epoch() read before and after the scatter, and each shard
+/// answers from its own state, which may already hold the batch then in
+/// flight (epoch last + 1) — see DESIGN.md "Sharded partitions".
+struct EpochRange {
+  uint64_t first = 0;
+  uint64_t last = 0;
 };
+
+namespace shard {
+
+/// Per-shard counters reported through DB::ShardStats()/server STATS;
+/// DB::Stats() folds them.
+struct ShardCounters {
+  uint64_t objects = 0;        ///< live objects replicated to this shard
+  uint64_t index_entries = 0;  ///< z-elements in this shard's B+-tree
+  uint64_t write_epoch = 0;    ///< this shard's published epoch
+  uint64_t durable_epoch = 0;  ///< this shard's fsynced epoch
+  uint64_t journal_commits = 0;  ///< coalesced journal commits
+  uint64_t batches = 0;        ///< sub-batches routed to this shard
+  uint32_t pages = 0;          ///< pages in this shard's file
+  uint64_t pinned_epochs = 0;  ///< snapshot pins currently open
+  uint64_t pins_taken = 0;     ///< snapshot pins ever taken
+  uint64_t gc_cycles = 0;      ///< epoch-GC reclamation passes run
+  uint64_t page_versions = 0;  ///< before-image versions retained
+  uint64_t version_bytes = 0;  ///< bytes held by those versions
+  uint64_t versions_saved = 0;  ///< before-images ever saved
+  uint64_t versions_reclaimed = 0;  ///< versions reclaimed by epoch GC
+};
+
+}  // namespace shard
 
 /// Aggregate counters served by DB::Stats(). For a sharded DB the
 /// storage counters (entries, pages, commits, versions) sum over the
 /// shards, `objects` counts each object once (not per replica),
-/// `write_epoch` is the router's published-batch counter and
+/// `write_epoch` is the DB's published-batch counter and
 /// `durable_epoch` the most conservative (minimum) per-shard durable
 /// epoch. Per-shard breakdowns come from DB::ShardStats().
 struct DBStats {
@@ -146,13 +164,14 @@ class DB {
   /// Assembles a DB over engines the caller opened: one per shard, in
   /// shard order (1..64), routed by engine 0's stored index options.
   /// For tests and tools that open engines over their own File, such
-  /// as a failure-injecting one.
+  /// as a failure-injecting one. Rebuilds the routing state (oid cursor
+  /// and owner masks) by scanning the engines' object stores.
   [[nodiscard]] static Result<std::unique_ptr<DB>> Open(
       std::vector<std::unique_ptr<shard::ShardEngine>> engines);
 
   /// Stops the group-commit pipeline(s) (draining pending durability)
   /// and tears the stack down.
-  ~DB();
+  ~DB() = default;
 
   DB(const DB&) = delete;
   DB& operator=(const DB&) = delete;
@@ -160,8 +179,8 @@ class DB {
   // ------------------------------------------------------------- queries
   //
   // `epochs` (optional, on Window/Point/Nearest) receives the range of
-  // write epochs the answer reflects (see EpochRange, shard/router.h):
-  // first == last on a one-shard DB.
+  // write epochs the answer reflects (see EpochRange): first == last on
+  // a one-shard DB.
 
   /// All live objects whose MBR intersects `window`.
   [[nodiscard]] Result<std::vector<ObjectId>> Window(
@@ -192,7 +211,9 @@ class DB {
   [[nodiscard]] Result<ObjectId> InsertPolygon(const Polygon& poly);
   [[nodiscard]] Status Erase(ObjectId oid);
 
-  /// Bulk loads rectangles into an empty DB.
+  /// Bulk loads rectangles into an empty DB: assigns oids 0..n-1 and
+  /// runs one bulk load per owning shard. A shard that receives every
+  /// object loads `data` as it is; the others load staged copies.
   [[nodiscard]] Status BulkLoad(const std::vector<Rect>& data, double fill = 0.9);
 
   /// Applies `batch` atomically (per shard — see DESIGN.md "Sharded
@@ -209,13 +230,13 @@ class DB {
   // ----------------------------------------------------------- replication
 
   /// Attaches `sink` as this DB's commit sink (core/commit_sink.h): from
-  /// now on every batch published through the facade is reported to
-  /// OnCommit with resolved oids, serialized by an internal replication
-  /// mutex so sink callbacks observe strictly increasing epochs. Pass
-  /// nullptr to detach. Fails if a different sink is already attached,
-  /// and while a sink is attached InsertPolygon/BulkLoad are rejected
-  /// (they have no batch representation to ship). The sink must stay
-  /// alive until detached.
+  /// now on every batch the DB publishes, through Apply or
+  /// ApplyReplicated, is reported to OnCommit with resolved oids, under
+  /// the write mutex, so sink callbacks observe strictly increasing
+  /// epochs. Pass nullptr to detach. Fails if a different sink is
+  /// already attached, and while a sink is attached InsertPolygon/
+  /// BulkLoad are rejected (they have no batch representation to ship).
+  /// The sink must stay alive until detached.
   [[nodiscard]] Status SetCommitSink(CommitSink* sink);
 
   /// Replays a leader-resolved batch on a follower replica: every insert
@@ -237,8 +258,8 @@ class DB {
   /// Blocks until `epoch` is durable (see SpatialIndex::WaitDurable;
   /// OK at once on an unjournaled DB). timeout_ms 0 waits indefinitely.
   /// A one-shard DB waits for exactly `epoch`; a sharded DB waits on
-  /// every shard's durable epoch as of the call (conservative for older
-  /// epochs). See ShardRouter::WaitDurable.
+  /// every shard's published epoch as of the call (conservative for
+  /// older epochs).
   [[nodiscard]] Status WaitDurable(uint64_t epoch, uint64_t timeout_ms = 0);
 
   // ------------------------------------------------------------ plumbing
@@ -248,9 +269,18 @@ class DB {
   /// Per-shard counter breakdown (one entry for a single-shard DB).
   std::vector<shard::ShardCounters> ShardStats() const;
 
-  uint32_t shards() const;
+  uint32_t shards() const { return routing_.shards(); }
 
-  uint64_t write_epoch() const;
+  /// The DB's write epoch: a single engine's own epoch (which also moves
+  /// on its group rollbacks), else the published-batch counter, bumped
+  /// once per successful write fan-out.
+  uint64_t write_epoch() const {
+    return sole_ != nullptr ? sole_->write_epoch()
+                            : epoch_.load(std::memory_order_acquire);
+  }
+
+  /// Distinct live objects (each counted once, not per replica). After
+  /// a shard's group rollback it first rebuilds the routing state.
   uint64_t object_count() const;
 
   /// Shard 0's build counters (exact for a single-shard DB; for a
@@ -278,17 +308,101 @@ class DB {
   /// Shard 0's index — the escape hatch for diagnostics
   /// (LevelHistogram, btree stats). It is the whole engine of a
   /// one-shard DB and only shard 0's slice of a sharded one. Writes
-  /// must go through the DB: the router's oid cursor and owner masks
-  /// would not see a write made on the index directly.
-  SpatialIndex* index();
+  /// must go through the DB: its oid cursor and owner masks would not
+  /// see a write made on the index directly.
+  SpatialIndex* index() { return indexes_[0]; }
 
  private:
-  DB() = default;
+  DB(std::vector<std::unique_ptr<shard::ShardEngine>> engines,
+     shard::ShardRouting routing);
 
-  /// Owns the shard::ShardRouter, and through it the shard engines,
-  /// that every DB call goes through, one shard included.
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  /// Validated routing decisions of one write (a batch, a polygon
+  /// insert or a bulk load), staged before the shards publish it and
+  /// committed to masks_/next_oid_ only if every shard publish succeeds.
+  struct RoutePlan {
+    explicit RoutePlan(uint32_t shards) : sub(shards), wait_epochs(shards) {}
+
+    std::vector<WriteBatch> sub;              ///< per-shard sub-batches
+    std::vector<std::pair<ObjectId, uint64_t>> insert_masks;
+    std::vector<ObjectId> erase_oids;
+    std::vector<ObjectId> inserted;           ///< result ids, op order
+    ObjectId next_oid = 0;                    ///< cursor after the write
+    uint64_t touched = 0;                     ///< shards the write reaches
+    /// Per shard: the epoch its part published, the durability wait
+    /// target (a batch's own epoch from ApplyBatch; the engine's write
+    /// epoch after a polygon insert or bulk load).
+    std::vector<uint64_t> wait_epochs;
+  };
+
+  /// The one write path of Apply and ApplyReplicated: plans, fans out
+  /// and reports the batch to the sink under write_mu_, then waits for
+  /// durability outside it.
+  Result<std::vector<ObjectId>> ApplyRouted(const WriteBatch& batch,
+                                            Durability durability,
+                                            bool replicated)
+      EXCLUDES(write_mu_);
+  /// Routes and validates `batch` into per-shard sub-batches. Inserts
+  /// take their oid from the DB cursor. Only a `replicated` insert
+  /// carries a WriteOp::preassigned oid, the leader's, which must equal
+  /// it.
+  Status PlanBatchLocked(const WriteBatch& batch, bool replicated,
+                         RoutePlan* plan) REQUIRES(write_mu_);
+  /// Publishes the sub-batches shard by shard, then commits the plan.
+  Status FanOutLocked(RoutePlan* plan) REQUIRES(write_mu_)
+      EXCLUDES(epoch_mu_);
+  /// Commits a published plan's bookkeeping: oid cursor, owner masks,
+  /// live count, per-shard epochs and batch counters, DB epoch.
+  void CommitPlanLocked(const RoutePlan& plan) REQUIRES(write_mu_)
+      EXCLUDES(epoch_mu_);
+  /// Rebuilds the routing state from the shard object stores.
+  Status RecoverStateLocked() REQUIRES(write_mu_);
+  /// Runs RecoverStateLocked if a shard rolled a group back since the
+  /// last rebuild: the rollback dropped published writes that masks_,
+  /// next_oid_ and the live count still hold. Every write calls it
+  /// first. A rollback that races a write is seen by the next one.
+  Status ResyncLocked() REQUIRES(write_mu_);
+  /// Sum of the engines' rollbacks(); it moves on every group rollback.
+  uint64_t RollbackCount() const;
+  /// Runs `query(pinned)` and fills the optional `epochs` (see the
+  /// header comment); `pinned` is non-null only for a single engine.
+  template <typename Query>
+  auto WithEpochs(EpochRange* epochs, Query query) const;
+  /// The window-shaped scatter: runs `query(index)` on every shard
+  /// whose prefix region `window` overlaps and gathers the id lists.
+  template <typename Query>
+  Result<std::vector<ObjectId>> ScatterRect(const Rect& window,
+                                            QueryStats* stats,
+                                            Query query) const;
+  /// Nearest's best-first frontier over several shards.
+  Result<std::vector<std::pair<ObjectId, double>>> ScatterNearest(
+      const zdb::Point& p, size_t k, QueryStats* stats) const;
+
+  const std::vector<std::unique_ptr<shard::ShardEngine>> engines_;
+  const shard::ShardRouting routing_;
+  std::vector<SpatialIndex*> indexes_;  ///< borrowed from engines_
+  /// The one engine of a one-shard DB, else nullptr: only a single
+  /// engine's epochs are the DB's.
+  SpatialIndex* sole_ = nullptr;
+
+  /// Serializes every write. Routing state: global oid cursor and
+  /// per-oid owner-shard masks (mask 0 = never inserted or erased).
+  mutable Mutex write_mu_;
+  ObjectId next_oid_ GUARDED_BY(write_mu_) = 0;
+  std::vector<uint64_t> masks_ GUARDED_BY(write_mu_);
+  CommitSink* sink_ GUARDED_BY(write_mu_) = nullptr;
+  /// RollbackCount() as of the last routing-state rebuild; written
+  /// under write_mu_, read without it by object_count().
+  std::atomic<uint64_t> rollbacks_seen_{0};
+
+  /// Per-shard publish bookkeeping; epoch_mu_ is a leaf below write_mu_
+  /// so ShardStats and WaitDurable can read it without blocking writers
+  /// for the whole fan-out.
+  mutable Mutex epoch_mu_ ACQUIRED_AFTER(write_mu_);
+  std::vector<uint64_t> shard_epochs_ GUARDED_BY(epoch_mu_);
+  std::vector<uint64_t> shard_batches_ GUARDED_BY(epoch_mu_);
+
+  std::atomic<uint64_t> epoch_{0};       ///< published-batch counter
+  std::atomic<uint64_t> live_count_{0};  ///< distinct live objects
 };
 
 }  // namespace zdb

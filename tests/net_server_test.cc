@@ -117,7 +117,7 @@ bool MatchesKnnInRange(const std::vector<OracleState>& states,
 }
 
 /// Closes a sharded reply's epoch bracket. Each shard answers from its
-/// own pinned state, and the router bumps write_epoch() only after the
+/// own pinned state, and the DB bumps write_epoch() only after the
 /// batch in flight has published on every shard — so shards may already
 /// show epoch e1 + 1 (DESIGN.md "Sharded partitions").
 uint64_t ShardedLast(const std::vector<OracleState>& states, uint64_t e1) {
@@ -618,19 +618,19 @@ struct EpochSink : CommitSink {
   void OnCommit(uint64_t epoch, const WriteBatch&) override {
     epochs.push_back(epoch);
   }
-  std::vector<uint64_t> epochs;  // written under the DB's repl mutex
+  std::vector<uint64_t> epochs;  // written under the DB's write mutex
 };
 
 // A one-shard DB's epochs are its engine's. A group rollback moves the
 // engine epoch twice (the failed batch's publish, then the durable
-// state re-published) while the router counts one batch, so from then
-// on a router batch counter would name the wrong epochs. APPLY's
+// state re-published) while the DB counts one batch, so from then on
+// a DB batch counter would name the wrong epochs. APPLY's
 // epoch_after, the commit sink's epoch and DB::write_epoch() must all
 // be the engine's, and a query must still name the one epoch it pinned.
 TEST(NetServer, OneShardEpochsAreTheEnginesAfterARollback) {
   auto file = std::make_unique<FaultFile>();
   FaultFile* faults = file.get();
-  shard::ShardEngineOptions eopt;
+  DBOptions eopt;
   eopt.page_size = 512;
   eopt.index.data = DecomposeOptions::SizeBound(8);
   std::vector<std::unique_ptr<shard::ShardEngine>> engines;
@@ -656,6 +656,12 @@ TEST(NetServer, OneShardEpochsAreTheEnginesAfterARollback) {
   };
   ASSERT_TRUE(insert(0.1).ok());
   ASSERT_TRUE(insert(0.2).ok());
+  // The pipeline acks a group durable before it re-arms the journal,
+  // and the re-arm reads page 0 of this file: wait for it, or the fault
+  // below can hit the re-arm instead of the next group. The pipeline
+  // holds the engine's commit mutex until the re-arm is done, and an
+  // empty batch takes that mutex and publishes nothing.
+  ASSERT_TRUE(engine->ApplyBatch(WriteBatch{}, Durability::kPublished).ok());
 
   // The next file operation, the group's page write-back, fails once:
   // the group rolls back and the rollback's own restore succeeds.

@@ -6,6 +6,8 @@
 //   ReplRecord    — log-record / opcode codec round-trips and corruption
 //   ReplStaleness — the WithinStaleness bound arithmetic
 //   ReplShipper   — LogShipper cursors, windowing, retention, truncation
+//   ReplCommitSink — the DB's commit-sink contract under concurrent
+//                   writers, at one and at four shards
 //   ReplEndToEnd  — leader + follower over real sockets: byte-identical
 //                   answers at every shipped epoch (brute-force oracle),
 //                   kill-and-resubscribe without gaps or duplicates,
@@ -13,7 +15,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +27,7 @@
 #include "gtest/gtest.h"
 
 #include "client/client.h"
+#include "common/random.h"
 #include "repl/apply.h"
 #include "repl/record.h"
 #include "repl/ship.h"
@@ -294,6 +301,213 @@ TEST(ReplShipper, RetentionAdvancesTheFloor) {
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsNotFound());
   shipper.Stop();
+}
+
+// -------------------------------------------------------- ReplCommitSink
+
+/// Records every batch a DB reports. The DB calls OnCommit under its
+/// write mutex; `mu` orders the records with the reading test thread.
+struct RecordingSink : CommitSink {
+  struct Record {
+    uint64_t epoch;
+    WriteBatch batch;
+  };
+
+  void OnCommit(uint64_t epoch, const WriteBatch& resolved) override {
+    std::lock_guard<std::mutex> lock(mu);
+    records.push_back({epoch, resolved});
+  }
+
+  size_t Count() {
+    std::lock_guard<std::mutex> lock(mu);
+    return records.size();
+  }
+
+  std::mutex mu;
+  std::vector<Record> records;
+};
+
+/// A successful non-empty batch and the oids its Apply returned.
+struct Applied {
+  WriteBatch batch;
+  std::vector<ObjectId> oids;
+};
+
+/// Runs `writers` threads, each applying `batches` batches of three
+/// inserts plus, from its second batch on, an erase of one of its own
+/// live objects, alternating kPublished and kDurable. Every third batch
+/// a writer also applies an empty batch and one that must fail (it
+/// erases an object the writer already erased); neither may reach the
+/// sink. `meanwhile` runs on the calling thread while they write.
+/// Returns every writer's successful batches.
+std::vector<Applied> RunWriters(DB* db, int writers, int batches,
+                                const std::function<void()>& meanwhile) {
+  std::vector<std::vector<Applied>> per_writer(writers);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < writers; ++w) {
+    threads.emplace_back([db, w, batches, &per_writer] {
+      Random rng(0x5123 + w);
+      std::vector<ObjectId> live;
+      std::vector<ObjectId> dead;
+      for (int b = 0; b < batches; ++b) {
+        WriteBatch batch;
+        for (int i = 0; i < 3; ++i) {
+          const double x = rng.UniformDouble(0.0, 0.95);
+          const double y = rng.UniformDouble(0.0, 0.95);
+          batch.Insert(Rect{x, y, x + rng.UniformDouble(0.001, 0.05),
+                            y + rng.UniformDouble(0.001, 0.05)});
+        }
+        if (!live.empty()) {
+          const size_t i = rng.Uniform(live.size());
+          batch.Erase(live[i]);
+          dead.push_back(live[i]);
+          live.erase(live.begin() + static_cast<ptrdiff_t>(i));
+        }
+        auto r = db->Apply(batch, b % 2 == 0 ? Durability::kPublished
+                                             : Durability::kDurable);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        live.insert(live.end(), r.value().begin(), r.value().end());
+        per_writer[w].push_back({batch, r.value()});
+        if (b % 3 == 2) {
+          EXPECT_TRUE(db->Apply(WriteBatch{}).ok());
+          WriteBatch bad;
+          bad.Insert(Rect{0.1, 0.1, 0.2, 0.2});
+          bad.Erase(dead.back());
+          EXPECT_TRUE(db->Apply(bad).status().IsNotFound());
+        }
+      }
+    });
+  }
+  meanwhile();
+  for (std::thread& t : threads) t.join();
+  std::vector<Applied> all;
+  for (auto& v : per_writer) all.insert(all.end(), v.begin(), v.end());
+  return all;
+}
+
+/// Checks the records against the batches they report: epochs strictly
+/// increase, and each record is one applied batch (found by its first
+/// inserted oid), reported once, with the oids its Apply returned.
+/// Returns the first inserted oids of the reported batches.
+std::set<ObjectId> CheckRecords(const std::vector<RecordingSink::Record>& recs,
+                                const std::vector<Applied>& applied) {
+  std::map<ObjectId, const Applied*> by_first_oid;
+  for (const Applied& a : applied) by_first_oid[a.oids.front()] = &a;
+  std::set<ObjectId> reported;
+  for (size_t i = 0; i < recs.size(); ++i) {
+    if (i > 0) {
+      EXPECT_LT(recs[i - 1].epoch, recs[i].epoch) << "record " << i;
+    }
+    std::vector<ObjectId> oids;
+    for (const WriteOp& op : recs[i].batch.ops) {
+      if (op.kind == WriteOp::Kind::kInsert) oids.push_back(op.preassigned);
+    }
+    EXPECT_FALSE(oids.empty()) << "record " << i;
+    if (oids.empty()) continue;
+    const auto it = by_first_oid.find(oids.front());
+    EXPECT_NE(it, by_first_oid.end()) << "record " << i << " was not applied";
+    if (it == by_first_oid.end()) continue;
+    EXPECT_TRUE(reported.insert(oids.front()).second)
+        << "record " << i << " reported twice";
+    EXPECT_EQ(oids, it->second->oids) << "record " << i;
+    const WriteBatch& sent = it->second->batch;
+    EXPECT_EQ(recs[i].batch.ops.size(), sent.ops.size()) << "record " << i;
+    for (size_t j = 0; j < sent.ops.size() && j < recs[i].batch.ops.size();
+         ++j) {
+      const WriteOp& got = recs[i].batch.ops[j];
+      EXPECT_EQ(got.kind, sent.ops[j].kind);
+      EXPECT_EQ(got.mbr, sent.ops[j].mbr);
+      if (got.kind == WriteOp::Kind::kErase) {
+        EXPECT_EQ(got.oid, sent.ops[j].oid);
+      }
+    }
+  }
+  return reported;
+}
+
+// Concurrent writers on a DB with a sink attached, at one and at four
+// shards: the sink sees every successful non-empty batch once, in
+// strictly increasing epochs, with the oids Apply returned, and replaying
+// the records on a fresh DB reproduces the leader's answers byte for
+// byte. InsertPolygon and BulkLoad are rejected while the sink is
+// attached, even while writers run. A sink detached mid-stream has seen
+// exactly the batches published before the detach.
+TEST(ReplCommitSink, ConcurrentWritersReportEachBatchOnceInEpochOrder) {
+  constexpr int kWriters = 4;
+  constexpr int kBatches = 30;
+  const std::vector<Rect> windows = {Rect{0.0, 0.0, 1.0, 1.0},
+                                     Rect{0.1, 0.1, 0.4, 0.3},
+                                     Rect{0.45, 0.45, 0.55, 0.55},
+                                     Rect{0.6, 0.2, 0.9, 0.8}};
+  for (uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    DBOptions opt;
+    opt.memory_journal = true;
+    opt.shards = shards;
+    auto leader = DB::Open("", opt).value();
+
+    RecordingSink sink;
+    ASSERT_TRUE(leader->SetCommitSink(&sink).ok());
+    const std::vector<Applied> applied =
+        RunWriters(leader.get(), kWriters, kBatches, [&] {
+          const Polygon square({Point{0.2, 0.2}, Point{0.3, 0.2},
+                                Point{0.3, 0.3}, Point{0.2, 0.3}});
+          for (int i = 0; i < 20; ++i) {
+            const Status poly = leader->InsertPolygon(square).status();
+            EXPECT_TRUE(poly.IsInvalidArgument()) << poly.ToString();
+            EXPECT_NE(poly.ToString().find("commit sink"), std::string::npos)
+                << poly.ToString();
+            const Status load = leader->BulkLoad({Rect{0.1, 0.1, 0.2, 0.2}});
+            EXPECT_TRUE(load.IsInvalidArgument()) << load.ToString();
+            EXPECT_NE(load.ToString().find("commit sink"), std::string::npos)
+                << load.ToString();
+            std::this_thread::yield();
+          }
+        });
+    ASSERT_EQ(applied.size(), static_cast<size_t>(kWriters * kBatches));
+    EXPECT_EQ(CheckRecords(sink.records, applied).size(), applied.size());
+    EXPECT_EQ(sink.records.back().epoch, leader->write_epoch());
+
+    auto replica = DB::Open("", opt).value();
+    for (const RecordingSink::Record& rec : sink.records) {
+      auto r = replica->ApplyReplicated(rec.batch);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+    }
+    for (const Rect& win : windows) {
+      EXPECT_EQ(replica->Window(win).value(), leader->Window(win).value());
+    }
+
+    // Round two: detach a fresh sink while the writers run.
+    RecordingSink cut;
+    ASSERT_TRUE(leader->SetCommitSink(nullptr).ok());
+    ASSERT_TRUE(leader->SetCommitSink(&cut).ok());
+    const std::vector<Applied> more =
+        RunWriters(leader.get(), kWriters, kBatches, [&] {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (cut.Count() < 10 &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+          EXPECT_TRUE(leader->SetCommitSink(nullptr).ok());
+        });
+    const std::set<ObjectId> reported = CheckRecords(cut.records, more);
+    ASSERT_FALSE(reported.empty());
+    // Oids are assigned in publish order, so the batches published
+    // before the detach are exactly those below the last reported oid.
+    const ObjectId last = *reported.rbegin();
+    for (const Applied& a : more) {
+      EXPECT_EQ(reported.count(a.oids.front()) == 1, a.oids.front() <= last)
+          << "batch at oid " << a.oids.front();
+    }
+    const size_t seen = cut.Count();
+    ASSERT_TRUE(leader->Insert(Rect{0.3, 0.3, 0.4, 0.4}).ok());
+    EXPECT_EQ(cut.Count(), seen);
+    EXPECT_TRUE(leader
+                    ->InsertPolygon(Polygon({Point{0.2, 0.2}, Point{0.3, 0.2},
+                                             Point{0.3, 0.3}}))
+                    .ok());
+  }
 }
 
 // ----------------------------------------------------------- ReplEndToEnd

@@ -2,7 +2,7 @@
 //
 // Sharded engine partitions (src/shard/): z-prefix routing exactness,
 // scatter-gather queries vs the brute-force oracle at every epoch,
-// N=1 vs N=4 byte-identical answers (router-assigned oids match the
+// N=1 vs N=4 byte-identical answers (DB-assigned oids match the
 // single-engine append cursor), boundary-straddling replication, the
 // on-disk manifest + reopen recovery, the sharded executor, and a small
 // concurrent churn suite (the TSan leg runs this file at N=4).
@@ -144,8 +144,8 @@ TEST(ShardOpen, RejectsPreassignedOidsInBatches) {
   }
 }
 
-// A non-finite point has no grid cell and so no shard: the router rejects
-// it before routing, and an unsharded DB's index rejects it itself.
+// A non-finite point has no grid cell and so no shard: the DB rejects it
+// before routing, and an unsharded DB's index rejects it itself.
 TEST(ShardOpen, NonFinitePointsAreRejected) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -182,7 +182,7 @@ TEST(ShardOracle, MatchesBruteForceAtEveryEpoch) {
     if (b > 0) {
       auto ids = db->Apply(w.batches[b - 1], Durability::kPublished);
       ASSERT_TRUE(ids.ok()) << ids.status().ToString();
-      // Router-assigned oids are dense and deterministic: identical to
+      // DB-assigned oids are dense and deterministic: identical to
       // what a single-engine DB would have assigned.
       EXPECT_EQ(ids.value(), w.batch_oids[b - 1]);
     }
@@ -395,8 +395,8 @@ TEST(ShardExecutor, ScatterGatherMatchesRouterAnswers) {
 
 // ------------------------------------------------------------------ stats
 
-// One body for every shard count: a one-shard DB's writes go through
-// the router too, so its per-shard batch counter moves like any other.
+// One body for every shard count: a one-shard DB's writes are routed
+// too, so its per-shard batch counter moves like any other.
 TEST(ShardStats, AggregateAndPerShardCountersAgree) {
   for (uint32_t shards : {1u, 4u}) {
     SCOPED_TRACE(shards);
@@ -428,8 +428,42 @@ TEST(ShardStats, AggregateAndPerShardCountersAgree) {
   }
 }
 
+// A one-op DB::Erase reads the pages SpatialIndex::Erase reads on the
+// same state: the batch's validation hands the record it fetched to the
+// apply step instead of the erase fetching it a second time. The DBs are
+// unjournaled, so no commit thread adds pool hits of its own.
+TEST(ShardWrite, DbEraseMakesTheEnginesPoolHits) {
+  auto build = [] {
+    auto db = DB::Open("", DBOptions{}).value();
+    Random rng(0xE5A);
+    WriteBatch batch;
+    for (int i = 0; i < 300; ++i) {
+      const double x = rng.UniformDouble(0.0, 0.95);
+      const double y = rng.UniformDouble(0.0, 0.95);
+      batch.Insert(Rect{x, y, x + rng.UniformDouble(0.001, 0.05),
+                        y + rng.UniformDouble(0.001, 0.05)});
+    }
+    EXPECT_TRUE(db->Apply(batch).ok());
+    return db;
+  };
+  auto via_db = build();
+  auto via_index = build();
+  for (const ObjectId oid : {0u, 17u, 150u, 299u}) {
+    SCOPED_TRACE(oid);
+    const IoStats db_before = via_db->io_stats();
+    ASSERT_TRUE(via_db->Erase(oid).ok());
+    const IoStats db_cost = via_db->io_stats().Since(db_before);
+    const IoStats ix_before = via_index->io_stats();
+    ASSERT_TRUE(via_index->index()->Erase(oid).ok());
+    const IoStats ix_cost = via_index->io_stats().Since(ix_before);
+    EXPECT_GT(ix_cost.pool_hits.load(), 0u);
+    EXPECT_EQ(db_cost.pool_hits.load(), ix_cost.pool_hits.load());
+    EXPECT_EQ(db_cost.page_reads.load(), ix_cost.page_reads.load());
+  }
+}
+
 // A well-formed leader stream names this replica's next oid for every
-// insert. Any other oid is rejected before it can size the router's
+// insert. Any other oid is rejected before it can size the DB's
 // owner masks or a shard store's page directory, and leaves the replica
 // ready for the next valid record.
 TEST(ShardOpen, ReplicatedInsertsMustTakeTheNextOid) {

@@ -1,11 +1,12 @@
-// FAIL case: reading the shard router's per-shard epoch vector without
-// holding epoch_mu. Mirrors ShardRouter's discipline (shard/router.h):
-// the per-shard durable-epoch snapshot is shared between the fan-out
-// path (publishing under router_mu then epoch_mu, in that ACQUIRED_AFTER
-// order) and WaitDurable's cross-shard gather — every read of the
-// vector must hold epoch_mu, and a "fast path" that peeks at another
-// shard's epoch lock-free is exactly the race the annotations exist to
-// catch. The analysis must reject the unlocked scan.
+// FAIL case: reading the DB's per-shard epoch vector without holding
+// epoch_mu. Mirrors zdb::DB's discipline (zdb/db.h, "Writes and
+// locking"): the per-shard durable-epoch snapshot is shared between the
+// write fan-out (publishing under the write mutex, here router_mu, then
+// epoch_mu, in that ACQUIRED_AFTER order) and WaitDurable's cross-shard
+// gather — every read of the vector must hold epoch_mu, and a "fast
+// path" that peeks at another shard's epoch lock-free is exactly the
+// race the annotations exist to catch. The analysis must reject the
+// unlocked scan.
 
 #include <cstdint>
 #include <vector>

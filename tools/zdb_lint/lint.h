@@ -22,7 +22,7 @@
 //                    units through the call graph, must conform to the
 //                    declared partial order (commit_mu_ -> {gc_mu_,
 //                    the epoch manager's gc_mu_ and quiesce_mu_},
-//                    router_mu_ -> epoch_mu_) — catching
+//                    the DB's write_mu_ -> epoch_mu_) — catching
 //                    inversions the per-member ACQUIRED_AFTER
 //                    annotations cannot see because the two
 //                    acquisitions live in different TUs.
