@@ -27,11 +27,6 @@
 //     is for; throughput scales with the thread count irrespective of
 //     core count. "hit rate" is the pager's pool hit rate over the
 //     batches.
-//
-// The last column splits ONE 10%-selectivity window query across the
-// workers of an exec/QueryExecutor by its z-interval work list
-// (intra-query parallelism, ParallelWindowQuery), in the I/O-bound
-// regime.
 
 #include <sys/resource.h>
 
@@ -46,7 +41,6 @@
 
 #include "bench_util/runner.h"
 #include "bench_util/table.h"
-#include "exec/executor.h"
 #include "zdb/db.h"
 
 namespace zdb {
@@ -55,7 +49,6 @@ namespace {
 constexpr size_t kWarmQueries = 256;
 constexpr size_t kIoQueries = 48;
 constexpr double kBatchSelectivity = 0.01;
-constexpr double kBigSelectivity = 0.1;
 constexpr uint32_t kReadLatencyUs = 100;  ///< simulated device read
 constexpr size_t kIoPoolPages = 256;
 constexpr size_t kThreadCounts[] = {1, 2, 4, 8};
@@ -177,8 +170,6 @@ void RunDistribution(Distribution dist, size_t n) {
       GenerateWindows(kWarmQueries, kBatchSelectivity, QueryGenOptions{});
   const std::vector<Rect> io_windows(warm_windows.begin(),
                                      warm_windows.begin() + kIoQueries);
-  const auto big_window =
-      GenerateWindows(1, kBigSelectivity, QueryGenOptions{.seed = 11})[0];
 
   SpatialIndexOptions opt;
   opt.data = DecomposeOptions::SizeBound(4);
@@ -213,10 +204,9 @@ void RunDistribution(Distribution dist, size_t n) {
           "us/read; host cores: " +
           std::to_string(std::thread::hardware_concurrency()) + ")",
       {"threads", "index q/s", "speedup", "csw/q", "DB q/s", "speedup",
-       "csw/q", "io q/s", "speedup", "hit rate", "big query ms",
-       "speedup"});
+       "csw/q", "io q/s", "speedup", "hit rate"});
 
-  double warm_base = 0.0, db_base = 0.0, io_base = 0.0, big_base = 0.0;
+  double warm_base = 0.0, db_base = 0.0, io_base = 0.0;
   for (size_t threads : kThreadCounts) {
     const SteadyResult warm =
         MeasureSteady(threads, kWarmQueries, [&](size_t i) {
@@ -239,23 +229,16 @@ void RunDistribution(Distribution dist, size_t n) {
     const double hit_rate =
         hits + misses > 0 ? static_cast<double>(hits) / (hits + misses) : 0.0;
 
-    QueryExecutor io_exec(io_index.get(), threads);
-    const double big_s = BestSeconds(
-        [&] { (void)io_exec.ParallelWindowQuery(big_window).value(); });
-    const double big_ms = 1000.0 * big_s;
-
     if (threads == 1) {
       warm_base = warm.qps;
       db_base = served.qps;
       io_base = io_qps;
-      big_base = big_ms;
     }
     table.AddRow({std::to_string(threads), Fmt(warm.qps, 0),
                   Fmt(warm.qps / warm_base) + "x", Fmt(warm.csw_per_query, 3),
                   Fmt(served.qps, 0), Fmt(served.qps / db_base) + "x",
                   Fmt(served.csw_per_query, 3), Fmt(io_qps, 0),
-                  Fmt(io_qps / io_base) + "x", Fmt(hit_rate, 3),
-                  Fmt(big_ms, 1), Fmt(big_base / big_ms) + "x"});
+                  Fmt(io_qps / io_base) + "x", Fmt(hit_rate, 3)});
   }
   table.Print();
   std::printf("  [redundancy %.2f]\n\n", br.redundancy);

@@ -350,7 +350,6 @@ void RunSaturation(size_t clients) {
   sopt.workers = 1;
   sopt.queue_capacity = 2;
   sopt.idle_timeout_ms = 0;
-  sopt.exec_threads = 0;  // keep the one worker honestly slow
   Server server(db.get(), sopt);
   if (!server.Start().ok()) {
     std::fprintf(stderr, "server start failed\n");

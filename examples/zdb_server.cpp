@@ -15,7 +15,6 @@
 //   --queue N         admission queue bound   (default 64)
 //   --backlog N       listen(2) backlog       (default 128)
 //   --idle-ms N       idle connection timeout (default 30000; 0 = never)
-//   --exec-threads N  intra-query pool size   (default 2; 0 = off)
 //   --k N             size-bound redundancy k (default 4)
 //   --pool-pages N    buffer pool pages (per shard, default 1024)
 //   --db PATH         serve a durable database file (default: in-memory)
@@ -88,8 +87,6 @@ int main(int argc, char** argv) {
           static_cast<int>(std::strtol(next(), nullptr, 10));
     } else if (arg == "--idle-ms") {
       opt.idle_timeout_ms = static_cast<int>(std::strtol(next(), nullptr, 10));
-    } else if (arg == "--exec-threads") {
-      opt.exec_threads = std::strtoul(next(), nullptr, 10);
     } else if (arg == "--k") {
       k = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
     } else if (arg == "--pool-pages") {

@@ -46,7 +46,8 @@
 // destruction) on a thread other than the pinning one, release of an
 // epoch the thread does not hold, and a pin outliving its manager all
 // call LockAssertFail. The pin may be freely *read* (epoch()) from
-// other threads — executor workers share one pin by const reference.
+// other threads — threads that each open a snapshot scope under one
+// pin (SpatialIndex::OpenSnapshot) share it by const reference.
 
 #ifndef ZDB_CORE_EPOCH_H_
 #define ZDB_CORE_EPOCH_H_
@@ -127,41 +128,6 @@ class EpochPin {
   uint64_t epoch_ = 0;
   const EpochRecord* record_ = nullptr;
   std::thread::id owner_{};
-};
-
-/// The one sanctioned aggregate of EpochPins, for scatter-gather drivers
-/// that pin several shards for the duration of one fan-out (see
-/// exec/executor.cc). Everything that makes ad-hoc pin containers unsafe
-/// is nailed down here instead: the set is stack-scoped and move-proof,
-/// pins are only appended (a slot is never dropped or overwritten
-/// mid-query, so no pin is released out of creation order on a thread
-/// that didn't make it), and the whole set must be destroyed on the
-/// thread that added the pins — the same affinity contract as a single
-/// EpochPin, which each pin's own destructor enforces. zdb_lint's
-/// epoch-pin check flags any other container of pins; add capabilities
-/// here, don't invent new storage at call sites.
-class EpochPinSet {
- public:
-  explicit EpochPinSet(size_t capacity) { pins_.reserve(capacity); }
-
-  EpochPinSet(const EpochPinSet&) = delete;
-  EpochPinSet& operator=(const EpochPinSet&) = delete;
-  EpochPinSet(EpochPinSet&&) = delete;
-  EpochPinSet& operator=(EpochPinSet&&) = delete;
-
-  /// Appends a freshly-taken pin and returns a stable reference to it
-  /// (stable because capacity is reserved up front and slots are never
-  /// erased; exceeding the declared capacity is a programming error).
-  const EpochPin& Add(EpochPin pin) {
-    pins_.push_back(std::move(pin));
-    return pins_.back();
-  }
-
-  const EpochPin& operator[](size_t i) const { return pins_[i]; }
-  size_t size() const { return pins_.size(); }
-
- private:
-  std::vector<EpochPin> pins_;
 };
 
 /// Snapshot counters surfaced through SpatialIndex/DB stats.

@@ -25,7 +25,6 @@
 // readers all-or-nothing, as a new write epoch. ApplyBatch() extends
 // that guarantee to a whole batch of mutations (and makes the batch
 // crash-atomic on the journaled commit path, StartGroupCommit()).
-// exec/executor.h splits one window query across a worker pool.
 //
 // Snapshot reads: every query (WindowQuery/PointQuery/ContainmentQuery/
 // EnclosureQuery/NearestNeighbors) and the diagnostic reads
@@ -84,10 +83,9 @@ enum class QueryPredicate : uint8_t {
 /// Filter-stage plan of one query: the ancestor probes and z-interval
 /// scans the filter will run. Work items are indexed [0, probes.size())
 /// for probes, then [probes.size(), work_items()) for scans; any
-/// partition of that index range over threads executes the same entry
-/// set (see QueryExecutor::ParallelWindowQuery). A point query's plan
-/// holds only probes, one per level present in the index, coarsest
-/// first.
+/// partition of that index range executes the same entry set (see
+/// ExecuteWindowPlanSlice). A point query's plan holds only probes, one
+/// per level present in the index, coarsest first.
 struct WindowPlan {
   QueryPredicate predicate = QueryPredicate::kIntersects;
   /// World-space query window; a point query's degenerate rect at the
@@ -372,9 +370,8 @@ class SpatialIndex {
   /// The pin must come from this index's PinEpoch() and must stay held
   /// for the scope's lifetime. Fails with Aborted if the pinned epoch
   /// was rolled back by a failed group commit (re-pin and retry).
-  /// Used by the parallel executor, whose workers each install their
-  /// own scope under one shared pin; single queries use the *At
-  /// variants instead.
+  /// Used by callers of the plan hooks below; single queries use the
+  /// *At variants instead.
   Result<std::unique_ptr<SnapshotReadScope>> OpenSnapshot(
       const EpochPin& pin) const;
 
@@ -438,18 +435,18 @@ class SpatialIndex {
       const Point& p, size_t k, QueryStats* stats = nullptr,
       uint32_t* rounds = nullptr, uint64_t* epoch = nullptr);
 
-  // ------------------------------------------------- parallel query hooks
+  // ------------------------------------------------------ plan hooks
   //
-  // The filter stage of WindowQuery, exposed in three steps so a parallel
-  // executor can split one query's z-interval set across workers: plan
-  // once, execute disjoint work-item slices concurrently (each slice
-  // deduplicates locally; the caller merges and deduplicates globally),
-  // then refine candidate chunks concurrently. Every call must run under
-  // a snapshot scope of this index open on the calling thread
-  // (OpenSnapshot); a call without one fails with InvalidArgument. One
-  // EpochPin shared by all the scopes of one query makes the plan, its
-  // slices and the refinement observe one committed epoch (each worker
-  // thread opens its own scope under that pin; exec/executor.h does).
+  // The filter stage of WindowQuery, exposed in three steps so a caller
+  // can time each layer of one query (zdb-bench's layer replay does):
+  // plan once, execute work-item slices (each slice deduplicates
+  // locally; a caller that splits the range merges and deduplicates),
+  // then refine the candidates. Every call must run under a snapshot
+  // scope of this index open on the calling thread (OpenSnapshot); a
+  // call without one fails with InvalidArgument. One EpochPin shared by
+  // all the scopes of one query makes the plan, its slices and the
+  // refinement observe one committed epoch, also when several threads
+  // each open their own scope under that pin.
 
   /// Builds the probe/scan plan for a window query.
   Result<WindowPlan> PlanWindow(const Rect& window);

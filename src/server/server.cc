@@ -112,10 +112,6 @@ Status Server::Start() {
         UnixListen(options_.unix_path, options_.listen_backlog));
     ZDB_RETURN_IF_ERROR(SetNonBlocking(unix_listener_));
   }
-  if (options_.exec_threads > 0) {
-    exec_ = db_->NewExecutor(options_.exec_threads);
-  }
-
   // Replication roles, wired before serving begins so no committed
   // batch can slip past the sink and no follower query can observe a
   // half-started applier.
@@ -211,7 +207,6 @@ void Server::Stop() {
   if (!options_.unix_path.empty()) {
     ::unlink(options_.unix_path.c_str());
   }
-  exec_.reset();
 }
 
 bool Server::WaitForShutdownRequest(int timeout_ms) {
@@ -832,19 +827,8 @@ std::string Server::ExecuteRequest(const Frame& frame, bool* is_error) {
         return malformed();
       }
       if (!within_bound(max_lag)) return stale_rejected();
-      const bool parallel = exec_ != nullptr && w.valid() &&
-                            w.area() >= options_.parallel_window_area;
       EpochRange epochs;
-      Result<std::vector<ObjectId>> r = std::vector<ObjectId>{};
-      if (parallel) {
-        // The executor pins each shard internally; the DB epochs read
-        // around it bracket whichever states it saw.
-        epochs.first = db_->write_epoch();
-        r = exec_->ParallelWindowQuery(w);
-        epochs.last = db_->write_epoch();
-      } else {
-        r = db_->Window(w, nullptr, &epochs);
-      }
+      auto r = db_->Window(w, nullptr, &epochs);
       if (!r.ok()) return engine_error(r.status());
       return EncodeIdListReply(epochs.first, epochs.last, r.value());
     }

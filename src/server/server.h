@@ -19,15 +19,13 @@
 //     replies and typed rejections (BUSY, SHUTTING_DOWN) written
 //     inline, decoded requests pushed into the bounded admission queue.
 //   * a fixed worker pool pops requests from the queue and executes
-//     them against the DB — each WINDOW/POINT/KNN is one DB query that
-//     also reports the epoch range its answer reflects (the DB
-//     fills it: one pinned epoch on a one-shard DB, the
-//     write_epoch() bracket of the scatter on a sharded one); windows
-//     of at least
-//     parallel_window_area run through the DB's QueryExecutor instead,
-//     bracketed by write_epoch(). Mutations go through DB::Apply. The
-//     reply is appended to the connection's write buffer and the
-//     owning net thread is woken through its eventfd to flush it.
+//     them against the DB — each WINDOW/POINT/KNN is one DB query on
+//     the worker's own thread that also reports the epoch range its
+//     answer reflects (the DB fills it: one pinned epoch on a one-shard
+//     DB, the write_epoch() bracket of the scatter on a sharded one).
+//     Mutations go through DB::Apply. The reply is appended to the
+//     connection's write buffer and the owning net thread is woken
+//     through its eventfd to flush it.
 //   * writes are buffered per connection: the net thread flushes with
 //     nonblocking sends and arms EPOLLOUT only while a partial write
 //     is outstanding. A connection whose buffered output exceeds
@@ -63,9 +61,8 @@
 // array with one entry per shard engine (one for a single-shard DB) and
 // I/O summed over the shards' pagers.
 //
-// The executor's worker pool only ever runs the plan hooks (via
-// ParallelWindowQuery); every query reads a pinned snapshot and takes
-// no index lock, so a pool job never waits on a writer.
+// Every query reads a pinned snapshot and takes no index lock, so a
+// request worker running a query never waits on a writer.
 //
 // Lock order: a net thread takes its NetThread::mu and a connection's
 // write_mu strictly one at a time, never nested; no server lock is
@@ -79,6 +76,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -89,7 +87,6 @@
 #include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "exec/executor.h"
 #include "net/epoll.h"
 #include "net/socket.h"
 #include "net/wire.h"
@@ -124,11 +121,14 @@ struct ServerOptions {
   size_t queue_capacity = 64;    ///< admission queue bound (BUSY beyond)
   int idle_timeout_ms = 30000;   ///< close idle connections; <= 0 = never
   int listen_backlog = 128;      ///< listen(2) backlog per listener
-  size_t exec_threads = 2;       ///< intra-query pool; 0 = no executor
-  /// Windows at least this large (fraction of the unit square) run
-  /// through QueryExecutor::ParallelWindowQuery instead of the scalar
-  /// path (when exec_threads > 0).
-  double parallel_window_area = 0.02;
+  /// Every window runs on its request worker, as points and kNN do:
+  /// there is no intra-query pool (0 = no executor) and no window goes
+  /// parallel. These are not settings. The constants remain only
+  /// because the service benchmark prints them: a benchmark change that
+  /// drops that print deletes them.
+  static constexpr size_t exec_threads = 0;
+  static constexpr double parallel_window_area =
+      std::numeric_limits<double>::infinity();
   /// Flow control: a connection with more than this many reply bytes
   /// buffered stops being read until the peer drains it below half.
   size_t out_buffer_limit = 1u << 20;
@@ -354,7 +354,6 @@ class Server {
 
   DB* db_;
   ServerOptions options_;
-  std::unique_ptr<QueryExecutor> exec_;
   uint16_t port_ = 0;
 
   /// kLeader: the DB's commit sink + follower cursor fan-out. Stopped

@@ -600,8 +600,4 @@ Status DB::ClearCache() {
   return Status::OK();
 }
 
-std::unique_ptr<QueryExecutor> DB::NewExecutor(size_t threads) {
-  return std::make_unique<QueryExecutor>(indexes_, routing_, threads);
-}
-
 }  // namespace zdb

@@ -83,7 +83,6 @@
 #include "common/thread_annotations.h"
 #include "core/commit_sink.h"
 #include "core/spatial_index.h"
-#include "exec/executor.h"
 #include "shard/engine.h"
 #include "shard/routing.h"
 #include "zdb/options.h"
@@ -298,12 +297,6 @@ class DB {
   /// the next query runs against a cold cache. Fails if dirty or pinned
   /// pages would be lost — checkpoint first.
   [[nodiscard]] Status ClearCache();
-
-  /// A query executor driving this DB's shard engines over `threads`
-  /// workers: its ParallelWindowQuery scatter-gathers across the shards
-  /// (parallelizing across shards before slicing within them). The
-  /// executor must not outlive the DB.
-  std::unique_ptr<QueryExecutor> NewExecutor(size_t threads);
 
   /// Shard 0's index — the escape hatch for diagnostics
   /// (LevelHistogram, btree stats). It is the whole engine of a

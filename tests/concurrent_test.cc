@@ -15,7 +15,6 @@
 
 #include "common/mutex.h"
 #include "core/spatial_index.h"
-#include "exec/executor.h"
 #include "storage/pager.h"
 #include "workload/datagen.h"
 #include "workload/querygen.h"
@@ -169,53 +168,6 @@ TEST(Concurrent, JoinBesideWriter) {
   }
   stop.store(true);
   writer.join();
-}
-
-TEST(Concurrent, ExecutorBatchesUnderContention) {
-  // Two callers race ParallelWindowQuery on one executor (as the
-  // server's request workers do) beside an outside reader thread; all
-  // three share the index and buffer pool.
-  auto pager = Pager::OpenInMemory(512);
-  BufferPool pool(pager.get(), 96);
-  SpatialIndexOptions opt;
-  opt.data = DecomposeOptions::SizeBound(4);
-  auto index = SpatialIndex::Create(&pool, opt).value();
-  DataGenOptions dg;
-  dg.distribution = Distribution::kUniformSmall;
-  for (const Rect& r : GenerateData(800, dg)) {
-    ASSERT_TRUE(index->Insert(r).ok());
-  }
-
-  const auto windows = GenerateWindows(16, 0.05, QueryGenOptions{});
-  std::vector<std::vector<ObjectId>> expected;
-  for (const auto& w : windows) {
-    expected.push_back(index->WindowQuery(w).value());
-  }
-
-  QueryExecutor exec(index.get(), 4);
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  threads.emplace_back([&] {
-    for (int iter = 0; iter < 6; ++iter) {
-      for (size_t i = 0; i < windows.size(); ++i) {
-        if (index->WindowQuery(windows[i]).value() != expected[i]) {
-          ++mismatches;
-        }
-      }
-    }
-  });
-  for (size_t caller = 0; caller < 2; ++caller) {
-    threads.emplace_back([&, caller] {
-      for (int iter = 0; iter < 6; ++iter) {
-        for (size_t i = caller; i < windows.size(); i += 2) {
-          auto got = exec.ParallelWindowQuery(windows[i]);
-          if (!got.ok() || got.value() != expected[i]) ++mismatches;
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // The ASSERT_CAPABILITY annotations on zdb::Mutex / zdb::SharedMutex are

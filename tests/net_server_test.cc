@@ -411,11 +411,10 @@ TEST(NetServer, NonFinitePointsGetInvalidArgument) {
 // On one shard every reply's epoch bracket [e0, e1] must contain one
 // batch boundary whose brute-force oracle answer matches exactly — a
 // partially visible batch matches none and fails — and every query
-// below the parallel-window threshold names the one epoch it answered
-// (e0 == e1): the epoch it pinned. On several shards each shard answers
-// from its own pinned state, so a reply must be a per-shard mix of the
-// bracket's states (see ShardedLast); the final quiescent state must
-// match exactly.
+// names the one epoch it answered (e0 == e1): the epoch it pinned. On
+// several shards each shard answers from its own pinned state, so a
+// reply must be a per-shard mix of the bracket's states (see
+// ShardedLast); the final quiescent state must match exactly.
 void ConcurrentMixedTraffic(DbLayout layout, uint64_t seed) {
   const uint32_t shards = layout.shards;
 
@@ -474,8 +473,6 @@ void ConcurrentMixedTraffic(DbLayout layout, uint64_t seed) {
   QueryGenOptions qopt;
   qopt.seed = seed + 2;
   auto windows = GenerateWindows(10, 0.01, qopt);
-  // Big windows cross the parallel_window_area threshold, so the
-  // executor's intra-query path is exercised over the wire too.
   const auto big =
       GenerateWindows(3, 0.08, QueryGenOptions{.seed = seed + 3});
   windows.insert(windows.end(), big.begin(), big.end());
@@ -502,8 +499,7 @@ void ConcurrentMixedTraffic(DbLayout layout, uint64_t seed) {
                     << ": reply matches no epoch state";
     }
   };
-  // A single-shard query below the parallel threshold answers from one
-  // epoch and must say so.
+  // A single-shard query answers from one epoch and must say so.
   auto check_pinned = [&](uint64_t e0, uint64_t e1, const char* what,
                           size_t q) {
     if (shards == 1 && e0 != e1) {
@@ -546,9 +542,7 @@ void ConcurrentMixedTraffic(DbLayout layout, uint64_t seed) {
                                           return rect.Intersects(windows[q]);
                                         }),
                 "window", q);
-          if (windows[q].area() < opt.parallel_window_area) {
-            check_pinned(e0, e1, "window", q);
-          }
+          check_pinned(e0, e1, "window", q);
           ++reads_done;
         }
         if (r % 2 == 0) {

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
@@ -539,6 +540,14 @@ struct Node {
   }
 };
 
+/// The unsigned counter `key` of a STATS JSON payload (0 if absent).
+uint64_t StatsCounter(const std::string& json, const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  const size_t at = json.find(tag);
+  if (at == std::string::npos) return 0;
+  return std::strtoull(json.c_str() + at + tag.size(), nullptr, 10);
+}
+
 void AwaitEpoch(const DB& db, uint64_t target) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -698,6 +707,16 @@ TEST(ReplEndToEnd, TruncatedLogDemandsResync) {
     WriteBatch batch;
     batch.Insert(Rect{0.1 * b, 0.1, 0.1 * b + 0.05, 0.2});
     ASSERT_TRUE(lc.Apply(batch).ok());
+  }
+
+  // The ship thread appends and evicts records after Apply has
+  // returned. Until the floor passes 0 a subscribe from epoch 0 is
+  // rightly accepted, so wait for the precondition this test is about.
+  const auto floor_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (StatsCounter(leader.server->StatsJson(), "floor_epoch") == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), floor_deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
   DBOptions dopt;

@@ -4,8 +4,8 @@
 // scatter-gather queries vs the brute-force oracle at every epoch,
 // N=1 vs N=4 byte-identical answers (DB-assigned oids match the
 // single-engine append cursor), boundary-straddling replication, the
-// on-disk manifest + reopen recovery, the sharded executor, and a small
-// concurrent churn suite (the TSan leg runs this file at N=4).
+// on-disk manifest + reopen recovery, and a small concurrent churn
+// suite (the TSan leg runs this file at N=4).
 //
 // Suites are named Shard* so the sanitizer matrix regex
 // `thread.(...|Shard)` picks every suite in this file up.
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "exec/executor.h"
 #include "shard/manifest.h"
 #include "shard/routing.h"
 #include "oracle_util.h"
@@ -371,25 +370,6 @@ TEST(ShardPersist, SingleShardFileStaysClassic) {
     auto db = DB::Open(file.path, opt).value();
     EXPECT_EQ(db->shards(), 1u);
     EXPECT_EQ(db->object_count(), 1u);
-  }
-}
-
-// --------------------------------------------------------------- executor
-
-TEST(ShardExecutor, ScatterGatherMatchesRouterAnswers) {
-  const Workload w = MakeWorkload(/*seed=*/41);
-  auto db = DB::Open("", MemShardOptions(4)).value();
-  WriteBatch init;
-  for (const Rect& r : w.initial) init.Insert(r);
-  ASSERT_TRUE(db->Apply(init).ok());
-
-  auto exec = db->NewExecutor(3);
-  EXPECT_EQ(exec->shards(), 4u);
-
-  for (size_t i = 0; i < w.windows.size(); ++i) {
-    auto par = exec->ParallelWindowQuery(w.windows[i]);
-    ASSERT_TRUE(par.ok());
-    EXPECT_EQ(par.value(), db->Window(w.windows[i]).value());
   }
 }
 

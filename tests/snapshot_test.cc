@@ -15,9 +15,9 @@
 //   * misuse aborts — EpochPin double release, cross-thread release and
 //     a pin outliving its manager die loudly instead of corrupting the
 //     pin accounting;
-//   * plan-hook integrity — the executor's NO_THREAD_SAFETY_ANALYSIS
-//     plan hooks, run under one shared pin across many worker threads,
-//     cannot observe a torn epoch.
+//   * plan-hook integrity — the NO_THREAD_SAFETY_ANALYSIS plan hooks,
+//     run under one shared pin from several threads, each in its own
+//     snapshot scope, cannot observe a torn epoch.
 //
 // Deterministic workloads derive from ZDB_STRESS_SEED like the
 // stress_mixed suite; thread tests are sized to stay fast under TSan.
@@ -28,6 +28,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <functional>
 #include <map>
 #include <thread>
 #include <vector>
@@ -37,7 +38,6 @@
 #include "common/random.h"
 #include "core/epoch.h"
 #include "core/spatial_index.h"
-#include "exec/executor.h"
 #include "oracle_util.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
@@ -569,8 +569,8 @@ TEST(SnapshotDeathTest, CrossThreadReleaseAborts) {
   EXPECT_DEATH(
       {
         EpochPin pin = index->PinEpoch();
-        // Reading the pin from another thread is allowed (the executor
-        // shares one pin across workers); releasing is not.
+        // Reading the pin from another thread is allowed (threads that
+        // each open a scope under one pin share it); releasing is not.
         std::thread other([&] {
           (void)pin.epoch();
           pin.Release();  // wrong thread: must abort
@@ -596,24 +596,92 @@ TEST(SnapshotDeathTest, PinOutlivingItsIndexAborts) {
       "outlives");
 }
 
-// ------------------------------------------------- executor plan hooks
+// ------------------------------------------------------------ plan hooks
 
-// The executor's plan hooks (PlanWindow / ExecuteWindowPlanSlice /
-// RefineWindowCandidates) run on many worker threads under ONE shared
-// pin, each thread in its own snapshot scope. If any hook observed a torn
-// epoch — plan at boundary k, a slice or refinement at k+1 — the merged
-// answer would match no single oracle state and fail the bracket check.
+/// One window through the plan hooks, split across `threads` threads
+/// under the one `pin`: the plan is built on the calling thread, then
+/// each thread opens its own snapshot scope and executes one slice of
+/// the plan's work items, then (in fresh threads and scopes) refines one
+/// chunk of the merged candidates. Returns the sorted answer.
+Result<std::vector<ObjectId>> SplitWindowQuery(SpatialIndex* index,
+                                               const EpochPin& pin,
+                                               const Rect& win,
+                                               size_t threads) {
+  WindowPlan plan;
+  {
+    std::unique_ptr<SpatialIndex::SnapshotReadScope> scope;
+    ZDB_ASSIGN_OR_RETURN(scope, index->OpenSnapshot(pin));
+    ZDB_ASSIGN_OR_RETURN(plan, index->PlanWindow(win));
+  }
+  // Runs fn(i) for every i < threads, each on its own thread inside its
+  // own scope, and returns the first error.
+  auto on_threads = [&](const std::function<Status(size_t)>& fn) {
+    std::vector<Status> status(threads);
+    std::vector<std::thread> pool;
+    for (size_t i = 0; i < threads; ++i) {
+      pool.emplace_back([&, i] {
+        auto scope = index->OpenSnapshot(pin);
+        status[i] = scope.ok() ? fn(i) : scope.status();
+      });
+    }
+    for (auto& t : pool) t.join();
+    for (const Status& st : status) {
+      if (!st.ok()) return st;
+    }
+    return Status::OK();
+  };
+
+  const size_t items = plan.work_items();
+  std::vector<std::vector<ObjectId>> parts(threads);
+  std::vector<QueryStats> stats(threads);
+  ZDB_RETURN_IF_ERROR(on_threads([&](size_t i) -> Status {
+    ZDB_ASSIGN_OR_RETURN(
+        parts[i], index->ExecuteWindowPlanSlice(plan, items * i / threads,
+                                                items * (i + 1) / threads,
+                                                &stats[i]));
+    return Status::OK();
+  }));
+  std::vector<ObjectId> cands;
+  for (const auto& part : parts) {
+    cands.insert(cands.end(), part.begin(), part.end());
+  }
+  std::sort(cands.begin(), cands.end());
+  cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
+
+  // Refinement keeps candidate order, so the chunks of a sorted list
+  // concatenate to a sorted answer.
+  const size_t n = cands.size();
+  std::vector<std::vector<ObjectId>> refined(threads);
+  ZDB_RETURN_IF_ERROR(on_threads([&](size_t i) -> Status {
+    std::vector<ObjectId> chunk(cands.begin() + n * i / threads,
+                                cands.begin() + n * (i + 1) / threads);
+    ZDB_ASSIGN_OR_RETURN(refined[i], index->RefineWindowCandidates(
+                                         win, std::move(chunk), &stats[i]));
+    return Status::OK();
+  }));
+  std::vector<ObjectId> out;
+  for (const auto& chunk : refined) {
+    out.insert(out.end(), chunk.begin(), chunk.end());
+  }
+  return out;
+}
+
+// The plan hooks (PlanWindow / ExecuteWindowPlanSlice /
+// RefineWindowCandidates) run on several threads under ONE pin, each
+// thread in its own snapshot scope. If any hook observed a torn epoch —
+// plan at boundary k, a slice or refinement at k+1 — the merged answer
+// would match no single oracle state and fail the bracket check.
 TEST(SnapshotStress, PlanHooksCannotObserveTornEpoch) {
   const uint64_t seed = SeedFromEnv(kSeedEnv, kDefaultSeed + 7);
   SCOPED_TRACE(SeedReplayHint(kSeedEnv, seed));
   const Workload w = MakeWorkload(seed, SnapshotShape());
+  constexpr size_t kHookThreads = 4;
 
   auto pager = Pager::OpenInMemory(512);
   BufferPool pool(pager.get(), 128);
   auto index = BuildIndex(&pool, w);
   const uint64_t base = index->write_epoch();
 
-  QueryExecutor exec(index.get(), 4);
   std::atomic<bool> writer_done{false};
   std::atomic<int> failures{0};
 
@@ -630,15 +698,19 @@ TEST(SnapshotStress, PlanHooksCannotObserveTornEpoch) {
     writer_done.store(true, std::memory_order_release);
   });
 
-  // Drive the intra-query parallel path (big windows split into many
-  // slices + refinement chunks) concurrently with the writer.
+  // Split big windows across the hook threads concurrently with the
+  // writer.
   bool last_pass = false;
   size_t iter = 0;
   while (!last_pass) {
     last_pass = writer_done.load(std::memory_order_acquire);
     const Rect& win = w.windows[w.windows.size() - 1 - (iter % 4)];
     const uint64_t e0 = index->write_epoch() - base;
-    auto r = exec.ParallelWindowQuery(win);
+    Result<std::vector<ObjectId>> r = std::vector<ObjectId>{};
+    {
+      const EpochPin pin = index->PinEpoch();
+      r = SplitWindowQuery(index.get(), pin, win, kHookThreads);
+    }
     const uint64_t e1 = index->write_epoch() - base;
     if (!r.ok() ||
         !MatchesWindowInRange(w.states, win, r.value(), e0, e1)) {
@@ -651,10 +723,11 @@ TEST(SnapshotStress, PlanHooksCannotObserveTornEpoch) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(iter, 0u);
 
-  // Quiesced: the parallel answer now equals the plain snapshot answer
-  // at the final boundary exactly.
+  // Quiesced: the split answer now equals the oracle's final state
+  // exactly.
   for (const Rect& win : w.windows) {
-    EXPECT_EQ(exec.ParallelWindowQuery(win).value(),
+    const EpochPin pin = index->PinEpoch();
+    EXPECT_EQ(SplitWindowQuery(index.get(), pin, win, kHookThreads).value(),
               ExpectedWindow(w.states.back(), win));
   }
 }
@@ -1202,6 +1275,46 @@ TEST(Snapshot, PlanHooksRequireASnapshotScope) {
       index->ExecuteWindowPlanSlice(plan, 0, plan.work_items(), &qs).value();
   EXPECT_EQ(index->RefineWindowCandidates(w, std::move(cands), &qs).value(),
             std::vector<ObjectId>{0});
+}
+
+// Any partition of the plan's work items must reproduce the full
+// candidate set — the invariant a caller that splits the range builds
+// on.
+TEST(WindowPlan, PlanSliceUnionCoversWholeQuery) {
+  auto pager = Pager::OpenInMemory(512);
+  BufferPool pool(pager.get(), 512);
+  SpatialIndexOptions opt;
+  opt.data = DecomposeOptions::SizeBound(4);
+  auto index = SpatialIndex::Create(&pool, opt).value();
+  DataGenOptions dg;
+  dg.distribution = Distribution::kClusters;
+  for (const Rect& r : GenerateData(800, dg)) {
+    ASSERT_TRUE(index->Insert(r).ok());
+  }
+
+  const Rect w{0.1, 0.1, 0.6, 0.55};
+  const EpochPin pin = index->PinEpoch();
+  auto scope = index->OpenSnapshot(pin).value();
+  auto plan = index->PlanWindow(w).value();
+  ASSERT_GT(plan.work_items(), 0u);
+
+  QueryStats qs;
+  auto full =
+      index->ExecuteWindowPlanSlice(plan, 0, plan.work_items(), &qs).value();
+
+  for (size_t pieces : {2u, 3u, 5u}) {
+    std::vector<ObjectId> merged;
+    const size_t step = (plan.work_items() + pieces - 1) / pieces;
+    for (size_t b = 0; b < plan.work_items(); b += step) {
+      QueryStats part;
+      auto slice =
+          index->ExecuteWindowPlanSlice(plan, b, b + step, &part).value();
+      merged.insert(merged.end(), slice.begin(), slice.end());
+    }
+    std::sort(merged.begin(), merged.end());
+    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+    EXPECT_EQ(merged, full) << pieces << " pieces";
+  }
 }
 
 // ------------------------------------------- diagnostics beside a writer

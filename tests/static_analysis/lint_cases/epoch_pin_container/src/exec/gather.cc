@@ -1,7 +1,8 @@
 // Seeded violation: a scatter-gather driver hoards EpochPins in an
 // ad-hoc vector, detaching their lifetime from the scope (and thread)
-// that pinned them. The sanctioned aggregate is core/epoch.h's
-// EpochPinSet. zdb_lint must reject this with [epoch-pin].
+// that pinned them. A pin stays on the stack of the thread that took
+// it; other threads share it by reference, each inside its own
+// SnapshotReadScope. zdb_lint must reject this with [epoch-pin].
 
 #include <vector>
 

@@ -5,7 +5,6 @@
 
 #include "client/client.h"
 #include "core/spatial_index.h"
-#include "exec/executor.h"
 #include "server/server.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
