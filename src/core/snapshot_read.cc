@@ -129,7 +129,7 @@ Result<std::vector<std::pair<ObjectId, double>>>
 SpatialIndex::NearestNeighborsAt(const EpochPin& pin, const Point& p,
                                  size_t k, QueryStats* stats,
                                  uint32_t* rounds) {
-  return ReadAt(pin, [&] { return ExpandingSearch(p, k, stats, rounds); });
+  return ReadAt(pin, [&] { return BestFirstSearch(p, k, stats, rounds); });
 }
 
 // --------------------------------------------------------------- stats
@@ -166,6 +166,12 @@ IndexBuildStats SpatialIndex::build_stats() const {
     b.total_error = m.total_error;
   });
   return b;
+}
+
+uint64_t SpatialIndex::object_count() const {
+  uint64_t live = 0;
+  ReadCurrentMeta([&](const SnapshotMeta& m) { live = m.live_objects; });
+  return live;
 }
 
 uint64_t SpatialIndex::level_mask() const {

@@ -74,7 +74,7 @@ namespace zdb {
 /// replicated into the leaves (store_mbr_in_leaf), refinement on each
 /// candidate's record and, for a polygon, its exact ring.
 enum class QueryPredicate : uint8_t {
-  kIntersects,     ///< objects intersecting the window (window, kNN)
+  kIntersects,     ///< objects intersecting the window
   kContainsPoint,  ///< objects containing the point (point)
   kInside,         ///< objects inside the window (containment)
   kEncloses,       ///< objects enclosing the window (enclosure)
@@ -427,10 +427,15 @@ class SpatialIndex {
                                                QueryStats* stats = nullptr);
 
   /// The k nearest objects to `p` by exact geometry distance (0 when the
-  /// point is inside the object), closest first. Implemented as an
-  /// expanding-window search: the radius doubles until the k-th hit is
-  /// provably inside the searched window. `rounds` (optional) reports
-  /// the number of expansions.
+  /// point is inside the object), closest first; ties at equal distance
+  /// in oid order. Implemented as a best-first search over the z-order
+  /// quadtree (core/knn.cc): cells by MINDIST, then objects by a lower
+  /// bound, then by exact distance, fetching a record only when its
+  /// bound reaches the heap top. `stats` counts cells expanded
+  /// (query_elements), own-entry probes (ancestor_probes), entries read
+  /// (index_entries), entries pushed (candidates) and records fetched
+  /// (unique_candidates). `rounds` (optional) reports 1 for a search
+  /// that reads the index, 0 for k = 0 or an empty index.
   Result<std::vector<std::pair<ObjectId, double>>> NearestNeighbors(
       const Point& p, size_t k, QueryStats* stats = nullptr,
       uint32_t* rounds = nullptr, uint64_t* epoch = nullptr);
@@ -494,12 +499,10 @@ class SpatialIndex {
   /// diagnostics/analysis use.
   Result<std::vector<uint64_t>> LevelHistogram();
 
-  /// Live objects (inserted minus erased). Safe to read from any thread
-  /// without a lock (relaxed; a concurrent writer's batch may or may
-  /// not be counted yet).
-  uint64_t object_count() const {
-    return live_objects_.load(std::memory_order_relaxed);
-  }
+  /// Live objects (inserted minus erased) at the current epoch, read
+  /// like build_stats(): a reader that has seen write_epoch() reach e
+  /// gets a count that includes every batch up to e.
+  uint64_t object_count() const;
 
  private:
   friend Result<std::vector<std::pair<ObjectId, ObjectId>>> SpatialJoin(
@@ -591,11 +594,12 @@ class SpatialIndex {
   Result<std::vector<ObjectId>> RunQuery(QueryPredicate predicate,
                                          const Rect& window,
                                          QueryStats* stats);
-  /// kNN's expanding-window rounds (core/knn.cc).
-  Result<std::vector<std::pair<ObjectId, double>>> ExpandingSearch(
+  /// kNN's best-first search over the z-order quadtree (core/knn.cc).
+  Result<std::vector<std::pair<ObjectId, double>>> BestFirstSearch(
       const Point& p, size_t k, QueryStats* stats, uint32_t* rounds);
-  /// Exact geometry distance of one object to a point (core/knn.cc).
-  Result<double> ExactDistance(ObjectId oid, const Point& p);
+  /// Exact geometry distance of one record's object to a point
+  /// (core/knn.cc).
+  Result<double> ExactDistance(const ObjectRecord& rec, const Point& p);
 
   /// Bumps the published write epoch; call at the end of a successful
   /// writer section. First records the post-batch SnapshotMeta under the
@@ -798,8 +802,8 @@ class SpatialIndex {
   std::unique_ptr<PolygonStore> polys_;
   IndexBuildStats build_stats_ GUARDED_BY(commit_mu_);
   uint64_t level_mask_ GUARDED_BY(commit_mu_) = 0;
-  /// Relaxed atomic so object_count() stays readable from monitor
-  /// threads without a lock; writers mutate it under commit_mu_.
+  /// Mutated by writers under commit_mu_ and published in each epoch's
+  /// SnapshotMeta, which object_count() reads.
   std::atomic<uint64_t> live_objects_{0};
   std::atomic<uint64_t> write_epoch_{0};
   std::atomic<uint64_t> rollbacks_{0};

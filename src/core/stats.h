@@ -10,7 +10,10 @@
 
 namespace zdb {
 
-/// Statistics of one window/point query.
+/// Statistics of one query. A kNN (best-first search) counts cells
+/// expanded as query_elements, probes of a large cell's own entries as
+/// ancestor_probes, entries read as index_entries, entries pushed on its
+/// heap as candidates and records fetched as unique_candidates.
 struct QueryStats {
   uint64_t query_elements = 0;   ///< elements the query decomposed into
   uint64_t ancestor_probes = 0;  ///< enclosing-element probes issued

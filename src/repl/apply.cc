@@ -185,7 +185,20 @@ void Applier::RunSession() {
       continue;
     }
 
-    // Streaming: leader-initiated LOG_RECORD pushes only.
+    // Streaming: leader-initiated LOG_RECORD pushes, or the leader's
+    // SUBSCRIBE rejection when its log ring evicted our cursor.
+    if (frame.header.opcode == static_cast<uint8_t>(Opcode::kSubscribe) &&
+        (frame.header.flags & net::kFlagReply) != 0) {
+      std::string_view body;
+      std::string message;
+      if (net::ParseReplyStatus(frame.payload, &body, &message) ==
+          WireError::kOk) {
+        stream_errors_.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        subscribe_rejects_.fetch_add(1, std::memory_order_relaxed);
+      }
+      return;
+    }
     if (frame.header.opcode != static_cast<uint8_t>(Opcode::kLogRecord) ||
         (frame.header.flags & net::kFlagReply) != 0) {
       stream_errors_.fetch_add(1, std::memory_order_relaxed);

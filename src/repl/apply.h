@@ -56,7 +56,8 @@ struct ApplierStats {
   uint64_t records_applied = 0;
   uint64_t duplicates_skipped = 0;  ///< reconnect overlap, not an error
   uint64_t reconnects = 0;          ///< connection attempts after the first
-  uint64_t subscribe_rejects = 0;   ///< leader refused the handshake
+  uint64_t subscribe_rejects = 0;   ///< leader refused the handshake,
+                                    ///< or evicted our cursor mid-stream
   uint64_t stream_errors = 0;       ///< decode/apply failures (drops the link)
   uint64_t applied_epoch = 0;
   uint64_t leader_epoch = 0;  ///< log head last heard from the leader

@@ -47,15 +47,17 @@ void LogShipper::OnCommit(uint64_t epoch, const WriteBatch& resolved) {
   ship_cv_.NotifyAll();
 }
 
+Status LogShipper::TruncatedLocked(uint64_t last_applied) const {
+  return Status::NotFound(
+      "log truncated before epoch " + std::to_string(last_applied) +
+      " (floor " + std::to_string(floor_epoch_) +
+      "); follower must resync from a fresh copy of the leader");
+}
+
 Result<uint64_t> LogShipper::Subscribe(uint64_t token, uint64_t last_applied,
                                        SendFn send) {
   MutexLock lock(ship_mu_);
-  if (last_applied < floor_epoch_) {
-    return Status::NotFound(
-        "log truncated before epoch " + std::to_string(last_applied) +
-        " (floor " + std::to_string(floor_epoch_) +
-        "); follower must resync from a fresh copy of the leader");
-  }
+  if (last_applied < floor_epoch_) return TruncatedLocked(last_applied);
   if (last_applied > head_epoch_) {
     return Status::InvalidArgument(
         "follower claims epoch " + std::to_string(last_applied) +
@@ -162,8 +164,9 @@ void LogShipper::ShipLoop() {
       }
 
       // Enforce the retention cap. A follower whose cursor falls off
-      // the evicted tail can no longer be caught up incrementally; drop
-      // its subscription so it resubscribes (and learns it must resync).
+      // the evicted tail can no longer be caught up incrementally: it
+      // gets the rejection a subscribe from its epoch would get, and its
+      // subscription is dropped.
       if (options_.retain_records > 0) {
         while (records_.size() > options_.retain_records) {
           floor_epoch_ = records_.front().epoch;
@@ -173,6 +176,15 @@ void LogShipper::ShipLoop() {
         }
         for (auto it = followers_.begin(); it != followers_.end();) {
           if (it->second.next_index < base_index_) {
+            const Status truncated = TruncatedLocked(it->second.acked_epoch);
+            outbox.emplace_back(
+                std::move(it->second.send),
+                net::BuildFrame(net::Opcode::kSubscribe, net::kFlagReply,
+                                /*request_id=*/0,
+                                net::EncodeErrorReply(
+                                    net::StatusCodeToWireError(
+                                        truncated.code()),
+                                    truncated.message())));
             it = followers_.erase(it);
           } else {
             ++it;

@@ -21,7 +21,10 @@
 // (batches committed before that never produced records), advanced as
 // the ring evicts. A follower subscribing with last_applied below the
 // floor gets a typed NotFound ("log truncated"): it must resync from a
-// fresh copy of the leader, it cannot be caught up incrementally.
+// fresh copy of the leader, it cannot be caught up incrementally. A
+// subscribed follower whose cursor the ring evicts gets the same
+// rejection, as an unsolicited SUBSCRIBE error reply (request id 0),
+// and its subscription is dropped.
 //
 // Lock order: ship_mu_ is acquired after the DB's write mutex (OnCommit
 // runs under it) and before nothing — the send callbacks
@@ -50,8 +53,8 @@ namespace repl {
 
 struct ShipperOptions {
   /// Encoded records retained in the tail ring; 0 = unlimited. A
-  /// follower whose cursor falls off the evicted tail is dropped and
-  /// must resubscribe (and may then need a resync).
+  /// follower whose cursor falls off the evicted tail is sent a "log
+  /// truncated" rejection and dropped: it must resync.
   size_t retain_records = 0;
   /// Max unacked LOG_RECORD frames in flight per follower — flow
   /// control so a stalled follower cannot balloon its connection's
@@ -144,6 +147,9 @@ class LogShipper : public CommitSink {
 
   /// True when some follower has unshipped records and window room.
   bool ShippableLocked() const REQUIRES(ship_mu_);
+
+  /// The "log truncated" rejection of a follower at `last_applied`.
+  Status TruncatedLocked(uint64_t last_applied) const REQUIRES(ship_mu_);
 
   const ShipperOptions options_;
 

@@ -280,10 +280,10 @@ struct SnapshotMeta {
 /// SpatialIndex matches `owner` (level mask / live-object count). Tags
 /// are opaque pointers so storage/ stays ignorant of core/ types.
 ///
-/// Views form a per-thread stack (nested queries — e.g. kNN issuing
-/// window sweeps — reuse the installed view; each thread that opens a
-/// scope under a shared pin installs its own). Lookups walk the stack
-/// and match the *innermost* view for the component.
+/// Views form a per-thread stack (a scope opened inside another pushes
+/// its own view; each thread that opens a scope under a shared pin
+/// installs its own). Lookups walk the stack and match the *innermost*
+/// view for the component.
 struct SnapshotView {
   uint64_t epoch = 0;
   PageVersions* versions = nullptr;

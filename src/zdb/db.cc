@@ -517,6 +517,9 @@ Status DB::WaitDurable(uint64_t epoch, uint64_t timeout_ms) {
 // --------------------------------------------------------------- plumbing
 
 uint64_t DB::object_count() const {
+  // One engine: its own count at its published epoch, which is the DB's
+  // write_epoch(). live_count_ is bumped only after the engine publishes.
+  if (sole_ != nullptr) return sole_->object_count();
   if (RollbackCount() != rollbacks_seen_.load(std::memory_order_acquire)) {
     // The rebuild refreshes a cache of the shards' own state, which is
     // why a const reader may run it. A failed rebuild leaves the old

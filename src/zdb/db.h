@@ -278,8 +278,10 @@ class DB {
                             : epoch_.load(std::memory_order_acquire);
   }
 
-  /// Distinct live objects (each counted once, not per replica). After
-  /// a shard's group rollback it first rebuilds the routing state.
+  /// Distinct live objects (each counted once, not per replica), never
+  /// behind write_epoch(): a one-shard DB reads its engine's count at
+  /// the engine's published epoch. After a shard's group rollback a
+  /// sharded DB first rebuilds the routing state.
   uint64_t object_count() const;
 
   /// Shard 0's build counters (exact for a single-shard DB; for a

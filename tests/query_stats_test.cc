@@ -7,9 +7,15 @@
 // summed field by field and compared with golden values, together with
 // the buffer pool's page reads and hits over a deliberately small pool.
 // The golden values were captured from the engine before the query kinds
-// shared one pipeline; any change to what the filter scans, how it
-// deduplicates, what refinement fetches or in which order pages are
-// touched shows up here.
+// shared one pipeline (the kNN rows when kNN became a best-first search);
+// any change to what the filter scans, how it deduplicates, what
+// refinement fetches or in which order pages are touched shows up here.
+//
+// For kNN the fields count the best-first search's work: query_elements
+// = cells expanded, ancestor_probes = probes of a large cell's own
+// entries, index_entries = entries read, candidates = entries pushed,
+// unique_candidates = records fetched (none with MBRs in the leaves,
+// where an entry carries its exact distance), results = answers.
 
 #include <gtest/gtest.h>
 
@@ -222,8 +228,8 @@ TEST(QueryStatsGolden, Default) {
       {"point", 20, 420, 109, 109, 109, 78, 31, 0, 109, 1278},
       {"containment", 34, 19, 2395, 2395, 894, 684, 210, 0, 359, 764},
       {"enclosure", 34, 119, 65, 65, 56, 43, 13, 0, 53, 465},
-      {"knn", 37, 39, 838, 838, 369, 185, 184, 0, 282, 591},
-      {"knn_all", 2, 0, 4450, 4450, 1300, 0, 1300, 0, 284, 3038},
+      {"knn", 110, 0, 2250, 488, 125, 0, 80, 0, 136, 296},
+      {"knn_all", 2, 0, 4450, 4450, 1300, 0, 1300, 0, 202, 1520},
   });
 }
 
@@ -233,8 +239,8 @@ TEST(QueryStatsGolden, BigMin) {
       {"point", 20, 420, 109, 109, 109, 78, 31, 0, 107, 1280},
       {"containment", 10, 0, 1684, 1503, 604, 394, 210, 171, 366, 828},
       {"enclosure", 10, 33, 78, 64, 55, 42, 13, 11, 51, 169},
-      {"knn", 11, 0, 716, 568, 262, 78, 184, 139, 266, 716},
-      {"knn_all", 2, 0, 4450, 4450, 1300, 0, 1300, 0, 284, 3038},
+      {"knn", 110, 0, 2250, 488, 125, 0, 80, 0, 136, 296},
+      {"knn_all", 2, 0, 4450, 4450, 1300, 0, 1300, 0, 202, 1520},
   });
 }
 
@@ -244,8 +250,8 @@ TEST(QueryStatsGolden, LeafMbr) {
       {"point", 20, 380, 86, 86, 86, 62, 24, 0, 60, 1134},
       {"containment", 34, 19, 1708, 1708, 653, 496, 157, 0, 122, 168},
       {"enclosure", 34, 119, 55, 55, 48, 36, 12, 0, 31, 437},
-      {"knn", 34, 31, 566, 566, 262, 112, 150, 0, 145, 243},
-      {"knn_all", 2, 0, 3332, 3332, 1000, 0, 1000, 0, 287, 961},
+      {"knn", 111, 0, 2682, 527, 0, 0, 80, 0, 117, 334},
+      {"knn_all", 2, 0, 3332, 3332, 0, 0, 1000, 0, 246, 2},
   });
 }
 

@@ -519,7 +519,7 @@ struct Node {
   std::string uri;
 
   Node(ServerRole role, const std::string& leader_uri,
-       size_t retain_records = 0) {
+       size_t retain_records = 0, size_t window = 64) {
     DBOptions dopt;
     dopt.index.data = DecomposeOptions::SizeBound(8);
     dopt.memory_journal = true;
@@ -533,6 +533,7 @@ struct Node {
     sopt.role = role;
     sopt.leader_endpoint = leader_uri;
     sopt.repl_retain_records = retain_records;
+    sopt.repl_window = window;
     server = std::make_unique<Server>(db.get(), sopt);
     const Status s = server->Start();
     EXPECT_TRUE(s.ok()) << s.ToString();
@@ -736,6 +737,44 @@ TEST(ReplEndToEnd, TruncatedLogDemandsResync) {
   }
   EXPECT_FALSE(applier.connected());
   EXPECT_EQ(fdb->write_epoch(), 0u);  // nothing partial was applied
+  applier.Stop();
+}
+
+TEST(ReplEndToEnd, FollowerOutrunByTheRingIsToldToResync) {
+  // A subscribed follower with a window of one record, and a ring of two:
+  // three commits inside one ship-and-ack round trip evict the record at
+  // the follower's cursor. The leader must tell it that it needs a
+  // resync instead of leaving its connection open and silent.
+  Node leader(ServerRole::kLeader, "", /*retain_records=*/2, /*window=*/1);
+  DBOptions dopt;
+  dopt.index.data = DecomposeOptions::SizeBound(8);
+  dopt.memory_journal = true;
+  auto fdb = DB::Open("", dopt).value();
+  repl::ApplierOptions aopt;
+  aopt.leader_endpoint = leader.uri;
+  aopt.reconnect_min_ms = 10;
+  repl::Applier applier(fdb.get(), aopt);
+  ASSERT_TRUE(applier.Start().ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!applier.connected()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // In-process commits are far faster than a round trip over loopback.
+  size_t batches = 0;
+  while (applier.Snapshot().subscribe_rejects == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "follower not told to resync after " << batches << " batches";
+    WriteBatch batch;
+    const double x = 0.001 * static_cast<double>(batches % 900);
+    batch.Insert(Rect{x, 0.1, x + 0.01, 0.2});
+    ASSERT_TRUE(leader.db->Apply(batch, Durability::kPublished).ok());
+    ++batches;
+  }
+  EXPECT_LT(applier.applied_epoch(), leader.db->write_epoch());
+  EXPECT_EQ(applier.Snapshot().stream_errors, 0u);
   applier.Stop();
 }
 
